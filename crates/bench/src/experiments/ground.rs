@@ -4,8 +4,8 @@
 //! The parallel-grounding redesign's reason to exist, measured: each
 //! grounding-scale dataset is grounded from scratch at 1, 2, 4, and 8
 //! worker threads, with the stats-driven optimizer on (default) and off
-//! (`--no-stats`: NDV estimates replaced by schema defaults, adaptive
-//! re-planning disabled). The deterministic-merge contract means every
+//! (`--no-stats`: `ANALYZE`d row counts and NDVs replaced by raw table
+//! lengths). The deterministic-merge contract means every
 //! cell of this table produces the *identical* `GroundingResult` — the
 //! threads axis buys only time, never a different MRF (enforced by
 //! `tests/grounding_determinism.rs`).
@@ -83,7 +83,6 @@ pub fn measure(smoke: bool) -> Vec<GroundRate> {
     let reps = if smoke { 1 } else { 3 };
     let no_stats = OptimizerConfig {
         use_stats: false,
-        replan: false,
         ..Default::default()
     };
     let mut out = Vec::new();

@@ -86,22 +86,6 @@
 //! assert_eq!(engine.groundings_performed(), 1); // ground once, serve many
 //! ```
 //!
-//! ## Migrating from the session-only / one-shot APIs
-//!
-//! | old call | new call |
-//! |---|---|
-//! | `tuffy.map_inference()` | `tuffy.build_engine()?.snapshot().query(&Query::map())` |
-//! | `tuffy.marginal_inference(&params)` | `…snapshot().query(&Query::marginal_all().with_mcsat(params))` |
-//! | `tuffy.open_session()?` | `tuffy.build_engine()?.open_session()` (one engine, many sessions) |
-//! | `session.marginal(&params)` | `session.query(&Query::marginal_all().with_mcsat(params))` |
-//! | `session.marginal(&cfg_params)` | `session.query(&Query::marginal_all())` (reads `TuffyConfig::mcsat`) |
-//! | apply + query + undo | `snapshot.query(&Query::map().given(delta))` (nothing to undo) |
-//!
-//! `Tuffy::open_session()` keeps working as an engine-of-one
-//! (bit-identical to its pre-engine behavior), and the deprecated
-//! one-shot wrappers still run; both re-ground per call where an engine
-//! grounds once.
-//!
 //! ## Copy-on-write generations under concurrent readers
 //!
 //! Every grounded store is a *generation*: an immutable set of

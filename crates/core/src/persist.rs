@@ -125,7 +125,9 @@ pub(crate) fn encode_config(c: &TuffyConfig, folded_seq: u64) -> Vec<u8> {
     });
     w.put_u8(c.optimizer.pushdown as u8);
     w.put_u8(c.optimizer.use_stats as u8);
-    w.put_u8(c.optimizer.replan as u8);
+    // Reserved: the removed `replan` knob lived here. Written 0, ignored
+    // on read, so files from before its removal still load.
+    w.put_u8(0);
     w.put_u64(c.optimizer.mem_budget_bytes as u64);
     w.put_u8(match c.architecture {
         Architecture::Hybrid => ARCH_HYBRID,
@@ -186,12 +188,14 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreErr
         JA_NESTED_LOOP => JoinAlgorithmPolicy::NestedLoopOnly,
         t => return Err(StoreError::malformed(format!("bad join-algorithm tag {t}"))),
     };
+    let pushdown = tag_bool(r.get_u8()?, "pushdown")?;
+    let use_stats = tag_bool(r.get_u8()?, "use_stats")?;
+    r.get_u8()?; // reserved (see `encode_config`)
     let optimizer = OptimizerConfig {
         join_order,
         join_algorithm,
-        pushdown: tag_bool(r.get_u8()?, "pushdown")?,
-        use_stats: tag_bool(r.get_u8()?, "use_stats")?,
-        replan: tag_bool(r.get_u8()?, "replan")?,
+        pushdown,
+        use_stats,
         mem_budget_bytes: r.get_len()?,
     };
     let architecture = match r.get_u8()? {
@@ -264,7 +268,6 @@ mod tests {
                 join_algorithm: JoinAlgorithmPolicy::NestedLoopOnly,
                 pushdown: false,
                 use_stats: false,
-                replan: false,
                 mem_budget_bytes: 123_456,
             },
             architecture: Architecture::RdbmsOnly,
@@ -335,6 +338,17 @@ mod tests {
         let (back, folded) = decode_config(&bytes).unwrap();
         assert_eq!(folded, 0);
         assert_eq!(back.optimizer, TuffyConfig::default().optimizer);
+    }
+
+    #[test]
+    fn reserved_byte_written_by_older_builds_is_ignored() {
+        // Builds that still had the `replan` knob wrote it (default 1)
+        // where the reserved byte now sits.
+        let mut bytes = encode_config(&TuffyConfig::default(), 0);
+        assert_eq!(bytes[9], 0, "reserved byte is written as 0");
+        bytes[9] = 1;
+        let (back, _) = decode_config(&bytes).unwrap();
+        assert_eq!(back.optimizer, OptimizerConfig::default());
     }
 
     #[test]

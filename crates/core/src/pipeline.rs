@@ -3,27 +3,23 @@
 //! [`Tuffy`] holds the three inputs of Figure 1 (schema/program,
 //! evidence, and the run configuration) and opens [`Session`](crate::session::Session)s over
 //! them — the ground-once, query-many pipeline of Appendix B.3,
-//! Figure 7. The historical one-shot methods survive as deprecated
-//! wrappers over a single-use session.
+//! Figure 7.
 
 use crate::config::TuffyConfig;
-use crate::result::{MapResult, MarginalResult};
 use tuffy_grounder::GroundingResult;
 use tuffy_mln::evidence::EvidenceSet;
 use tuffy_mln::parser::{parse_evidence, parse_program};
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
-use tuffy_search::mcsat::McSatParams;
 use tuffy_search::Scheduler;
 
 /// A configured Tuffy instance: program + evidence + configuration.
 ///
 /// `Tuffy` is cheap, immutable input state; inference happens in a
 /// [`Session`](crate::session::Session) obtained from [`Tuffy::open_session`], which grounds once
-/// and then serves repeated [`map()`](crate::session::Session::map) /
-/// [`marginal()`](crate::session::Session::marginal)
-/// queries with incremental [`apply()`](crate::session::Session::apply) evidence
-/// updates.
+/// and then serves repeated [`map()`](crate::session::Session::map) and
+/// [`query()`](crate::session::Session::query) calls with incremental
+/// [`apply()`](crate::session::Session::apply) evidence updates.
 pub struct Tuffy {
     program: MlnProgram,
     evidence: EvidenceSet,
@@ -102,38 +98,13 @@ impl Tuffy {
     pub fn ground(&self) -> Result<GroundingResult, MlnError> {
         crate::snapshot::ground(&self.program, &self.evidence, &self.config)
     }
-
-    /// Runs one-shot MAP inference: grounds, searches, discards the
-    /// session state.
-    #[deprecated(
-        since = "0.2.0",
-        note = "open a `Session` (`Tuffy::open_session`) and call `map()`: sessions ground \
-                once and warm-start repeated queries instead of re-grounding every call"
-    )]
-    pub fn map_inference(&self) -> Result<MapResult, MlnError> {
-        self.open_session()?.map()
-    }
-
-    /// Runs one-shot marginal inference with MC-SAT (Appendix A.5).
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an `Engine` (`Tuffy::build_engine`) and run \
-                `engine.snapshot().query(&Query::marginal_all().with_mcsat(params))`: \
-                engines ground once instead of re-grounding every call"
-    )]
-    pub fn marginal_inference(&self, params: &McSatParams) -> Result<MarginalResult, MlnError> {
-        self.build_engine()?
-            .snapshot()
-            .query(&crate::query::Query::marginal_all().with_mcsat(*params))?
-            .into_marginal()
-            .ok_or_else(|| MlnError::general("marginal query returned a non-marginal answer"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Architecture, PartitionStrategy};
+    use tuffy_search::mcsat::McSatParams;
     use tuffy_search::WalkSatParams;
 
     const PROGRAM: &str = r#"
@@ -277,32 +248,6 @@ mod tests {
         assert!(r.report.components >= 1);
         assert!(r.report.clause_table_bytes > 0);
         assert!(!r.trace.points().is_empty());
-    }
-
-    /// The deprecated one-shot wrappers must stay green and match a
-    /// fresh session bit for bit.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_sessions() {
-        let t = Tuffy::from_sources(PROGRAM, EVIDENCE).unwrap();
-        let wrapped = t.map_inference().unwrap();
-        let sessioned = t.open_session().unwrap().map().unwrap();
-        assert_eq!(format!("{}", wrapped.cost), format!("{}", sessioned.cost));
-        assert_eq!(wrapped.true_atoms(), sessioned.true_atoms());
-        assert_eq!(wrapped.report.flips, sessioned.report.flips);
-
-        let params = McSatParams {
-            samples: 50,
-            burn_in: 5,
-            sample_sat_steps: 100,
-            ..Default::default()
-        };
-        let wrapped = t.marginal_inference(&params).unwrap();
-        let sessioned = t.open_session().unwrap().marginal(&params).unwrap();
-        assert_eq!(wrapped.names, sessioned.names);
-        for (a, b) in wrapped.marginals.iter().zip(sessioned.marginals.iter()) {
-            assert_eq!(a.1, b.1);
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::pipeline::Tuffy;
 use crate::query::Query;
-use crate::result::{MapResult, MarginalResult, QueryAnswer};
+use crate::result::{MapResult, QueryAnswer};
 use crate::snapshot::{ForkWarm, Snapshot};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,7 +37,6 @@ use tuffy_grounder::GroundingResult;
 use tuffy_mln::evidence::{EvidenceDelta, EvidenceSet};
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
-use tuffy_search::mcsat::McSatParams;
 use tuffy_search::Scheduler;
 
 use crate::config::TuffyConfig;
@@ -226,27 +225,6 @@ impl Session {
             return fork.answer(query);
         }
         self.snapshot.query(query)
-    }
-
-    /// Runs marginal inference with MC-SAT (Appendix A.5) over the
-    /// session's current generation.
-    #[deprecated(
-        since = "0.3.0",
-        note = "run a query instead: `session.query(&Query::marginal_all().with_mcsat(params))` — \
-                or omit `with_mcsat` to read `TuffyConfig::mcsat` implicitly, the same way MAP \
-                queries read `TuffyConfig::search`"
-    )]
-    pub fn marginal(&self, params: &McSatParams) -> Result<MarginalResult, MlnError> {
-        let (probs, report) = self.snapshot.execute_marginal(params)?;
-        let registry = &self.snapshot.grounding().registry;
-        let mut marginals = Vec::with_capacity(probs.len());
-        let mut names = Vec::with_capacity(probs.len());
-        for (i, p) in probs.into_iter().enumerate() {
-            let ga = registry.ground_atom(i as u32);
-            names.push(crate::result::render_atom(&self.program, &ga));
-            marginals.push((ga, p));
-        }
-        Ok(MarginalResult::new(marginals, names, report))
     }
 
     /// Renders the session state — grounded store, generation, last

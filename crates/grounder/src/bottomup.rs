@@ -1,14 +1,16 @@
 //! Bottom-up (RDBMS-backed) grounding — §3.1.
 //!
 //! Every clause's binding query runs inside the relational engine: the
-//! cost-based planner chooses join orders and algorithms (the source of
-//! the orders-of-magnitude grounding speedups of Table 2) and
-//! [`tuffy_rdbms::execute_adaptive`] executes step-wise, re-ordering the
-//! remaining joins when observed cardinalities diverge from the
-//! estimates. The lazy closure of Appendix A.3 iterates: grounding
+//! cost-based planner ([`tuffy_rdbms::plan_query`]) chooses join orders
+//! and algorithms (the source of the orders-of-magnitude grounding
+//! speedups of Table 2) and the executor walks that plan —
+//! [`tuffy_rdbms::execute`] in memory, the spill executor under a memory
+//! budget. The lazy closure of Appendix A.3 iterates: grounding
 //! restricted to *reachable* atoms, newly activated atoms appended to the
 //! reachable tables, repeat to fixpoint. Use [`explain_grounding`] to
-//! dump the plans without executing anything.
+//! dump the round-0 plans without executing anything (a variant split
+//! into value-range chunks is planned once per chunk, with the range
+//! narrowing its estimates).
 //!
 //! # Parallel grounding and the deterministic-merge contract
 //!
@@ -37,8 +39,8 @@
 //!    emission, and a chunked variant's sorted chunks are k-way merged
 //!    back into one content-ordered stream. Emission order therefore
 //!    depends only on the binding *set* of each variant — never on the
-//!    join order, join algorithm, statistics, or adaptive re-planning
-//!    that produced it — which keeps atom numbering stable under
+//!    join order, join algorithm, or statistics that produced it —
+//!    which keeps atom numbering stable under
 //!    optimizer changes and under evidence deltas that merely prune
 //!    bindings (the incremental patch path relies on this).
 //! 4. **Ordered merge.** Workers execute tasks from a shared queue, but
@@ -46,10 +48,10 @@
 //!    order. Emission (atom numbering, clause construction, activation)
 //!    stays sequential, so first-encounter atom ids, the clause multiset,
 //!    provenance, and the CSR arena layout never depend on scheduling.
-//! 5. **Round-boundary feedback.** Observed join-prefix cardinalities
-//!    from the adaptive executor are folded into the catalog during the
-//!    ordered merge — after all of the round's queries have executed —
-//!    so planning inputs are also identical at every thread count.
+//!
+//! Planning inputs are identical at every thread count too: a plan
+//! depends only on the query, the round-start statistics of part 1, and
+//! the config — never on what other tasks executed.
 
 use crate::compile::{compile_clause, CompiledClause, GroundingMode};
 use crate::dbload::GroundingDb;
@@ -64,11 +66,10 @@ use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
 use tuffy_mrf::{Mrf, MrfBuilder};
 use tuffy_rdbms::exec::Batch;
-use tuffy_rdbms::optimizer::{execute_adaptive, plan_analyzed, AdaptiveReport};
 use tuffy_rdbms::query::VarId;
 use tuffy_rdbms::{
-    execute_spill, merge_cursor, ConjunctiveQuery, Database, OptimizerConfig, SpillManager,
-    SpillableBatch,
+    execute, execute_spill, merge_cursor, plan_analyzed, plan_query, ConjunctiveQuery, Database,
+    OptimizerConfig, SpillManager, SpillableBatch,
 };
 
 /// The output of grounding: the MRF, the atom registry mapping dense atom
@@ -123,11 +124,11 @@ struct RoundTask {
     query: Option<ConjunctiveQuery>,
 }
 
-/// One task's query result: materialized in memory (default path, with
-/// the adaptive executor's report) or possibly spilled to backend runs
-/// (out-of-core path under a memory budget).
+/// One task's query result: materialized in memory (default path) or
+/// possibly spilled to backend runs (out-of-core path under a memory
+/// budget).
 enum TaskBatch {
-    Mem(Batch, AdaptiveReport),
+    Mem(Batch),
     Spilled(SpillableBatch),
 }
 
@@ -398,9 +399,8 @@ pub fn ground_bottom_up_threaded(
 
         // Phase B: execute every task against the shared start-of-round
         // snapshot. Workers pull tasks from a shared counter; results
-        // land in per-task slots. With a memory budget the spill
-        // executor runs instead of the adaptive one (its step-wise
-        // re-planning assumes materialized intermediates).
+        // land in per-task slots. Both branches run `plan_query`'s
+        // plan; a memory budget selects the spill executor.
         type TaskResult = Result<Option<(TaskBatch, Duration)>, tuffy_rdbms::DbError>;
         let results: Vec<TaskResult> = {
             let db = &gdb.db;
@@ -412,21 +412,23 @@ pub fn ground_bottom_up_threaded(
                     match mgr {
                         Some(mgr) => execute_spill(db, q, config, mgr)
                             .map(|sb| Some((TaskBatch::Spilled(sb), t0.elapsed()))),
-                        None => execute_adaptive(db, q, config).map(|(mut b, rep)| {
-                            // Canonical row order (contract part 3),
-                            // computed on the worker so the sort
-                            // parallelizes too.
-                            b.sort_rows();
-                            Some((TaskBatch::Mem(b, rep), t0.elapsed()))
-                        }),
+                        None => plan_query(db, q, config)
+                            .and_then(|plan| execute(db, &plan))
+                            .map(|mut b| {
+                                // Canonical row order (contract part 3),
+                                // computed on the worker so the sort
+                                // parallelizes too.
+                                b.sort_rows();
+                                Some((TaskBatch::Mem(b), t0.elapsed()))
+                            }),
                     }
                 }
             })
         };
 
         // Phase C: ordered merge. Consume results strictly in task-list
-        // order so atom numbering, clause order, and catalog feedback are
-        // independent of scheduling; a chunked variant's sorted chunks
+        // order so atom numbering and clause order are independent of
+        // scheduling; a chunked variant's sorted chunks
         // are k-way merged back into one content-ordered batch first.
         let mut round_activations: Vec<(tuffy_mln::schema::PredicateId, Vec<u32>)> = Vec::new();
         let mut groups: Vec<(usize, GroupRows)> = Vec::new();
@@ -464,11 +466,7 @@ pub fn ground_bottom_up_threaded(
                         stats.queries += 1;
                         stats.query_exec += took;
                         match task_batch {
-                            TaskBatch::Mem(result_batch, report) => {
-                                stats.replans += report.replans as u64;
-                                if config.use_stats {
-                                    report.fold_into(&mut gdb.db);
-                                }
+                            TaskBatch::Mem(result_batch) => {
                                 peak_result_bytes = peak_result_bytes.max(result_batch.bytes());
                                 pending_mem.push(result_batch);
                             }

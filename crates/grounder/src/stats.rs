@@ -42,11 +42,13 @@ pub struct GroundingStats {
     /// value-range chunk of a variant when the parallel grounder splits
     /// a large query.
     pub queries: u64,
-    /// Mid-execution join re-orderings performed by the adaptive
-    /// executor across all binding queries (bottom-up only).
+    /// Always 0, reserved: the count of mid-execution join re-orderings
+    /// by the removed adaptive executor. The store's stats segment and
+    /// the repo benchmark still carry the field.
     pub replans: u64,
-    /// Total wall time spent inside the plan executor (bottom-up only),
-    /// summed from per-node runtime counters.
+    /// Total wall time of the binding queries (bottom-up only): plan,
+    /// execute and canonical sort of each task, summed over tasks and
+    /// grounding threads.
     pub query_exec: Duration,
     /// RDBMS I/O counters (bottom-up only; zero for top-down).
     pub io: IoStats,

@@ -73,14 +73,44 @@ impl DiskModel {
     }
 }
 
+/// Residency record of one page.
+struct Page {
+    dirty: bool,
+    /// Tick of the page's most recent access; the LRU entry carrying
+    /// this tick is the live one, older entries for the page are stale.
+    tick: u64,
+}
+
 #[derive(Default)]
 struct PoolState {
-    /// Pages currently resident; value is the dirty flag.
-    resident: FxHashMap<PageKey, bool>,
-    /// LRU queue of resident pages (front = oldest). May contain stale
-    /// entries for already-evicted keys; `resident` is authoritative.
-    lru: VecDeque<PageKey>,
+    /// Pages currently resident.
+    resident: FxHashMap<PageKey, Page>,
+    /// LRU queue of `(page, access tick)` (front = oldest). An access
+    /// pushes a fresh entry instead of moving the old one, so the queue
+    /// may hold stale entries — evicted pages, or ticks older than the
+    /// page's current one; `resident` is authoritative. Compaction keeps
+    /// the queue within twice the resident page count.
+    lru: VecDeque<(PageKey, u64)>,
+    /// Access counter the ticks are drawn from.
+    tick: u64,
     stats: IoStats,
+}
+
+impl PoolState {
+    /// Drops stale entries once they outnumber the live ones: amortized
+    /// O(1) per access, and the queue stays bounded however long a pool
+    /// that never evicts lives.
+    fn compact_lru(&mut self) {
+        if self.lru.len() > 2 * self.resident.len() {
+            let resident = &self.resident;
+            self.lru.retain(|&entry| is_live(resident, entry));
+        }
+    }
+}
+
+/// Whether an LRU entry is its page's most recent one.
+fn is_live(resident: &FxHashMap<PageKey, Page>, (key, tick): (PageKey, u64)) -> bool {
+    resident.get(&key).is_some_and(|p| p.tick == tick)
 }
 
 /// An LRU buffer pool over page keys.
@@ -119,13 +149,17 @@ impl BufferPool {
     }
 
     fn access(&self, key: PageKey, write: bool) -> bool {
-        let mut st = self.state.lock();
-        if let Some(dirty) = st.resident.get_mut(&key) {
-            *dirty = *dirty || write;
+        let st = &mut *self.state.lock();
+        if let Some(page) = st.resident.get_mut(&key) {
+            page.dirty |= write;
             st.stats.hits += 1;
-            // Move-to-back approximation: push a fresh entry; stale front
-            // entries are skipped during eviction.
-            st.lru.push_back(key);
+            // A page accessed twice in a row is already at the back.
+            if st.lru.back().map(|&(back, _)| back) != Some(key) {
+                st.tick += 1;
+                page.tick = st.tick;
+                st.lru.push_back((key, st.tick));
+                st.compact_lru();
+            }
             return true;
         }
         st.stats.page_reads += 1;
@@ -136,23 +170,24 @@ impl BufferPool {
             return false;
         }
         while st.resident.len() >= self.capacity {
-            match st.lru.pop_front() {
-                Some(old) => {
-                    // Skip stale LRU entries (key re-pushed more recently).
-                    if st.lru.contains(&old) {
-                        continue;
-                    }
-                    if let Some(dirty) = st.resident.remove(&old) {
-                        if dirty {
-                            st.stats.page_writes += 1;
-                        }
-                    }
-                }
-                None => break,
+            let Some(oldest) = st.lru.pop_front() else {
+                break;
+            };
+            // Skip stale entries: the page was evicted or touched since.
+            if !is_live(&st.resident, oldest) {
+                continue;
+            }
+            if st.resident.remove(&oldest.0).is_some_and(|p| p.dirty) {
+                st.stats.page_writes += 1;
             }
         }
-        st.resident.insert(key, write);
-        st.lru.push_back(key);
+        st.tick += 1;
+        st.lru.push_back((key, st.tick));
+        let page = Page {
+            dirty: write,
+            tick: st.tick,
+        };
+        st.resident.insert(key, page);
         false
     }
 
@@ -167,11 +202,11 @@ impl BufferPool {
             .filter(|(t, _)| *t == table)
             .collect();
         for k in keys {
-            if let Some(true) = st.resident.remove(&k) {
+            if st.resident.remove(&k).is_some_and(|p| p.dirty) {
                 st.stats.page_writes += 1;
             }
         }
-        st.lru.retain(|k| k.0 != table);
+        st.lru.retain(|(k, _)| k.0 != table);
     }
 
     /// Snapshot of the counters.
@@ -217,6 +252,42 @@ mod tests {
         pool.touch_read((0, 0)); // refresh 0
         pool.touch_read((0, 2)); // should evict (0,1), not (0,0)
         assert!(pool.touch_read((0, 0)));
+    }
+
+    #[test]
+    fn lru_order_survives_compaction() {
+        let pool = BufferPool::new(3);
+        for p in 0..3 {
+            pool.touch_read((0, p));
+        }
+        // Enough alternating hits to compact the queue many times over,
+        // ending with page 1 least recently used.
+        for _ in 0..100 {
+            pool.touch_read((0, 1));
+            pool.touch_read((0, 0));
+            pool.touch_read((0, 2));
+        }
+        pool.touch_read((0, 3)); // evicts (0,1)
+        assert!(pool.touch_read((0, 0)));
+        assert!(pool.touch_read((0, 2)));
+        assert!(!pool.touch_read((0, 1)));
+    }
+
+    #[test]
+    fn hits_leave_the_lru_queue_bounded() {
+        // The in-memory database's pool never evicts, so eviction cannot
+        // be what trims the queue.
+        let pool = BufferPool::new(usize::MAX / 2);
+        for p in 0..4 {
+            pool.touch_read((0, p));
+        }
+        for i in 0..1_000_000u32 {
+            pool.touch_read((0, i % 4));
+        }
+        assert_eq!(pool.stats().hits, 1_000_000);
+        let st = pool.state.lock();
+        assert_eq!(st.resident.len(), 4);
+        assert!(st.lru.len() <= 8, "queue grew to {}", st.lru.len());
     }
 
     #[test]

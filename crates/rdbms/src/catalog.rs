@@ -24,11 +24,6 @@ pub struct Database {
     tables: Vec<Table>,
     by_name: FxHashMap<String, TableId>,
     stats: Vec<Option<TableStats>>,
-    /// Observed join-prefix cardinalities fed back by adaptive
-    /// execution, keyed by the prefix's canonical signature
-    /// ([`crate::optimizer::join_prefix_sig`]). Consulted by the planner
-    /// to correct future estimates for the same join shape.
-    feedback: FxHashMap<String, u64>,
     pool: BufferPool,
     disk: DiskModel,
 }
@@ -42,7 +37,6 @@ impl Database {
             tables: Vec::new(),
             by_name: FxHashMap::default(),
             stats: Vec::new(),
-            feedback: FxHashMap::default(),
             pool: BufferPool::new(pool_pages),
             disk,
         }
@@ -132,24 +126,6 @@ impl Database {
         for i in 0..self.tables.len() {
             self.analyze(TableId(i as u32));
         }
-    }
-
-    /// Records an observed cardinality for a join-prefix signature —
-    /// adaptive execution's feedback into the catalog. Later plans of
-    /// the same shape use the observation instead of the NDV estimate.
-    pub fn record_feedback(&mut self, sig: String, rows: u64) {
-        self.feedback.insert(sig, rows);
-    }
-
-    /// The observed cardinality previously recorded for a join-prefix
-    /// signature, if any.
-    pub fn feedback(&self, sig: &str) -> Option<u64> {
-        self.feedback.get(sig).copied()
-    }
-
-    /// Number of distinct join-prefix observations in the catalog.
-    pub fn feedback_len(&self) -> usize {
-        self.feedback.len()
     }
 
     /// Inserts a row into `id`, charging I/O to the shared pool.

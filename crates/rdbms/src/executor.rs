@@ -4,9 +4,9 @@
 //! algorithm choice, key wiring, projections, filter placement) was made
 //! by the planner and is encoded in the tree. Execution is a bottom-up
 //! fold: each node materializes its output batch from its children's
-//! batches, recording per-node runtime counters (rows in, rows out,
-//! elapsed wall time) into an [`ExecProfile`] addressed by
-//! [`crate::plan::NodeId`].
+//! batches. [`execute`] does only that; [`execute_profiled`] additionally
+//! records per-node runtime counters (rows in, rows out, elapsed wall
+//! time) into an [`ExecProfile`] addressed by [`crate::plan::NodeId`].
 
 use crate::catalog::Database;
 use crate::error::DbError;
@@ -14,7 +14,7 @@ use crate::exec::agg::distinct;
 use crate::exec::join::{cross_join, hash_anti_join, hash_join, nested_loop_join, sort_merge_join};
 use crate::exec::scan::seq_scan;
 use crate::exec::Batch;
-use crate::plan::{PhysicalPlan, PlanOp, QueryPlan};
+use crate::plan::{JoinNode, PhysicalPlan, PlanOp, QueryPlan};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -87,9 +87,10 @@ impl fmt::Display for ExecProfile {
 }
 
 /// Executes `plan` against `db`, returning the projected output batch
-/// (one column per output variable of the planned query).
+/// (one column per output variable of the planned query). Records no
+/// profile and reads no clock — this is the grounder's per-query path.
 pub fn execute(db: &Database, plan: &QueryPlan) -> Result<Batch, DbError> {
-    Ok(execute_profiled(db, plan)?.0)
+    Ok(project_owned(exec_node(db, &plan.root, None), &plan.output))
 }
 
 /// Executes `plan` into a caller-owned batch, reusing its allocation.
@@ -102,9 +103,7 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<Batch, DbError> {
 /// entry point.
 pub fn execute_into(db: &Database, plan: &QueryPlan, out: &mut Batch) -> Result<(), DbError> {
     if let PlanOp::SeqScan(s) = &plan.root.op {
-        let identity = plan.output.len() == plan.root.info.width
-            && plan.output.iter().enumerate().all(|(i, &c)| i == c);
-        if identity {
+        if is_identity(&plan.output, plan.root.info.width) {
             crate::exec::scan::seq_scan_into(
                 db.table(s.table),
                 db.pool(),
@@ -122,61 +121,44 @@ pub fn execute_into(db: &Database, plan: &QueryPlan, out: &mut Batch) -> Result<
 /// Executes `plan`, additionally returning per-node runtime counters.
 pub fn execute_profiled(db: &Database, plan: &QueryPlan) -> Result<(Batch, ExecProfile), DbError> {
     let mut profile = ExecProfile::with_node_count(plan.node_count);
-    let batch = exec_node(db, &plan.root, &mut profile);
+    let batch = exec_node(db, &plan.root, Some(&mut profile));
     // Final projection (identity when the root already projects, e.g. a
     // Distinct root).
-    let identity =
-        plan.output.len() == batch.width() && plan.output.iter().enumerate().all(|(i, &c)| i == c);
-    let out = if identity {
-        batch
-    } else {
-        batch.project(&plan.output)
-    };
-    Ok((out, profile))
+    Ok((project_owned(batch, &plan.output), profile))
 }
 
-fn exec_node(db: &Database, node: &PhysicalPlan, profile: &mut ExecProfile) -> Batch {
-    // Children first: their time must not be charged to this node.
-    let inputs: Vec<Batch> = node
+fn exec_node(db: &Database, node: &PhysicalPlan, mut profile: Option<&mut ExecProfile>) -> Batch {
+    // Children first: their time must not be charged to this node. Each
+    // input batch is then moved into the operator that consumes it.
+    let mut inputs = node
         .children()
         .into_iter()
-        .map(|c| exec_node(db, c, profile))
-        .collect();
+        .map(|c| exec_node(db, c, profile.as_deref_mut()))
+        .collect::<Vec<Batch>>()
+        .into_iter();
+    let mut input = || inputs.next().expect("plan node arity");
 
-    let start = Instant::now();
+    let start = profile.is_some().then(Instant::now);
     let (rows_in, out) = match &node.op {
         PlanOp::SeqScan(s) => {
             let table = db.table(s.table);
             let batch = seq_scan(table, db.pool(), &s.preds, Some(&s.project));
-            (table.len() as u64, batch)
+            (table.len(), batch)
         }
         PlanOp::FilterScan { preds, .. } => {
-            let input = &inputs[0];
-            (input.len() as u64, input.filter(preds))
+            let input = input();
+            (input.len(), input.filter(preds))
         }
-        PlanOp::HashJoin(j) => {
-            let (l, r) = (&inputs[0], &inputs[1]);
-            let joined = hash_join(l, r, &j.keys);
-            ((l.len() + r.len()) as u64, post_project(joined, &j.keep))
-        }
-        PlanOp::SortMergeJoin(j) => {
-            let (l, r) = (&inputs[0], &inputs[1]);
-            let joined = sort_merge_join(l, r, &j.keys);
-            ((l.len() + r.len()) as u64, post_project(joined, &j.keep))
-        }
-        PlanOp::NestedLoopJoin(j) => {
-            let (l, r) = (&inputs[0], &inputs[1]);
-            let joined = nested_loop_join(l, r, &j.keys);
-            ((l.len() + r.len()) as u64, post_project(joined, &j.keep))
-        }
+        PlanOp::HashJoin(j) => equi_join(hash_join, j, &input(), &input()),
+        PlanOp::SortMergeJoin(j) => equi_join(sort_merge_join, j, &input(), &input()),
+        PlanOp::NestedLoopJoin(j) => equi_join(nested_loop_join, j, &input(), &input()),
         PlanOp::CrossJoin { .. } => {
-            let (l, r) = (&inputs[0], &inputs[1]);
-            ((l.len() + r.len()) as u64, cross_join(l, r))
+            let (l, r) = (input(), input());
+            (l.len() + r.len(), cross_join(&l, &r))
         }
         PlanOp::AntiJoin { keys, .. } => {
-            let mut it = inputs.into_iter();
-            let (input, sub) = (it.next().unwrap(), it.next().unwrap());
-            let rows_in = (input.len() + sub.len()) as u64;
+            let (input, sub) = (input(), input());
+            let rows_in = input.len() + sub.len();
             // An empty NOT EXISTS side removes nothing: skip the pass
             // entirely.
             let out = if sub.is_empty() || input.is_empty() {
@@ -187,30 +169,43 @@ fn exec_node(db: &Database, node: &PhysicalPlan, profile: &mut ExecProfile) -> B
             (rows_in, out)
         }
         PlanOp::Distinct { project, .. } => {
-            let input = &inputs[0];
-            let rows_in = input.len() as u64;
-            let projected = if project.len() == input.width()
-                && project.iter().enumerate().all(|(i, &c)| i == c)
-            {
-                input.clone()
-            } else {
-                input.project(project)
-            };
-            (rows_in, distinct(&projected))
+            let input = input();
+            (input.len(), distinct(&project_owned(input, project)))
         }
     };
-    let metrics = &mut profile.nodes[node.info.id];
-    metrics.rows_in = rows_in;
-    metrics.rows_out = out.len() as u64;
-    metrics.elapsed = start.elapsed();
+    if let (Some(profile), Some(start)) = (profile, start) {
+        profile.nodes[node.info.id] = NodeMetrics {
+            rows_in: rows_in as u64,
+            rows_out: out.len() as u64,
+            elapsed: start.elapsed(),
+        };
+    }
     out
 }
 
-/// Applies a join node's duplicate-column-dropping projection.
-fn post_project(joined: Batch, keep: &[usize]) -> Batch {
-    if keep.len() == joined.width() && keep.iter().enumerate().all(|(i, &c)| i == c) {
-        joined
+/// Runs one equi-join algorithm and applies the node's
+/// duplicate-column-dropping projection.
+fn equi_join(
+    algo: fn(&Batch, &Batch, &[(usize, usize)]) -> Batch,
+    join: &JoinNode,
+    left: &Batch,
+    right: &Batch,
+) -> (usize, Batch) {
+    let joined = algo(left, right, &join.keys);
+    (left.len() + right.len(), project_owned(joined, &join.keep))
+}
+
+/// Whether projecting a `width`-column batch to `cols` changes nothing.
+pub(crate) fn is_identity(cols: &[usize], width: usize) -> bool {
+    cols.len() == width && cols.iter().enumerate().all(|(i, &c)| i == c)
+}
+
+/// Projects an owned batch, returning it untouched (no copy) when the
+/// projection is the identity.
+pub(crate) fn project_owned(batch: Batch, cols: &[usize]) -> Batch {
+    if is_identity(cols, batch.width()) {
+        batch
     } else {
-        joined.project(keep)
+        batch.project(cols)
     }
 }

@@ -22,8 +22,10 @@
 //!   selection, join-algorithm selection, and the lesion knobs the paper
 //!   disables one at a time ([`optimizer`], [`query`]). Planning produces
 //!   an explicit, costed [`plan::PhysicalPlan`] tree (inspect it with
-//!   `EXPLAIN`-style `Display`); [`executor`] walks the tree and records
-//!   per-node runtime counters;
+//!   `EXPLAIN`-style `Display`), and that tree is the only way a query
+//!   becomes rows: [`executor`] walks it in memory (recording per-node
+//!   estimated-versus-actual counters on request) and [`spill`] walks
+//!   the same tree under a memory budget;
 //! * **statistics**: per-table row counts and per-column distinct-value
 //!   estimates driving the cost model ([`stats`]).
 //!
@@ -52,8 +54,7 @@ pub use catalog::{Database, TableId};
 pub use error::DbError;
 pub use executor::{execute, execute_into, execute_profiled, ExecProfile, NodeMetrics};
 pub use optimizer::{
-    execute_adaptive, join_prefix_sig, plan_analyzed, plan_query, run_query, AdaptiveReport,
-    JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig, StepObservation, REPLAN_DIVERGENCE,
+    plan_analyzed, plan_query, run_query, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig,
 };
 pub use plan::{NodeId, NodeInfo, PhysicalPlan, PlanColumn, PlanOp, QueryPlan};
 pub use pred::Pred;

@@ -26,34 +26,19 @@
 //! scan, cross-joined in — regardless of the pushdown lesion, which keeps
 //! result multiplicity identical across all configurations.
 //!
-//! # Optimizer v2: statistics end to end, adaptive execution
+//! # Statistics
 //!
-//! On top of the three lesioned mechanisms, planning is *stats-driven*
-//! throughout ([`OptimizerConfig::use_stats`]): [`plan_analyzed`]
-//! auto-`ANALYZE`s every table a query touches, join ordering scores
-//! candidates with NDV-based join selectivity
-//! ([`crate::stats::TableStats`]), and previously *observed* prefix
-//! cardinalities in the catalog ([`Database::feedback`], keyed by
-//! [`join_prefix_sig`]) override the estimates they correct.
-//!
-//! [`execute_adaptive`] closes the loop at runtime: it executes the plan
-//! step by step, and when an intermediate result diverges from its
-//! estimate by more than [`REPLAN_DIVERGENCE`]× it re-orders the
-//! remaining joins from the observed cardinality *and* the observed
-//! per-variable distinct counts of the materialized batch
-//! ([`OptimizerConfig::replan`]). Every step observation is returned in
-//! the [`AdaptiveReport`]; fold it into the catalog with
-//! [`AdaptiveReport::fold_into`]. Both re-planning and the feedback are
-//! result-invariant — only join order and algorithm change, never the
-//! output multiset — which is what lets the grounder's deterministic
-//! canonical-order merge run the optimizer with every knob enabled.
+//! On top of the three lesioned mechanisms, estimates are *stats-driven*
+//! ([`OptimizerConfig::use_stats`]): [`plan_analyzed`] `ANALYZE`s every
+//! table a query touches, and join ordering scores candidates with
+//! NDV-based join selectivity ([`crate::stats::TableStats`]). A plan is a
+//! function of (query, catalog statistics, config) only — never of what
+//! was executed before — so the plan `EXPLAIN` prints is the plan that
+//! runs, and [`crate::executor::execute_profiled`] reports estimated
+//! versus actual rows for each of its nodes.
 
 use crate::catalog::Database;
 use crate::error::DbError;
-use crate::exec::agg::distinct;
-use crate::exec::join::{cross_join, hash_anti_join, hash_join, nested_loop_join, sort_merge_join};
-use crate::exec::scan::seq_scan;
-use crate::exec::Batch;
 use crate::plan::{JoinNode, NodeInfo, PhysicalPlan, PlanColumn, PlanOp, QueryPlan, ScanNode};
 use crate::pred::Pred;
 use crate::query::{ColumnBinding, ConjunctiveQuery, QueryAtom, VarId};
@@ -93,12 +78,6 @@ pub struct OptimizerConfig {
     /// lesion — every estimate falls back to raw table lengths, as if no
     /// table had ever been analyzed.
     pub use_stats: bool,
-    /// Whether [`execute_adaptive`] may re-order the remaining joins
-    /// mid-execution when observed cardinalities diverge from estimates
-    /// (see [`REPLAN_DIVERGENCE`]). Disabling pins the initial static
-    /// order, which isolates the re-planning mechanism for tests and
-    /// lesion runs.
-    pub replan: bool,
     /// Memory budget in bytes for intermediate join state; `0` disables
     /// spilling entirely (everything materializes in RAM, the historical
     /// behavior). When non-zero, the grounder routes clause-instantiation
@@ -115,7 +94,6 @@ impl Default for OptimizerConfig {
             join_algorithm: JoinAlgorithmPolicy::Auto,
             pushdown: true,
             use_stats: true,
-            replan: true,
             mem_budget_bytes: 0,
         }
     }
@@ -321,10 +299,9 @@ pub fn plan_query(
         }
     }
     let infos = compute_infos(db, query, config);
-    let order = choose_order(db, query, &infos, config);
+    let order = choose_order(query, &infos, config);
 
     let mut acc: Option<Acc> = None;
-    let mut prefix: Vec<usize> = Vec::with_capacity(order.len());
     let mut anti_done = vec![false; query.anti_atoms.len()];
     let mut applied_neq = vec![false; query.neq.len()];
     let mut applied_neq_const = vec![false; query.neq_const.len()];
@@ -342,14 +319,6 @@ pub fn plan_query(
         let cur = acc.as_mut().unwrap();
         apply_antis(db, query, &bound, cur, &mut anti_done, config)?;
         apply_residuals(query, cur, &mut applied_neq, &mut applied_neq_const);
-        // Catalog feedback: a previously observed cardinality for this
-        // exact join prefix replaces the NDV estimate.
-        prefix.push(ai);
-        if config.use_stats {
-            if let Some(observed) = db.feedback(&join_prefix_sig(query, &prefix)) {
-                cur.node.info.est_rows = observed as f64;
-            }
-        }
     }
     let mut acc = acc.expect("at least one atom");
 
@@ -493,10 +462,10 @@ fn compute_infos(
         .collect()
 }
 
-/// Running cardinality state of a partially planned (or executed) join
-/// sequence, used by the greedy enumerator.
+/// Running cardinality state of a partially planned join sequence, used
+/// by the greedy enumerator.
 struct GreedyState {
-    /// Estimated (or observed) rows of the accumulated prefix.
+    /// Estimated rows of the accumulated prefix.
     rows: f64,
     /// Estimated NDV per bound variable.
     ndv: Vec<(VarId, f64)>,
@@ -514,15 +483,14 @@ impl GreedyState {
         }
     }
 
-    /// Folds one more atom into the state, returning the join estimate.
-    fn extend(&mut self, query: &ConjunctiveQuery, infos: &[AtomInfo], ai: usize) -> f64 {
+    /// Folds one more atom into the state.
+    fn extend(&mut self, query: &ConjunctiveQuery, infos: &[AtomInfo], ai: usize) {
         let shared: Vec<VarId> = query.atoms[ai]
             .variables()
             .into_iter()
             .filter(|v| self.vars.contains(v))
             .collect();
-        let est = join_estimate(self.rows, &self.ndv, &infos[ai], &shared);
-        self.rows = est;
+        self.rows = join_estimate(self.rows, &self.ndv, &infos[ai], &shared);
         for (v, d) in &infos[ai].var_ndv {
             match self.ndv.iter_mut().find(|(w, _)| w == v) {
                 Some((_, cd)) => *cd = cd.min(*d),
@@ -534,7 +502,6 @@ impl GreedyState {
                 self.vars.push(v);
             }
         }
-        est
     }
 }
 
@@ -566,11 +533,8 @@ fn greedy_pick(
     best.expect("remaining atoms nonempty").0
 }
 
-/// Chooses the atom join order per the configured policy, correcting
-/// greedy estimates with any catalog feedback recorded for already
-/// observed join prefixes.
+/// Chooses the atom join order per the configured policy.
 fn choose_order(
-    db: &Database,
     query: &ConjunctiveQuery,
     infos: &[AtomInfo],
     config: &OptimizerConfig,
@@ -595,87 +559,10 @@ fn choose_order(
                 let ai = remaining.remove(pos);
                 state.extend(query, infos, ai);
                 order.push(ai);
-                if config.use_stats {
-                    if let Some(observed) = db.feedback(&join_prefix_sig(query, &order)) {
-                        state.rows = observed as f64;
-                    }
-                }
             }
             order
         }
     }
-}
-
-/// Canonical signature of a join prefix: the multiset of prefix atoms
-/// (table + bindings) plus every constraint — anti-join, inequality,
-/// range — the planner applies once exactly the prefix's variables are
-/// bound. Two prefixes with equal signatures produce identical row
-/// multisets, so an observed cardinality recorded under a signature
-/// ([`Database::record_feedback`]) transfers to any later plan reaching
-/// the same prefix, regardless of join order within it.
-pub fn join_prefix_sig(query: &ConjunctiveQuery, prefix: &[usize]) -> String {
-    use std::fmt::Write;
-    let fmt_atom = |a: &QueryAtom| {
-        let mut s = format!("t{}(", a.table.0);
-        for (i, b) in a.bindings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match b {
-                ColumnBinding::Var(v) => {
-                    let _ = write!(s, "v{v}");
-                }
-                ColumnBinding::Const(c) => {
-                    let _ = write!(s, "c{c}");
-                }
-                ColumnBinding::Any => s.push('_'),
-            }
-        }
-        s.push(')');
-        s
-    };
-    let mut atoms: Vec<String> = prefix
-        .iter()
-        .map(|&ai| fmt_atom(&query.atoms[ai]))
-        .collect();
-    atoms.sort();
-    let mut bound: Vec<VarId> = Vec::new();
-    for &ai in prefix {
-        for v in query.atoms[ai].variables() {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-    }
-    let all_bound = query.bound_variables();
-    let mut parts: Vec<String> = Vec::new();
-    for anti in &query.anti_atoms {
-        let corr: Vec<VarId> = anti
-            .variables()
-            .into_iter()
-            .filter(|v| all_bound.contains(v))
-            .collect();
-        if corr.iter().all(|v| bound.contains(v)) {
-            parts.push(format!("!{}", fmt_atom(anti)));
-        }
-    }
-    for &(a, b) in &query.neq {
-        if bound.contains(&a) && bound.contains(&b) {
-            parts.push(format!("v{a}!=v{b}"));
-        }
-    }
-    for &(v, c) in &query.neq_const {
-        if bound.contains(&v) {
-            parts.push(format!("v{v}!=c{c}"));
-        }
-    }
-    for &(v, lo, hi) in &query.ranges {
-        if bound.contains(&v) {
-            parts.push(format!("v{v}in[{lo},{hi}]"));
-        }
-    }
-    parts.sort();
-    format!("{}|{}", atoms.join("&"), parts.join("&"))
 }
 
 /// Builds the scan subtree for one positive atom: a `SeqScan` with
@@ -995,392 +882,6 @@ fn apply_residuals(
             cols,
         },
     };
-}
-
-/// Observed/estimated divergence ratio beyond which [`execute_adaptive`]
-/// re-plans the remaining joins mid-execution.
-pub const REPLAN_DIVERGENCE: f64 = 4.0;
-
-/// Minimum `max(estimated, actual)` rows for a divergence to trigger a
-/// re-plan — tiny intermediates are never worth re-ordering.
-const REPLAN_FLOOR: f64 = 64.0;
-
-/// One per-step cardinality observation made by [`execute_adaptive`]:
-/// what the cost model predicted for a join prefix versus what execution
-/// actually produced.
-#[derive(Clone, Debug)]
-pub struct StepObservation {
-    /// Canonical signature of the executed join prefix
-    /// ([`join_prefix_sig`]).
-    pub sig: String,
-    /// The planner's estimate for the prefix, after the anti-join and
-    /// residual-filter selectivities it would have applied.
-    pub est_rows: f64,
-    /// Rows the prefix actually produced.
-    pub actual_rows: u64,
-}
-
-/// Execution report of [`execute_adaptive`].
-#[derive(Clone, Debug, Default)]
-pub struct AdaptiveReport {
-    /// How many times the remaining join order was re-planned.
-    pub replans: usize,
-    /// Per-step cardinality observations, in execution order.
-    pub steps: Vec<StepObservation>,
-    /// Total rows across all intermediate results (the classic measure a
-    /// better join order minimizes).
-    pub intermediate_rows: u64,
-}
-
-impl AdaptiveReport {
-    /// Folds every observation into the catalog
-    /// ([`Database::record_feedback`]) so later plans of the same shape
-    /// start from observed cardinalities instead of NDV estimates.
-    pub fn fold_into(&self, db: &mut Database) {
-        for s in &self.steps {
-            db.record_feedback(s.sig.clone(), s.actual_rows);
-        }
-    }
-}
-
-fn var_col_of(cols: &[PlanCol], v: VarId) -> Option<usize> {
-    cols.iter()
-        .position(|c| matches!(c, PlanCol::Var(w) if *w == v))
-}
-
-/// Executes a scan subtree produced by [`scan_subtree`] (a `SeqScan`,
-/// possibly under the fully-constant-atom `Distinct` existence wrapper).
-fn exec_scan_subtree(db: &Database, node: &PhysicalPlan) -> Batch {
-    match &node.op {
-        PlanOp::SeqScan(s) => seq_scan(db.table(s.table), db.pool(), &s.preds, Some(&s.project)),
-        PlanOp::Distinct { input, project } => {
-            let b = exec_scan_subtree(db, input);
-            let projected =
-                if project.len() == b.width() && project.iter().enumerate().all(|(i, &c)| i == c) {
-                    b
-                } else {
-                    b.project(project)
-                };
-            distinct(&projected)
-        }
-        other => unreachable!("scan subtree is a scan or existence check, got {other:?}"),
-    }
-}
-
-/// Joins the accumulated batch with one atom's scan batch, mirroring
-/// [`join_step`]'s key wiring and column layout but choosing the join
-/// algorithm from *actual* input sizes.
-fn join_step_exec(
-    left: Batch,
-    left_cols: &[PlanCol],
-    right: Batch,
-    right_cols: &[PlanCol],
-    config: &OptimizerConfig,
-) -> (Batch, Vec<PlanCol>) {
-    let mut keys: Vec<(usize, usize)> = Vec::new();
-    for (rc, col) in right_cols.iter().enumerate() {
-        if let PlanCol::Var(v) = col {
-            if let Some(ac) = var_col_of(left_cols, *v) {
-                keys.push((ac, rc));
-            }
-        }
-    }
-    let lw = left.width();
-    let mut keep: Vec<usize> = (0..lw).collect();
-    let mut cols: Vec<PlanCol> = left_cols.to_vec();
-    for (rc, col) in right_cols.iter().enumerate() {
-        let duplicate = matches!(col, PlanCol::Var(v) if var_col_of(left_cols, *v).is_some());
-        if !duplicate {
-            keep.push(lw + rc);
-            cols.push(*col);
-        }
-    }
-    let out = if keys.is_empty() {
-        cross_join(&left, &right)
-    } else {
-        let algo = choose_algo(config, left.len() as f64, right.len() as f64);
-        let joined = match algo {
-            JoinAlgo::Hash => hash_join(&left, &right, &keys),
-            JoinAlgo::SortMerge => sort_merge_join(&left, &right, &keys),
-            JoinAlgo::NestedLoop => nested_loop_join(&left, &right, &keys),
-        };
-        if keep.len() == joined.width() && keep.iter().enumerate().all(|(i, &c)| i == c) {
-            joined
-        } else {
-            joined.project(&keep)
-        }
-    };
-    (out, cols)
-}
-
-/// Applies every ready anti-join directly on the accumulated batch
-/// (execution mirror of [`apply_antis`]). Returns how many were applied.
-fn apply_antis_exec(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    bound: &[VarId],
-    batch: &mut Batch,
-    cols: &[PlanCol],
-    anti_done: &mut [bool],
-) -> usize {
-    let mut applied = 0;
-    for (i, anti) in query.anti_atoms.iter().enumerate() {
-        if anti_done[i] {
-            continue;
-        }
-        let corr: Vec<VarId> = anti
-            .variables()
-            .into_iter()
-            .filter(|v| bound.contains(v))
-            .collect();
-        if !corr.iter().all(|v| var_col_of(cols, *v).is_some()) {
-            continue;
-        }
-        anti_done[i] = true;
-        applied += 1;
-        let mut preds: Vec<Pred> = Vec::new();
-        let mut first_col: Vec<(VarId, usize)> = Vec::new();
-        for (c, b) in anti.bindings.iter().enumerate() {
-            match b {
-                ColumnBinding::Const(v) => preds.push(Pred::ColEqConst { col: c, value: *v }),
-                ColumnBinding::Var(v) => match first_col.iter().find(|(w, _)| w == v) {
-                    Some(&(_, fc)) => preds.push(Pred::ColEqCol { a: fc, b: c }),
-                    None => first_col.push((*v, c)),
-                },
-                ColumnBinding::Any => {}
-            }
-        }
-        first_col.retain(|(v, _)| corr.contains(v));
-        let project: Vec<usize> = first_col.iter().map(|(_, c)| *c).collect();
-        let sub = seq_scan(db.table(anti.table), db.pool(), &preds, Some(&project));
-        if sub.is_empty() || batch.is_empty() {
-            continue;
-        }
-        let keys: Vec<(usize, usize)> = first_col
-            .iter()
-            .enumerate()
-            .map(|(sc, (v, _))| (var_col_of(cols, *v).expect("correlation var bound"), sc))
-            .collect();
-        *batch = hash_anti_join(batch, &sub, &keys);
-    }
-    applied
-}
-
-/// Applies newly-ready inequality filters on the accumulated batch
-/// (execution mirror of [`apply_residuals`]). Returns how many applied.
-fn apply_residuals_exec(
-    query: &ConjunctiveQuery,
-    batch: &mut Batch,
-    cols: &[PlanCol],
-    applied_neq: &mut [bool],
-    applied_neq_const: &mut [bool],
-) -> usize {
-    let mut preds: Vec<Pred> = Vec::new();
-    for (i, (a, b)) in query.neq.iter().enumerate() {
-        if applied_neq[i] {
-            continue;
-        }
-        if let (Some(ca), Some(cb)) = (var_col_of(cols, *a), var_col_of(cols, *b)) {
-            preds.push(Pred::ColNeCol { a: ca, b: cb });
-            applied_neq[i] = true;
-        }
-    }
-    for (i, (v, value)) in query.neq_const.iter().enumerate() {
-        if applied_neq_const[i] {
-            continue;
-        }
-        if let Some(col) = var_col_of(cols, *v) {
-            preds.push(Pred::ColNeConst { col, value: *value });
-            applied_neq_const[i] = true;
-        }
-    }
-    if !preds.is_empty() {
-        *batch = batch.filter(&preds);
-    }
-    preds.len()
-}
-
-/// Plans and executes `query` step by step, watching actual intermediate
-/// cardinalities as joins complete. When the observed rows of a join
-/// prefix diverge from the estimate by more than [`REPLAN_DIVERGENCE`]×
-/// (above a small-row floor), the remaining joins are greedily re-ordered
-/// with the corrected cardinality ([`OptimizerConfig::replan`] gates
-/// this; `join_order: Program` pins the order and never re-plans). Every
-/// prefix observation is returned in the [`AdaptiveReport`] — fold it
-/// back into the catalog with [`AdaptiveReport::fold_into`] so future
-/// static plans start from observed truth.
-///
-/// Produces exactly the same output multiset as executing
-/// [`plan_query`]'s static plan: only join *order* and *algorithm*
-/// change, and both are result-invariant (modulo row order, which both
-/// paths already treat as unspecified).
-pub fn execute_adaptive(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    config: &OptimizerConfig,
-) -> Result<(Batch, AdaptiveReport), DbError> {
-    if query.atoms.is_empty() {
-        return Err(DbError::BadQuery("no positive atoms".into()));
-    }
-    let bound = query.bound_variables();
-    for v in &query.output {
-        if !bound.contains(v) {
-            return Err(DbError::UnboundVariable(*v));
-        }
-    }
-    for (v, _, _) in &query.ranges {
-        if !bound.contains(v) {
-            return Err(DbError::UnboundVariable(*v));
-        }
-    }
-    let infos = compute_infos(db, query, config);
-    let mut pending = choose_order(db, query, &infos, config);
-    let may_replan = config.replan && matches!(config.join_order, JoinOrderPolicy::Auto);
-
-    let mut report = AdaptiveReport::default();
-    let mut anti_done = vec![false; query.anti_atoms.len()];
-    let mut applied_neq = vec![false; query.neq.len()];
-    let mut applied_neq_const = vec![false; query.neq_const.len()];
-    let mut acc: Option<(Batch, Vec<PlanCol>)> = None;
-    let mut state: Option<GreedyState> = None;
-    let mut prefix: Vec<usize> = Vec::with_capacity(pending.len());
-
-    while !pending.is_empty() {
-        let ai = pending.remove(0);
-        let (scan_plan, scan_cols) = scan_subtree(db, query, &query.atoms[ai], config, &infos[ai]);
-        let scan_batch = exec_scan_subtree(db, &scan_plan);
-        let (mut batch, cols, mut est) = match (acc, state.as_mut()) {
-            (None, _) => {
-                state = Some(GreedyState::start(query, &infos, ai));
-                let est = state.as_ref().unwrap().rows;
-                (scan_batch, scan_cols, est)
-            }
-            (Some((left, left_cols)), Some(st)) => {
-                let est = st.extend(query, &infos, ai);
-                let (b, c) = join_step_exec(left, &left_cols, scan_batch, &scan_cols, config);
-                (b, c, est)
-            }
-            _ => unreachable!("state initialized with first atom"),
-        };
-        let n_antis = apply_antis_exec(db, query, &bound, &mut batch, &cols, &mut anti_done);
-        let n_res = apply_residuals_exec(
-            query,
-            &mut batch,
-            &cols,
-            &mut applied_neq,
-            &mut applied_neq_const,
-        );
-        est *= ANTI_SELECTIVITY.powi(n_antis as i32) * RESIDUAL_SELECTIVITY.powi(n_res as i32);
-
-        let actual = batch.len() as f64;
-        report.intermediate_rows += batch.len() as u64;
-        prefix.push(ai);
-        report.steps.push(StepObservation {
-            sig: join_prefix_sig(query, &prefix),
-            est_rows: est,
-            actual_rows: batch.len() as u64,
-        });
-        let st = state.as_mut().unwrap();
-        let hi = est.max(actual);
-        let lo = est.min(actual).max(1.0);
-        if may_replan && pending.len() >= 2 && hi >= REPLAN_FLOOR && hi / lo > REPLAN_DIVERGENCE {
-            // Re-plan the remaining joins from *observed* truth: the
-            // actual prefix cardinality plus the actual per-variable
-            // distinct counts of the materialized batch. Rows alone can
-            // never flip a greedy comparison (every candidate's estimate
-            // scales linearly with them); the NDV corrections are what
-            // let the re-plan catch correlation the independence model
-            // missed. Measured only on divergence, so the common
-            // well-estimated path never pays the scan.
-            let observed_ndv: Vec<(VarId, f64)> = cols
-                .iter()
-                .enumerate()
-                .filter_map(|(c, pc)| match pc {
-                    PlanCol::Var(v) => {
-                        let mut seen: tuffy_mln::fxhash::FxHashSet<u32> =
-                            tuffy_mln::fxhash::FxHashSet::default();
-                        for r in batch.iter() {
-                            seen.insert(r[c]);
-                        }
-                        Some((*v, seen.len() as f64))
-                    }
-                    PlanCol::Check(_) => None,
-                })
-                .collect();
-            for (v, d) in &observed_ndv {
-                match st.ndv.iter_mut().find(|(w, _)| w == v) {
-                    Some((_, cd)) => *cd = *d,
-                    None => st.ndv.push((*v, *d)),
-                }
-            }
-            let mut replanned = Vec::with_capacity(pending.len());
-            let mut probe = GreedyState {
-                rows: actual,
-                ndv: st.ndv.clone(),
-                vars: st.vars.clone(),
-            };
-            let mut rest = pending.clone();
-            while !rest.is_empty() {
-                let pos = greedy_pick(query, &infos, &probe, &rest);
-                let next = rest.remove(pos);
-                probe.extend(query, &infos, next);
-                replanned.push(next);
-            }
-            if replanned != pending {
-                report.replans += 1;
-                pending = replanned;
-            }
-        }
-        st.rows = actual;
-        acc = Some((batch, cols));
-    }
-    let (mut batch, cols) = acc.expect("at least one atom");
-
-    if anti_done.iter().any(|d| !d) {
-        return Err(DbError::BadQuery(
-            "anti-join with variables never bound by positive atoms".into(),
-        ));
-    }
-    if applied_neq.iter().any(|a| !a) || applied_neq_const.iter().any(|a| !a) {
-        return Err(DbError::BadQuery(
-            "inequality over variables never bound".into(),
-        ));
-    }
-
-    // Deferred constant filters (pushdown lesion).
-    let checks: Vec<Pred> = cols
-        .iter()
-        .enumerate()
-        .filter_map(|(i, c)| match c {
-            PlanCol::Check(value) => Some(Pred::ColEqConst {
-                col: i,
-                value: *value,
-            }),
-            PlanCol::Var(_) => None,
-        })
-        .collect();
-    if !checks.is_empty() {
-        batch = batch.filter(&checks);
-    }
-
-    // Final projection (inside a distinct when the query deduplicates).
-    let out_cols: Vec<usize> = query
-        .output
-        .iter()
-        .map(|v| var_col_of(&cols, *v).ok_or(DbError::UnboundVariable(*v)))
-        .collect::<Result<_, _>>()?;
-    let projected =
-        if out_cols.len() == batch.width() && out_cols.iter().enumerate().all(|(i, &c)| i == c) {
-            batch
-        } else {
-            batch.project(&out_cols)
-        };
-    let out = if query.distinct {
-        distinct(&projected)
-    } else {
-        projected
-    };
-    Ok((out, report))
 }
 
 fn placeholder() -> PhysicalPlan {

@@ -42,6 +42,7 @@ use crate::exec::agg::distinct;
 use crate::exec::join::{cross_join, hash_anti_join, hash_join, nested_loop_join, sort_merge_join};
 use crate::exec::scan::seq_scan;
 use crate::exec::Batch;
+use crate::executor::{is_identity, project_owned};
 use crate::optimizer::{plan_query, OptimizerConfig};
 use crate::plan::{PhysicalPlan, PlanOp, QueryPlan};
 use crate::query::ConjunctiveQuery;
@@ -600,15 +601,6 @@ fn partition(
     })
 }
 
-/// Applies a join node's duplicate-column-dropping projection.
-fn post_project(joined: Batch, keep: &[usize]) -> Batch {
-    if keep.len() == joined.width() && keep.iter().enumerate().all(|(i, &c)| i == c) {
-        joined
-    } else {
-        joined.project(keep)
-    }
-}
-
 /// Joins two relations under the budget: in-memory when both sides fit,
 /// grace-hash partitioned otherwise. `algo_hint` picks the in-memory
 /// algorithm for within-budget inputs (all algorithms agree on results).
@@ -632,7 +624,7 @@ fn spill_join(
             PlanOp::NestedLoopJoin(_) => nested_loop_join(&l, &r, keys),
             _ => hash_join(&l, &r, keys),
         };
-        let out = post_project(joined, keep);
+        let out = project_owned(joined, keep);
         return wrap(out, mgr);
     }
     mgr.grace_joins.fetch_add(1, Ordering::Relaxed);
@@ -651,7 +643,7 @@ fn spill_join(
             continue;
         }
         let joined = hash_join(&lb, &rb, keys);
-        writer.push_batch(&post_project(joined, keep))?;
+        writer.push_batch(&project_owned(joined, keep))?;
     }
     writer.finish()
 }
@@ -683,8 +675,7 @@ fn spill_distinct(
         }
         return Ok(SpillableBatch::Mem(out));
     }
-    let identity =
-        project.len() == input.width() && project.iter().enumerate().all(|(i, &c)| i == c);
+    let identity = is_identity(project, input.width());
     // Project into a sorted writer...
     let mut w = SpillWriter::new(mgr, project.len());
     let mut row_buf: Vec<u32> = Vec::with_capacity(project.len());
@@ -815,8 +806,7 @@ pub fn execute_plan_spill(
     mgr: &SpillManager,
 ) -> Result<SpillableBatch, DbError> {
     let out = exec_node_spill(db, &plan.root, mgr)?;
-    let identity =
-        plan.output.len() == out.width() && plan.output.iter().enumerate().all(|(i, &c)| i == c);
+    let identity = is_identity(&plan.output, out.width());
     let projected = if identity {
         out
     } else if plan.output.is_empty() {

@@ -4,13 +4,17 @@
 //! `NestedLoopOnly` + no-pushdown baselines — produces the identical
 //! result multiset, and the produced plans satisfy their structural
 //! invariants (pre-order node ids, consistent widths, populated runtime
-//! counters).
+//! counters). Plans are also pinned as a function of (query, `ANALYZE`
+//! statistics, config) alone: executing queries never changes them.
 
 use proptest::prelude::*;
 use tuffy_rdbms::executor::execute_profiled;
-use tuffy_rdbms::optimizer::plan_analyzed;
+use tuffy_rdbms::optimizer::{plan_analyzed, plan_query, run_query};
 use tuffy_rdbms::query::{ColumnBinding, ConjunctiveQuery, QueryAtom};
-use tuffy_rdbms::{Database, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig, TableSchema};
+use tuffy_rdbms::{
+    execute_spill, Database, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig, PlanOp,
+    SpillManager, TableSchema,
+};
 
 /// All sixteen lesion configurations (join order × algorithm × pushdown ×
 /// statistics); index 0 is the all-on default and the last is the paper's
@@ -126,6 +130,106 @@ fn run_sorted(db: &mut Database, q: &ConjunctiveQuery, cfg: &OptimizerConfig) ->
     let mut rows: Vec<Vec<u32>> = batch.iter().map(<[u32]>::to_vec).collect();
     rows.sort();
     rows
+}
+
+/// A four-table chain query whose `A ⋈ B` prefix breaks the independence
+/// assumption: `A.y` takes two values while `B.y` takes ten, so the
+/// planner estimates 192 rows where execution produces 800.
+///
+/// A(x, y): 40 rows, y = x mod 2            → ndv(x)=40, ndv(y)=2
+/// B(y, z): 48 rows; y ∈ {0,1} carry 20 duplicates of z = y each,
+///          y ∈ 2..10 one row z = y         → ndv(y)=10, ndv(z)=10
+/// C(z, c): 60 rows, z ∈ {0,1} × 30 distinct c
+/// D(x, w): 320 rows, 8 distinct w per x
+fn misestimated_chain() -> (Database, ConjunctiveQuery) {
+    let mut db = Database::in_memory();
+    let mut table = |name: &str, cols: [&str; 2], rows: Vec<[u32; 2]>| {
+        let id = db
+            .create_table(name, TableSchema::new(cols.to_vec()))
+            .unwrap();
+        for r in &rows {
+            db.insert(id, r).unwrap();
+        }
+        id
+    };
+    let a = table("a", ["x", "y"], (0..40).map(|i| [i, i % 2]).collect());
+    let b = table(
+        "b",
+        ["y", "z"],
+        (0..2)
+            .flat_map(|y| std::iter::repeat([y, y]).take(20))
+            .chain((2..10).map(|y| [y, y]))
+            .collect(),
+    );
+    let c = table(
+        "c",
+        ["z", "c"],
+        (0..2)
+            .flat_map(|z| (0..30).map(move |j| [z, 100 + z * 30 + j]))
+            .collect(),
+    );
+    let d = table(
+        "d",
+        ["x", "w"],
+        (0..40)
+            .flat_map(|x| (0..8).map(move |j| [x, 1000 + x * 8 + j]))
+            .collect(),
+    );
+    db.analyze_all();
+    let atom = |table, u, v| QueryAtom {
+        table,
+        bindings: vec![ColumnBinding::Var(u), ColumnBinding::Var(v)],
+    };
+    let query = ConjunctiveQuery {
+        atoms: vec![atom(a, 0, 1), atom(b, 1, 2), atom(c, 2, 3), atom(d, 0, 4)],
+        anti_atoms: vec![],
+        neq: vec![],
+        neq_const: vec![],
+        ranges: vec![],
+        output: vec![0, 1, 2, 3, 4],
+        distinct: false,
+    };
+    (db, query)
+}
+
+/// Planning the same query on the same `ANALYZE`d catalog gives
+/// byte-identical `EXPLAIN` text before and after other queries run,
+/// through every execution entry point — even when execution shows an
+/// estimate to be 4× off. The miss is reported per node by
+/// [`execute_profiled`]; it is never written back into planning inputs.
+#[test]
+fn plans_do_not_depend_on_execution_history() {
+    let (mut db, query) = misestimated_chain();
+    let cfg = OptimizerConfig::default();
+    let plan = plan_query(&db, &query, &cfg).unwrap();
+    let before = plan.explain();
+
+    let (out, profile) = execute_profiled(&db, &plan).unwrap();
+    assert_eq!(out.len(), 192_000);
+    let mut worst_miss = 1.0f64;
+    plan.root.visit(&mut |n| {
+        if matches!(n.op, PlanOp::HashJoin(_)) {
+            let actual = profile.nodes[n.info.id].rows_out as f64;
+            worst_miss = worst_miss.max(actual / n.info.est_rows);
+        }
+    });
+    assert!(
+        worst_miss > 4.0,
+        "fixture lost its misestimate: worst actual/est = {worst_miss}"
+    );
+
+    let mut prefix = query.clone();
+    prefix.atoms.truncate(2);
+    prefix.output = vec![0, 1, 2];
+    assert_eq!(run_query(&mut db, &prefix, &cfg).unwrap().len(), 800);
+    let spilled = execute_spill(&db, &query, &cfg, &SpillManager::in_memory(1 << 12)).unwrap();
+    assert_eq!(spilled.rows(), 192_000);
+
+    assert_eq!(plan_query(&db, &query, &cfg).unwrap().explain(), before);
+    assert_eq!(
+        plan_analyzed(&mut db, &query, &cfg).unwrap().explain(),
+        before
+    );
 }
 
 proptest! {

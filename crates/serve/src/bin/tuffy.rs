@@ -38,8 +38,6 @@
 //! query under the selected lesion knobs and exits without running
 //! inference; the three lesion flags mirror the paper's Table 6 study.
 //! `--explain-schedule` does the same for the inference scheduler.
-//! `--threads` and `--budget` are accepted as aliases of `--parallel`
-//! and `--mem-budget`.
 //!
 //! `--learn LABELS.db` switches to weight learning: the labels file
 //! (evidence syntax over the query predicates) becomes the training
@@ -179,7 +177,7 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--no-partition" => args.partition = PartitionStrategy::None,
-            "--mem-budget" | "--budget" => {
+            "--mem-budget" => {
                 let v = value(&flag)?;
                 let bytes: usize = v.parse().map_err(|e| format!("{flag}: {e}"))?;
                 args.partition = PartitionStrategy::Budget(bytes);
@@ -201,7 +199,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--flips: {e}"))?;
             }
-            "--parallel" | "--threads" => {
+            "--parallel" => {
                 args.threads = value(&flag)?.parse().map_err(|e| format!("{flag}: {e}"))?;
             }
             "--seed" => {
@@ -626,11 +624,9 @@ fn run() -> Result<(), String> {
             join_order: args.join_order,
             join_algorithm: args.join_algorithm,
             pushdown: args.pushdown,
-            // `--no-stats` is the full statistics lesion: estimates fall
-            // back to raw table lengths and adaptive re-planning (which
-            // exists to correct statistics) is disabled with it.
+            // `--no-stats` is the statistics lesion: estimates fall back
+            // to raw table lengths.
             use_stats: args.use_stats,
-            replan: args.use_stats,
             mem_budget_bytes: args.mem_budget_bytes,
         },
         search: WalkSatParams {

@@ -106,7 +106,7 @@ fn parse_args() -> Result<Args, String> {
             "--mem-budget-bytes" => args.mem_budget_bytes = num(&flag, value(&flag)?)?,
             "--flips" => args.flips = num(&flag, value(&flag)?)?,
             "--seed" => args.seed = num(&flag, value(&flag)?)?,
-            "--parallel" | "--threads" => args.threads = num(&flag, value(&flag)?)?,
+            "--parallel" => args.threads = num(&flag, value(&flag)?)?,
             "--ground-threads" => args.ground_threads = num(&flag, value(&flag)?)?,
             "--max-connections" => args.serve.max_connections = num(&flag, value(&flag)?)?,
             "--max-inflight" => args.serve.max_inflight = num(&flag, value(&flag)?)?,

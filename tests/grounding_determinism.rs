@@ -7,43 +7,15 @@
 //! dataset shapes. The single-threaded entry point
 //! [`ground_bottom_up`] is pinned equivalent to `threads = 1`.
 
+mod common;
+
+use common::{fingerprint, fingerprint_hash};
 use proptest::prelude::*;
 use tuffy_datagen::Dataset;
 use tuffy_grounder::{ground_bottom_up, ground_bottom_up_threaded, GroundingMode, GroundingResult};
 use tuffy_rdbms::OptimizerConfig;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// A deep, order-sensitive fingerprint of everything a search or serving
-/// consumer can observe in a grounding.
-fn fingerprint(g: &GroundingResult) -> Vec<String> {
-    let mut v = Vec::new();
-    v.push(format!(
-        "atoms={} clauses={} base={:?}",
-        g.mrf.num_atoms(),
-        g.mrf.num_clauses(),
-        g.mrf.base_cost
-    ));
-    for (aid, pred, args) in g.registry.iter() {
-        v.push(format!("atom {aid}: {}#{args:?}", pred.0));
-    }
-    for ci in 0..g.mrf.num_clauses() {
-        let p = g.mrf.provenance(ci);
-        v.push(format!(
-            "clause {ci}: {:?} w={:?} prov=({},{},{},{})",
-            g.mrf.clause_lits(ci),
-            g.mrf.clause_weight(ci),
-            p.pos_soft,
-            p.neg_soft,
-            p.hard,
-            p.neg_hard
-        ));
-    }
-    for a in 0..g.mrf.num_atoms() as u32 {
-        v.push(format!("occ {a}: {:?}", g.mrf.occurrences(a)));
-    }
-    v
-}
 
 fn ground(ds: &Dataset, threads: usize) -> GroundingResult {
     ground_bottom_up_threaded(
@@ -97,14 +69,13 @@ fn ie_grounding_is_thread_invariant() {
     assert_thread_invariant(tuffy_datagen::ie(24, 12, 7));
 }
 
-/// Lesion interplay: determinism must hold with statistics and adaptive
-/// re-planning disabled too (the `--no-stats` path).
+/// Lesion interplay: determinism must hold with statistics disabled too
+/// (the `--no-stats` path).
 #[test]
 fn determinism_holds_without_stats() {
     let ds = tuffy_datagen::er(8, 24, 11);
     let config = OptimizerConfig {
         use_stats: false,
-        replan: false,
         ..Default::default()
     };
     let reference = fingerprint(
@@ -130,6 +101,77 @@ fn determinism_holds_without_stats() {
         );
         assert_eq!(got, reference, "no-stats threads={t} diverged");
     }
+}
+
+/// Grounds every dataset in memory and under a 64 KiB
+/// `mem_budget_bytes` and compares the FNV-1a hash of the deep
+/// fingerprint with the recorded one.
+///
+/// The hashes were captured at the commit *before* the grounder
+/// switched from the step-wise adaptive executor to `plan_query` +
+/// `executor::execute`, so they pin the grounder's output against
+/// history and not only against itself.
+fn assert_golden(cases: [(Dataset, u64); 4]) {
+    for (ds, golden) in cases {
+        for mem_budget_bytes in [0usize, 64 << 10] {
+            let config = OptimizerConfig {
+                mem_budget_bytes,
+                ..Default::default()
+            };
+            let g = ground_bottom_up_threaded(
+                &ds.program,
+                &ds.evidence,
+                GroundingMode::LazyClosure,
+                &config,
+                2,
+            )
+            .unwrap();
+            assert_eq!(
+                fingerprint_hash(&g),
+                golden,
+                "{} (mem_budget_bytes={mem_budget_bytes}) diverged from the recorded grounding",
+                ds.name
+            );
+        }
+    }
+}
+
+/// The seed of `tuffy-bench`'s dataset constructors.
+const BENCH_SEED: u64 = 20110829;
+
+/// `tuffy-bench`'s search-scale `all_four()`; LP and ER spill sorted
+/// runs at 64 KiB.
+#[test]
+fn golden_fingerprints_at_bench_scale() {
+    assert_golden([
+        (tuffy_datagen::lp(5, 4, BENCH_SEED), 0x143d45bfac78a322),
+        (tuffy_datagen::ie(300, 200, BENCH_SEED), 0x1f520369d1ca29b4),
+        (tuffy_datagen::rc(40, 7, BENCH_SEED), 0x5b6ce22bbbdca442),
+        (tuffy_datagen::er(14, 80, BENCH_SEED), 0x0c60d7502cc3a29f),
+    ]);
+}
+
+/// `tuffy-bench`'s grounding-scale `all_four_ground()` — the inputs of
+/// `BENCHMARK.json`'s workloads (ER at ~900 k clauses); RC and ER run
+/// grace-hash joins at 64 KiB. Seconds in release, minutes in debug.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "grounding-scale inputs: run with --release"
+)]
+fn golden_fingerprints_at_grounding_scale() {
+    assert_golden([
+        (tuffy_datagen::lp(8, 8, BENCH_SEED), 0x6704a25acc0ef7a6),
+        (
+            tuffy_datagen::ie(2_500, 700, BENCH_SEED),
+            0x68793ac6388fc657,
+        ),
+        (
+            tuffy_datagen::rc_with_labels(400, 14, 0.85, BENCH_SEED),
+            0xdb15cc8ad7c604e5,
+        ),
+        (tuffy_datagen::er(40, 220, BENCH_SEED), 0x319d9fb78e7a179a),
+    ]);
 }
 
 proptest! {

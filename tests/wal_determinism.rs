@@ -14,40 +14,13 @@
 //! folded-sequence bookkeeping replays every delta exactly once even
 //! though flips are not idempotent.
 
+mod common;
+
+use common::fingerprint;
 use tuffy::{
     DurableEngine, MlnProgram, Query, Session, Snapshot, Tuffy, TuffyConfig, WalkSatParams,
 };
 use tuffy_datagen::Dataset;
-use tuffy_grounder::GroundingResult;
-
-/// A deep, order-sensitive fingerprint of everything a search or
-/// serving consumer can observe in a grounding.
-fn fingerprint(g: &GroundingResult) -> Vec<String> {
-    let mut v = Vec::new();
-    v.push(format!(
-        "atoms={} clauses={} base_hard={} base_soft={:#x}",
-        g.mrf.num_atoms(),
-        g.mrf.num_clauses(),
-        g.mrf.base_cost.hard,
-        g.mrf.base_cost.soft.to_bits(),
-    ));
-    for (aid, pred, args) in g.registry.iter() {
-        v.push(format!("atom {aid}: {}#{args:?}", pred.0));
-    }
-    for ci in 0..g.mrf.num_clauses() {
-        let p = g.mrf.provenance(ci);
-        v.push(format!(
-            "clause {ci}: {:?} w={:?} prov=({:#x},{:#x},{},{})",
-            g.mrf.clause_lits(ci),
-            g.mrf.clause_weight(ci),
-            p.pos_soft.to_bits(),
-            p.neg_soft.to_bits(),
-            p.hard,
-            p.neg_hard
-        ));
-    }
-    v
-}
 
 /// MAP answer reduced to exact bits.
 fn map_bits(snapshot: &Snapshot) -> (u64, u64, Vec<String>) {
