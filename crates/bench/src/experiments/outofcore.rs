@@ -15,10 +15,10 @@
 //! 2. **Spill.** With `OptimizerConfig::mem_budget_bytes` set, join
 //!    state beyond the budget goes to sorted on-disk runs
 //!    (grace-hash); the grounding that comes back is bit-identical to
-//!    the in-memory path (same atom numbering, same clause arenas).
-//!    The table grounds each workload far above its budget — the
-//!    `runs` column proves the spill path actually engaged — and
-//!    reports the overhead paid for bounded memory.
+//!    the unbounded run of the same executor (same atom numbering, same
+//!    clause arenas). The table grounds each workload far above its
+//!    budget — the `runs` column proves relations actually spilled —
+//!    and reports the overhead paid for bounded memory.
 //!
 //! Smoke runs the `scale == 1` baselines of the `tuffy-datagen` scale
 //! knobs ([`tuffy_datagen::er_scaled`], [`tuffy_datagen::rc_scaled`]);

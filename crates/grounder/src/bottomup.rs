@@ -3,14 +3,15 @@
 //! Every clause's binding query runs inside the relational engine: the
 //! cost-based planner ([`tuffy_rdbms::plan_query`]) chooses join orders
 //! and algorithms (the source of the orders-of-magnitude grounding
-//! speedups of Table 2) and the executor walks that plan —
-//! [`tuffy_rdbms::execute`] in memory, the spill executor under a memory
-//! budget. The lazy closure of Appendix A.3 iterates: grounding
-//! restricted to *reachable* atoms, newly activated atoms appended to the
-//! reachable tables, repeat to fixpoint. Use [`explain_grounding`] to
-//! dump the round-0 plans without executing anything (a variant split
-//! into value-range chunks is planned once per chunk, with the range
-//! narrowing its estimates).
+//! speedups of Table 2) and the one executor
+//! ([`tuffy_rdbms::execute_spill`]) walks that plan;
+//! [`OptimizerConfig::mem_budget_bytes`] only decides how much of each
+//! intermediate and result stays resident. The lazy closure of Appendix
+//! A.3 iterates: grounding restricted to *reachable* atoms, newly
+//! activated atoms appended to the reachable tables, repeat to fixpoint.
+//! Use [`explain_grounding`] to dump the round-0 plans without executing
+//! anything (a variant split into value-range chunks is planned once per
+//! chunk, with the range narrowing its estimates).
 //!
 //! # Parallel grounding and the deterministic-merge contract
 //!
@@ -34,13 +35,14 @@
 //!    ([`tuffy_rdbms::ConjunctiveQuery::ranges`]); disjoint ranges
 //!    covering the whole `u32` domain partition the variant's binding
 //!    multiset exactly.
-//! 3. **Canonical row order.** Every task's result batch is sorted
-//!    lexicographically by row content ([`Batch::sort_rows`]) before
-//!    emission, and a chunked variant's sorted chunks are k-way merged
-//!    back into one content-ordered stream. Emission order therefore
-//!    depends only on the binding *set* of each variant — never on the
-//!    join order, join algorithm, or statistics that produced it —
-//!    which keeps atom numbering stable under
+//! 3. **Canonical row order.** Every task's result is sorted
+//!    lexicographically by row content
+//!    ([`tuffy_rdbms::exec::Batch::sort_rows`]; per run when it spilled)
+//!    before emission, and a variant's sorted chunks and runs are k-way
+//!    merged ([`merge_cursor`]) into one content-ordered stream. Emission
+//!    order therefore depends only on the binding *set* of each variant —
+//!    never on the join order, join algorithm, or statistics that
+//!    produced it — which keeps atom numbering stable under
 //!    optimizer changes and under evidence deltas that merely prune
 //!    bindings (the incremental patch path relies on this).
 //! 4. **Ordered merge.** Workers execute tasks from a shared queue, but
@@ -65,11 +67,10 @@ use tuffy_mln::fxhash::FxHashSet;
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
 use tuffy_mrf::{Mrf, MrfBuilder};
-use tuffy_rdbms::exec::Batch;
 use tuffy_rdbms::query::VarId;
 use tuffy_rdbms::{
-    execute, execute_spill, merge_cursor, plan_analyzed, plan_query, ConjunctiveQuery, Database,
-    OptimizerConfig, SpillManager, SpillableBatch,
+    execute_spill, merge_cursor, plan_analyzed, ConjunctiveQuery, Database, OptimizerConfig,
+    SpillManager, SpillableBatch,
 };
 
 /// The output of grounding: the MRF, the atom registry mapping dense atom
@@ -124,60 +125,19 @@ struct RoundTask {
     query: Option<ConjunctiveQuery>,
 }
 
-/// One task's query result: materialized in memory (default path) or
-/// possibly spilled to backend runs (out-of-core path under a memory
-/// budget).
-enum TaskBatch {
-    Mem(Batch),
-    Spilled(SpillableBatch),
-}
-
-/// One variant group's merged binding rows, ready for ordered emission.
+/// One variant group's binding rows, ready for ordered emission.
 enum GroupRows {
     /// The clause grounds once with the empty binding.
     Empty,
-    /// In-memory content-ordered batch (chunks already k-way merged).
-    Mem(Batch),
-    /// Out-of-core chunks, merged lazily by [`merge_cursor`] so the
-    /// merged relation is never materialized.
-    Spilled(Vec<SpillableBatch>),
-}
-
-/// Merges row-sorted batches (the chunks of one variant) into one
-/// content-ordered batch. Chunks partition bindings by a value range, so
-/// a simple smallest-head k-way merge (k ≤ [`CHUNK_MAX`]) reproduces
-/// exactly the order [`Batch::sort_rows`] would give the unchunked
-/// result. Equal rows can occur across chunks when the chunked variable
-/// is projected away — they come out adjacent and the emitter's
-/// first-encounter dedup drops them, as it would for the unchunked
-/// variant's `DISTINCT`.
-fn merge_sorted(mut batches: Vec<Batch>) -> Batch {
-    if batches.len() == 1 {
-        return batches.pop().expect("checked non-empty");
-    }
-    let width = batches[0].width();
-    let total = batches.iter().map(Batch::len).sum();
-    let mut out = Batch::with_capacity(width, total);
-    let mut pos = vec![0usize; batches.len()];
-    loop {
-        let mut best: Option<(usize, &[u32])> = None;
-        for (bi, b) in batches.iter().enumerate() {
-            if pos[bi] < b.len() {
-                let r = b.row(pos[bi]);
-                if best.map_or(true, |(_, br)| r < br) {
-                    best = Some((bi, r));
-                }
-            }
-        }
-        match best {
-            Some((bi, r)) => {
-                out.push(r);
-                pos[bi] += 1;
-            }
-            None => break,
-        }
-    }
-    out
+    /// The variant's canonically ordered chunk results, merged lazily by
+    /// [`merge_cursor`] so the merged relation is never materialized.
+    /// Chunks partition bindings by a value range, so the merge
+    /// reproduces exactly the order the unchunked result would have.
+    /// Equal rows can occur across chunks when the chunked variable is
+    /// projected away — they come out adjacent and the emitter's
+    /// first-encounter dedup drops them, as it would for the unchunked
+    /// variant's `DISTINCT`.
+    Rows(Vec<SpillableBatch>),
 }
 
 /// Splits a binding query into value-range chunks on the first bound
@@ -299,17 +259,13 @@ pub fn ground_bottom_up_threaded(
 
     let to_mln = |e: tuffy_rdbms::DbError| MlnError::general(e.to_string());
 
-    // Out-of-core mode: a non-zero budget routes every binding query
-    // through the spill executor, which grace-hash-partitions oversized
-    // joins to disk-backed sorted runs. Sorted runs + the lazy k-way
-    // merge below reproduce exactly the canonical row order of the
-    // in-memory path, so the deterministic-merge contract — and the
-    // grounded output — are unchanged by spilling.
-    let spill_mgr: Option<SpillManager> = if config.mem_budget_bytes > 0 {
-        Some(SpillManager::file_backed(config.mem_budget_bytes).map_err(to_mln)?)
-    } else {
-        None
-    };
+    // One manager for the whole run. The budget bounds what any query
+    // keeps resident (0 = everything); results over it arrive as sorted
+    // runs, and the lazy k-way merge of phase C reads runs and resident
+    // batches alike in canonical row order, so the deterministic-merge
+    // contract — and the grounded output — do not depend on the budget.
+    // Nothing touches the filesystem until a run is actually written.
+    let mgr = SpillManager::file_backed(config.mem_budget_bytes).map_err(to_mln)?;
 
     let mut round = 0usize;
     loop {
@@ -397,95 +353,59 @@ pub fn ground_bottom_up_threaded(
             break;
         }
 
-        // Phase B: execute every task against the shared start-of-round
-        // snapshot. Workers pull tasks from a shared counter; results
-        // land in per-task slots. Both branches run `plan_query`'s
-        // plan; a memory budget selects the spill executor.
-        type TaskResult = Result<Option<(TaskBatch, Duration)>, tuffy_rdbms::DbError>;
+        // Phase B: plan and execute every task against the shared
+        // start-of-round snapshot. Workers pull tasks from a shared
+        // counter; results land in per-task slots, canonically ordered
+        // (contract part 3) on the worker so the sort parallelizes too.
+        type TaskResult = Result<Option<(SpillableBatch, Duration)>, tuffy_rdbms::DbError>;
         let results: Vec<TaskResult> = {
             let db = &gdb.db;
-            let mgr = spill_mgr.as_ref();
             pool_map(tasks.len(), threads, |ti| match &tasks[ti].query {
                 None => Ok(None),
                 Some(q) => {
                     let t0 = Instant::now();
-                    match mgr {
-                        Some(mgr) => execute_spill(db, q, config, mgr)
-                            .map(|sb| Some((TaskBatch::Spilled(sb), t0.elapsed()))),
-                        None => plan_query(db, q, config)
-                            .and_then(|plan| execute(db, &plan))
-                            .map(|mut b| {
-                                // Canonical row order (contract part 3),
-                                // computed on the worker so the sort
-                                // parallelizes too.
-                                b.sort_rows();
-                                Some((TaskBatch::Mem(b), t0.elapsed()))
-                            }),
-                    }
+                    execute_spill(db, q, config, &mgr).map(|rows| Some((rows, t0.elapsed())))
                 }
             })
         };
 
         // Phase C: ordered merge. Consume results strictly in task-list
         // order so atom numbering and clause order are independent of
-        // scheduling; a chunked variant's sorted chunks
-        // are k-way merged back into one content-ordered batch first.
+        // scheduling; the chunks of one variant are gathered into one
+        // group first.
         let mut round_activations: Vec<(tuffy_mln::schema::PredicateId, Vec<u32>)> = Vec::new();
         let mut groups: Vec<(usize, GroupRows)> = Vec::new();
         {
-            let mut pending_mem: Vec<Batch> = Vec::new();
-            let mut pending_spill: Vec<SpillableBatch> = Vec::new();
+            let mut pending: Vec<SpillableBatch> = Vec::new();
             let mut pending_clause = 0usize;
             let mut pending_group = usize::MAX;
             let flush = |groups: &mut Vec<(usize, GroupRows)>,
                          clause: usize,
-                         mem: &mut Vec<Batch>,
-                         spill: &mut Vec<SpillableBatch>| {
-                if !mem.is_empty() {
-                    groups.push((clause, GroupRows::Mem(merge_sorted(std::mem::take(mem)))));
-                }
-                if !spill.is_empty() {
-                    groups.push((clause, GroupRows::Spilled(std::mem::take(spill))));
+                         pending: &mut Vec<SpillableBatch>| {
+                if !pending.is_empty() {
+                    groups.push((clause, GroupRows::Rows(std::mem::take(pending))));
                 }
             };
             for (ti, result) in results.into_iter().enumerate() {
                 let task = &tasks[ti];
                 if task.group != pending_group {
-                    flush(
-                        &mut groups,
-                        pending_clause,
-                        &mut pending_mem,
-                        &mut pending_spill,
-                    );
+                    flush(&mut groups, pending_clause, &mut pending);
                 }
                 pending_group = task.group;
                 pending_clause = task.clause;
                 match result.map_err(to_mln)? {
                     None => groups.push((task.clause, GroupRows::Empty)),
-                    Some((task_batch, took)) => {
+                    Some((rows, took)) => {
                         stats.queries += 1;
                         stats.query_exec += took;
-                        match task_batch {
-                            TaskBatch::Mem(result_batch) => {
-                                peak_result_bytes = peak_result_bytes.max(result_batch.bytes());
-                                pending_mem.push(result_batch);
-                            }
-                            TaskBatch::Spilled(sb) => {
-                                if let SpillableBatch::Mem(b) = &sb {
-                                    peak_result_bytes = peak_result_bytes.max(b.bytes());
-                                }
-                                pending_spill.push(sb);
-                            }
+                        if let SpillableBatch::Mem(b) = &rows {
+                            peak_result_bytes = peak_result_bytes.max(b.bytes());
                         }
+                        pending.push(rows);
                     }
                 }
             }
-            flush(
-                &mut groups,
-                pending_clause,
-                &mut pending_mem,
-                &mut pending_spill,
-            );
+            flush(&mut groups, pending_clause, &mut pending);
         }
         for (clause, rows) in groups {
             let cc = &compiled[clause];
@@ -518,16 +438,10 @@ pub fn ground_bottom_up_threaded(
             };
             match &rows {
                 GroupRows::Empty => emit_row(&[]),
-                GroupRows::Mem(batch) => {
-                    for row in batch.iter() {
-                        emit_row(row);
-                    }
-                }
-                GroupRows::Spilled(parts) => {
+                GroupRows::Rows(parts) => {
                     // Stream the lazily-merged canonical order: at most
                     // one read buffer per spilled run is resident.
-                    let mgr = spill_mgr.as_ref().expect("spilled rows require a manager");
-                    let mut cur = merge_cursor(parts, mgr).map_err(to_mln)?;
+                    let mut cur = merge_cursor(parts, &mgr).map_err(to_mln)?;
                     let mut row: Vec<u32> = Vec::new();
                     while cur.next_into(&mut row).map_err(to_mln)? {
                         emit_row(&row);
@@ -550,9 +464,7 @@ pub fn ground_bottom_up_threaded(
     stats.atoms = registry.len();
     stats.io = gdb.db.io_stats();
     stats.peak_bytes = registry.bytes() + peak_result_bytes;
-    if let Some(mgr) = &spill_mgr {
-        stats.spill = mgr.stats();
-    }
+    stats.spill = mgr.stats();
     Ok(GroundingResult {
         mrf,
         registry,
@@ -757,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn spilled_grounding_is_bit_identical_to_in_memory() {
+    fn grounding_is_bit_identical_at_every_budget() {
         let (p, ev) = figure1_program();
         let reference = ground_bottom_up(
             &p,

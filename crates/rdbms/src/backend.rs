@@ -4,9 +4,9 @@
 //! RAM (§3.1); this module is the storage seam that makes that possible
 //! in the embedded engine. A [`StorageBackend`] stores immutable *runs*
 //! — flat `u32` word sequences written once and then read back in
-//! arbitrary ranges — which is exactly what the spill executor
-//! ([`crate::spill`]) needs: sorted runs for external merge, and
-//! partition files for grace-hash joins.
+//! arbitrary ranges — which is exactly what relations over the
+//! executor's memory budget ([`crate::spill`]) need: sorted runs for
+//! external merge, and partition files for grace-hash joins.
 //!
 //! # Backend contract
 //!
@@ -14,8 +14,8 @@
 //!   [`RunHandle`] identifying it. Runs are immutable once written.
 //! * [`StorageBackend::read_range`] reads `len` words starting at word
 //!   `offset` of a run. Implementations must return exactly the words
-//!   written, in order — the spill layer's determinism contract (spilled
-//!   execution bit-identical to in-memory execution) rests on this.
+//!   written, in order — the spill layer's determinism contract (a
+//!   result is bit-identical whatever spilled) rests on this.
 //! * [`StorageBackend::free_run`] releases a run's storage. Freeing an
 //!   unknown or already-freed handle is a no-op.
 //! * Implementations are `Send + Sync`: the parallel grounder calls them
@@ -24,7 +24,8 @@
 //! Two implementations ship: [`MemBackend`] (runs in heap vectors — the
 //! testing / "spill policy without real I/O" backend) and
 //! [`FileBackend`] (one file per run in a private temporary directory,
-//! removed on drop — the real out-of-core backend).
+//! created by the first write and removed on drop — the real out-of-core
+//! backend).
 
 use crate::error::DbError;
 use parking_lot::Mutex;
@@ -125,9 +126,13 @@ impl StorageBackend for MemBackend {
 }
 
 /// File-backed run storage: one little-endian `u32` stream per run in a
-/// private temporary directory, removed (with every remaining run) when
-/// the backend drops. This is the real out-of-core backend — spilled
-/// intermediate state lives on disk, not in the heap.
+/// private temporary directory, created by the first [`write_run`] (a
+/// backend that never receives a run touches no filesystem) and removed
+/// (with every remaining run) when the backend drops. This is the real
+/// out-of-core backend — spilled intermediate state lives on disk, not
+/// in the heap.
+///
+/// [`write_run`]: StorageBackend::write_run
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
@@ -137,7 +142,8 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Creates a backend spilling into a fresh subdirectory of `base`.
+    /// Creates a backend spilling into a fresh subdirectory of `base`
+    /// (made on the first write).
     pub fn in_dir(base: &std::path::Path) -> Result<FileBackend, DbError> {
         static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
         let unique = format!(
@@ -145,10 +151,8 @@ impl FileBackend {
             std::process::id(),
             DIR_SEQ.fetch_add(1, Ordering::Relaxed)
         );
-        let dir = base.join(unique);
-        fs::create_dir_all(&dir).map_err(io_err)?;
         Ok(FileBackend {
-            dir,
+            dir: base.join(unique),
             next_id: AtomicU64::new(0),
             written: AtomicU64::new(0),
             open: Mutex::new(HashMap::new()),
@@ -160,7 +164,7 @@ impl FileBackend {
         FileBackend::in_dir(&std::env::temp_dir())
     }
 
-    /// The directory runs are written into.
+    /// The directory runs are written into (absent until the first run).
     pub fn dir(&self) -> &std::path::Path {
         &self.dir
     }
@@ -184,7 +188,16 @@ fn io_err(e: std::io::Error) -> DbError {
 impl StorageBackend for FileBackend {
     fn write_run(&self, data: &[u32]) -> Result<RunHandle, DbError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut f = fs::File::create(self.run_path(id)).map_err(io_err)?;
+        let path = self.run_path(id);
+        let mut f = match fs::File::create(&path) {
+            // First run: the private directory does not exist yet.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                fs::create_dir_all(&self.dir).map_err(io_err)?;
+                fs::File::create(&path)
+            }
+            other => other,
+        }
+        .map_err(io_err)?;
         // Little-endian words, buffered through a chunk to avoid a
         // full-run byte copy.
         let mut buf = Vec::with_capacity(64 * 1024);
@@ -265,8 +278,9 @@ mod tests {
     fn file_backend_roundtrip() {
         let b = FileBackend::in_temp_dir().unwrap();
         let dir = b.dir().to_path_buf();
-        assert!(dir.exists());
+        assert!(!dir.exists(), "spill dir is created by the first write");
         roundtrip(&b);
+        assert!(dir.exists());
         drop(b);
         assert!(!dir.exists(), "spill dir removed on drop");
     }

@@ -22,10 +22,12 @@
 //!   selection, join-algorithm selection, and the lesion knobs the paper
 //!   disables one at a time ([`optimizer`], [`query`]). Planning produces
 //!   an explicit, costed [`plan::PhysicalPlan`] tree (inspect it with
-//!   `EXPLAIN`-style `Display`), and that tree is the only way a query
-//!   becomes rows: [`executor`] walks it in memory (recording per-node
-//!   estimated-versus-actual counters on request) and [`spill`] walks
-//!   the same tree under a memory budget;
+//!   `EXPLAIN`-style `Display`), and one walker ([`executor`]) is the
+//!   only thing that turns that tree into rows, recording per-node
+//!   estimated-versus-actual counters on request. A byte budget decides
+//!   how much stays resident, not which code runs: relations over it
+//!   live as sorted runs on a storage backend ([`spill`], [`backend`]),
+//!   and with no budget nothing spills;
 //! * **statistics**: per-table row counts and per-column distinct-value
 //!   estimates driving the cost model ([`stats`]).
 //!
@@ -52,7 +54,9 @@ pub use backend::{FileBackend, MemBackend, RunHandle, StorageBackend};
 pub use bufferpool::{BufferPool, DiskModel, IoStats};
 pub use catalog::{Database, TableId};
 pub use error::DbError;
-pub use executor::{execute, execute_into, execute_profiled, ExecProfile, NodeMetrics};
+pub use executor::{
+    execute, execute_into, execute_profiled, execute_spill, ExecProfile, NodeMetrics,
+};
 pub use optimizer::{
     plan_analyzed, plan_query, run_query, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig,
 };
@@ -60,5 +64,5 @@ pub use plan::{NodeId, NodeInfo, PhysicalPlan, PlanColumn, PlanOp, QueryPlan};
 pub use pred::Pred;
 pub use query::{ConjunctiveQuery, QueryAtom, VarId};
 pub use schema::TableSchema;
-pub use spill::{execute_spill, merge_cursor, RowCursor, SpillManager, SpillStats, SpillableBatch};
+pub use spill::{merge_cursor, RowCursor, SpillManager, SpillStats, SpillableBatch};
 pub use storage::{Row, Table, PAGE_ROWS};

@@ -78,12 +78,13 @@ pub struct OptimizerConfig {
     /// lesion — every estimate falls back to raw table lengths, as if no
     /// table had ever been analyzed.
     pub use_stats: bool,
-    /// Memory budget in bytes for intermediate join state; `0` disables
-    /// spilling entirely (everything materializes in RAM, the historical
-    /// behavior). When non-zero, the grounder routes clause-instantiation
-    /// queries through [`crate::spill::execute_spill`], which grace-hash
-    /// partitions oversized joins and streams results as sorted on-disk
-    /// runs instead of materializing them.
+    /// Memory budget in bytes for intermediate join state; `0` is
+    /// unbounded (everything stays in RAM). The budget never selects a
+    /// different executor: the grounder hands it to the
+    /// [`crate::SpillManager`] its queries run under
+    /// ([`crate::executor::execute_spill`]), and relations over it are
+    /// grace-hash partitioned and kept as sorted on-disk runs instead of
+    /// resident batches.
     pub mem_budget_bytes: usize,
 }
 

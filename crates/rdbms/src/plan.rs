@@ -162,19 +162,25 @@ impl PhysicalPlan {
         }
     }
 
-    /// Child nodes, left to right.
-    pub fn children(&self) -> Vec<&PhysicalPlan> {
+    /// Child nodes, left to right, as a fixed pair (`None` past the
+    /// operator's arity) — the executor's allocation-free view.
+    pub(crate) fn inputs(&self) -> [Option<&PhysicalPlan>; 2] {
         match &self.op {
-            PlanOp::SeqScan(_) => vec![],
+            PlanOp::SeqScan(_) => [None, None],
             PlanOp::FilterScan { input, .. } | PlanOp::Distinct { input, .. } => {
-                vec![input]
+                [Some(input), None]
             }
             PlanOp::HashJoin(j) | PlanOp::SortMergeJoin(j) | PlanOp::NestedLoopJoin(j) => {
-                vec![&j.left, &j.right]
+                [Some(&j.left), Some(&j.right)]
             }
-            PlanOp::CrossJoin { left, right } => vec![left, right],
-            PlanOp::AntiJoin { input, sub, .. } => vec![input, sub],
+            PlanOp::CrossJoin { left, right } => [Some(left), Some(right)],
+            PlanOp::AntiJoin { input, sub, .. } => [Some(input), Some(sub)],
         }
+    }
+
+    /// Child nodes, left to right.
+    pub fn children(&self) -> Vec<&PhysicalPlan> {
+        self.inputs().into_iter().flatten().collect()
     }
 
     /// Child nodes, left to right, mutably (used by the planner to

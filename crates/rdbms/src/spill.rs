@@ -1,56 +1,39 @@
-//! Out-of-core query execution: grace-hash partitioning and sorted-run
-//! spilling under a byte budget.
+//! Relation residency under a byte budget: sorted-run spilling, lazy
+//! k-way merge, and grace-hash partition files.
 //!
-//! The in-memory executor ([`crate::executor`]) materializes every
-//! operator's full output — fine until an intermediate join result
-//! outgrows RAM, which is exactly the regime the paper's RDBMS
-//! architecture targets (§3.1). This module is the out-of-core twin: it
-//! walks the *same* [`QueryPlan`] tree, but every relation flowing
-//! between operators is a [`SpillableBatch`] that transparently lives
-//! either in memory (small) or as **sorted runs** on a
-//! [`StorageBackend`] (large), cut whenever a buffer exceeds the
-//! configured [`SpillManager`] budget.
+//! The executor ([`crate::executor`]) walks a plan once; every relation
+//! flowing between its operators is a [`SpillableBatch`] that lives
+//! either in memory (within the [`SpillManager`]'s budget) or as
+//! **sorted runs** on a [`StorageBackend`] (over it). This module is the
+//! storage half of that contract — the paper's RDBMS architecture exists
+//! for the regime where an intermediate join result outgrows RAM (§3.1):
 //!
-//! # Spill semantics
-//!
-//! * **Scans** stay in memory (base tables already are).
-//! * **Equi-joins** whose combined inputs exceed the budget run as
-//!   **grace-hash joins**: both sides are hash-partitioned on the join
-//!   key into `P ≈ ⌈bytes/budget⌉` partition files, then each partition
-//!   pair is joined in memory and the output streamed through a sorted
-//!   spill writer. Within-budget joins use the ordinary in-memory
-//!   operators.
-//! * **Anti-joins** materialize the (small, evidence-derived) `NOT
-//!   EXISTS` side and stream the outer side through it chunk by chunk.
-//! * **Distinct** externally sorts (sorted runs + k-way merge) and
-//!   deduplicates adjacent rows of the merged stream.
-//! * The final result is **canonically ordered**: in-memory results are
-//!   [`Batch::sort_rows`]-sorted, spilled results are per-run sorted and
-//!   k-way merged lazily by [`RowCursor`]. Because canonical order
-//!   depends only on the result *multiset*, a spilled execution is
-//!   **bit-identical** to the in-memory execution of the same query —
-//!   the grounder's determinism contract survives spilling.
+//! * [`SpillManager`] — the budget (`0` = unbounded: nothing ever
+//!   spills and the backend is never written), the backend, and
+//!   cumulative [`SpillStats`].
+//! * `SpillWriter` — accumulates an operator's output and cuts a sorted
+//!   run whenever its buffer passes a fraction of the budget; a small
+//!   output stays a `Mem` batch.
+//! * [`RowCursor`] / [`merge_cursor`] — read relations back in
+//!   **canonical** (lexicographic) row order, merging sorted runs lazily
+//!   so at most one read buffer per run is resident. Canonical order
+//!   depends only on the row *multiset*, which is why a result is
+//!   bit-identical whatever spilled.
+//! * `partition` — hash-partitions a relation into unsorted partition
+//!   files for the executor's grace-hash join.
 //!
 //! Spilled runs are freed eagerly: dropping a [`SpillableBatch`] (or
 //! consuming a grace-hash partition) releases its backend storage, so
 //! disk usage tracks live intermediates, not the whole execution.
 
 use crate::backend::{RunHandle, StorageBackend};
-use crate::catalog::Database;
 use crate::error::DbError;
-use crate::exec::agg::distinct;
-use crate::exec::join::{cross_join, hash_anti_join, hash_join, nested_loop_join, sort_merge_join};
-use crate::exec::scan::seq_scan;
 use crate::exec::Batch;
-use crate::executor::{is_identity, project_owned};
-use crate::optimizer::{plan_query, OptimizerConfig};
-use crate::plan::{PhysicalPlan, PlanOp, QueryPlan};
-use crate::query::ConjunctiveQuery;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Maximum grace-hash fan-out per join.
-const MAX_PARTITIONS: usize = 64;
+pub(crate) const MAX_PARTITIONS: usize = 64;
 
 /// Spill instrumentation counters (cumulative per [`SpillManager`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -65,15 +48,16 @@ pub struct SpillStats {
     pub grace_joins: u64,
 }
 
-/// Shared spill policy: a byte budget, a [`StorageBackend`], and
+/// Shared residency policy: a byte budget, a [`StorageBackend`], and
 /// cumulative [`SpillStats`]. One manager serves a whole grounding run
-/// (all threads); cloning the `Arc` shares budget and counters.
+/// (all threads).
 pub struct SpillManager {
     backend: Arc<dyn StorageBackend>,
+    /// `usize::MAX` when unbounded.
     budget: usize,
     runs_written: AtomicU64,
     partitions: AtomicU64,
-    grace_joins: AtomicU64,
+    pub(crate) grace_joins: AtomicU64,
 }
 
 impl std::fmt::Debug for SpillManager {
@@ -87,12 +71,13 @@ impl std::fmt::Debug for SpillManager {
 
 impl SpillManager {
     /// A manager over an explicit backend. `budget` is the in-memory
-    /// byte threshold above which relations spill; it must be non-zero.
+    /// byte threshold above which relations spill; `0` means unbounded
+    /// (the meaning of [`crate::OptimizerConfig::mem_budget_bytes`]):
+    /// every relation stays resident and the backend is never written.
     pub fn new(budget: usize, backend: Arc<dyn StorageBackend>) -> SpillManager {
-        assert!(budget > 0, "a zero budget means spilling is disabled");
         SpillManager {
             backend,
-            budget,
+            budget: if budget == 0 { usize::MAX } else { budget },
             runs_written: AtomicU64::new(0),
             partitions: AtomicU64::new(0),
             grace_joins: AtomicU64::new(0),
@@ -106,8 +91,9 @@ impl SpillManager {
     }
 
     /// A manager spilling to files in the system temporary directory
-    /// ([`crate::FileBackend`]); the spill directory is removed when the
-    /// last reference (manager or spilled batch) drops.
+    /// ([`crate::FileBackend`]); the spill directory is created by the
+    /// first run written and removed when the last reference (manager or
+    /// spilled batch) drops.
     pub fn file_backed(budget: usize) -> Result<SpillManager, DbError> {
         Ok(SpillManager::new(
             budget,
@@ -115,7 +101,7 @@ impl SpillManager {
         ))
     }
 
-    /// The configured budget in bytes.
+    /// The configured budget in bytes (`usize::MAX` when unbounded).
     pub fn budget(&self) -> usize {
         self.budget
     }
@@ -177,7 +163,7 @@ impl std::fmt::Debug for SpilledRel {
 }
 
 /// A relation that is either materialized in memory or spilled to
-/// backend runs. The spill executor's inter-operator currency.
+/// backend runs. The executor's inter-operator currency.
 #[derive(Debug)]
 pub enum SpillableBatch {
     /// Small relation, fully in memory.
@@ -218,21 +204,13 @@ impl SpillableBatch {
         self.rows() * self.width() * 4
     }
 
-    /// Fully materializes the relation into one in-memory batch
-    /// (sequential run concatenation — per-run order preserved).
-    pub fn materialize(&self) -> Result<Batch, DbError> {
+    /// Consumes the relation into one in-memory batch: a resident batch
+    /// is returned as is, spilled runs are concatenated sequentially
+    /// (per-run order preserved).
+    pub fn into_batch(self) -> Result<Batch, DbError> {
         match self {
-            SpillableBatch::Mem(b) => Ok(b.clone()),
-            SpillableBatch::Spilled(s) => {
-                let mut words = Vec::with_capacity(s.rows * s.width);
-                let mut buf = Vec::new();
-                for run in &s.runs {
-                    s.backend
-                        .read_range(*run, 0, run.words as usize, &mut buf)?;
-                    words.extend_from_slice(&buf);
-                }
-                Ok(Batch::from_words(s.width, words))
-            }
+            SpillableBatch::Mem(b) => Ok(b),
+            SpillableBatch::Spilled(s) => read_runs(s.backend.as_ref(), &s.runs, s.width),
         }
     }
 
@@ -244,7 +222,7 @@ impl SpillableBatch {
 
     fn streams<'a>(&'a self, read_words: usize) -> Result<Vec<Stream<'a>>, DbError> {
         match self {
-            SpillableBatch::Mem(b) => Ok(vec![Stream::new_mem(b)]),
+            SpillableBatch::Mem(batch) => Ok(vec![Stream::Mem { batch, i: 0 }]),
             SpillableBatch::Spilled(s) => s
                 .runs
                 .iter()
@@ -252,6 +230,21 @@ impl SpillableBatch {
                 .collect(),
         }
     }
+}
+
+/// Concatenates whole runs, in order, into one batch.
+fn read_runs(
+    backend: &dyn StorageBackend,
+    runs: &[RunHandle],
+    width: usize,
+) -> Result<Batch, DbError> {
+    let mut words = Vec::with_capacity(runs.iter().map(|r| r.words as usize).sum());
+    let mut buf = Vec::new();
+    for run in runs {
+        backend.read_range(*run, 0, run.words as usize, &mut buf)?;
+        words.extend_from_slice(&buf);
+    }
+    Ok(Batch::from_words(width, words))
 }
 
 /// One sorted row source inside a [`RowCursor`].
@@ -273,10 +266,6 @@ enum Stream<'a> {
 }
 
 impl<'a> Stream<'a> {
-    fn new_mem(batch: &'a Batch) -> Stream<'a> {
-        Stream::Mem { batch, i: 0 }
-    }
-
     fn new_run(
         backend: &'a dyn StorageBackend,
         run: RunHandle,
@@ -337,26 +326,20 @@ impl<'a> Stream<'a> {
 
     fn advance(&mut self) -> Result<(), DbError> {
         match self {
-            Stream::Mem { i, .. } => {
-                *i += 1;
-                Ok(())
-            }
-            Stream::Run { .. } => {
-                if let Stream::Run {
-                    buf,
-                    buf_pos,
-                    width,
-                    ..
-                } = self
-                {
-                    *buf_pos += *width;
-                    if *buf_pos < buf.len() {
-                        return Ok(());
-                    }
+            Stream::Mem { i, .. } => *i += 1,
+            Stream::Run {
+                buf,
+                buf_pos,
+                width,
+                ..
+            } => {
+                *buf_pos += *width;
+                if *buf_pos >= buf.len() {
+                    return self.refill();
                 }
-                self.refill()
             }
         }
+        Ok(())
     }
 }
 
@@ -417,7 +400,7 @@ pub fn merge_cursor<'a>(
 
 /// Accumulates rows and cuts **sorted runs** whenever the buffer passes
 /// the manager's chunk threshold; small outputs stay in memory.
-struct SpillWriter<'a> {
+pub(crate) struct SpillWriter<'a> {
     mgr: &'a SpillManager,
     width: usize,
     buf: Batch,
@@ -426,7 +409,7 @@ struct SpillWriter<'a> {
 }
 
 impl<'a> SpillWriter<'a> {
-    fn new(mgr: &'a SpillManager, width: usize) -> SpillWriter<'a> {
+    pub(crate) fn new(mgr: &'a SpillManager, width: usize) -> SpillWriter<'a> {
         SpillWriter {
             mgr,
             width,
@@ -440,13 +423,13 @@ impl<'a> SpillWriter<'a> {
         self.buf.len() * self.width * 4
     }
 
-    fn push_row(&mut self, row: &[u32]) -> Result<(), DbError> {
+    pub(crate) fn push_row(&mut self, row: &[u32]) -> Result<(), DbError> {
         self.buf.push(row);
         self.rows += 1;
         self.maybe_flush()
     }
 
-    fn push_batch(&mut self, b: &Batch) -> Result<(), DbError> {
+    pub(crate) fn push_batch(&mut self, b: &Batch) -> Result<(), DbError> {
         debug_assert_eq!(b.width(), self.width);
         for row in b.iter() {
             self.buf.push(row);
@@ -474,7 +457,7 @@ impl<'a> SpillWriter<'a> {
         Ok(())
     }
 
-    fn finish(mut self) -> Result<SpillableBatch, DbError> {
+    pub(crate) fn finish(mut self) -> Result<SpillableBatch, DbError> {
         if self.runs.is_empty() {
             self.buf.sort_rows();
             return Ok(SpillableBatch::Mem(self.buf));
@@ -492,7 +475,7 @@ impl<'a> SpillWriter<'a> {
 /// Streams a relation chunk by chunk as in-memory [`Batch`]es (per-run
 /// order; *not* globally merged — use [`RowCursor`] for canonical
 /// order). The closure never sees more than one read buffer at a time.
-fn for_each_chunk(
+pub(crate) fn for_each_chunk(
     input: &SpillableBatch,
     mgr: &SpillManager,
     mut f: impl FnMut(&Batch) -> Result<(), DbError>,
@@ -532,7 +515,7 @@ fn partition_of(row: &[u32], cols: &[usize], parts: usize) -> usize {
 }
 
 /// One side's grace-hash partition files (unsorted whole rows).
-struct Partitions {
+pub(crate) struct Partitions {
     width: usize,
     runs: Vec<Vec<RunHandle>>,
     backend: Arc<dyn StorageBackend>,
@@ -549,23 +532,19 @@ impl Drop for Partitions {
 }
 
 impl Partitions {
-    /// Materializes partition `p`, freeing its runs as they are read.
-    fn take(&mut self, p: usize) -> Result<Batch, DbError> {
+    /// Materializes partition `p` and frees its runs.
+    pub(crate) fn take(&mut self, p: usize) -> Result<Batch, DbError> {
         let runs = std::mem::take(&mut self.runs[p]);
-        let mut words = Vec::new();
-        let mut buf = Vec::new();
+        let batch = read_runs(self.backend.as_ref(), &runs, self.width);
         for run in runs {
-            self.backend
-                .read_range(run, 0, run.words as usize, &mut buf)?;
-            words.extend_from_slice(&buf);
             self.backend.free_run(run);
         }
-        Ok(Batch::from_words(self.width, words))
+        batch
     }
 }
 
 /// Hash-partitions `input` on `cols` into `parts` partition files.
-fn partition(
+pub(crate) fn partition(
     input: &SpillableBatch,
     cols: &[usize],
     parts: usize,
@@ -601,242 +580,16 @@ fn partition(
     })
 }
 
-/// Joins two relations under the budget: in-memory when both sides fit,
-/// grace-hash partitioned otherwise. `algo_hint` picks the in-memory
-/// algorithm for within-budget inputs (all algorithms agree on results).
-fn spill_join(
-    left: SpillableBatch,
-    right: SpillableBatch,
-    keys: &[(usize, usize)],
-    keep: &[usize],
-    algo: &PlanOp,
-    mgr: &SpillManager,
-) -> Result<SpillableBatch, DbError> {
-    let small = !left.is_spilled()
-        && !right.is_spilled()
-        && left.approx_bytes() + right.approx_bytes() <= mgr.budget;
-    if keys.is_empty() || small {
-        let l = left.materialize()?;
-        let r = right.materialize()?;
-        let joined = match algo {
-            _ if keys.is_empty() => cross_join(&l, &r),
-            PlanOp::SortMergeJoin(_) => sort_merge_join(&l, &r, keys),
-            PlanOp::NestedLoopJoin(_) => nested_loop_join(&l, &r, keys),
-            _ => hash_join(&l, &r, keys),
-        };
-        let out = project_owned(joined, keep);
-        return wrap(out, mgr);
-    }
-    mgr.grace_joins.fetch_add(1, Ordering::Relaxed);
-    let bytes = left.approx_bytes() + right.approx_bytes();
-    let parts = (bytes / mgr.budget + 1).clamp(2, MAX_PARTITIONS);
-    let (lk, rk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
-    let mut lp = partition(&left, &lk, parts, mgr)?;
-    drop(left);
-    let mut rp = partition(&right, &rk, parts, mgr)?;
-    drop(right);
-    let mut writer = SpillWriter::new(mgr, keep.len());
-    for p in 0..parts {
-        let lb = lp.take(p)?;
-        let rb = rp.take(p)?;
-        if lb.is_empty() || rb.is_empty() {
-            continue;
-        }
-        let joined = hash_join(&lb, &rb, keys);
-        writer.push_batch(&project_owned(joined, keep))?;
-    }
-    writer.finish()
-}
-
 /// Converts an in-memory batch into a spillable one, cutting it into
 /// sorted runs when it exceeds the budget (so oversized results never
 /// ride across operator boundaries in RAM).
-fn wrap(b: Batch, mgr: &SpillManager) -> Result<SpillableBatch, DbError> {
+pub(crate) fn wrap(b: Batch, mgr: &SpillManager) -> Result<SpillableBatch, DbError> {
     if b.width() == 0 || b.len() * b.width() * 4 <= mgr.budget {
         return Ok(SpillableBatch::Mem(b));
     }
     let mut w = SpillWriter::new(mgr, b.width());
     w.push_batch(&b)?;
     w.finish()
-}
-
-/// External distinct: sort (sorted runs + merge) then drop adjacent
-/// duplicates of the merged stream.
-fn spill_distinct(
-    input: SpillableBatch,
-    project: &[usize],
-    mgr: &SpillManager,
-) -> Result<SpillableBatch, DbError> {
-    // Zero-width projection (existence check): one empty row survives.
-    if project.is_empty() {
-        let mut out = Batch::new(0);
-        if !input.is_empty() {
-            out.push(&[]);
-        }
-        return Ok(SpillableBatch::Mem(out));
-    }
-    let identity = is_identity(project, input.width());
-    // Project into a sorted writer...
-    let mut w = SpillWriter::new(mgr, project.len());
-    let mut row_buf: Vec<u32> = Vec::with_capacity(project.len());
-    for_each_chunk(&input, mgr, |chunk| {
-        for row in chunk.iter() {
-            if identity {
-                w.push_row(row)?;
-            } else {
-                row_buf.clear();
-                row_buf.extend(project.iter().map(|&c| row[c]));
-                w.push_row(&row_buf)?;
-            }
-        }
-        Ok(())
-    })?;
-    let sorted = w.finish()?;
-    drop(input);
-    // ...then dedup the merged canonical stream.
-    if let SpillableBatch::Mem(b) = &sorted {
-        return Ok(SpillableBatch::Mem(distinct(b)));
-    }
-    let mut out = SpillWriter::new(mgr, sorted.width());
-    let mut cur = sorted.cursor(mgr)?;
-    let mut row: Vec<u32> = Vec::new();
-    let mut last: Option<Vec<u32>> = None;
-    while cur.next_into(&mut row)? {
-        if last.as_deref() != Some(row.as_slice()) {
-            out.push_row(&row)?;
-            last = Some(row.clone());
-        }
-    }
-    out.finish()
-}
-
-/// Anti-join with a materialized `NOT EXISTS` side: the sub side is an
-/// evidence-table scan (small by construction — it carries only the
-/// correlation columns), the outer side streams through it.
-fn spill_anti_join(
-    input: SpillableBatch,
-    sub: SpillableBatch,
-    keys: &[(usize, usize)],
-    mgr: &SpillManager,
-) -> Result<SpillableBatch, DbError> {
-    if sub.is_empty() || input.is_empty() {
-        return Ok(input);
-    }
-    let sub = sub.materialize()?;
-    let mut w = SpillWriter::new(mgr, input.width());
-    for_each_chunk(&input, mgr, |chunk| {
-        w.push_batch(&hash_anti_join(chunk, &sub, keys))
-    })?;
-    w.finish()
-}
-
-/// Filter applied chunk by chunk.
-fn spill_filter(
-    input: SpillableBatch,
-    preds: &[crate::pred::Pred],
-    mgr: &SpillManager,
-) -> Result<SpillableBatch, DbError> {
-    if !input.is_spilled() {
-        let SpillableBatch::Mem(b) = input else {
-            unreachable!()
-        };
-        return wrap(b.filter(preds), mgr);
-    }
-    let mut w = SpillWriter::new(mgr, input.width());
-    for_each_chunk(&input, mgr, |chunk| w.push_batch(&chunk.filter(preds)))?;
-    w.finish()
-}
-
-fn exec_node_spill(
-    db: &Database,
-    node: &PhysicalPlan,
-    mgr: &SpillManager,
-) -> Result<SpillableBatch, DbError> {
-    match &node.op {
-        PlanOp::SeqScan(s) => {
-            let batch = seq_scan(db.table(s.table), db.pool(), &s.preds, Some(&s.project));
-            wrap(batch, mgr)
-        }
-        PlanOp::FilterScan { input, preds } => {
-            let inp = exec_node_spill(db, input, mgr)?;
-            spill_filter(inp, preds, mgr)
-        }
-        PlanOp::HashJoin(j) | PlanOp::SortMergeJoin(j) | PlanOp::NestedLoopJoin(j) => {
-            let l = exec_node_spill(db, &j.left, mgr)?;
-            let r = exec_node_spill(db, &j.right, mgr)?;
-            spill_join(l, r, &j.keys, &j.keep, &node.op, mgr)
-        }
-        PlanOp::CrossJoin { left, right } => {
-            let l = exec_node_spill(db, left, mgr)?.materialize()?;
-            let r = exec_node_spill(db, right, mgr)?.materialize()?;
-            wrap(cross_join(&l, &r), mgr)
-        }
-        PlanOp::AntiJoin { input, sub, keys } => {
-            let inp = exec_node_spill(db, input, mgr)?;
-            let sub = exec_node_spill(db, sub, mgr)?;
-            spill_anti_join(inp, sub, keys, mgr)
-        }
-        PlanOp::Distinct { input, project } => {
-            let inp = exec_node_spill(db, input, mgr)?;
-            spill_distinct(inp, project, mgr)
-        }
-    }
-}
-
-/// Plans and executes `query` with spilling under the manager's budget,
-/// returning the result in **canonical row order** (per-run sorted,
-/// merged lazily by [`SpillableBatch::cursor`]; in-memory results are
-/// `sort_rows`-sorted). The output multiset — and therefore the
-/// canonical row sequence — is identical to the in-memory executor's,
-/// whatever spilled.
-pub fn execute_spill(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    config: &OptimizerConfig,
-    mgr: &SpillManager,
-) -> Result<SpillableBatch, DbError> {
-    let plan = plan_query(db, query, config)?;
-    execute_plan_spill(db, &plan, mgr)
-}
-
-/// Executes an already-built plan with spilling (see [`execute_spill`]).
-pub fn execute_plan_spill(
-    db: &Database,
-    plan: &QueryPlan,
-    mgr: &SpillManager,
-) -> Result<SpillableBatch, DbError> {
-    let out = exec_node_spill(db, &plan.root, mgr)?;
-    let identity = is_identity(&plan.output, out.width());
-    let projected = if identity {
-        out
-    } else if plan.output.is_empty() {
-        // Zero-width output: preserve multiplicity as a row count.
-        let mut b = Batch::new(0);
-        for _ in 0..out.rows() {
-            b.push(&[]);
-        }
-        SpillableBatch::Mem(b)
-    } else {
-        let mut w = SpillWriter::new(mgr, plan.output.len());
-        let mut row_buf: Vec<u32> = Vec::with_capacity(plan.output.len());
-        for_each_chunk(&out, mgr, |chunk| {
-            for row in chunk.iter() {
-                row_buf.clear();
-                row_buf.extend(plan.output.iter().map(|&c| row[c]));
-                w.push_row(&row_buf)?;
-            }
-            Ok(())
-        })?;
-        w.finish()?
-    };
-    // Canonical order: sorted runs merge lazily; Mem batches sort here.
-    match projected {
-        SpillableBatch::Mem(mut b) => {
-            b.sort_rows();
-            Ok(SpillableBatch::Mem(b))
-        }
-        spilled => Ok(spilled),
-    }
 }
 
 /// Collects a cursor into a batch (test / small-result helper).
@@ -853,8 +606,9 @@ pub fn collect_cursor(mut cur: RowCursor<'_>) -> Result<Batch, DbError> {
 mod tests {
     use super::*;
     use crate::catalog::Database;
-    use crate::optimizer::run_query;
-    use crate::query::{ColumnBinding, QueryAtom};
+    use crate::executor::execute_spill;
+    use crate::optimizer::{run_query, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig};
+    use crate::query::{ColumnBinding, ConjunctiveQuery, QueryAtom};
     use crate::schema::TableSchema;
 
     /// A two-table join workload big enough to overflow a small budget.
@@ -893,27 +647,40 @@ mod tests {
         (db, q)
     }
 
-    fn reference_rows(db: &mut Database, q: &ConjunctiveQuery) -> Batch {
-        let mut b = run_query(db, q, &OptimizerConfig::default()).unwrap();
+    /// Canonical result under `budget` (0 = unbounded), plus the manager
+    /// that ran it.
+    fn run_under(db: &Database, q: &ConjunctiveQuery, mgr: SpillManager) -> (Batch, SpillManager) {
+        let out = execute_spill(db, q, &OptimizerConfig::default(), &mgr).unwrap();
+        let rows = collect_cursor(out.cursor(&mgr).unwrap()).unwrap();
+        (rows, mgr)
+    }
+
+    /// The independent oracle: the fully lesioned plan (program order,
+    /// nested loops only, no pushdown), sorted.
+    fn lesion_rows(db: &mut Database, q: &ConjunctiveQuery) -> Batch {
+        let cfg = OptimizerConfig {
+            join_order: JoinOrderPolicy::Program,
+            join_algorithm: JoinAlgorithmPolicy::NestedLoopOnly,
+            pushdown: false,
+            ..Default::default()
+        };
+        let mut b = run_query(db, q, &cfg).unwrap();
         b.sort_rows();
         b
     }
 
     #[test]
-    fn spilled_execution_matches_in_memory_bitwise() {
+    fn tiny_budget_matches_unbounded_and_lesion_plan_bitwise() {
         let (mut db, q) = build_db(2000);
-        let expected = reference_rows(&mut db, &q);
+        let (expected, unbounded) = run_under(&db, &q, SpillManager::in_memory(0));
+        assert_eq!(unbounded.stats(), SpillStats::default());
+        assert_eq!(expected, lesion_rows(&mut db, &q));
         for budget in [4 * 1024, 64 * 1024] {
             for mgr in [
                 SpillManager::in_memory(budget),
                 SpillManager::file_backed(budget).unwrap(),
             ] {
-                let cfg = OptimizerConfig {
-                    mem_budget_bytes: budget,
-                    ..Default::default()
-                };
-                let out = execute_spill(&db, &q, &cfg, &mgr).unwrap();
-                let got = collect_cursor(out.cursor(&mgr).unwrap()).unwrap();
+                let (got, _) = run_under(&db, &q, mgr);
                 assert_eq!(got, expected, "budget={budget}");
             }
         }
@@ -971,24 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_dedups_across_runs() {
-        let mgr = SpillManager::in_memory(1024);
-        let mut w = SpillWriter::new(&mgr, 1);
-        for _ in 0..4 {
-            for i in 0..600u32 {
-                w.push_row(&[i % 100]).unwrap();
-            }
-        }
-        let input = w.finish().unwrap();
-        assert!(input.is_spilled());
-        let out = spill_distinct(input, &[0], &mgr).unwrap();
-        let got = collect_cursor(out.cursor(&mgr).unwrap()).unwrap();
-        assert_eq!(got.len(), 100);
-        let vals: Vec<u32> = got.iter().map(|r| r[0]).collect();
-        assert_eq!(vals, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn spilled_batches_free_their_runs_on_drop() {
         let backend = Arc::new(crate::backend::MemBackend::new());
         let mgr = SpillManager::new(1024, Arc::clone(&backend) as Arc<dyn StorageBackend>);
@@ -1004,5 +753,83 @@ mod tests {
         assert!(backend
             .read_range(RunHandle { id: 0, words: 2 }, 0, 2, &mut buf)
             .is_err());
+    }
+
+    #[test]
+    fn cross_product_of_spilled_relations_respects_the_budget() {
+        let mut db = Database::in_memory();
+        let a = db.create_table("a", TableSchema::new(vec!["x"])).unwrap();
+        let b = db.create_table("b", TableSchema::new(vec!["y"])).unwrap();
+        for i in 0..2000u32 {
+            db.insert(a, &[i]).unwrap();
+            db.insert(b, &[(i * 7) % 2000]).unwrap();
+        }
+        db.analyze_all();
+        let atom = |table, v| QueryAtom {
+            table,
+            bindings: vec![ColumnBinding::Var(v)],
+        };
+        let q = ConjunctiveQuery {
+            atoms: vec![atom(a, 0), atom(b, 1)],
+            anti_atoms: vec![],
+            neq: vec![],
+            neq_const: vec![],
+            ranges: vec![],
+            output: vec![0, 1],
+            distinct: false,
+        };
+        let cfg = OptimizerConfig::default();
+        let unbounded = SpillManager::in_memory(0);
+        let expected = execute_spill(&db, &q, &cfg, &unbounded)
+            .unwrap()
+            .into_batch()
+            .unwrap();
+        assert_eq!(expected.len(), 2000 * 2000);
+        assert_eq!(unbounded.stats().runs_written, 0);
+
+        let mgr = SpillManager::in_memory(4 * 1024);
+        let out = execute_spill(&db, &q, &cfg, &mgr).unwrap();
+        assert!(out.is_spilled());
+        // The product was cut into budget-sized runs as it was produced:
+        // far more runs than the two inputs alone account for.
+        let product_bytes = 2000 * 2000 * 2 * 4;
+        assert!(mgr.stats().runs_written as usize >= product_bytes / mgr.budget());
+        // Row for row: thousands of runs make the k-way cursor quadratic,
+        // so concatenate and sort instead.
+        let mut got = out.into_batch().unwrap();
+        got.sort_rows();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn spill_directory_is_created_lazily_and_removed_on_drop() {
+        use crate::backend::FileBackend;
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let fresh = std::env::temp_dir().join(format!(
+            "tuffy-lazy-spill-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&fresh).unwrap();
+        let entries = || std::fs::read_dir(&fresh).unwrap().count();
+        let manager =
+            |budget| SpillManager::new(budget, Arc::new(FileBackend::in_dir(&fresh).unwrap()));
+        let (db, q) = build_db(2000);
+        let cfg = OptimizerConfig::default();
+
+        let roomy = manager(64 << 20);
+        let out = execute_spill(&db, &q, &cfg, &roomy).unwrap();
+        assert!(!out.is_spilled());
+        assert_eq!(entries(), 0, "nothing overflowed: no spill directory");
+        drop((out, roomy));
+
+        let tight = manager(4 * 1024);
+        let out = execute_spill(&db, &q, &cfg, &tight).unwrap();
+        assert!(out.is_spilled());
+        let dir = std::fs::read_dir(&fresh).unwrap().next().unwrap().unwrap();
+        assert!(std::fs::read_dir(dir.path()).unwrap().count() > 0);
+        drop((out, tight));
+        assert_eq!(entries(), 0, "spill directory removed with its last user");
+        std::fs::remove_dir(&fresh).unwrap();
     }
 }

@@ -2,18 +2,21 @@
 //! queries over random data, every lesion configuration of the optimizer
 //! — `Auto` join order/algorithms versus the `Program` +
 //! `NestedLoopOnly` + no-pushdown baselines — produces the identical
-//! result multiset, and the produced plans satisfy their structural
-//! invariants (pre-order node ids, consistent widths, populated runtime
-//! counters). Plans are also pinned as a function of (query, `ANALYZE`
-//! statistics, config) alone: executing queries never changes them.
+//! canonical row sequence at every memory budget, and the produced plans
+//! satisfy their structural invariants (pre-order node ids, consistent
+//! widths, runtime counters populated for every node whether or not
+//! anything spilled). Plans are also pinned as a function of (query,
+//! `ANALYZE` statistics, config) alone: executing queries never changes
+//! them.
 
 use proptest::prelude::*;
-use tuffy_rdbms::executor::execute_profiled;
+use tuffy_rdbms::executor::{execute_plan, execute_profiled};
 use tuffy_rdbms::optimizer::{plan_analyzed, plan_query, run_query};
 use tuffy_rdbms::query::{ColumnBinding, ConjunctiveQuery, QueryAtom};
+use tuffy_rdbms::spill::collect_cursor;
 use tuffy_rdbms::{
-    execute_spill, Database, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig, PlanOp,
-    SpillManager, TableSchema,
+    execute_spill, Database, ExecProfile, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig,
+    PlanOp, SpillManager, TableSchema,
 };
 
 /// All sixteen lesion configurations (join order × algorithm × pushdown ×
@@ -116,20 +119,32 @@ fn build_query(
     q
 }
 
-fn run_sorted(db: &mut Database, q: &ConjunctiveQuery, cfg: &OptimizerConfig) -> Vec<Vec<u32>> {
+/// Plans `q` under `cfg` and executes the plan under a `budget`-byte
+/// manager (0 = unbounded), returning the canonical row sequence and the
+/// per-node profile.
+fn run_canonical(
+    db: &mut Database,
+    q: &ConjunctiveQuery,
+    cfg: &OptimizerConfig,
+    budget: usize,
+) -> (Vec<Vec<u32>>, ExecProfile) {
     let plan = plan_analyzed(db, q, cfg).expect("plannable query");
-    let (batch, profile) = execute_profiled(db, &plan).expect("executable plan");
+    let mgr = SpillManager::in_memory(budget);
+    let mut profile = ExecProfile::default();
+    let out = execute_plan(db, &plan, &mgr, Some(&mut profile)).expect("executable plan");
     // Structural invariants: pre-order ids, a metrics slot per node, and
     // the output width matching the query projection.
     let mut ids = Vec::new();
     plan.root.visit(&mut |n| ids.push(n.info.id));
     assert_eq!(ids, (0..plan.node_count).collect::<Vec<_>>());
     assert_eq!(profile.nodes.len(), plan.node_count);
-    assert_eq!(batch.width(), q.output.len());
-    assert_eq!(profile.nodes[0].rows_out, batch.len() as u64);
-    let mut rows: Vec<Vec<u32>> = batch.iter().map(<[u32]>::to_vec).collect();
-    rows.sort();
-    rows
+    assert_eq!(out.width(), q.output.len());
+    assert_eq!(profile.nodes[0].rows_out, out.rows() as u64);
+    if budget == 0 {
+        assert_eq!(mgr.stats().runs_written, 0, "unbounded budget spilled");
+    }
+    let batch = collect_cursor(out.cursor(&mgr).expect("readable result")).expect("merged result");
+    (batch.iter().map(<[u32]>::to_vec).collect(), profile)
 }
 
 /// A four-table chain query whose `A ⋈ B` prefix breaks the independence
@@ -236,11 +251,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole equivalence: every lesion configuration returns the
-    /// same result multiset as the full optimizer.
+    /// same canonical row sequence as the full optimizer, with nothing
+    /// spilled and under a budget small enough that joins partition and
+    /// intermediates are cut into runs. The budget changes residency
+    /// only: the same plan reports the same per-node row counts.
     #[test]
-    fn lesion_configs_agree_on_random_queries(
-        t0 in proptest::collection::vec((0u8..4, 0u8..4), 0..14),
-        t1 in proptest::collection::vec((0u8..4, 0u8..4), 0..14),
+    fn lesion_configs_and_budgets_agree_on_random_queries(
+        t0 in proptest::collection::vec((0u8..4, 0u8..4), 0..48),
+        t1 in proptest::collection::vec((0u8..4, 0u8..4), 0..48),
         atoms_raw in proptest::collection::vec((0u8..2, 0u8..14, 0u8..14), 1..4),
         anti_raw in (0u8..2, 0u8..14, 0u8..14),
         use_anti in any::<bool>(),
@@ -255,17 +273,25 @@ proptest! {
             neq,
             distinct,
         );
-        let reference = run_sorted(&mut db, &q, &all_configs()[0]);
-        for cfg in &all_configs()[1..] {
-            let got = run_sorted(&mut db, &q, cfg);
-            prop_assert_eq!(
-                &got,
-                &reference,
-                "config {:?} disagrees: {:?} vs {:?}",
-                cfg,
-                got,
-                reference
-            );
+        let (reference, _) = run_canonical(&mut db, &q, &all_configs()[0], 0);
+        for cfg in &all_configs() {
+            let (unbounded, resident) = run_canonical(&mut db, &q, cfg, 0);
+            let (budgeted, spilled) = run_canonical(&mut db, &q, cfg, 256);
+            for (budget, got) in [(0, &unbounded), (256, &budgeted)] {
+                prop_assert_eq!(
+                    got,
+                    &reference,
+                    "config {:?} at budget {} disagrees: {:?} vs {:?}",
+                    cfg,
+                    budget,
+                    got,
+                    reference
+                );
+            }
+            let counts = |p: &ExecProfile| {
+                p.nodes.iter().map(|m| (m.rows_in, m.rows_out)).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(counts(&spilled), counts(&resident), "config {:?}", cfg);
         }
     }
 
