@@ -150,27 +150,39 @@ impl std::fmt::Debug for Occurrence {
 
 /// One clause's violation cost and polarity in a single 16-byte record
 /// (the hot column of the flip loop): the soft cost `|w|` plus a flags
-/// word carrying the hard-violation unit and the violated-when-satisfied
-/// polarity. Zero-weight clauses are dropped at build time, so every
-/// retained clause has exactly one polarity.
+/// word carrying the hard-violation unit and one bit per satisfaction
+/// state in which the clause counts as violated. A positive weight sets
+/// the "when unsatisfied" bit, a negative weight the "when satisfied"
+/// bit, and a sign-less weight neither: [`MrfBuilder::finish`] drops
+/// zero-weight clauses, but [`Mrf::reweight`] has to keep a clause whose
+/// learned weights cancel, and it must be violated in no state — exactly
+/// [`Weight::violated_when`].
 #[derive(Clone, Copy, Debug, Default)]
 struct PackedViolation {
     /// `|w|` for soft clauses, `0.0` for hard.
     soft: f64,
-    /// Bit 0: one hard violation unit; bit 1: violated when satisfied
-    /// (negative weight).
+    /// Bit 0: one hard violation unit; bit 1: violated when unsatisfied;
+    /// bit 2: violated when satisfied.
     flags: u64,
 }
 
 impl PackedViolation {
     const HARD: u64 = 1;
-    const NEG: u64 = 2;
+    const WHEN_UNSATISFIED: u64 = 2;
+    /// The bit after [`Self::WHEN_UNSATISFIED`]: `violated_when` selects
+    /// between the two by shifting.
+    const WHEN_SATISFIED: u64 = Self::WHEN_UNSATISFIED << 1;
 
     fn of(weight: Weight) -> PackedViolation {
         let cost = Cost::of_violation(weight);
+        let polarity = match weight.signum() {
+            1 => Self::WHEN_UNSATISFIED,
+            -1 => Self::WHEN_SATISFIED,
+            _ => 0,
+        };
         PackedViolation {
             soft: cost.soft,
-            flags: cost.hard * Self::HARD + u64::from(weight.signum() < 0) * Self::NEG,
+            flags: cost.hard * Self::HARD + polarity,
         }
     }
 
@@ -184,7 +196,7 @@ impl PackedViolation {
 
     #[inline]
     fn violated_when(self, satisfied: bool) -> bool {
-        satisfied == (self.flags & Self::NEG != 0)
+        self.flags & (Self::WHEN_UNSATISFIED << u32::from(satisfied)) != 0
     }
 }
 
@@ -395,7 +407,9 @@ impl Mrf {
     /// must never reach the branchless flip loop's violation column.
     /// Since the clause set is fixed, a cancelled-to-zero merge cannot
     /// be dropped the way `finish` drops it; the neutral clause stays,
-    /// with zero violation cost either way.
+    /// violated in no state ([`Mrf::clause_violated_when`] is false
+    /// both ways, like [`Weight::violated_when`]) and so invisible to
+    /// search.
     ///
     /// `base_cost` is kept as-is: it holds constants folded from
     /// groundings that evidence decided *at grounding time*, under the
@@ -1047,8 +1061,8 @@ impl MrfBuilder {
             // Sign-less weights carry no violation polarity and can never
             // contribute cost (`Weight::violated_when` is false both
             // ways): exact 0.0 from cancelling merges, and NaN from a
-            // `+∞ + −∞` soft-literal merge. Dropping both keeps the
-            // "every retained clause has one polarity" column invariant.
+            // `+∞ + −∞` soft-literal merge. Drop both rather than carry
+            // dead clauses through every search.
             if c.weight.signum() == 0 {
                 for l in c.lits.iter() {
                     opaque_atoms[l.atom() as usize] = true;
@@ -1171,20 +1185,43 @@ mod tests {
         b.add_clause(vec![Lit::pos(0)], Weight::Soft(2.5));
         b.add_clause(vec![Lit::pos(1)], Weight::Soft(-1.5));
         b.add_clause(vec![Lit::pos(2)], Weight::Hard);
-        let m = b.finish();
-        for ci in 0..m.num_clauses() {
-            let w = m.clause_weight(ci);
-            for satisfied in [false, true] {
-                assert_eq!(
-                    m.clause_violated_when(ci, satisfied),
-                    w.violated_when(satisfied),
-                    "clause {ci} satisfied={satisfied}"
-                );
+        b.add_clause(vec![Lit::pos(3)], Weight::NegHard);
+        b.add_clause_from_rule(vec![Lit::pos(4)], Weight::Soft(1.0), 0);
+        b.add_clause_from_rule(vec![Lit::pos(5)], Weight::Soft(1.0), 1);
+        b.add_clause_from_rule(vec![Lit::pos(5)], Weight::Soft(1.0), 2);
+        let built = b.finish();
+        // `reweight` cannot drop a clause: a NaN learned weight and a
+        // merge that cancels to exactly 0 both stay, as the sign-less
+        // `Soft(0.0)`.
+        let reweighted = built
+            .reweight(&[
+                Weight::Soft(f64::NAN),
+                Weight::Soft(1.5),
+                Weight::Soft(-1.5),
+            ])
+            .expect("reweight");
+        assert_eq!(reweighted.clause_weight(4), Weight::Soft(0.0));
+        assert_eq!(reweighted.clause_weight(5), Weight::Soft(0.0));
+        for m in [&built, &reweighted] {
+            for ci in 0..m.num_clauses() {
+                let w = m.clause_weight(ci);
+                for satisfied in [false, true] {
+                    assert_eq!(
+                        m.clause_violated_when(ci, satisfied),
+                        w.violated_when(satisfied),
+                        "clause {ci} ({w}) satisfied={satisfied}"
+                    );
+                }
             }
         }
-        assert_eq!(m.violation_cost(0), Cost::soft(2.5));
-        assert_eq!(m.violation_cost(1), Cost::soft(1.5));
-        assert_eq!(m.violation_cost(2), Cost { hard: 1, soft: 0.0 });
+        assert_eq!(built.violation_cost(0), Cost::soft(2.5));
+        assert_eq!(built.violation_cost(1), Cost::soft(1.5));
+        assert_eq!(built.violation_cost(2), Cost { hard: 1, soft: 0.0 });
+        assert_eq!(built.violation_cost(3), Cost { hard: 1, soft: 0.0 });
+        // A sign-less clause costs nothing in any world.
+        assert_eq!(reweighted.violation_cost(4), Cost::ZERO);
+        assert_eq!(reweighted.cost(&[false; 6]), Cost { hard: 1, soft: 2.5 });
+        assert_eq!(reweighted.cost(&[true; 6]), Cost { hard: 1, soft: 1.5 });
     }
 
     #[test]

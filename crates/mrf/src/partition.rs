@@ -13,7 +13,6 @@
 use crate::graph::Mrf;
 use crate::lit::AtomId;
 use crate::unionfind::UnionFind;
-use tuffy_mln::fxhash::FxHashSet;
 
 /// The result of partitioning an MRF.
 #[derive(Clone, Debug)]
@@ -61,19 +60,21 @@ impl Partitioning {
             kb.total_cmp(&ka).then(a.cmp(&b))
         });
 
+        // Distinct roots touched by the clause at hand (one buffer for
+        // the whole scan).
+        let mut roots: Vec<u32> = Vec::new();
         for &ci in &order {
-            let clause = mrf.clause(ci as usize);
-            // Distinct roots touched by this clause, and the size a merge
-            // would produce.
-            let mut roots: Vec<u32> = Vec::with_capacity(clause.lits.len());
-            for l in clause.lits.iter() {
+            let lits = mrf.clause_lits(ci as usize);
+            roots.clear();
+            for l in lits {
                 let r = uf.find(l.atom());
                 if !roots.contains(&r) {
                     roots.push(r);
                 }
             }
+            // The size a merge would produce.
             let merged: u64 =
-                roots.iter().map(|&r| size[r as usize]).sum::<u64>() + clause.lits.len() as u64;
+                roots.iter().map(|&r| size[r as usize]).sum::<u64>() + lits.len() as u64;
             if merged > beta as u64 {
                 continue; // skipping keeps every partition within β
             }
@@ -96,13 +97,15 @@ impl Partitioning {
             .collect();
         let mut internal_clauses: Vec<Vec<u32>> = vec![Vec::new(); count];
         let mut cut_clauses = Vec::new();
-        for (i, c) in mrf.clauses().iter().enumerate() {
-            let parts: FxHashSet<u32> = c.lits.iter().map(|l| label[l.atom() as usize]).collect();
-            if parts.len() == 1 {
-                let p = *parts.iter().next().unwrap();
-                internal_clauses[p as usize].push(i as u32);
+        for ci in 0..mrf.num_clauses() {
+            // Clauses are never empty (an empty clause folds into
+            // `base_cost`), so the first literal names the candidate.
+            let lits = mrf.clause_lits(ci);
+            let p = label[lits[0].atom() as usize];
+            if lits[1..].iter().all(|l| label[l.atom() as usize] == p) {
+                internal_clauses[p as usize].push(ci as u32);
             } else {
-                cut_clauses.push(i as u32);
+                cut_clauses.push(ci as u32);
             }
         }
         Partitioning {
@@ -237,5 +240,99 @@ mod tests {
         // Both merges fit independently (each forms its own partition).
         assert_eq!(p.count(), 2);
         assert!(p.cut_clauses.is_empty());
+    }
+    /// Algorithm 3 as first written: a fresh root list per clause in the
+    /// merge scan and a label *set* per clause in the classification.
+    /// `compute` must produce this, element for element.
+    fn reference(mrf: &Mrf, beta: usize) -> Partitioning {
+        use std::collections::BTreeSet;
+        let n = mrf.num_atoms();
+        let mut uf = UnionFind::new(n);
+        let mut size: Vec<u64> = vec![1; n];
+        let magnitude = |ci: u32| {
+            mrf.clause_weight(ci as usize)
+                .magnitude()
+                .unwrap_or(f64::INFINITY)
+        };
+        let mut order: Vec<u32> = (0..mrf.num_clauses() as u32).collect();
+        order.sort_by(|&a, &b| magnitude(b).total_cmp(&magnitude(a)).then(a.cmp(&b)));
+        for &ci in &order {
+            let clause = mrf.clause(ci as usize);
+            let mut roots: Vec<u32> = Vec::new();
+            for l in clause.lits.iter() {
+                let r = uf.find(l.atom());
+                if !roots.contains(&r) {
+                    roots.push(r);
+                }
+            }
+            let merged: u64 =
+                roots.iter().map(|&r| size[r as usize]).sum::<u64>() + clause.lits.len() as u64;
+            if merged > beta as u64 {
+                continue;
+            }
+            let mut root = roots[0];
+            for &r in &roots[1..] {
+                root = uf.union(root, r);
+            }
+            size[root as usize] = merged;
+        }
+        let label = uf.dense_labels();
+        let mut atoms: Vec<Vec<AtomId>> = vec![Vec::new(); uf.set_count()];
+        for (a, &l) in label.iter().enumerate() {
+            atoms[l as usize].push(a as AtomId);
+        }
+        let tracked_size = atoms
+            .iter()
+            .map(|members| members.first().map_or(0, |&a| size[uf.find(a) as usize]))
+            .collect();
+        let mut internal_clauses: Vec<Vec<u32>> = vec![Vec::new(); atoms.len()];
+        let mut cut_clauses = Vec::new();
+        for (i, c) in mrf.clauses().iter().enumerate() {
+            let parts: BTreeSet<u32> = c.lits.iter().map(|l| label[l.atom() as usize]).collect();
+            if parts.len() == 1 {
+                internal_clauses[*parts.first().unwrap() as usize].push(i as u32);
+            } else {
+                cut_clauses.push(i as u32);
+            }
+        }
+        Partitioning {
+            label,
+            atoms,
+            internal_clauses,
+            cut_clauses,
+            beta,
+            tracked_size,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn compute_matches_the_reference_definition(
+            clauses in proptest::collection::vec(
+                (proptest::collection::vec((0u32..14, proptest::prelude::any::<bool>()), 1..5), -3i8..4),
+                0..40,
+            ),
+            beta in 2usize..60,
+            unbounded in proptest::prelude::any::<bool>(),
+        ) {
+            let beta = if unbounded { usize::MAX } else { beta };
+            let mut b = MrfBuilder::new();
+            b.reserve_atoms(16); // atoms 14 and 15 are in no clause
+            for (lits, w) in &clauses {
+                let lits = lits.iter().map(|&(a, pos)| Lit::new(a, pos)).collect();
+                let weight = match *w {
+                    0 => Weight::Hard,
+                    w => Weight::Soft(f64::from(w)),
+                };
+                b.add_clause(lits, weight);
+            }
+            let m = b.finish();
+            let (got, want) = (Partitioning::compute(&m, beta), reference(&m, beta));
+            proptest::prop_assert_eq!(got.label, want.label);
+            proptest::prop_assert_eq!(got.atoms, want.atoms);
+            proptest::prop_assert_eq!(got.internal_clauses, want.internal_clauses);
+            proptest::prop_assert_eq!(got.cut_clauses, want.cut_clauses);
+            proptest::prop_assert_eq!(got.tracked_size, want.tracked_size);
+        }
     }
 }

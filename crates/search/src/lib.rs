@@ -2,7 +2,8 @@
 //!
 //! The search half of Tuffy's MAP inference (paper §2.3, §3.2–3.4):
 //!
-//! * [`walksat`] — the WalkSAT algorithm (Appendix A.4, Algorithm 1) with
+//! * [`walksat`] — the WalkSAT algorithm (Appendix A.4, Algorithm 1), over
+//!   a whole MRF or in place over one closed part of it, with
 //!   incremental cost bookkeeping, an O(1)-sample violated-clause set,
 //!   negative-weight and hard-clause handling, and flip-rate
 //!   instrumentation (Table 3);
@@ -33,4 +34,4 @@ pub use scheduler::{
     MarginalSamples, Schedule, ScheduleResult, ScheduleUnit, Scheduler, SchedulerConfig,
 };
 pub use timecost::{TimeCostTrace, TracePoint};
-pub use walksat::{WalkSat, WalkSatParams};
+pub use walksat::{SearchScratch, WalkSat, WalkSatParams};

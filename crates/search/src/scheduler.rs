@@ -14,10 +14,17 @@
 //!    work-stealing worker pool. Within a bin every partition is searched
 //!    against the assignment *snapshotted at the bin's start* (block
 //!    Jacobi), while later bins — and later Gauss-Seidel rounds — see all
-//!    earlier updates (Gauss-Seidel). Cut clauses are conditioned on the
-//!    snapshot exactly as §3.4 describes: externally satisfied cut
-//!    clauses drop out for the pass, the rest lose their external
-//!    literals.
+//!    earlier updates (Gauss-Seidel). A partition no cut clause touches —
+//!    every connected component, so every partition when no budget is
+//!    given — is searched *in place*: a [`WalkSat`] scoped to the
+//!    partition's atom and clause lists runs directly on the MRF's
+//!    shared CSR arenas, in a per-worker [`SearchScratch`] that lives for
+//!    the whole run, so a pass copies, hashes and allocates nothing that
+//!    grows with the clause count. Only a partition that touches cut
+//!    clauses is copied out, because conditioning makes it a different
+//!    MRF, exactly as §3.4 describes: externally satisfied cut clauses
+//!    drop out for the pass, the rest lose their external literals
+//!    ([`Scheduler::condition_unit`]).
 //! 3. **Converge**: rounds stop early once a full sweep leaves the
 //!    assignment unchanged.
 //!
@@ -29,7 +36,7 @@
 
 use crate::mcsat::{McSat, McSatParams};
 use crate::timecost::TimeCostTrace;
-use crate::walksat::{WalkSat, WalkSatParams};
+use crate::walksat::{SearchScratch, WalkSat, WalkSatParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tuffy_mln::fxhash::FxHashMap;
@@ -369,13 +376,15 @@ impl<'a> Scheduler<'a> {
         let rounds = self.rounds();
         let mut rounds_run = 0;
         let mut converged = false;
+        // One per worker, for every in-place pass of the run.
+        let mut scratch = self.per_worker(SearchScratch::default);
 
         for round in 0..rounds {
             rounds_run = round + 1;
             let mut round_changed = false;
             for bin in &self.schedule.bins {
                 let snapshot = truth.clone();
-                let outcomes = self.run_bin(bin, &snapshot, round);
+                let outcomes = self.run_bin(bin, &snapshot, round, &mut scratch);
                 // Merge in schedule order — identical for any pool size.
                 for (&ui, outcome) in bin.items.iter().zip(outcomes) {
                     let unit = &self.schedule.units[ui];
@@ -467,10 +476,9 @@ impl<'a> Scheduler<'a> {
         let mut clause_sat = vec![f64::NAN; self.mrf.num_clauses()];
         for bin in &self.schedule.bins {
             let jobs = &bin.items;
-            let run_unit = |ui: usize| -> (Vec<f64>, Vec<(u32, f64)>, u64) {
+            let run_unit = |_: &mut (), ui: usize| -> (Vec<f64>, Vec<(u32, f64)>, u64) {
                 let unit = &self.schedule.units[ui];
-                let atoms = &self.schedule.parts.atoms[unit.part];
-                let cu = self.condition_unit_tracked(unit.part, atoms, &condition_state);
+                let cu = self.condition_unit_tracked(unit.part, &condition_state);
                 let seed = derive_seed(params.seed, unit.part, 0);
                 let mut mc =
                     McSat::new(&cu.sub, seed).expect("weights validated non-negative above");
@@ -489,7 +497,7 @@ impl<'a> Scheduler<'a> {
                 }
                 (probs, sat, mc.flips())
             };
-            let locals = self.pool_map(jobs, run_unit);
+            let locals = self.pool_map(jobs, &mut self.per_worker(|| ()), run_unit);
             for (&ui, (local, sat, unit_flips)) in jobs.iter().zip(locals) {
                 let atoms = &self.schedule.parts.atoms[self.schedule.units[ui].part];
                 for (i, &a) in atoms.iter().enumerate() {
@@ -522,48 +530,71 @@ impl<'a> Scheduler<'a> {
 
     /// Executes one bin: workers steal partition passes off a shared
     /// queue; outcomes come back in schedule order.
-    fn run_bin(&self, bin: &Bin, snapshot: &[bool], round: usize) -> Vec<UnitOutcome> {
-        let total_atoms = self.mrf.num_atoms().max(1) as u64;
-        let rounds = self.rounds() as u64;
+    fn run_bin(
+        &self,
+        bin: &Bin,
+        snapshot: &[bool],
+        round: usize,
+        scratch: &mut [SearchScratch],
+    ) -> Vec<UnitOutcome> {
+        // `max_flips` is whatever the caller asked for, up to `u64::MAX`:
+        // take the proportion in 128 bits. A unit's share is at most
+        // `max_flips`, so it fits back.
+        let max_flips = u128::from(self.config.search.max_flips);
+        let all_passes = self.mrf.num_atoms().max(1) as u128 * self.rounds() as u128;
         let budget_of = |u: &ScheduleUnit| {
-            (self.config.search.max_flips * u.atom_count as u64 / (total_atoms * rounds)).max(1)
+            let share = max_flips * u.atom_count as u128 / all_passes;
+            u64::try_from(share).unwrap_or(u64::MAX).max(1)
         };
-        let pass = |ui: usize| {
+        let pass = |scratch: &mut SearchScratch, ui: usize| {
             let unit = &self.schedule.units[ui];
             self.run_unit_pass(
                 unit,
                 snapshot,
                 budget_of(unit),
                 derive_seed(self.config.search.seed, unit.part, round),
+                scratch,
             )
         };
-        self.pool_map(&bin.items, pass)
+        self.pool_map(&bin.items, scratch, pass)
+    }
+
+    /// One state per pool worker (see [`Scheduler::pool_map`]).
+    fn per_worker<S>(&self, state: impl FnMut() -> S) -> Vec<S> {
+        std::iter::repeat_with(state)
+            .take(self.config.threads.max(1))
+            .collect()
     }
 
     /// Maps `f` over unit indices with the work-stealing pool: workers
     /// claim the next job off a shared counter as they finish, results
-    /// come back in job order. Sequential (no threads spawned) when the
-    /// pool — or the job list — has a single entry.
-    fn pool_map<T, F>(&self, jobs: &[usize], f: F) -> Vec<T>
+    /// come back in job order. Each worker owns one entry of `states`
+    /// (from [`Scheduler::per_worker`]) for the duration of the call.
+    /// Sequential (no threads spawned) when the pool — or the job list —
+    /// has a single entry.
+    fn pool_map<S, T, F>(&self, jobs: &[usize], states: &mut [S], f: F) -> Vec<T>
     where
+        S: Send,
         T: Send,
-        F: Fn(usize) -> T + Sync,
+        F: Fn(&mut S, usize) -> T + Sync,
     {
-        let workers = self.config.threads.max(1).min(jobs.len());
+        let workers = states.len().min(jobs.len());
         if workers <= 1 {
-            return jobs.iter().map(|&ui| f(ui)).collect();
+            let state = &mut states[0];
+            return jobs.iter().map(|&ui| f(state, ui)).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<parking_lot::Mutex<Option<T>>> =
             jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
         crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
+            for state in &mut states[..workers] {
+                let (next, slots, f) = (&next, &slots, &f);
+                scope.spawn(move |_| loop {
                     let j = next.fetch_add(1, Ordering::Relaxed);
                     if j >= jobs.len() {
                         break;
                     }
-                    *slots[j].lock() = Some(f(jobs[j]));
+                    *slots[j].lock() = Some(f(state, jobs[j]));
                 });
             }
         })
@@ -574,57 +605,63 @@ impl<'a> Scheduler<'a> {
             .collect()
     }
 
-    /// One WalkSAT pass over a conditioned partition.
+    /// One WalkSAT pass over a partition, from the snapshot's state.
+    ///
+    /// A partition no cut clause touches is a closed scope of the MRF,
+    /// so it is searched where it lies, in the worker's `scratch` (see
+    /// [`WalkSat::in_scope`] for why the trajectory equals that of a
+    /// relabelled copy). Its footprint is the planned `est_bytes`: what
+    /// [`MemoryFootprint::of`] would report for that copy. A partition
+    /// with cut clauses is searched as its conditioned copy.
     fn run_unit_pass(
         &self,
         unit: &ScheduleUnit,
         snapshot: &[bool],
         budget: u64,
         seed: u64,
+        scratch: &mut SearchScratch,
     ) -> UnitOutcome {
-        let atoms = &self.schedule.parts.atoms[unit.part];
-        let (sub, init) = self.condition_unit(unit.part, atoms, snapshot);
-        let bytes = MemoryFootprint::of(&sub).total();
-        let mut ws = WalkSat::with_assignment(&sub, init, seed);
-        let mut trace = TimeCostTrace::new();
-        trace.record(0, ws.best_cost());
-        let mut last_best = ws.best_cost();
-        for _ in 0..budget {
-            if !ws.step(self.config.search.noise) {
-                break;
-            }
-            if ws.best_cost().better_than(last_best) {
-                last_best = ws.best_cost();
-                trace.record(ws.flips(), ws.best_cost());
-            }
+        let noise = self.config.search.noise;
+        if unit.cut_clauses > 0 {
+            let (sub, init) = self.condition_unit(unit.part, snapshot);
+            let bytes = MemoryFootprint::of(&sub).total();
+            let mut ws = WalkSat::with_assignment(&sub, init, seed);
+            return search_pass(&mut ws, budget, noise, bytes);
         }
-        UnitOutcome {
-            truth: ws.best_truth().to_vec(),
-            flips: ws.flips(),
-            bytes,
-            trace,
-        }
+        let parts = &self.schedule.parts;
+        let mut ws = WalkSat::in_scope(
+            self.mrf,
+            &parts.atoms[unit.part],
+            &parts.internal_clauses[unit.part],
+            snapshot,
+            seed,
+            std::mem::take(scratch),
+        );
+        let outcome = search_pass(&mut ws, budget, noise, unit.est_bytes);
+        *scratch = ws.into_scratch();
+        outcome
     }
 
     /// Builds the sub-MRF of partition `pi` conditioned on the rest of
-    /// the snapshot (§3.4), plus the partition's initial state: internal
+    /// `global` (§3.4), plus the partition's initial state: internal
     /// clauses come over verbatim; cut clauses with an externally
     /// satisfied literal drop out for the pass; other cut clauses lose
-    /// their external literals.
-    fn condition_unit(&self, pi: usize, atoms: &[AtomId], global: &[bool]) -> (Mrf, Vec<bool>) {
-        let cu = self.condition_unit_tracked(pi, atoms, global);
+    /// their external literals. Atom `i` of the copy is
+    /// `parts.atoms[pi][i]`.
+    ///
+    /// MAP passes need this only for partitions that touch cut clauses;
+    /// for any other partition the copy is the in-place scope relabelled,
+    /// which makes it the oracle the in-place path is tested against.
+    pub fn condition_unit(&self, pi: usize, global: &[bool]) -> (Mrf, Vec<bool>) {
+        let cu = self.condition_unit_tracked(pi, global);
         (cu.sub, cu.init)
     }
 
     /// [`Scheduler::condition_unit`] that also maps every global clause
     /// of the partition to its fate in the sub-MRF, so per-sub-clause
     /// sampler statistics can be attributed back to global clause ids.
-    fn condition_unit_tracked(
-        &self,
-        pi: usize,
-        atoms: &[AtomId],
-        global: &[bool],
-    ) -> ConditionedUnit {
+    fn condition_unit_tracked(&self, pi: usize, global: &[bool]) -> ConditionedUnit {
+        let atoms = &self.schedule.parts.atoms[pi];
         let mut dense: FxHashMap<AtomId, AtomId> = FxHashMap::default();
         for (i, &a) in atoms.iter().enumerate() {
             dense.insert(a, i as AtomId);
@@ -722,6 +759,29 @@ struct ConditionedUnit {
     /// Clauses the sub-MRF cannot represent (conditioned to a constant,
     /// or merged weight cancelled), with their truth at the state.
     residual: Vec<(u32, bool)>,
+}
+
+/// Spends up to `budget` flips on `ws`, recording every improvement of
+/// its best cost; `bytes` is the footprint to report for the pass.
+fn search_pass(ws: &mut WalkSat<'_>, budget: u64, noise: f64, bytes: usize) -> UnitOutcome {
+    let mut trace = TimeCostTrace::new();
+    trace.record(0, ws.best_cost());
+    let mut last_best = ws.best_cost();
+    for _ in 0..budget {
+        if !ws.step(noise) {
+            break;
+        }
+        if ws.best_cost().better_than(last_best) {
+            last_best = ws.best_cost();
+            trace.record(ws.flips(), ws.best_cost());
+        }
+    }
+    UnitOutcome {
+        truth: ws.best_truth().to_vec(),
+        flips: ws.flips(),
+        bytes,
+        trace,
+    }
 }
 
 /// Derives the RNG seed of one partition pass. Depends only on the base
@@ -880,12 +940,11 @@ mod tests {
         // With the bridge clause ¬a0 ∨ b0: if the external side satisfies
         // it, the conditioned sub-MRF drops the clause.
         let pi = s.schedule().parts.label[0] as usize;
-        let atoms = s.schedule().parts.atoms[pi].clone();
         let mut global = vec![false; m.num_atoms()];
         global[3] = true; // external literal true
-        let (sub_sat, _) = s.condition_unit(pi, &atoms, &global);
+        let (sub_sat, _) = s.condition_unit(pi, &global);
         let global_unsat = vec![false; m.num_atoms()];
-        let (sub_unsat, _) = s.condition_unit(pi, &atoms, &global_unsat);
+        let (sub_unsat, _) = s.condition_unit(pi, &global_unsat);
         assert_eq!(sub_sat.clauses().len() + 1, sub_unsat.clauses().len());
     }
 
@@ -944,6 +1003,35 @@ mod tests {
             mono.best_cost(),
             aware
         );
+    }
+
+    #[test]
+    fn unit_budgets_survive_an_unbounded_flip_limit() {
+        // `max_flips × atom_count` in u64 panics under the dev profile's
+        // overflow checks and wraps in release — for 2⁶³ × 2 atoms to a
+        // budget of one flip. Every component here is satisfiable, so
+        // with its real budget each pass stops at its zero-cost world.
+        let mut b = MrfBuilder::new();
+        for i in 0..8u32 {
+            b.add_clause(
+                vec![Lit::pos(2 * i), Lit::pos(2 * i + 1)],
+                Weight::Soft(1.0),
+            );
+            b.add_clause(vec![Lit::neg(2 * i)], Weight::Soft(0.5));
+        }
+        let m = b.finish();
+        for max_flips in [u64::MAX, 1 << 63] {
+            let s = Scheduler::new(
+                &m,
+                SchedulerConfig {
+                    threads: 2,
+                    ..config(max_flips, 3)
+                },
+            );
+            assert_eq!(s.schedule().units.len(), 8);
+            let r = s.run(None);
+            assert!(r.cost.is_zero(), "max_flips={max_flips}: cost {}", r.cost);
+        }
     }
 
     #[test]

@@ -18,6 +18,32 @@
 //! precomputed columns ([`Mrf::violation_cost`],
 //! [`Mrf::clause_violated_when`]) rather than per-visit matches on the
 //! weight enum.
+//!
+//! # Scope and scratch
+//!
+//! A solver searches a *scope* of its MRF: either everything
+//! ([`WalkSat::new`], [`WalkSat::with_assignment`]) or one closed part of
+//! it ([`WalkSat::in_scope`]) — a set of atoms plus exactly the clauses
+//! touching them, which is what a partition with no cut clause is (§3.3).
+//! The truth and per-clause columns are indexed by the MRF's *own* atom
+//! and clause ids either way, so a scoped pass runs on the shared CSR
+//! arenas as they are: nothing is copied, relabelled or hashed. Only
+//! start-up, restarts and the best-state copy look at the scope lists;
+//! `delta`/`flip`/`step` never leave the scope because it is closed.
+//!
+//! The columns live in a [`SearchScratch`] that a scoped solver borrows by
+//! value and hands back ([`WalkSat::into_scratch`]). A pass initialises
+//! the entries of its own scope and reads no others, so one scratch
+//! serves any sequence of scopes of one MRF without being cleaned in
+//! between.
+//!
+//! A scoped pass is trajectory-identical to a solver over the scope
+//! copied out as an MRF of its own with atoms and clauses relabelled in
+//! ascending order (`Scheduler::condition_unit` builds that copy, and
+//! the tests use it as the oracle): the relabelling is monotone, so violated-set positions, clause literals
+//! and occurrence lists are visited in the same order and the same
+//! floats are summed in the same order. The scope's cost excludes the
+//! MRF's `base_cost`, as the copy's would.
 
 use crate::timecost::TimeCostTrace;
 use rand::rngs::StdRng;
@@ -116,16 +142,6 @@ impl ViolatedSet {
         slots[x as usize].pos = u32::MAX;
     }
 
-    /// Empties the set in O(|members|), keeping the allocation — the
-    /// restart path ([`WalkSat::randomize`]) reuses the set instead of
-    /// reallocating it.
-    fn clear(&mut self, slots: &mut [ClauseSlot]) {
-        for &x in &self.members {
-            slots[x as usize].pos = u32::MAX;
-        }
-        self.members.clear();
-    }
-
     #[inline]
     fn len(&self) -> usize {
         self.members.len()
@@ -142,7 +158,33 @@ impl ViolatedSet {
     }
 }
 
-/// In-memory WalkSAT over one MRF.
+/// The part of an MRF a solver searches (see the module docs).
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    /// Every atom and clause; the cost includes the MRF's `base_cost`.
+    All,
+    /// The listed atoms and clauses, both ascending and closed under
+    /// "clause touches atom".
+    Part {
+        atoms: &'a [AtomId],
+        clauses: &'a [u32],
+    },
+}
+
+/// The mutable columns of a search — truth value per atom, search state
+/// per clause, the violated set and the best state seen — indexed by the
+/// MRF's own ids, so one allocation serves any number of scoped passes
+/// ([`WalkSat::in_scope`]) over one MRF. Starts empty and is sized by its
+/// first use: 8 bytes per clause and 1 per atom of the *whole* MRF.
+#[derive(Debug, Default)]
+pub struct SearchScratch {
+    truth: Vec<bool>,
+    slots: Vec<ClauseSlot>,
+    violated: ViolatedSet,
+    best_truth: Vec<bool>,
+}
+
+/// In-memory WalkSAT over one MRF, or over one closed scope of it.
 ///
 /// The mutable per-clause search state (true-literal counter +
 /// violated-set position) lives in one dense 8-byte `ClauseSlot`
@@ -152,6 +194,7 @@ impl ViolatedSet {
 /// satisfied boundary.
 pub struct WalkSat<'a> {
     mrf: &'a Mrf,
+    scope: Scope<'a>,
     truth: Vec<bool>,
     slots: Vec<ClauseSlot>,
     violated: ViolatedSet,
@@ -187,50 +230,148 @@ impl<'a> WalkSat<'a> {
         ws
     }
 
-    /// Creates a solver starting from a given assignment.
+    /// Creates a solver over the whole MRF starting from a given
+    /// assignment.
     pub fn with_assignment(mrf: &'a Mrf, truth: Vec<bool>, seed: u64) -> WalkSat<'a> {
         assert_eq!(truth.len(), mrf.num_atoms());
-        let mut ws = WalkSat {
-            mrf,
+        let scratch = SearchScratch {
             truth,
             slots: vec![ClauseSlot::EMPTY; mrf.num_clauses()],
-            violated: ViolatedSet::default(),
+            ..Default::default()
+        };
+        Self::start(mrf, Scope::All, scratch, seed)
+    }
+
+    /// Creates a solver over one closed scope of `mrf`, starting from
+    /// `assignment` (indexed by the MRF's atom ids; only the scope's
+    /// entries are read) and keeping its state in `scratch`, which
+    /// [`WalkSat::into_scratch`] hands back for the next pass.
+    ///
+    /// `atoms` and `clauses` must be ascending and closed: every clause
+    /// containing a listed atom is listed, and every literal of a listed
+    /// clause is on a listed atom — a connected component, or any
+    /// partition no cut clause touches. The solver's costs cover the
+    /// listed clauses only, and [`WalkSat::best_truth`] is aligned with
+    /// `atoms`.
+    pub fn in_scope(
+        mrf: &'a Mrf,
+        atoms: &'a [AtomId],
+        clauses: &'a [u32],
+        assignment: &[bool],
+        seed: u64,
+        mut scratch: SearchScratch,
+    ) -> WalkSat<'a> {
+        assert_eq!(assignment.len(), mrf.num_atoms());
+        debug_assert!(scope_is_closed(mrf, atoms, clauses), "scope is not closed");
+        scratch.truth.resize(mrf.num_atoms(), false);
+        scratch.slots.resize(mrf.num_clauses(), ClauseSlot::EMPTY);
+        for &a in atoms {
+            scratch.truth[a as usize] = assignment[a as usize];
+        }
+        Self::start(mrf, Scope::Part { atoms, clauses }, scratch, seed)
+    }
+
+    fn start(mrf: &'a Mrf, scope: Scope<'a>, scratch: SearchScratch, seed: u64) -> WalkSat<'a> {
+        let SearchScratch {
+            truth,
+            slots,
+            violated,
+            best_truth,
+        } = scratch;
+        let mut ws = WalkSat {
+            mrf,
+            scope,
+            truth,
+            slots,
+            violated,
             cost: Cost::ZERO,
             best_cost: Cost::ZERO,
-            best_truth: Vec::new(),
+            best_truth,
             flips: 0,
             rng: StdRng::seed_from_u64(seed),
         };
         ws.recompute();
-        ws.best_cost = ws.cost;
-        ws.best_truth = ws.truth.clone();
+        ws.save_best();
         ws
     }
 
-    /// Rebuilds counters and cost from the current assignment (reusing
-    /// the violated-set allocation across restarts).
+    /// Ends the search, releasing the columns for the next scoped pass.
+    pub fn into_scratch(self) -> SearchScratch {
+        SearchScratch {
+            truth: self.truth,
+            slots: self.slots,
+            violated: self.violated,
+            best_truth: self.best_truth,
+        }
+    }
+
+    /// Rebuilds the scope's counters, violated set and cost from the
+    /// current assignment. Every slot of the scope is overwritten, so
+    /// whatever an earlier pass (a previous try, or another scope
+    /// sharing the scratch) left behind does not matter.
     fn recompute(&mut self) {
-        self.cost = self.mrf.base_cost;
-        self.violated.clear(&mut self.slots);
-        for ci in 0..self.mrf.num_clauses() {
-            let nt = self.mrf.clause(ci).true_count(&self.truth) as u32;
-            self.slots[ci].num_true = nt;
-            if self.mrf.clause_violated_when(ci, nt > 0) {
-                self.violated.insert(&mut self.slots, ci as u32);
-                self.cost = self.cost.add(self.mrf.violation_cost(ci));
+        self.violated.members.clear();
+        match self.scope {
+            Scope::All => {
+                self.cost = self.mrf.base_cost;
+                for ci in 0..self.mrf.num_clauses() {
+                    self.count_clause(ci);
+                }
+            }
+            Scope::Part { clauses, .. } => {
+                self.cost = Cost::ZERO;
+                for &ci in clauses {
+                    self.count_clause(ci as usize);
+                }
             }
         }
     }
 
-    /// Randomizes the assignment (a WalkSAT "try").
+    #[inline]
+    fn count_clause(&mut self, ci: usize) {
+        let nt = self.mrf.clause(ci).true_count(&self.truth) as u32;
+        self.slots[ci] = ClauseSlot {
+            num_true: nt,
+            pos: u32::MAX,
+        };
+        if self.mrf.clause_violated_when(ci, nt > 0) {
+            self.violated.insert(&mut self.slots, ci as u32);
+            self.cost = self.cost.add(self.mrf.violation_cost(ci));
+        }
+    }
+
+    /// Records the current state as the best seen. The copy reuses
+    /// `best_truth`'s allocation; a scoped solver gathers its own atoms
+    /// only.
+    fn save_best(&mut self) {
+        self.best_cost = self.cost;
+        match self.scope {
+            Scope::All => self.best_truth.clone_from(&self.truth),
+            Scope::Part { atoms, .. } => {
+                self.best_truth.clear();
+                self.best_truth
+                    .extend(atoms.iter().map(|&a| self.truth[a as usize]));
+            }
+        }
+    }
+
+    /// Randomizes the scope's assignment (a WalkSAT "try").
     pub fn randomize(&mut self) {
-        for t in &mut self.truth {
-            *t = self.rng.gen();
+        match self.scope {
+            Scope::All => {
+                for t in &mut self.truth {
+                    *t = self.rng.gen();
+                }
+            }
+            Scope::Part { atoms, .. } => {
+                for &a in atoms {
+                    self.truth[a as usize] = self.rng.gen();
+                }
+            }
         }
         self.recompute();
-        if self.cost.better_than(self.best_cost) || self.best_truth.is_empty() {
-            self.best_cost = self.cost;
-            self.best_truth = self.truth.clone();
+        if self.cost.better_than(self.best_cost) {
+            self.save_best();
         }
     }
 
@@ -244,12 +385,14 @@ impl<'a> WalkSat<'a> {
         self.best_cost
     }
 
-    /// Best assignment seen so far.
+    /// Best assignment seen so far: one entry per atom of the scope, in
+    /// the scope's order (so the whole assignment for an unscoped solver).
     pub fn best_truth(&self) -> &[bool] {
         &self.best_truth
     }
 
-    /// Current assignment.
+    /// Current assignment, indexed by the MRF's atom ids. Entries outside
+    /// a scoped solver's scope are whatever the scratch held.
     pub fn truth(&self) -> &[bool] {
         &self.truth
     }
@@ -329,8 +472,7 @@ impl<'a> WalkSat<'a> {
             }
         }
         if self.cost.better_than(self.best_cost) {
-            self.best_cost = self.cost;
-            self.best_truth.copy_from_slice_checked(&self.truth);
+            self.save_best();
         }
     }
 
@@ -398,21 +540,24 @@ impl<'a> WalkSat<'a> {
     }
 }
 
-/// Extension: length-checked copy (avoids realloc in the hot path).
-trait CopyChecked {
-    fn copy_from_slice_checked(&mut self, src: &[bool]);
-}
-
-impl CopyChecked for Vec<bool> {
-    #[inline]
-    fn copy_from_slice_checked(&mut self, src: &[bool]) {
-        if self.len() == src.len() {
-            self.copy_from_slice(src);
-        } else {
-            self.clear();
-            self.extend_from_slice(src);
-        }
+/// Whether `atoms` and `clauses` (both ascending) are closed under
+/// "clause touches atom" — the precondition of [`WalkSat::in_scope`].
+fn scope_is_closed(mrf: &Mrf, atoms: &[AtomId], clauses: &[u32]) -> bool {
+    if !atoms.windows(2).all(|w| w[0] < w[1]) || !clauses.windows(2).all(|w| w[0] < w[1]) {
+        return false;
     }
+    let occurrences: usize = atoms.iter().map(|&a| mrf.occurrences(a).len()).sum();
+    let mut literals = 0;
+    for &ci in clauses {
+        let lits = mrf.clause_lits(ci as usize);
+        if !lits.iter().all(|l| atoms.binary_search(&l.atom()).is_ok()) {
+            return false;
+        }
+        literals += lits.len();
+    }
+    // Every literal of a listed clause is an occurrence of a listed atom;
+    // equal counts mean no listed atom occurs anywhere else.
+    occurrences == literals
 }
 
 #[cfg(test)]
