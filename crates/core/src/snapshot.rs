@@ -543,7 +543,14 @@ impl Snapshot {
     /// Routing matches [`Snapshot::query`]'s marginal path: per-partition
     /// MC-SAT through the scheduler when threads or a memory budget are
     /// configured, one monolithic sampler otherwise.
+    ///
+    /// Errors if `params.samples` is 0: no sample estimates nothing.
     pub fn marginal_stats(&self, params: &McSatParams) -> Result<Arc<MarginalSamples>, MlnError> {
+        if params.samples == 0 {
+            return Err(MlnError::general(
+                "MC-SAT marginal inference needs at least one sample",
+            ));
+        }
         let caches = &self.inner.caches;
         let key = (self.inner.generation, mcsat_fingerprint(params));
         if let Some(hit) = caches.marginals.lock().expect("marginal cache").get(&key) {

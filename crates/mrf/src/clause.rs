@@ -113,14 +113,6 @@ impl ClauseRef<'_> {
         }
         Cost::of_violation(self.weight)
     }
-
-    /// Copies the borrowed clause into an owned [`GroundClause`].
-    pub fn to_ground(self) -> GroundClause {
-        GroundClause {
-            lits: self.lits.into(),
-            weight: self.weight,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -235,9 +235,9 @@ pub struct Mrf {
     /// `origin_arena[origin_start[ci]..origin_start[ci + 1]]`.
     origin_start: Arc<[u32]>,
     /// Per-clause rule-origin lists, sorted by rule index within each
-    /// clause. Clauses added without rule attribution (projected
-    /// sub-MRFs built by conditioning, hand-built test MRFs) have empty
-    /// origin lists and are left untouched by [`Mrf::reweight`].
+    /// clause. Clauses added without rule attribution (hand-built test
+    /// MRFs) have empty origin lists and are left untouched by
+    /// [`Mrf::reweight`].
     origin_arena: Arc<[RuleOrigin]>,
     /// Atoms whose clause set cannot be patched incrementally because a
     /// clause over them merged to exactly weight 0 and was dropped.
@@ -949,17 +949,6 @@ impl MrfBuilder {
         self.add_clause_with_origins(lits, weight, provenance, &[RuleOrigin { rule, share: 1.0 }]);
     }
 
-    /// Adds a ground clause, returning the builder index it landed at
-    /// (`None` for tautologies and empty clauses, which produce no
-    /// clause). The index is *pre-drop*: [`MrfBuilder::finish_mapped`]
-    /// translates it to the final clause index, or `None` if the clause
-    /// was dropped at finish time. The scheduler's conditioned sub-MRFs
-    /// use this to map sub-clauses back to global clause ids.
-    pub fn add_clause_tracked(&mut self, lits: Vec<Lit>, weight: Weight) -> Option<u32> {
-        let provenance = ClauseProvenance::of(weight);
-        self.add_clause_inner(lits, weight, provenance, &[])
-    }
-
     /// Adds a ground clause carrying an explicit contribution split —
     /// the incremental re-grounder's path, which rebuilds an MRF from
     /// already-merged clauses and must not collapse their provenance
@@ -973,16 +962,6 @@ impl MrfBuilder {
         provenance: ClauseProvenance,
         origins: &[RuleOrigin],
     ) {
-        self.add_clause_inner(lits, weight, provenance, origins);
-    }
-
-    fn add_clause_inner(
-        &mut self,
-        lits: Vec<Lit>,
-        weight: Weight,
-        provenance: ClauseProvenance,
-        origins: &[RuleOrigin],
-    ) -> Option<u32> {
         if lits.is_empty() {
             // An empty disjunction is false: violated iff weight > 0.
             match weight {
@@ -994,10 +973,10 @@ impl MrfBuilder {
                 }
                 _ => {}
             }
-            return None;
+            return;
         }
         let Some(clause) = GroundClause::new(lits, weight) else {
-            return None; // tautology
+            return; // tautology
         };
         for l in clause.lits.iter() {
             self.num_atoms = self.num_atoms.max(l.atom() as usize + 1);
@@ -1008,7 +987,6 @@ impl MrfBuilder {
                 existing.weight = merge_weights(existing.weight, clause.weight);
                 self.provenance[i as usize].combine(provenance);
                 merge_origins(&mut self.origins[i as usize], origins);
-                Some(i)
             }
             None => {
                 let i = self.clauses.len() as u32;
@@ -1016,7 +994,6 @@ impl MrfBuilder {
                 self.provenance.push(provenance);
                 self.origins.push(origins.to_vec());
                 self.clauses.push(clause);
-                Some(i)
             }
         }
     }
@@ -1035,23 +1012,12 @@ impl MrfBuilder {
     /// flagged opaque for the incremental re-grounder
     /// ([`Mrf::patch_opaque`]).
     pub fn finish(self) -> Mrf {
-        self.finish_mapped().0
-    }
-
-    /// [`MrfBuilder::finish`] that also returns the builder-index →
-    /// final-clause-index map (`None` for clauses dropped because their
-    /// merged weight cancelled). Pair with
-    /// [`MrfBuilder::add_clause_tracked`] to follow a clause through the
-    /// merge-and-drop pipeline.
-    pub fn finish_mapped(self) -> (Mrf, Vec<Option<u32>>) {
         let mut opaque_atoms: Vec<bool> = vec![false; self.num_atoms];
         for a in &self.opaque {
             opaque_atoms[*a as usize] = true;
         }
         let literals: usize = self.clauses.iter().map(|c| c.lits.len()).sum();
         let mut columns = ClauseColumns::with_capacity(self.clauses.len(), literals);
-        let mut map: Vec<Option<u32>> = Vec::with_capacity(self.clauses.len());
-        let mut kept = 0u32;
         for ((c, p), o) in self
             .clauses
             .into_iter()
@@ -1067,7 +1033,6 @@ impl MrfBuilder {
                 for l in c.lits.iter() {
                     opaque_atoms[l.atom() as usize] = true;
                 }
-                map.push(None);
                 continue;
             }
             // A soft weight that reached ±∞ (overflowing literal, or a
@@ -1081,13 +1046,8 @@ impl MrfBuilder {
                 w => w,
             };
             columns.push(&c.lits, weight, p, &o);
-            map.push(Some(kept));
-            kept += 1;
         }
-        (
-            columns.assemble(self.num_atoms, opaque_atoms, self.base_cost),
-            map,
-        )
+        columns.assemble(self.num_atoms, opaque_atoms, self.base_cost)
     }
 }
 
@@ -1480,26 +1440,6 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn finish_mapped_tracks_clauses_through_merge_and_drop() {
-        let mut b = MrfBuilder::new();
-        let a = b.add_clause_tracked(vec![Lit::pos(0)], Weight::Soft(1.0));
-        let dup = b.add_clause_tracked(vec![Lit::pos(0)], Weight::Soft(2.0));
-        let dropped = b.add_clause_tracked(vec![Lit::pos(1)], Weight::Soft(1.0));
-        b.add_clause(vec![Lit::pos(1)], Weight::Soft(-1.0)); // cancels
-        let kept = b.add_clause_tracked(vec![Lit::pos(2)], Weight::Soft(0.5));
-        assert!(b
-            .add_clause_tracked(vec![Lit::pos(3), Lit::neg(3)], Weight::Soft(1.0))
-            .is_none()); // tautology
-        assert!(b.add_clause_tracked(vec![], Weight::Soft(1.0)).is_none());
-        assert_eq!(a, dup, "duplicates land at the same builder index");
-        let (m, map) = b.finish_mapped();
-        assert_eq!(m.num_clauses(), 2);
-        assert_eq!(map[a.unwrap() as usize], Some(0));
-        assert_eq!(map[dropped.unwrap() as usize], None);
-        assert_eq!(map[kept.unwrap() as usize], Some(1));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The search half of Tuffy's MAP inference (paper §2.3, §3.2–3.4):
 //!
 //! * [`walksat`] — the WalkSAT algorithm (Appendix A.4, Algorithm 1), over
-//!   a whole MRF or in place over one closed part of it, with
-//!   incremental cost bookkeeping, an O(1)-sample violated-clause set,
-//!   negative-weight and hard-clause handling, and flip-rate
-//!   instrumentation (Table 3);
+//!   a whole MRF or in place over one partition of it (closed, or
+//!   conditioned on a frozen boundary), with incremental cost
+//!   bookkeeping, an O(1)-sample violated-clause set, negative-weight and
+//!   hard-clause handling, and flip-rate instrumentation (Table 3);
 //! * [`scheduler`] — the partition-aware inference scheduler unifying
 //!   §3.3 and §3.4: connected components (or Algorithm 3 partitions when
 //!   a memory budget bounds β), First-Fit-Decreasing bin packing of
@@ -20,7 +20,8 @@
 //!   measured flipping rate reproduces the 3–5 orders-of-magnitude gap of
 //!   Table 3;
 //! * [`mcsat`] — marginal inference by MC-SAT with a SampleSAT proposal
-//!   (Appendix A.5);
+//!   (Appendix A.5), each sample a masked hard pass of [`walksat`] over
+//!   the same scopes;
 //! * [`timecost`] — time-cost trace recording for the paper's figures.
 
 pub mod mcsat;

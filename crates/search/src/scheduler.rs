@@ -14,17 +14,20 @@
 //!    work-stealing worker pool. Within a bin every partition is searched
 //!    against the assignment *snapshotted at the bin's start* (block
 //!    Jacobi), while later bins — and later Gauss-Seidel rounds — see all
-//!    earlier updates (Gauss-Seidel). A partition no cut clause touches —
-//!    every connected component, so every partition when no budget is
-//!    given — is searched *in place*: a [`WalkSat`] scoped to the
-//!    partition's atom and clause lists runs directly on the MRF's
-//!    shared CSR arenas, in a per-worker [`SearchScratch`] that lives for
-//!    the whole run, so a pass copies, hashes and allocates nothing that
-//!    grows with the clause count. Only a partition that touches cut
-//!    clauses is copied out, because conditioning makes it a different
-//!    MRF, exactly as §3.4 describes: externally satisfied cut clauses
-//!    drop out for the pass, the rest lose their external literals
-//!    ([`Scheduler::condition_unit`]).
+//!    earlier updates (Gauss-Seidel). Every partition is searched *in
+//!    place*: a [`WalkSat`] scoped to the partition's atom, inside-clause
+//!    and cut-clause lists runs directly on the MRF's shared CSR arenas,
+//!    in a per-worker [`SearchScratch`] that lives for the whole run, so a
+//!    pass copies, hashes and allocates nothing that grows with the
+//!    clause count. A partition no cut clause touches (every connected
+//!    component, so every partition when no budget is given) is a closed
+//!    scope. One that cut clauses touch is conditioned on the rest of the
+//!    snapshot exactly as §3.4 describes, by freezing its boundary: the
+//!    outside atoms of its cut clauses keep their snapshot values, so an
+//!    externally satisfied cut clause drops out for the pass and the
+//!    others keep only their in-partition literals. Marginal inference
+//!    ([`Scheduler::run_marginal`]) runs MC-SAT on the same scopes, in the
+//!    same per-worker scratches.
 //! 3. **Converge**: rounds stop early once a full sweep leaves the
 //!    assignment unchanged.
 //!
@@ -39,11 +42,10 @@ use crate::timecost::TimeCostTrace;
 use crate::walksat::{SearchScratch, WalkSat, WalkSatParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use tuffy_mln::fxhash::FxHashMap;
 use tuffy_mln::MlnError;
 use tuffy_mrf::binpack::{first_fit_decreasing, Bin};
 use tuffy_mrf::memory::{beta_for_budget, human_bytes, MemoryFootprint};
-use tuffy_mrf::{AtomId, Cost, Lit, Mrf, MrfBuilder, Partitioning};
+use tuffy_mrf::{Cost, Lit, Mrf, Partitioning};
 
 /// Configuration of a [`Scheduler`].
 #[derive(Clone, Copy, Debug)]
@@ -86,7 +88,8 @@ pub struct ScheduleUnit {
     /// Cut clauses touching the partition.
     pub cut_clauses: usize,
     /// Estimated bytes of the partition's search state (internal clauses
-    /// only; conditioned cut-clause remnants add a little on top).
+    /// only; a pass over a unit with cut clauses reports its own scope,
+    /// which adds their in-partition remnants).
     pub est_bytes: usize,
 }
 
@@ -202,10 +205,12 @@ pub struct MarginalSamples {
     pub probs: Vec<f64>,
     /// `P(clause satisfied)` per global clause id, under the same
     /// conditioned sampling that produced `probs` — the `E[nᵢ]`
-    /// sufficient statistic weight learning reads. Cut clauses satisfied
-    /// externally at the conditioning state count 1.0; a cut clause
-    /// sampled by several partitions keeps the estimate of the first
-    /// partition in schedule order (deterministic for any thread count).
+    /// sufficient statistic weight learning reads. Every clause is counted
+    /// in the samples of a partition it lies in. A cut clause, sampled by
+    /// every partition it touches, keeps the estimate of the first one in
+    /// schedule order (deterministic for any thread count), and counts 1.0
+    /// there when a literal outside that partition satisfies it at the
+    /// conditioning state.
     pub clause_sat: Vec<f64>,
     /// Total WalkSAT/SampleSAT flips across all samplers (and the MAP
     /// conditioning run, when cut clauses require one).
@@ -457,13 +462,7 @@ impl<'a> Scheduler<'a> {
     /// Errors if the MRF has negative-weight clauses (MC-SAT's slice
     /// construction requires non-negative weights).
     pub fn run_marginal(&self, params: &McSatParams) -> Result<MarginalSamples, MlnError> {
-        for c in self.mrf.clauses() {
-            if c.weight.signum() < 0 {
-                return Err(MlnError::general(
-                    "MC-SAT marginal inference requires non-negative clause weights",
-                ));
-            }
-        }
+        crate::mcsat::check_weights(self.mrf)?;
         let mut flips = 0u64;
         let condition_state = if self.schedule.parts.cut_clauses.is_empty() {
             vec![false; self.mrf.num_atoms()]
@@ -473,52 +472,36 @@ impl<'a> Scheduler<'a> {
             map_mode.truth
         };
         let mut marginals = vec![0.5f64; self.mrf.num_atoms()];
+        // Every clause lies inside one unit or on the cut of several, so
+        // every entry is written.
         let mut clause_sat = vec![f64::NAN; self.mrf.num_clauses()];
+        let (parts, cut_by_part) = (&self.schedule.parts, &self.schedule.cut_by_part);
+        let mut scratch = self.per_worker(SearchScratch::default);
         for bin in &self.schedule.bins {
             let jobs = &bin.items;
-            let run_unit = |_: &mut (), ui: usize| -> (Vec<f64>, Vec<(u32, f64)>, u64) {
-                let unit = &self.schedule.units[ui];
-                let cu = self.condition_unit_tracked(unit.part, &condition_state);
-                let seed = derive_seed(params.seed, unit.part, 0);
-                let mut mc =
-                    McSat::new(&cu.sub, seed).expect("weights validated non-negative above");
-                let (probs, sub_sat) = mc.marginals_with_clause_stats(params);
-                let mut sat: Vec<(u32, f64)> = Vec::new();
-                for (fi, contrib) in cu.contributors.iter().enumerate() {
-                    for &ci in contrib {
-                        sat.push((ci, sub_sat[fi]));
-                    }
-                }
-                for &ci in &cu.external_sat {
-                    sat.push((ci, 1.0));
-                }
-                for &(ci, satisfied) in &cu.residual {
-                    sat.push((ci, f64::from(u8::from(satisfied))));
-                }
+            let run_unit = |scratch: &mut SearchScratch, ui: usize| {
+                let p = self.schedule.units[ui].part;
+                let seed = derive_seed(params.seed, p, 0);
+                let (atoms, clauses) = (&parts.atoms[p], &parts.internal_clauses[p]);
+                let mut mc = McSat::in_scope(self.mrf, atoms, clauses, &cut_by_part[p], seed);
+                let (probs, sat) = mc.marginals_in(params, &condition_state, scratch);
                 (probs, sat, mc.flips())
             };
-            let locals = self.pool_map(jobs, &mut self.per_worker(|| ()), run_unit);
-            for (&ui, (local, sat, unit_flips)) in jobs.iter().zip(locals) {
-                let atoms = &self.schedule.parts.atoms[self.schedule.units[ui].part];
-                for (i, &a) in atoms.iter().enumerate() {
-                    marginals[a as usize] = local[i];
+            let locals = self.pool_map(jobs, &mut scratch, run_unit);
+            for (&ui, (probs, sat, unit_flips)) in jobs.iter().zip(locals) {
+                let p = self.schedule.units[ui].part;
+                for (&a, prob) in parts.atoms[p].iter().zip(probs) {
+                    marginals[a as usize] = prob;
                 }
                 // First write wins: a cut clause is sampled once per
                 // touching partition, and schedule order is fixed.
-                for (ci, p) in sat {
+                let clauses = parts.internal_clauses[p].iter().chain(&cut_by_part[p]);
+                for (&ci, prob) in clauses.zip(sat) {
                     if clause_sat[ci as usize].is_nan() {
-                        clause_sat[ci as usize] = p;
+                        clause_sat[ci as usize] = prob;
                     }
                 }
                 flips += unit_flips;
-            }
-        }
-        // Every clause lives in some scheduled partition, but stay total:
-        // anything unwritten falls back to its truth at the conditioning
-        // state.
-        for (ci, p) in clause_sat.iter_mut().enumerate() {
-            if p.is_nan() {
-                *p = f64::from(u8::from(self.mrf.clause(ci).satisfied(&condition_state)));
             }
         }
         Ok(MarginalSamples {
@@ -605,14 +588,11 @@ impl<'a> Scheduler<'a> {
             .collect()
     }
 
-    /// One WalkSAT pass over a partition, from the snapshot's state.
-    ///
-    /// A partition no cut clause touches is a closed scope of the MRF,
-    /// so it is searched where it lies, in the worker's `scratch` (see
-    /// [`WalkSat::in_scope`] for why the trajectory equals that of a
-    /// relabelled copy). Its footprint is the planned `est_bytes`: what
-    /// [`MemoryFootprint::of`] would report for that copy. A partition
-    /// with cut clauses is searched as its conditioned copy.
+    /// One WalkSAT pass over a partition, from the snapshot's state, in
+    /// place in the worker's `scratch` (see [`WalkSat::in_scope`] for why
+    /// a closed partition's trajectory equals that of a relabelled copy).
+    /// The footprint of a closed partition is the planned `est_bytes`:
+    /// what [`MemoryFootprint::of`] would report for that copy.
     fn run_unit_pass(
         &self,
         unit: &ScheduleUnit,
@@ -621,144 +601,47 @@ impl<'a> Scheduler<'a> {
         seed: u64,
         scratch: &mut SearchScratch,
     ) -> UnitOutcome {
-        let noise = self.config.search.noise;
-        if unit.cut_clauses > 0 {
-            let (sub, init) = self.condition_unit(unit.part, snapshot);
-            let bytes = MemoryFootprint::of(&sub).total();
-            let mut ws = WalkSat::with_assignment(&sub, init, seed);
-            return search_pass(&mut ws, budget, noise, bytes);
-        }
-        let parts = &self.schedule.parts;
+        let p = unit.part;
+        let (parts, cut) = (&self.schedule.parts, &self.schedule.cut_by_part[p]);
+        let bytes = if cut.is_empty() {
+            unit.est_bytes
+        } else {
+            self.scope_bytes(unit, snapshot)
+        };
         let mut ws = WalkSat::in_scope(
             self.mrf,
-            &parts.atoms[unit.part],
-            &parts.internal_clauses[unit.part],
+            &parts.atoms[p],
+            &parts.internal_clauses[p],
+            cut,
             snapshot,
             seed,
             std::mem::take(scratch),
         );
-        let outcome = search_pass(&mut ws, budget, noise, unit.est_bytes);
+        let outcome = search_pass(&mut ws, budget, self.config.search.noise, bytes);
         *scratch = ws.into_scratch();
         outcome
     }
 
-    /// Builds the sub-MRF of partition `pi` conditioned on the rest of
-    /// `global` (§3.4), plus the partition's initial state: internal
-    /// clauses come over verbatim; cut clauses with an externally
-    /// satisfied literal drop out for the pass; other cut clauses lose
-    /// their external literals. Atom `i` of the copy is
-    /// `parts.atoms[pi][i]`.
-    ///
-    /// MAP passes need this only for partitions that touch cut clauses;
-    /// for any other partition the copy is the in-place scope relabelled,
-    /// which makes it the oracle the in-place path is tested against.
-    pub fn condition_unit(&self, pi: usize, global: &[bool]) -> (Mrf, Vec<bool>) {
-        let cu = self.condition_unit_tracked(pi, global);
-        (cu.sub, cu.init)
+    /// The footprint of a unit's search scope conditioned on `snapshot`:
+    /// its internal clauses, plus each cut clause no outside literal
+    /// satisfies, counted on its in-partition literals.
+    fn scope_bytes(&self, unit: &ScheduleUnit, snapshot: &[bool]) -> usize {
+        let (parts, p) = (&self.schedule.parts, unit.part);
+        let inside = |l: &&Lit| parts.label[l.atom() as usize] as usize == p;
+        let frozen_true = |l: &Lit| !inside(&l) && l.eval(snapshot[l.atom() as usize]);
+        let (mut clauses, mut literals) = (0, 0);
+        for &ci in parts.internal_clauses[p]
+            .iter()
+            .chain(&self.schedule.cut_by_part[p])
+        {
+            let lits = self.mrf.clause_lits(ci as usize);
+            if !lits.iter().any(frozen_true) {
+                clauses += 1;
+                literals += lits.iter().filter(inside).count();
+            }
+        }
+        MemoryFootprint::estimate(unit.atom_count, clauses, literals).total()
     }
-
-    /// [`Scheduler::condition_unit`] that also maps every global clause
-    /// of the partition to its fate in the sub-MRF, so per-sub-clause
-    /// sampler statistics can be attributed back to global clause ids.
-    fn condition_unit_tracked(&self, pi: usize, global: &[bool]) -> ConditionedUnit {
-        let atoms = &self.schedule.parts.atoms[pi];
-        let mut dense: FxHashMap<AtomId, AtomId> = FxHashMap::default();
-        for (i, &a) in atoms.iter().enumerate() {
-            dense.insert(a, i as AtomId);
-        }
-        let mut b = MrfBuilder::new();
-        b.reserve_atoms(atoms.len());
-        // Contributing global clauses per *builder* index (distinct cut
-        // clauses can collapse onto one sub-clause once their external
-        // literals drop), plus clauses the sub-MRF cannot represent.
-        let mut by_builder: Vec<Vec<u32>> = Vec::new();
-        let mut external_sat: Vec<u32> = Vec::new();
-        let mut residual: Vec<(u32, bool)> = Vec::new();
-        let mut track = |slot: Option<u32>, ci: u32, by_builder: &mut Vec<Vec<u32>>| match slot {
-            Some(bi) => {
-                if bi as usize == by_builder.len() {
-                    by_builder.push(vec![ci]);
-                } else {
-                    by_builder[bi as usize].push(ci);
-                }
-            }
-            // Empty after conditioning (every literal external and
-            // false): constant for the pass, never satisfiable.
-            None => residual.push((ci, false)),
-        };
-        for &ci in &self.schedule.parts.internal_clauses[pi] {
-            let c = self.mrf.clause(ci as usize);
-            let lits: Vec<Lit> = c
-                .lits
-                .iter()
-                .map(|l| Lit::new(dense[&l.atom()], l.is_positive()))
-                .collect();
-            let slot = b.add_clause_tracked(lits, c.weight);
-            track(slot, ci, &mut by_builder);
-        }
-        for &ci in &self.schedule.cut_by_part[pi] {
-            let c = self.mrf.clause(ci as usize);
-            let mut lits = Vec::new();
-            let mut satisfied_externally = false;
-            for l in c.lits.iter() {
-                match dense.get(&l.atom()) {
-                    Some(&local) => lits.push(Lit::new(local, l.is_positive())),
-                    None => {
-                        if l.eval(global[l.atom() as usize]) {
-                            satisfied_externally = true;
-                            break;
-                        }
-                        // Externally false literal: drop it.
-                    }
-                }
-            }
-            if satisfied_externally {
-                external_sat.push(ci);
-                continue; // fixed for this pass
-            }
-            let slot = b.add_clause_tracked(lits, c.weight);
-            track(slot, ci, &mut by_builder);
-        }
-        let (sub, map) = b.finish_mapped();
-        let mut contributors: Vec<Vec<u32>> = vec![Vec::new(); sub.num_clauses()];
-        for (bi, contrib) in by_builder.into_iter().enumerate() {
-            match map[bi] {
-                Some(fi) => contributors[fi as usize] = contrib,
-                // Merged weight cancelled at finish: the sampler never
-                // sees the clause. Fall back to its (deterministic)
-                // truth at the conditioning state.
-                None => {
-                    for ci in contrib {
-                        let sat = self.mrf.clause(ci as usize).satisfied(global);
-                        residual.push((ci, sat));
-                    }
-                }
-            }
-        }
-        let init: Vec<bool> = atoms.iter().map(|&a| global[a as usize]).collect();
-        ConditionedUnit {
-            sub,
-            init,
-            contributors,
-            external_sat,
-            residual,
-        }
-    }
-}
-
-/// A partition's conditioned sub-MRF plus the bookkeeping that maps
-/// sampler statistics back to global clause ids (see
-/// [`Scheduler::condition_unit_tracked`]).
-struct ConditionedUnit {
-    sub: Mrf,
-    init: Vec<bool>,
-    /// Global clause ids feeding each final sub-clause.
-    contributors: Vec<Vec<u32>>,
-    /// Cut clauses satisfied externally at the conditioning state.
-    external_sat: Vec<u32>,
-    /// Clauses the sub-MRF cannot represent (conditioned to a constant,
-    /// or merged weight cancelled), with their truth at the state.
-    residual: Vec<(u32, bool)>,
 }
 
 /// Spends up to `budget` flips on `ws`, recording every improvement of
@@ -800,6 +683,7 @@ fn derive_seed(base: u64, part: usize, round: usize) -> u64 {
 mod tests {
     use super::*;
     use tuffy_mln::weight::Weight;
+    use tuffy_mrf::MrfBuilder;
 
     /// Example 1 of the paper with N two-atom components.
     fn example1(n: u32) -> Mrf {
@@ -937,15 +821,31 @@ mod tests {
                 ..config(1_000, 1)
             },
         );
-        // With the bridge clause ¬a0 ∨ b0: if the external side satisfies
-        // it, the conditioned sub-MRF drops the clause.
-        let pi = s.schedule().parts.label[0] as usize;
-        let mut global = vec![false; m.num_atoms()];
-        global[3] = true; // external literal true
-        let (sub_sat, _) = s.condition_unit(pi, &global);
-        let global_unsat = vec![false; m.num_atoms()];
-        let (sub_unsat, _) = s.condition_unit(pi, &global_unsat);
-        assert_eq!(sub_sat.clauses().len() + 1, sub_unsat.clauses().len());
+        // The bridge clause ¬a0 ∨ b0 is cut. With its cluster all true the
+        // partition of a0 pays for it exactly when the frozen b0 is false;
+        // when b0 satisfies it, it drops out for the pass.
+        let parts = &s.schedule().parts;
+        let pi = parts.label[0] as usize;
+        assert_ne!(parts.label[3] as usize, pi, "the bridge must be cut");
+        let cost_with_b0 = |b0: bool| {
+            let mut global = vec![false; m.num_atoms()];
+            for &a in &parts.atoms[pi] {
+                global[a as usize] = true;
+            }
+            global[3] = b0;
+            let ws = WalkSat::in_scope(
+                &m,
+                &parts.atoms[pi],
+                &parts.internal_clauses[pi],
+                &s.schedule().cut_by_part[pi],
+                &global,
+                1,
+                SearchScratch::default(),
+            );
+            (ws.cost(), ws.violated_count())
+        };
+        assert_eq!(cost_with_b0(true), (Cost::ZERO, 0));
+        assert_eq!(cost_with_b0(false), (Cost::soft(1.0), 1));
     }
 
     #[test]

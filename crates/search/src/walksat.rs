@@ -21,34 +21,55 @@
 //!
 //! # Scope and scratch
 //!
-//! A solver searches a *scope* of its MRF: either everything
-//! ([`WalkSat::new`], [`WalkSat::with_assignment`]) or one closed part of
-//! it ([`WalkSat::in_scope`]) — a set of atoms plus exactly the clauses
-//! touching them, which is what a partition with no cut clause is (§3.3).
-//! The truth and per-clause columns are indexed by the MRF's *own* atom
-//! and clause ids either way, so a scoped pass runs on the shared CSR
-//! arenas as they are: nothing is copied, relabelled or hashed. Only
-//! start-up, restarts and the best-state copy look at the scope lists;
-//! `delta`/`flip`/`step` never leave the scope because it is closed.
+//! A solver never searches a copy. It searches a *scope* of its MRF:
+//! everything ([`WalkSat::new`], [`WalkSat::with_assignment`]) or one
+//! partition ([`WalkSat::in_scope`]) — its atoms, the clauses inside it
+//! and the cut clauses crossing its edge. The truth and per-clause
+//! columns are indexed by the MRF's *own* atom and clause ids, so a scoped
+//! pass runs on the shared CSR arenas as they are: nothing is copied,
+//! relabelled or hashed.
+//!
+//! - A *closed* scope has no cut clause: a connected component, or an
+//!   Algorithm-3 partition no cut touches (§3.3). `delta`/`flip`/`step`
+//!   never leave it.
+//! - A scope with cut clauses has a *frozen boundary*, which is §3.4's
+//!   Gauss-Seidel conditioning. The outside atoms its cut clauses mention
+//!   are copied into the scratch from the assignment and never flipped.
+//!   Counters run over that global truth, so an externally false literal
+//!   never counts, exactly as if conditioning had dropped it. A cut clause
+//!   that an external literal satisfies is *masked* (below), so it is
+//!   never counted, violated or picked. `step` picks only among a clause's
+//!   in-scope literals.
+//! - A *masked hard pass* is MC-SAT's SampleSAT ([`crate::mcsat`]): it
+//!   looks for an assignment of the scope satisfying a selected list of
+//!   its clauses. Every other clause of the scope is masked: its counter
+//!   is offset far above any clause length, so no flip takes it across the
+//!   satisfied boundary. Every selected clause costs one hard unit while
+//!   unsatisfied, whatever its weight, and the cost starts at zero.
 //!
 //! The columns live in a [`SearchScratch`] that a scoped solver borrows by
 //! value and hands back ([`WalkSat::into_scratch`]). A pass initialises
-//! the entries of its own scope and reads no others, so one scratch
-//! serves any sequence of scopes of one MRF without being cleaned in
-//! between.
+//! the entries of its own scope and boundary and reads no others, so one
+//! scratch serves any sequence of scopes of one MRF without being cleaned
+//! in between.
 //!
-//! A scoped pass is trajectory-identical to a solver over the scope
-//! copied out as an MRF of its own with atoms and clauses relabelled in
-//! ascending order (`Scheduler::condition_unit` builds that copy, and
-//! the tests use it as the oracle): the relabelling is monotone, so violated-set positions, clause literals
-//! and occurrence lists are visited in the same order and the same
-//! floats are summed in the same order. The scope's cost excludes the
-//! MRF's `base_cost`, as the copy's would.
+//! A pass over a closed scope is trajectory-identical to a solver over
+//! the scope copied out as an MRF of its own, atoms and clauses relabelled
+//! in ascending order: the relabelling is monotone, so violated-set
+//! positions, clause literals and occurrence lists are visited in the same
+//! order and the same floats are summed in the same order. A masked hard
+//! pass is likewise identical to a solver over a fresh all-hard MRF of
+//! the selected clauses: they keep ascending order, masked clauses never
+//! enter the violated set, and hard deltas are integer sums.
+//! `tests/partition_equivalence.rs` keeps both copies as oracles. A
+//! scoped solver's cost excludes the MRF's `base_cost`, as a copy's would.
+//! Only a frozen boundary differs from its copy, which put cut clauses
+//! after inside ones and merged those that coincide once conditioned.
 
 use crate::timecost::TimeCostTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tuffy_mrf::{AtomId, Cost, Mrf};
+use tuffy_mrf::{AtomId, Cost, Lit, Mrf};
 
 /// Parameters of a WalkSAT run (Algorithm 1's `MaxFlips`/`MaxTries`, the
 /// random-move probability, and the RNG seed).
@@ -100,7 +121,8 @@ impl Delta {
 /// always touches both — pays one random access instead of two.
 #[derive(Clone, Copy, Debug)]
 struct ClauseSlot {
-    /// True literals under the current assignment.
+    /// True literals under the current assignment; far above any clause
+    /// length for a masked clause ([`ClauseSlot::MASKED`]).
     num_true: u32,
     /// Index into [`ViolatedSet::members`], or `u32::MAX`.
     pos: u32,
@@ -109,6 +131,13 @@ struct ClauseSlot {
 impl ClauseSlot {
     const EMPTY: ClauseSlot = ClauseSlot {
         num_true: 0,
+        pos: u32::MAX,
+    };
+    /// A masked clause (see the module docs): flips move the counter by
+    /// one per literal, so it never comes near zero and the clause never
+    /// crosses the satisfied boundary.
+    const MASKED: ClauseSlot = ClauseSlot {
+        num_true: 1 << 31,
         pos: u32::MAX,
     };
 }
@@ -158,33 +187,101 @@ impl ViolatedSet {
     }
 }
 
-/// The part of an MRF a solver searches (see the module docs).
+/// The part of an MRF a solver or sampler searches (see the module docs).
 #[derive(Clone, Copy)]
-enum Scope<'a> {
-    /// Every atom and clause; the cost includes the MRF's `base_cost`.
+pub(crate) enum Scope<'a> {
+    /// Every atom and clause.
     All,
-    /// The listed atoms and clauses, both ascending and closed under
-    /// "clause touches atom".
+    /// A partition: its atoms, the clauses inside it, and the cut clauses
+    /// crossing its edge (none for a closed scope), each list ascending.
     Part {
         atoms: &'a [AtomId],
-        clauses: &'a [u32],
+        inside: &'a [u32],
+        cut: &'a [u32],
     },
+}
+
+impl<'a> Scope<'a> {
+    /// The atoms searched, in order.
+    pub(crate) fn atoms(self, mrf: &Mrf) -> impl Iterator<Item = AtomId> + 'a {
+        let (all, atoms): (usize, &'a [AtomId]) = match self {
+            Scope::All => (mrf.num_atoms(), &[]),
+            Scope::Part { atoms, .. } => (0, atoms),
+        };
+        (0..all as AtomId).chain(atoms.iter().copied())
+    }
+
+    /// The `i`-th atom searched.
+    #[inline]
+    pub(crate) fn atom(self, i: usize) -> AtomId {
+        match self {
+            Scope::All => i as AtomId,
+            Scope::Part { atoms, .. } => atoms[i],
+        }
+    }
+
+    /// The scope's clauses: the inside ones, then the cut ones.
+    pub(crate) fn clauses(self, mrf: &Mrf) -> impl Iterator<Item = usize> + 'a {
+        let (inside, cut) = self.split(mrf);
+        inside.chain(cut.iter().map(|&ci| ci as usize))
+    }
+
+    /// The scope's inside clauses (every clause for [`Scope::All`]) and
+    /// its cut clauses.
+    fn split(self, mrf: &Mrf) -> (impl Iterator<Item = usize> + 'a, &'a [u32]) {
+        let (all, inside, cut): (usize, &'a [u32], &'a [u32]) = match self {
+            Scope::All => (mrf.num_clauses(), &[], &[]),
+            Scope::Part { inside, cut, .. } => (0, inside, cut),
+        };
+        ((0..all).chain(inside.iter().map(|&ci| ci as usize)), cut)
+    }
+
+    /// Whether `atom`, a literal's atom of one of the scope's clauses, is
+    /// searched rather than frozen.
+    #[inline]
+    fn holds(self, atom: AtomId) -> bool {
+        match self {
+            Scope::Part { atoms, cut, .. } if !cut.is_empty() => atoms.binary_search(&atom).is_ok(),
+            _ => true,
+        }
+    }
+
+    /// Whether a frozen literal satisfies clause `ci` under `truth`.
+    #[inline]
+    pub(crate) fn frozen_true(self, mrf: &Mrf, truth: &[bool], ci: usize) -> bool {
+        matches!(self, Scope::Part { cut, .. } if !cut.is_empty())
+            && mrf
+                .clause_lits(ci)
+                .iter()
+                .any(|l| l.eval(truth[l.atom() as usize]) && !self.holds(l.atom()))
+    }
+
+    /// Copies the truth of the scope's atoms and of its frozen boundary —
+    /// every atom of a cut clause — from `assignment` into `truth`.
+    pub(crate) fn load(self, mrf: &Mrf, truth: &mut [bool], assignment: &[bool]) {
+        let (_, cut) = self.split(mrf);
+        let boundary = cut.iter().flat_map(|&ci| mrf.clause_lits(ci as usize));
+        for a in self.atoms(mrf).chain(boundary.map(|l| l.atom())) {
+            truth[a as usize] = assignment[a as usize];
+        }
+    }
 }
 
 /// The mutable columns of a search — truth value per atom, search state
 /// per clause, the violated set and the best state seen — indexed by the
 /// MRF's own ids, so one allocation serves any number of scoped passes
-/// ([`WalkSat::in_scope`]) over one MRF. Starts empty and is sized by its
-/// first use: 8 bytes per clause and 1 per atom of the *whole* MRF.
+/// ([`WalkSat::in_scope`], and MC-SAT's samples) over one MRF. Starts
+/// empty and is sized by its first use: 8 bytes per clause and 1 per atom
+/// of the *whole* MRF.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    truth: Vec<bool>,
+    pub(crate) truth: Vec<bool>,
     slots: Vec<ClauseSlot>,
     violated: ViolatedSet,
     best_truth: Vec<bool>,
 }
 
-/// In-memory WalkSAT over one MRF, or over one closed scope of it.
+/// In-memory WalkSAT over one MRF, or over one scope of it.
 ///
 /// The mutable per-clause search state (true-literal counter +
 /// violated-set position) lives in one dense 8-byte `ClauseSlot`
@@ -195,6 +292,8 @@ pub struct SearchScratch {
 pub struct WalkSat<'a> {
     mrf: &'a Mrf,
     scope: Scope<'a>,
+    /// A masked hard pass's selected clauses; `None` for a plain search.
+    selected: Option<&'a [u32]>,
     truth: Vec<bool>,
     slots: Vec<ClauseSlot>,
     violated: ViolatedSet,
@@ -236,60 +335,66 @@ impl<'a> WalkSat<'a> {
         assert_eq!(truth.len(), mrf.num_atoms());
         let scratch = SearchScratch {
             truth,
-            slots: vec![ClauseSlot::EMPTY; mrf.num_clauses()],
             ..Default::default()
         };
-        Self::start(mrf, Scope::All, scratch, seed)
+        Self::start(mrf, Scope::All, None, scratch, seed)
     }
 
-    /// Creates a solver over one closed scope of `mrf`, starting from
-    /// `assignment` (indexed by the MRF's atom ids; only the scope's
-    /// entries are read) and keeping its state in `scratch`, which
-    /// [`WalkSat::into_scratch`] hands back for the next pass.
+    /// Creates a solver over one partition of `mrf`, starting from
+    /// `assignment` (indexed by the MRF's atom ids; only the entries of
+    /// the partition and its boundary are read) and keeping its state in
+    /// `scratch`, which [`WalkSat::into_scratch`] hands back for the next
+    /// pass.
     ///
-    /// `atoms` and `clauses` must be ascending and closed: every clause
-    /// containing a listed atom is listed, and every literal of a listed
-    /// clause is on a listed atom — a connected component, or any
-    /// partition no cut clause touches. The solver's costs cover the
-    /// listed clauses only, and [`WalkSat::best_truth`] is aligned with
-    /// `atoms`.
+    /// The partition is its `atoms`, the clauses `inside` it and the `cut`
+    /// clauses crossing its edge, each list ascending: every literal of an
+    /// inside clause is on a listed atom, and every clause containing a
+    /// listed atom is listed, inside or cut. With no cut
+    /// clause the scope is closed; otherwise the atoms outside it stay
+    /// frozen at `assignment` (see the module docs). The solver's costs
+    /// cover the scope's clauses only, and [`WalkSat::best_truth`] is
+    /// aligned with `atoms`.
     pub fn in_scope(
         mrf: &'a Mrf,
         atoms: &'a [AtomId],
-        clauses: &'a [u32],
+        inside: &'a [u32],
+        cut: &'a [u32],
         assignment: &[bool],
         seed: u64,
         mut scratch: SearchScratch,
     ) -> WalkSat<'a> {
         assert_eq!(assignment.len(), mrf.num_atoms());
-        debug_assert!(scope_is_closed(mrf, atoms, clauses), "scope is not closed");
+        debug_assert!(scope_is_sound(mrf, atoms, inside, cut), "not a partition");
+        let scope = Scope::Part { atoms, inside, cut };
         scratch.truth.resize(mrf.num_atoms(), false);
-        scratch.slots.resize(mrf.num_clauses(), ClauseSlot::EMPTY);
-        for &a in atoms {
-            scratch.truth[a as usize] = assignment[a as usize];
-        }
-        Self::start(mrf, Scope::Part { atoms, clauses }, scratch, seed)
+        scope.load(mrf, &mut scratch.truth, assignment);
+        Self::start(mrf, scope, None, scratch, seed)
     }
 
-    fn start(mrf: &'a Mrf, scope: Scope<'a>, scratch: SearchScratch, seed: u64) -> WalkSat<'a> {
-        let SearchScratch {
-            truth,
-            slots,
-            violated,
-            best_truth,
-        } = scratch;
+    /// Starts a search of `scope` from the truth already in `scratch`: a
+    /// plain one, or with `selected` a masked hard pass.
+    pub(crate) fn start(
+        mrf: &'a Mrf,
+        scope: Scope<'a>,
+        selected: Option<&'a [u32]>,
+        scratch: SearchScratch,
+        seed: u64,
+    ) -> WalkSat<'a> {
         let mut ws = WalkSat {
             mrf,
             scope,
-            truth,
-            slots,
-            violated,
+            selected,
+            truth: scratch.truth,
+            slots: scratch.slots,
+            violated: scratch.violated,
             cost: Cost::ZERO,
             best_cost: Cost::ZERO,
-            best_truth,
+            best_truth: scratch.best_truth,
             flips: 0,
             rng: StdRng::seed_from_u64(seed),
         };
+        ws.truth.resize(mrf.num_atoms(), false);
+        ws.slots.resize(mrf.num_clauses(), ClauseSlot::EMPTY);
         ws.recompute();
         ws.save_best();
         ws
@@ -311,16 +416,28 @@ impl<'a> WalkSat<'a> {
     /// sharing the scratch) left behind does not matter.
     fn recompute(&mut self) {
         self.violated.members.clear();
-        match self.scope {
-            Scope::All => {
-                self.cost = self.mrf.base_cost;
-                for ci in 0..self.mrf.num_clauses() {
-                    self.count_clause(ci);
+        let (mrf, scope) = (self.mrf, self.scope);
+        self.cost = match (scope, self.selected) {
+            (Scope::All, None) => mrf.base_cost,
+            _ => Cost::ZERO,
+        };
+        match self.selected {
+            None => {
+                let (inside, cut) = scope.split(mrf);
+                inside.for_each(|ci| self.count_clause(ci));
+                for &ci in cut {
+                    if scope.frozen_true(mrf, &self.truth, ci as usize) {
+                        self.slots[ci as usize] = ClauseSlot::MASKED;
+                    } else {
+                        self.count_clause(ci as usize);
+                    }
                 }
             }
-            Scope::Part { clauses, .. } => {
-                self.cost = Cost::ZERO;
-                for &ci in clauses {
+            Some(selected) => {
+                scope
+                    .clauses(mrf)
+                    .for_each(|ci| self.slots[ci] = ClauseSlot::MASKED);
+                for &ci in selected {
                     self.count_clause(ci as usize);
                 }
             }
@@ -334,9 +451,25 @@ impl<'a> WalkSat<'a> {
             num_true: nt,
             pos: u32::MAX,
         };
-        if self.mrf.clause_violated_when(ci, nt > 0) {
+        let (violated, w) = self.violation(ci, nt > 0);
+        if violated {
             self.violated.insert(&mut self.slots, ci as u32);
-            self.cost = self.cost.add(self.mrf.violation_cost(ci));
+            self.cost = self.cost.add(w);
+        }
+    }
+
+    /// Whether clause `ci` counts as violated when its satisfaction state
+    /// is `satisfied`, and what that costs: the MRF's precomputed columns,
+    /// or in a masked hard pass one hard unit whenever it is unsatisfied.
+    #[inline]
+    fn violation(&self, ci: usize, satisfied: bool) -> (bool, Cost) {
+        if self.selected.is_some() {
+            (!satisfied, Cost { hard: 1, soft: 0.0 })
+        } else {
+            (
+                self.mrf.clause_violated_when(ci, satisfied),
+                self.mrf.violation_cost(ci),
+            )
         }
     }
 
@@ -357,17 +490,8 @@ impl<'a> WalkSat<'a> {
 
     /// Randomizes the scope's assignment (a WalkSAT "try").
     pub fn randomize(&mut self) {
-        match self.scope {
-            Scope::All => {
-                for t in &mut self.truth {
-                    *t = self.rng.gen();
-                }
-            }
-            Scope::Part { atoms, .. } => {
-                for &a in atoms {
-                    self.truth[a as usize] = self.rng.gen();
-                }
-            }
+        for a in self.scope.atoms(self.mrf) {
+            self.truth[a as usize] = self.rng.gen();
         }
         self.recompute();
         if self.cost.better_than(self.best_cost) {
@@ -391,8 +515,9 @@ impl<'a> WalkSat<'a> {
         &self.best_truth
     }
 
-    /// Current assignment, indexed by the MRF's atom ids. Entries outside
-    /// a scoped solver's scope are whatever the scratch held.
+    /// Current assignment, indexed by the MRF's atom ids. Outside a
+    /// scoped solver's scope, the frozen boundary holds the assignment it
+    /// started from and every other entry is whatever the scratch held.
     pub fn truth(&self) -> &[bool] {
         &self.truth
     }
@@ -438,9 +563,8 @@ impl<'a> WalkSat<'a> {
             // (`MrfBuilder::finish` normalizes non-finite soft weights
             // to hard).
             let crossed = (nt > 0) != (nt_after > 0);
-            let became_violated = self.mrf.clause_violated_when(ci, nt_after > 0);
+            let (became_violated, w) = self.violation(ci, nt_after > 0);
             let sign = i64::from(crossed) * if became_violated { 1 } else { -1 };
-            let w = self.mrf.violation_cost(ci);
             d.hard += sign * w.hard as i64;
             d.soft += sign as f64 * w.soft;
         }
@@ -461,8 +585,8 @@ impl<'a> WalkSat<'a> {
             if (nt > 0) == (nt_after > 0) {
                 continue; // satisfaction unchanged ⇒ violation unchanged
             }
-            let w = self.mrf.violation_cost(ci);
-            if self.mrf.clause_violated_when(ci, nt_after > 0) {
+            let (violated, w) = self.violation(ci, nt_after > 0);
+            if violated {
                 self.cost = self.cost.add(w);
                 self.violated.insert(&mut self.slots, ci as u32);
             } else {
@@ -483,28 +607,38 @@ impl<'a> WalkSat<'a> {
             return false;
         }
         let ci = self.violated.sample(&mut self.rng);
-        let lits = self.mrf.clause_lits(ci as usize);
+        // The candidates are the clause's searched atoms: all of them,
+        // except that a cut clause's frozen literals are not the pass's
+        // to flip.
+        let scope = self.scope;
+        let mut candidates = self
+            .mrf
+            .clause_lits(ci as usize)
+            .iter()
+            .map(|l| l.atom())
+            .filter(move |&a| scope.holds(a));
         let atom = if self.rng.gen::<f64>() <= noise {
-            lits[self.rng.gen_range(0..lits.len())].atom()
-        } else if lits.len() == 1 {
-            // A unit clause has no alternatives to score; skipping the
-            // delta scan consumes no randomness, so trajectories are
-            // unchanged.
-            lits[0].atom()
+            let k = candidates.clone().count();
+            candidates.nth(self.rng.gen_range(0..k))
         } else {
-            // Greedy: the atom whose flip decreases cost the most.
-            let mut best_atom = lits[0].atom();
-            let mut best_delta = self.delta(best_atom);
-            for l in &lits[1..] {
-                let d = self.delta(l.atom());
-                if d.less_than(best_delta) {
-                    best_delta = d;
-                    best_atom = l.atom();
+            // Greedy: the atom whose flip decreases cost the most. A lone
+            // candidate (a unit clause) has no alternative to score;
+            // skipping its delta scan consumes no randomness, so
+            // trajectories are unchanged.
+            let mut best_atom = candidates.next();
+            if let (Some(first), Some(second)) = (best_atom, candidates.next()) {
+                let mut best_delta = self.delta(first);
+                for a in std::iter::once(second).chain(candidates) {
+                    let d = self.delta(a);
+                    if d.less_than(best_delta) {
+                        best_delta = d;
+                        best_atom = Some(a);
+                    }
                 }
             }
             best_atom
         };
-        self.flip(atom);
+        self.flip(atom.expect("a violated clause has a searched literal"));
         true
     }
 
@@ -540,24 +674,22 @@ impl<'a> WalkSat<'a> {
     }
 }
 
-/// Whether `atoms` and `clauses` (both ascending) are closed under
-/// "clause touches atom" — the precondition of [`WalkSat::in_scope`].
-fn scope_is_closed(mrf: &Mrf, atoms: &[AtomId], clauses: &[u32]) -> bool {
-    if !atoms.windows(2).all(|w| w[0] < w[1]) || !clauses.windows(2).all(|w| w[0] < w[1]) {
-        return false;
+/// Whether `atoms`, `inside` and `cut` make a partition scope — the
+/// precondition of [`WalkSat::in_scope`].
+fn scope_is_sound(mrf: &Mrf, atoms: &[AtomId], inside: &[u32], cut: &[u32]) -> bool {
+    let ascending = |s: &[u32]| s.windows(2).all(|w| w[0] < w[1]);
+    fn lits<'m>(mrf: &'m Mrf, list: &'m [u32]) -> impl Iterator<Item = &'m Lit> + 'm {
+        list.iter().flat_map(|&ci| mrf.clause_lits(ci as usize))
     }
+    let listed = |l: &&Lit| atoms.binary_search(&l.atom()).is_ok();
     let occurrences: usize = atoms.iter().map(|&a| mrf.occurrences(a).len()).sum();
-    let mut literals = 0;
-    for &ci in clauses {
-        let lits = mrf.clause_lits(ci as usize);
-        if !lits.iter().all(|l| atoms.binary_search(&l.atom()).is_ok()) {
-            return false;
-        }
-        literals += lits.len();
-    }
-    // Every literal of a listed clause is an occurrence of a listed atom;
-    // equal counts mean no listed atom occurs anywhere else.
-    occurrences == literals
+    // Every counted literal is an occurrence of a listed atom; equal
+    // counts mean no listed atom occurs in an unlisted clause.
+    ascending(atoms)
+        && ascending(inside)
+        && ascending(cut)
+        && lits(mrf, inside).all(|l| listed(&l))
+        && occurrences == lits(mrf, inside).count() + lits(mrf, cut).filter(listed).count()
 }
 
 #[cfg(test)]

@@ -25,7 +25,8 @@
 //!   cannot starve them.
 //!
 //! Per-request parameter overrides are clamped to the server's caps
-//! ([`ServeConfig::max_flips`], [`ServeConfig::max_samples`],
+//! ([`ServeConfig::max_flips`] bounds flips per try *and* tries × flips,
+//! [`ServeConfig::max_samples`] bounds samples *and* burn-in,
 //! [`ServeConfig::max_sample_steps`]) — a client cannot buy an unbounded
 //! flip budget with one frame.
 //!
@@ -101,9 +102,11 @@ pub struct ServeConfig {
     /// Per-frame payload cap; larger length prefixes are rejected
     /// without reading (typed `too-large` error, then close).
     pub max_frame_bytes: u32,
-    /// Cap on a per-request WalkSAT `max_flips` override.
+    /// Cap on a per-request WalkSAT `max_flips` override, and on its
+    /// `max_tries` × `max_flips`.
     pub max_flips: u64,
-    /// Cap on a per-request MC-SAT `samples` override.
+    /// Cap on a per-request MC-SAT `samples` override, and separately on
+    /// its `burn_in`.
     pub max_samples: usize,
     /// Cap on a per-request MC-SAT `sample_sat_steps` override.
     pub max_sample_steps: u64,
@@ -945,17 +948,22 @@ fn build_query(shared: &Shared, session: &mut Session, wq: &WireQuery) -> Result
         query = query.given(delta);
     }
     if let Some((max_flips, max_tries, noise, seed)) = wq.search {
+        // Every try restarts the flip budget (and a zero-flip try still
+        // re-counts every clause), so tries × flips is held to the cap.
+        let max_flips = max_flips.min(cfg.max_flips);
+        let tries_cap = cfg.max_flips / max_flips.max(1);
         query = query.with_search(WalkSatParams {
-            max_flips: max_flips.min(cfg.max_flips),
-            max_tries,
+            max_flips,
+            max_tries: max_tries.min(u32::try_from(tries_cap).unwrap_or(u32::MAX)),
             noise,
             seed,
         });
     }
     if let Some((samples, burn_in, steps, p_anneal, temperature, seed)) = wq.mcsat {
+        let cap = |n: u64| n.min(cfg.max_samples as u64) as usize;
         query = query.with_mcsat(McSatParams {
-            samples: (samples as usize).min(cfg.max_samples),
-            burn_in: burn_in as usize,
+            samples: cap(samples),
+            burn_in: cap(burn_in),
             sample_sat_steps: steps.min(cfg.max_sample_steps),
             p_anneal,
             temperature,

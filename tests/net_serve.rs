@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use tuffy::{Engine, McSatParams, Query, QueryAnswer, Tuffy, TuffyConfig, WalkSatParams};
 use tuffy_serve::client::{Client, ClientError, WireAnswer};
 use tuffy_serve::wire::{
-    decode_response, read_frame, write_frame, BusyClass, ErrorCode, Response, WireQuery,
-    WireQueryKind, MAGIC,
+    decode_response, encode_request, read_frame, write_frame, BusyClass, ErrorCode, Request,
+    Response, WireQuery, WireQueryKind, MAGIC,
 };
 use tuffy_serve::{ServeConfig, Server};
 
@@ -552,6 +552,61 @@ fn query_level_failures_are_typed_not_fatal() {
     // The same connection still serves the exact baseline afterwards.
     let answer = client.query(&wire_map()).unwrap();
     assert_eq!(wire_canon(&answer), baseline_map);
+}
+
+/// `burn_in` is clamped by the sample cap like `samples`. Unclamped, one
+/// top-k frame asking for 2⁴⁰ burn-in samples held a heavy slot until the
+/// drain deadline abandoned it.
+#[test]
+fn huge_burn_in_is_clamped_to_the_sample_cap() {
+    let server = serve(ServeConfig::default());
+    let mut stream = raw_handshake(&server);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let (samples, _, steps, p_anneal, temperature, seed) = wire_mcsat();
+    let query = WireQuery {
+        mcsat: Some((samples, 1 << 40, steps, p_anneal, temperature, seed)),
+        ..wire_topk()
+    };
+    write_frame(&mut stream, &encode_request(&Request::Query(query))).unwrap();
+    let frame = read_frame(&mut stream, 1 << 20).expect("answered within the client timeout");
+    let answer = decode_response(&frame).unwrap();
+    assert!(matches!(answer, Response::TopK(_)), "got {answer:?}");
+}
+
+/// Zero samples estimate nothing (the answer was 0/0 = NaN): the query is
+/// rejected as `error query`, and the connection keeps serving.
+#[test]
+fn zero_samples_is_a_typed_query_error() {
+    let server = serve(ServeConfig::default());
+    let baseline_map = baselines(server.engine()).remove(0);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (_, burn_in, steps, p_anneal, temperature, seed) = wire_mcsat();
+    for query in [wire_marginal(), wire_topk()] {
+        let query = WireQuery {
+            mcsat: Some((0, burn_in, steps, p_anneal, temperature, seed)),
+            ..query
+        };
+        let err = client.query(&query).unwrap_err();
+        assert!(
+            matches!(&err, ClientError::Server(f) if f.code == ErrorCode::Query),
+            "expected a typed query error, got {err:?}"
+        );
+    }
+    assert_eq!(
+        wire_canon(&client.query(&wire_map()).unwrap()),
+        baseline_map
+    );
+    let zero = McSatParams {
+        samples: 0,
+        ..mcsat()
+    };
+    let in_process = server
+        .engine()
+        .snapshot()
+        .query(&Query::marginal_all().with_mcsat(zero));
+    assert!(in_process.is_err(), "in-process callers get the MlnError");
 }
 
 // ---------------------------------------------------------------------
