@@ -16,7 +16,7 @@
 //!
 //! The constants are calibrated to Alchemy's C++ classes (per-atom
 //! `GroundPredicate` ≈ 48 B + hash entries; per-clause `GroundClause`
-//! ≈ 56 B + 8 B/literal), and documented in EXPERIMENTS.md.
+//! ≈ 56 B + 8 B/literal); each constant below documents its share.
 
 use tuffy_mln::evidence::EvidenceSet;
 use tuffy_mln::program::MlnProgram;

@@ -45,32 +45,17 @@ pub fn all_four() -> Vec<Dataset> {
     vec![lp_bench(), ie_bench(), rc_bench(), er_bench()]
 }
 
-/// Grounding-scale variants for the grounding-time experiments
-/// (Tables 2 and 6): several times larger than the search-scale
-/// datasets, since grounding-cost differences only emerge once join
-/// inputs dominate fixed overheads.
-pub fn lp_ground() -> Dataset {
-    lp(8, 8, crate::SEED)
-}
-
-/// Grounding-scale IE.
-pub fn ie_ground() -> Dataset {
-    ie(2_500, 700, crate::SEED)
-}
-
-/// Grounding-scale RC: densely labeled, like the paper's Cora-based RC
-/// (430K evidence tuples against 10K query atoms) — most groundings are
-/// pruned by evidence.
-pub fn rc_ground() -> Dataset {
-    rc_with_labels(400, 14, 0.85, crate::SEED)
-}
-
-/// Grounding-scale ER.
-pub fn er_ground() -> Dataset {
-    er(40, 220, crate::SEED)
-}
-
-/// All four grounding-scale datasets in paper order.
+/// All four grounding-scale datasets in paper order, for the
+/// grounding-time experiments (Tables 2 and 6): several times larger
+/// than the search-scale datasets, since grounding-cost differences only
+/// emerge once join inputs dominate fixed overheads. RC is densely
+/// labeled, like the paper's Cora-based RC (430K evidence tuples against
+/// 10K query atoms): most groundings are pruned by evidence.
 pub fn all_four_ground() -> Vec<Dataset> {
-    vec![lp_ground(), ie_ground(), rc_ground(), er_ground()]
+    vec![
+        lp(8, 8, crate::SEED),
+        ie(2_500, 700, crate::SEED),
+        rc_with_labels(400, 14, 0.85, crate::SEED),
+        er(40, 220, crate::SEED),
+    ]
 }

@@ -29,8 +29,8 @@
 //! reweighting goes through [`tuffy::Engine::relearn`] — and asserts so.
 //!
 //! Writes `BENCH_learn.json` at the repository root
-//! (`cargo run --release -p tuffy-bench --bin exp_learn`; `--smoke`
-//! runs tiny instances and skips the JSON write).
+//! (`cargo run --release -p tuffy-bench -- learn`; `--smoke` runs tiny
+//! instances and skips the JSON write).
 
 use crate::format::TextTable;
 use rand::rngs::StdRng;
@@ -432,7 +432,7 @@ pub fn to_json(report: &LearnReport) -> String {
 
 /// Builds the learning report; unless `smoke`, also writes
 /// `BENCH_learn.json` at the repository root.
-pub fn report_with(smoke: bool) -> String {
+pub fn report(smoke: bool) -> String {
     let report = measure(smoke);
     if !smoke {
         let json = to_json(&report);
@@ -449,7 +449,7 @@ pub fn report_with(smoke: bool) -> String {
          scored on a separately generated one) vs fit iterations. Every\n\
          reweighting forks the grounding through Engine::relearn — one\n\
          grounding per engine for the whole experiment; regenerate with\n\
-         `cargo run --release -p tuffy-bench --bin exp_learn`.\n\n",
+         `cargo run --release -p tuffy-bench -- learn`.\n\n",
     );
     let mut t = TextTable::new(vec!["iter", "rel err (dn)"]);
     for p in &report.recovery {
@@ -466,9 +466,4 @@ pub fn report_with(smoke: bool) -> String {
     }
     out.push_str(&t.render());
     out
-}
-
-/// [`report_with`] at full scale.
-pub fn report() -> String {
-    report_with(false)
 }

@@ -1,22 +1,15 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! Every module exposes `report() -> String`; the `exp_*` binaries print
-//! and persist it under `bench_results/`.
+//! Every module exposes `report() -> String` (`learn::report` takes the
+//! `--smoke` switch); the `tuffy-bench` binary prints and persists it
+//! under `bench_results/`.
 
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig8;
-pub mod flips;
-pub mod ground;
 pub mod learn;
-pub mod net;
-pub mod outofcore;
-pub mod recovery;
-pub mod scaling;
-pub mod serve;
-pub mod session;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -12,7 +12,7 @@ pub fn report() -> String {
     let mut out = String::from(
         "Table 1: dataset statistics — paper values vs synthetic testbeds\n\
          (generators are calibrated to structure, not absolute size; see\n\
-         EXPERIMENTS.md)\n\n",
+         the tuffy-datagen crate docs)\n\n",
     );
     let paper = paper_table1();
     let mut t = TextTable::new(vec![

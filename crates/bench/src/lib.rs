@@ -1,14 +1,18 @@
-//! # tuffy-bench — the experiment harness
+//! # tuffy-bench — the paper reproductions
 //!
-//! One binary per table and figure of the paper's evaluation (§4 and
-//! Appendix C), plus Criterion micro-benchmarks. Each `exp_*` binary
-//! regenerates the corresponding table/figure on the synthetic testbeds
-//! of `tuffy-datagen`, printing the paper's reported numbers next to the
-//! measured ones. Absolute values differ (different hardware, synthetic
-//! data, scaled-down sizes — see EXPERIMENTS.md); the *shape* — who wins
-//! and by roughly what factor — is the reproduction target.
+//! One report per table and figure of the paper's evaluation (§4 and
+//! Appendix C), plus the weight-learning report and Criterion
+//! micro-benchmarks. Each report regenerates its table/figure on the
+//! synthetic testbeds of `tuffy-datagen`, printing the paper's reported
+//! numbers next to the measured ones. Absolute values differ (different
+//! hardware, synthetic data, scaled-down sizes — the `tuffy-datagen`
+//! crate docs say how each testbed is calibrated); the *shape* — who
+//! wins and by roughly what factor — is the reproduction target.
 //!
-//! Run everything: `cargo run --release -p tuffy-bench --bin exp_all`.
+//! Run one report: `cargo run --release -p tuffy-bench -- table2`;
+//! run everything: `cargo run --release -p tuffy-bench -- all`. Timing
+//! claims about the system itself are the repo benchmark's
+//! (`BENCHMARK.json`), not these reports'.
 
 use std::time::Duration;
 use tuffy::{Architecture, PartitionStrategy, Tuffy, TuffyConfig, WalkSatParams};
@@ -80,17 +84,4 @@ pub fn run(dataset: Dataset, cfg: TuffyConfig) -> tuffy::MapResult {
 /// Formats a duration in seconds with 2 decimals.
 pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
-}
-
-/// Writes experiment output both to stdout and `bench_results/<name>.txt`.
-pub fn emit(name: &str, body: &str) {
-    println!("{body}");
-    let dir = std::path::Path::new("bench_results");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.txt"));
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("(written to {})", path.display());
-    }
 }

@@ -12,21 +12,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
 
-/// Baseline entity count for [`er_scaled`] (`scale == 1`).
-pub const ER_BASE_ENTITIES: usize = 10;
-/// Baseline vocabulary for [`er_scaled`].
-pub const ER_BASE_VOCAB: usize = 60;
-
-/// Generates an ER instance `scale`× the baseline experiment size:
-/// `scale == 1` matches the default testbed, `10..=100` produce the
-/// out-of-core workloads. Entities (and so records) grow linearly with
-/// `scale`; the vocabulary stays fixed, so the per-word similarity
-/// joins densify — record pairs sharing a word grow *quadratically* —
-/// which is exactly the join-state blow-up the spill path exists for.
-pub fn er_scaled(scale: usize, seed: u64) -> Dataset {
-    er(ER_BASE_ENTITIES * scale.max(1), ER_BASE_VOCAB, seed)
-}
-
 /// Generates an ER instance with `entities` underlying true entities,
 /// 2–3 duplicate records each, and a vocabulary of `vocab` words.
 pub fn er(entities: usize, vocab: usize, seed: u64) -> Dataset {
@@ -135,20 +120,6 @@ mod tests {
             "per-word rules dominate: {}",
             d.program.rules.len()
         );
-    }
-
-    #[test]
-    fn scale_knob_grows_records() {
-        let s1 = er_scaled(1, 3);
-        let s10 = er_scaled(10, 3);
-        assert!(
-            s10.evidence.len() > 8 * s1.evidence.len(),
-            "10x scale should give ~10x records: {} vs {}",
-            s10.evidence.len(),
-            s1.evidence.len()
-        );
-        // Same program (rules depend on vocab, which is fixed).
-        assert_eq!(s1.program.rules.len(), s10.program.rules.len());
     }
 
     #[test]

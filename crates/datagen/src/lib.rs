@@ -16,7 +16,7 @@
 //!
 //! Generators emit concrete MLN + evidence source text and parse it with
 //! the production parser, so every experiment exercises the full
-//! pipeline. A `scale` knob grows each testbed; the default scales keep
+//! pipeline. Size arguments grow each testbed; the bench scales keep
 //! the slowest baseline (top-down grounding) tractable while preserving
 //! the paper's qualitative contrasts.
 
@@ -28,11 +28,11 @@ pub mod rc;
 pub mod split;
 pub mod table1;
 
-pub use er::{er, er_scaled};
+pub use er::er;
 pub use example1::example1;
 pub use ie::ie;
 pub use lp::lp;
-pub use rc::{rc, rc_scaled, rc_with_labels};
+pub use rc::{rc, rc_with_labels};
 pub use split::LabelSplit;
 pub use table1::{paper_table1, Table1Row};
 

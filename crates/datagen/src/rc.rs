@@ -21,21 +21,6 @@ pub fn rc(clusters: usize, papers_per_cluster: usize, seed: u64) -> Dataset {
     rc_with_labels(clusters, papers_per_cluster, 0.3, seed)
 }
 
-/// Baseline cluster count for [`rc_scaled`] — the size the default
-/// experiments run at (`scale == 1`).
-pub const RC_BASE_CLUSTERS: usize = 20;
-/// Baseline papers per cluster for [`rc_scaled`].
-pub const RC_BASE_PAPERS: usize = 6;
-
-/// Generates an RC instance `scale`× the baseline experiment size:
-/// `scale == 1` matches the default testbed, `10..=100` produce the
-/// out-of-core workloads (evidence and grounded-clause counts grow
-/// linearly in `scale` — the cluster count scales while clusters keep
-/// the paper's shape, so component structure is preserved).
-pub fn rc_scaled(scale: usize, seed: u64) -> Dataset {
-    rc(RC_BASE_CLUSTERS * scale.max(1), RC_BASE_PAPERS, seed)
-}
-
 /// Generates an RC instance with a chosen labeled fraction.
 ///
 /// Each cluster holds `~papers_per_cluster` papers connected by a random
@@ -151,18 +136,6 @@ mod tests {
             cs.nontrivial_count()
         );
         assert!(g.stats.clauses > 50);
-    }
-
-    #[test]
-    fn scale_knob_grows_linearly() {
-        let s1 = rc_scaled(1, 7);
-        let s10 = rc_scaled(10, 7);
-        assert!(
-            s10.evidence.len() > 8 * s1.evidence.len(),
-            "10x scale should give ~10x evidence: {} vs {}",
-            s10.evidence.len(),
-            s1.evidence.len()
-        );
     }
 
     #[test]

@@ -33,46 +33,11 @@ impl GroundClause {
             weight,
         })
     }
-
-    /// Borrows the clause as a [`ClauseRef`] — the single home of the
-    /// evaluation methods, shared with the MRF's arena-backed clauses.
-    #[inline]
-    pub fn as_ref(&self) -> ClauseRef<'_> {
-        ClauseRef {
-            lits: &self.lits,
-            weight: self.weight,
-        }
-    }
-
-    /// Whether the disjunction is true under `assignment`.
-    #[inline]
-    pub fn satisfied(&self, assignment: &[bool]) -> bool {
-        self.as_ref().satisfied(assignment)
-    }
-
-    /// Number of true literals under `assignment`.
-    #[inline]
-    pub fn true_count(&self, assignment: &[bool]) -> usize {
-        self.as_ref().true_count(assignment)
-    }
-
-    /// Whether the clause is violated under `assignment` (§2.2: positive
-    /// weight and false, or negative weight and true).
-    #[inline]
-    pub fn violated(&self, assignment: &[bool]) -> bool {
-        self.as_ref().violated(assignment)
-    }
-
-    /// This clause's contribution to the world cost under `assignment`.
-    pub fn cost(&self, assignment: &[bool]) -> Cost {
-        self.as_ref().cost(assignment)
-    }
 }
 
 /// A borrowed clause: a slice of the MRF's literal arena plus the
 /// clause's weight. This is what [`crate::Mrf::clause`] and clause
-/// iteration hand out — same semantics as [`GroundClause`], no owned
-/// storage.
+/// iteration hand out, and the one home of clause evaluation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClauseRef<'a> {
     /// The disjuncts (sorted, no duplicate or complementary literals).
@@ -119,6 +84,14 @@ impl ClauseRef<'_> {
 mod tests {
     use super::*;
 
+    /// Evaluates `c` through its borrowed form, as the MRF does.
+    fn eval(c: &GroundClause) -> ClauseRef<'_> {
+        ClauseRef {
+            lits: &c.lits,
+            weight: c.weight,
+        }
+    }
+
     #[test]
     fn tautology_rejected() {
         assert!(GroundClause::new(vec![Lit::pos(0), Lit::neg(0)], Weight::Soft(1.0)).is_none());
@@ -133,26 +106,26 @@ mod tests {
     #[test]
     fn satisfaction_and_violation() {
         let c = GroundClause::new(vec![Lit::pos(0), Lit::neg(1)], Weight::Soft(2.0)).unwrap();
-        assert!(c.satisfied(&[true, true]));
-        assert!(c.satisfied(&[false, false]));
-        assert!(!c.satisfied(&[false, true]));
-        assert!(c.violated(&[false, true]));
-        assert_eq!(c.cost(&[false, true]), Cost::soft(2.0));
-        assert_eq!(c.cost(&[true, true]), Cost::ZERO);
+        assert!(eval(&c).satisfied(&[true, true]));
+        assert!(eval(&c).satisfied(&[false, false]));
+        assert!(!eval(&c).satisfied(&[false, true]));
+        assert!(eval(&c).violated(&[false, true]));
+        assert_eq!(eval(&c).cost(&[false, true]), Cost::soft(2.0));
+        assert_eq!(eval(&c).cost(&[true, true]), Cost::ZERO);
     }
 
     #[test]
     fn negative_weight_violated_when_true() {
         let c = GroundClause::new(vec![Lit::pos(0)], Weight::Soft(-1.5)).unwrap();
-        assert!(c.violated(&[true]));
-        assert!(!c.violated(&[false]));
-        assert_eq!(c.cost(&[true]), Cost::soft(1.5));
+        assert!(eval(&c).violated(&[true]));
+        assert!(!eval(&c).violated(&[false]));
+        assert_eq!(eval(&c).cost(&[true]), Cost::soft(1.5));
     }
 
     #[test]
     fn hard_clause_costs_hard_unit() {
         let c = GroundClause::new(vec![Lit::pos(0)], Weight::Hard).unwrap();
-        let cost = c.cost(&[false]);
+        let cost = eval(&c).cost(&[false]);
         assert_eq!(cost.hard, 1);
     }
 
@@ -163,7 +136,7 @@ mod tests {
             Weight::Soft(1.0),
         )
         .unwrap();
-        assert_eq!(c.true_count(&[true, false, false]), 2);
-        assert_eq!(c.true_count(&[false, false, true]), 0);
+        assert_eq!(eval(&c).true_count(&[true, false, false]), 2);
+        assert_eq!(eval(&c).true_count(&[false, false, true]), 0);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! tuffy -i prog.mln -e evidence.db [-r result.out] [--marginal] \
-//!       [--delta d.db ...] [--session] [--serve N] [--connect ADDR] \
+//!       [--delta d.db ...] [--session] [--connect ADDR] \
 //!       [--flips N] [--parallel N] [--no-partition] [--mem-budget BYTES] \
 //!       [--partition-rounds N] [--seed N] [--arch hybrid|inmemory|rdbms] \
 //!       [--explain] [--explain-schedule] [--join-order auto|program] \
@@ -22,17 +22,15 @@
 //! command (`:map`, `:marginal`, `:explain`, `:quit`); edits re-run
 //! inference immediately.
 //!
-//! `--serve N` turns every inference (initial, post-delta, and REPL
-//! `:map`/`:marginal`) into a concurrent-serving demonstration: N
-//! threads each run the same query against the session's current
-//! snapshot, the outputs are verified bit-identical, and the measured
-//! queries/sec is reported — zero re-grounding, one shared store.
-//!
 //! `--connect HOST:PORT` talks to a running `tuffyd` instead of loading
-//! a program: no `-i`/`-e`, inference runs server-side against the
-//! connection's session, and `--delta`/`--session` commit deltas over
-//! the wire (forking that session's generation copy-on-write, invisible
-//! to other clients). Local-engine flags are rejected in this mode.
+//! a program: inference runs server-side, and `--delta`/`--session`
+//! commit deltas over the wire. A plain `tuffyd` forks the connection's
+//! own generation copy-on-write, invisible to other clients; under
+//! `tuffyd --store DIR` an apply is durable and shared — it is written
+//! to the server's write-ahead log and every connection sees it. Flags
+//! that configure a local engine (`-i`, `-e`, `--explain*`, `--learn*`,
+//! `--arch`, the partitioning, planner and grounding knobs) are rejected
+//! in this mode, naming the flag.
 //!
 //! `--explain` prints the physical plan (`EXPLAIN`) of every grounding
 //! query under the selected lesion knobs and exits without running
@@ -63,7 +61,6 @@ struct Args {
     result: Option<String>,
     deltas: Vec<String>,
     session: bool,
-    serve: usize,
     connect: Option<String>,
     marginal: bool,
     explain: bool,
@@ -93,7 +90,7 @@ enum LearnerKind {
 
 fn usage() -> &'static str {
     "usage: tuffy -i <prog.mln> [-e <evidence.db>] [-r <result.out>]\n\
-     \x20       [--marginal] [--delta <delta.db>]... [--session] [--serve N]\n\
+     \x20       [--marginal] [--delta <delta.db>]... [--session]\n\
      \x20       [--connect HOST:PORT] [--flips N] [--parallel N] [--no-partition]\n\
      \x20       [--mem-budget BYTES] [--partition-rounds N] [--seed N]\n\
      \x20       [--arch hybrid|inmemory|rdbms] [--explain] [--explain-schedule]\n\
@@ -103,6 +100,28 @@ fn usage() -> &'static str {
      \x20       [--learn <labels.db>] [--learner vp|dn] [--learn-iters N]"
 }
 
+/// Flags that configure a local engine; `--connect` rejects each.
+const LOCAL_ONLY: [&str; 18] = [
+    "-i",
+    "-e",
+    "--explain",
+    "--explain-schedule",
+    "--arch",
+    "--parallel",
+    "--no-partition",
+    "--mem-budget",
+    "--partition-rounds",
+    "--join-order",
+    "--join-algo",
+    "--no-pushdown",
+    "--no-stats",
+    "--ground-threads",
+    "--mem-budget-bytes",
+    "--learn",
+    "--learner",
+    "--learn-iters",
+];
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         program: String::new(),
@@ -110,7 +129,6 @@ fn parse_args() -> Result<Args, String> {
         result: None,
         deltas: Vec::new(),
         session: false,
-        serve: 1,
         connect: None,
         marginal: false,
         explain: false,
@@ -131,8 +149,12 @@ fn parse_args() -> Result<Args, String> {
         learner: LearnerKind::VotedPerceptron,
         learn_iters: 10,
     };
+    let mut local_flag = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
+        if local_flag.is_none() && LOCAL_ONLY.contains(&flag.as_str()) {
+            local_flag = Some(flag.clone());
+        }
         let mut value = |name: &str| {
             it.next()
                 .ok_or_else(|| format!("{name} expects a value\n{}", usage()))
@@ -144,14 +166,6 @@ fn parse_args() -> Result<Args, String> {
             "--delta" => args.deltas.push(value("--delta")?),
             "--session" => args.session = true,
             "--connect" => args.connect = Some(value("--connect")?),
-            "--serve" => {
-                args.serve = value("--serve")?
-                    .parse()
-                    .map_err(|e| format!("--serve: {e}"))?;
-                if args.serve == 0 {
-                    return Err("--serve expects at least 1 concurrent query".to_string());
-                }
-            }
             "--marginal" => args.marginal = true,
             "--explain" => args.explain = true,
             "--explain-schedule" => args.explain_schedule = true,
@@ -233,14 +247,10 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if args.connect.is_some() {
-        if !args.program.is_empty() || args.evidence.is_some() {
-            return Err("--connect talks to a running tuffyd; drop -i/-e".to_string());
-        }
-        if args.explain || args.explain_schedule {
-            return Err("--explain requires a local engine, not --connect".to_string());
-        }
-        if args.learn.is_some() {
-            return Err("--learn requires a local engine, not --connect".to_string());
+        if let Some(flag) = local_flag {
+            return Err(format!(
+                "{flag} configures a local engine; --connect runs inference in tuffyd"
+            ));
         }
     } else if args.program.is_empty() {
         return Err(format!("missing -i <prog.mln>\n{}", usage()));
@@ -263,24 +273,20 @@ fn cli_query(marginal: bool, seed: u64) -> Query {
 
 /// Renders one query answer the way the CLI emits it, with its progress
 /// line on stderr.
-fn render_answer(answer: tuffy::QueryAnswer, quiet: bool) -> String {
+fn render_answer(answer: tuffy::QueryAnswer) -> String {
     match answer {
         tuffy::QueryAnswer::Map(r) => {
-            if !quiet {
-                eprintln!(
-                    "search: {} flips in {:?} ({:.0} flips/sec), solution cost {}",
-                    r.report.flips, r.report.search_time, r.report.flips_per_sec, r.cost
-                );
-            }
+            eprintln!(
+                "search: {} flips in {:?} ({:.0} flips/sec), solution cost {}",
+                r.report.flips, r.report.search_time, r.report.flips_per_sec, r.cost
+            );
             r.to_text()
         }
         tuffy::QueryAnswer::Marginal(r) => {
-            if !quiet {
-                eprintln!(
-                    "marginals over {} atoms: {} flips in {:?} ({:.0} flips/sec)",
-                    r.report.atoms, r.report.flips, r.report.search_time, r.report.flips_per_sec
-                );
-            }
+            eprintln!(
+                "marginals over {} atoms: {} flips in {:?} ({:.0} flips/sec)",
+                r.report.atoms, r.report.flips, r.report.search_time, r.report.flips_per_sec
+            );
             let mut out = String::new();
             for (name, (_, p)) in r.names.iter().zip(r.marginals.iter()) {
                 out.push_str(&format!("{p:.4}\t{name}\n"));
@@ -298,61 +304,11 @@ fn render_answer(answer: tuffy::QueryAnswer, quiet: bool) -> String {
 }
 
 /// Runs one inference over the session and returns the rendered output.
-/// With `--serve N` (N > 1) the query instead runs N times concurrently
-/// against the session's current snapshot — one shared grounded store,
-/// zero re-grounding — verifying the outputs bit-identical and
-/// reporting the measured throughput.
-fn infer(session: &mut Session, marginal: bool, seed: u64, serve: usize) -> Result<String, String> {
-    if serve > 1 {
-        return serve_concurrently(session, marginal, seed, serve);
-    }
-    let query = cli_query(marginal, seed);
-    let answer = session.query(&query).map_err(|e| e.to_string())?;
-    Ok(render_answer(answer, false))
-}
-
-/// The `--serve N` path: N threads × 1 query over one snapshot.
-fn serve_concurrently(
-    session: &Session,
-    marginal: bool,
-    seed: u64,
-    serve: usize,
-) -> Result<String, String> {
-    let query = cli_query(marginal, seed);
-    let snapshot = session.snapshot();
-    let started = std::time::Instant::now();
-    let outputs: Vec<Result<String, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..serve)
-            .map(|_| {
-                let snapshot = snapshot.clone();
-                let query = query.clone();
-                scope.spawn(move || {
-                    snapshot
-                        .query(&query)
-                        .map(|a| render_answer(a, true))
-                        .map_err(|e| e.to_string())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("serve worker panicked"))
-            .collect()
-    });
-    let elapsed = started.elapsed();
-    let mut outputs = outputs.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let first = outputs.swap_remove(0);
-    if outputs.iter().any(|o| *o != first) {
-        return Err("serve mode produced diverging outputs across threads".to_string());
-    }
-    eprintln!(
-        "serve: {serve} concurrent identical quer{} over generation {} in {elapsed:?} \
-         ({:.1} queries/sec), outputs bit-identical",
-        if serve == 1 { "y" } else { "ies" },
-        snapshot.generation(),
-        serve as f64 / elapsed.as_secs_f64().max(1e-9),
-    );
-    Ok(first)
+fn infer(session: &mut Session, marginal: bool, seed: u64) -> Result<String, String> {
+    let answer = session
+        .query(&cli_query(marginal, seed))
+        .map_err(|e| e.to_string())?;
+    Ok(render_answer(answer))
 }
 
 fn apply_and_report(
@@ -360,12 +316,11 @@ fn apply_and_report(
     delta_src: &str,
     marginal: bool,
     seed: u64,
-    serve: usize,
 ) -> Result<String, String> {
     let delta = session.parse_delta(delta_src).map_err(|e| e.to_string())?;
     let t0 = std::time::Instant::now();
     let report = session.apply(&delta).map_err(|e| e.to_string())?;
-    let output = infer(session, marginal, seed, serve)?;
+    let output = infer(session, marginal, seed)?;
     eprintln!(
         "delta: {} change(s), {} in {:?}, re-inference in {:?} total",
         report.changes,
@@ -409,9 +364,9 @@ fn repl(session: &mut Session, args: &Args) -> Result<(), String> {
                 eprint!("{}", session.explain());
                 continue;
             }
-            ":map" => infer(session, false, args.seed, args.serve),
-            ":marginal" => infer(session, true, args.seed, args.serve),
-            _ => apply_and_report(session, trimmed, args.marginal, args.seed, args.serve),
+            ":map" => infer(session, false, args.seed),
+            ":marginal" => infer(session, true, args.seed),
+            _ => apply_and_report(session, trimmed, args.marginal, args.seed),
         };
         match outcome {
             Ok(output) => emit(args, &output)?,
@@ -463,19 +418,17 @@ fn net_query(marginal: bool, flips: u64, seed: u64) -> WireQuery {
 /// Renders a wire answer in the same output format as the local path:
 /// evidence-syntax atom lines for MAP, `prob\tatom` rows for
 /// marginal/top-k. Probabilities and costs arrive as exact IEEE bits.
-fn render_wire_answer(answer: &WireAnswer, quiet: bool) -> String {
+fn render_wire_answer(answer: &WireAnswer) -> String {
     match answer {
         WireAnswer::Map(a) => {
-            if !quiet {
-                let cost = tuffy::Cost {
-                    hard: a.cost_hard,
-                    soft: f64::from_bits(a.cost_soft_bits),
-                };
-                eprintln!(
-                    "search (remote, generation {}): {} flips, solution cost {}",
-                    a.generation, a.flips, cost
-                );
-            }
+            let cost = tuffy::Cost {
+                hard: a.cost_hard,
+                soft: f64::from_bits(a.cost_soft_bits),
+            };
+            eprintln!(
+                "search (remote, generation {}): {} flips, solution cost {}",
+                a.generation, a.flips, cost
+            );
             let mut out = String::new();
             for atom in &a.atoms {
                 out.push_str(atom);
@@ -484,14 +437,12 @@ fn render_wire_answer(answer: &WireAnswer, quiet: bool) -> String {
             out
         }
         WireAnswer::Marginal(a) | WireAnswer::TopK(a) => {
-            if !quiet {
-                eprintln!(
-                    "marginals (remote, generation {}): {} entries, {} flips",
-                    a.generation,
-                    a.entries.len(),
-                    a.flips
-                );
-            }
+            eprintln!(
+                "marginals (remote, generation {}): {} entries, {} flips",
+                a.generation,
+                a.entries.len(),
+                a.flips
+            );
             let mut out = String::new();
             for e in &a.entries {
                 out.push_str(&format!(
@@ -520,7 +471,7 @@ fn net_infer(client: &mut Client, marginal: bool, args: &Args) -> Result<String,
             plural_y(retries)
         );
     }
-    Ok(render_wire_answer(&answer, false))
+    Ok(render_wire_answer(&answer))
 }
 
 fn plural_y(n: u32) -> &'static str {
@@ -659,19 +610,13 @@ fn run() -> Result<(), String> {
         session.grounding().registry.len(),
         session.grounding().stats.wall
     );
-    let output = infer(&mut session, args.marginal, args.seed, args.serve)?;
+    let output = infer(&mut session, args.marginal, args.seed)?;
     emit(&args, &output)?;
 
     for path in &args.deltas {
         let delta_src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("applying delta {path}");
-        let output = apply_and_report(
-            &mut session,
-            &delta_src,
-            args.marginal,
-            args.seed,
-            args.serve,
-        )?;
+        let output = apply_and_report(&mut session, &delta_src, args.marginal, args.seed)?;
         emit(&args, &output)?;
     }
 

@@ -1,5 +1,5 @@
 //! The `tuffyd` client: a blocking connection speaking the wire
-//! protocol, used by `tuffy --connect`, the load generator, and the
+//! protocol, used by `tuffy --connect`, the repo benchmark, and the
 //! end-to-end test suites.
 //!
 //! [`Client::connect`] performs the preamble (magic exchange + `welcome`
@@ -171,9 +171,12 @@ impl Client {
         self.protocol
     }
 
-    /// The generation of this connection's server-side session: the
-    /// base generation at connect, advanced by committed
+    /// The generation this connection last saw: the serving generation
+    /// at connect, advanced by this connection's committed
     /// [`Client::apply`] calls (never by queries, including `given`).
+    /// Under `tuffyd --store` the head is shared, so applies from other
+    /// connections move it too without updating this value; each
+    /// answer's own generation is authoritative.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -193,8 +196,11 @@ impl Client {
         }
     }
 
-    /// Commits an evidence delta (source text, `parse_delta` syntax) to
-    /// this connection's session, forking its generation.
+    /// Commits an evidence delta (source text, `parse_delta` syntax). A
+    /// plain `tuffyd` forks this connection's private generation; under
+    /// `tuffyd --store` the apply is durable (appended to the server's
+    /// write-ahead log before the acknowledgement) and shared — it
+    /// advances the one serving head every connection reads.
     pub fn apply(&mut self, delta: &str) -> Result<Applied, ClientError> {
         self.send(&Request::Apply {
             delta: delta.to_string(),
@@ -278,7 +284,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     /// 16 attempts, 2 ms doubling to a 200 ms cap, no deadline — the
-    /// shape the `exp_net` load generator always used.
+    /// budget `tuffy --connect` rides out `busy` frames with.
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 16,

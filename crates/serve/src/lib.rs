@@ -88,9 +88,11 @@
 //! where the peer can still hear it: garbage preambles (`bad-magic`),
 //! unparseable or zero-length frames (`malformed`, connection kept —
 //! the length prefix preserves sync), oversized prefixes (`too-large`,
-//! close), slow-loris mid-frame stalls (`timeout` after the frame
-//! deadline, close), and torn frames or mid-request disconnects (clean
-//! drop). `tests/net_serve.rs` injects each of these against a live
+//! close), answers larger than the same frame cap (`too-large`,
+//! connection kept — the answer is never written), slow-loris
+//! mid-frame stalls (`timeout` after the frame deadline, close), and
+//! torn frames or mid-request disconnects (clean drop).
+//! `tests/net_serve.rs` injects each of these against a live
 //! server and asserts no panic, no wedged worker, and no
 //! cross-connection corruption.
 //!

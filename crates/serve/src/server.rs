@@ -99,8 +99,10 @@ pub struct ServeConfig {
     /// Concurrent heavy requests (marginal / top-k / `given` / apply);
     /// keep below `max_inflight` to reserve capacity for cheap MAPs.
     pub max_heavy: usize,
-    /// Per-frame payload cap; larger length prefixes are rejected
-    /// without reading (typed `too-large` error, then close).
+    /// Per-frame payload cap, in both directions. A larger request
+    /// length prefix is rejected without reading (typed `too-large`
+    /// error, then close); a larger encoded answer is replaced by a typed
+    /// `too-large` error and the connection keeps serving.
     pub max_frame_bytes: u32,
     /// Cap on a per-request WalkSAT `max_flips` override, and on its
     /// `max_tries` × `max_flips`.
@@ -782,7 +784,21 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 "request handler panicked; the request was abandoned and no state changed",
             )
         });
-        if write_response(&mut stream, &response).is_err() {
+        // The frame cap holds in both directions: an answer the peer
+        // would refuse to read becomes a typed error, and the stream
+        // stays in sync.
+        let mut frame = encode_response(&response);
+        if frame.len() > cfg.max_frame_bytes as usize {
+            frame = encode_response(&fault(
+                ErrorCode::TooLarge,
+                format!(
+                    "answer of {} bytes exceeds the {}-byte frame cap",
+                    frame.len(),
+                    cfg.max_frame_bytes
+                ),
+            ));
+        }
+        if crate::wire::write_frame(&mut stream, &frame).is_err() {
             return;
         }
     }

@@ -249,7 +249,8 @@ pub enum ErrorCode {
     BadMagic,
     /// A frame arrived intact but did not parse (or was zero-length).
     Malformed,
-    /// A length prefix exceeded the receiver's frame cap.
+    /// A length prefix exceeded the receiver's frame cap, or the answer
+    /// to a request would have (the server sends this in its place).
     TooLarge,
     /// A frame was not delivered within the server's deadline
     /// (slow-loris protection).

@@ -1,0 +1,67 @@
+//! Argument handling of the `tuffy` binary, run as a child process.
+
+use std::process::{Command, Output};
+
+fn tuffy(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tuffy"))
+        .args(args)
+        .output()
+        .expect("spawn tuffy")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Every flag that configures a local engine is rejected under
+/// `--connect`, by name, before any connection is attempted (port 1 on
+/// loopback refuses connections, so a connect attempt would report it).
+#[test]
+fn connect_rejects_local_engine_flags_by_name() {
+    let flags: [&[&str]; 18] = [
+        &["-i", "prog.mln"],
+        &["-e", "evidence.db"],
+        &["--explain"],
+        &["--explain-schedule"],
+        &["--arch", "rdbms"],
+        &["--parallel", "2"],
+        &["--no-partition"],
+        &["--mem-budget", "4096"],
+        &["--partition-rounds", "2"],
+        &["--join-order", "program"],
+        &["--join-algo", "nl"],
+        &["--no-pushdown"],
+        &["--no-stats"],
+        &["--ground-threads", "2"],
+        &["--mem-budget-bytes", "64"],
+        &["--learn", "labels.db"],
+        &["--learner", "dn"],
+        &["--learn-iters", "3"],
+    ];
+    for flag in flags {
+        let mut args = vec!["--connect", "127.0.0.1:1"];
+        args.extend_from_slice(flag);
+        let out = tuffy(&args);
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{flag:?} was accepted");
+        assert!(
+            err.starts_with(&format!("{} ", flag[0])),
+            "{flag:?}: stderr does not name it: {err}"
+        );
+        assert!(
+            !err.contains("127.0.0.1:1"),
+            "{flag:?}: tried to connect: {err}"
+        );
+    }
+}
+
+#[test]
+fn serve_is_an_unknown_flag() {
+    let out = tuffy(&["--serve", "2"]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("unknown flag `--serve`"),
+        "{}",
+        stderr(&out)
+    );
+}

@@ -417,6 +417,39 @@ fn oversized_length_prefix_is_rejected_without_reading() {
     assert_server_healthy(&server, &baseline_map);
 }
 
+/// The frame cap binds answers too: a client reads at most the cap it
+/// shares with the server, so an answer over it must become a typed
+/// `too-large` error on a connection that stays in sync, not a frame the
+/// client refuses mid-stream.
+#[test]
+fn answers_over_the_frame_cap_are_typed_too_large() {
+    let request = encode_request(&Request::Query(wire_marginal()));
+    let answer_len = {
+        let server = serve(ServeConfig::default());
+        let mut stream = raw_handshake(&server);
+        write_frame(&mut stream, &request).unwrap();
+        read_frame(&mut stream, 1 << 20).unwrap().len()
+    };
+    assert!(
+        request.len() < answer_len,
+        "the marginal answer must outsize its request"
+    );
+    let cap = ((request.len() + answer_len) / 2) as u32;
+    let server = serve(ServeConfig {
+        max_frame_bytes: cap,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.query(&wire_marginal()).unwrap_err() {
+        ClientError::Server(f) => {
+            assert_eq!(f.code, ErrorCode::TooLarge, "{}", f.message);
+            assert!(f.message.contains(&answer_len.to_string()), "{}", f.message);
+        }
+        other => panic!("expected `error too-large`, got {other:?}"),
+    }
+    client.ping(9).unwrap();
+}
+
 #[test]
 fn zero_length_and_malformed_frames_keep_the_connection_usable() {
     let server = serve(ServeConfig::default());
