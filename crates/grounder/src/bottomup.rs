@@ -10,8 +10,11 @@
 //! A.3 iterates: grounding restricted to *reachable* atoms, newly
 //! activated atoms appended to the reachable tables, repeat to fixpoint.
 //! Use [`explain_grounding`] to dump the round-0 plans without executing
-//! anything (a variant split into value-range chunks is planned once per
-//! chunk, with the range narrowing its estimates).
+//! anything: it enumerates round 0's tasks with the grounder's own code,
+//! so a variant split into value-range chunks shows the split
+//! (`chunks=N on vK`) and one plan per chunk, with the range narrowing its
+//! estimates, and a constant selection on a large table shows the
+//! `IndexScan` that reads only its matching rows.
 //!
 //! # Parallel grounding and the deterministic-merge contract
 //!
@@ -28,13 +31,21 @@
 //!    bindings discovered late in a round are re-discovered from the
 //!    delta tables a round later.
 //! 2. **Deterministic task decomposition.** Chunking decisions depend
-//!    only on table contents (row counts, sorted column quantiles),
-//!    *never* on the thread count, so every thread count executes the
-//!    identical task list. A chunk restricts the driving atom's first
-//!    bound variable to an inclusive value range
+//!    only on table contents, *never* on the thread count or the config,
+//!    so every thread count executes the identical task list. A
+//!    variant's driving atom is its largest by *matching* rows: the rows
+//!    of its table that match the constants it binds, counted exactly
+//!    through the table's equality index, or the table's length when it
+//!    binds none. The split points are quantiles of the chunked column
+//!    over those matching rows only, so a constant selection on a large
+//!    table (IE's and ER's per-word lexicon rules) is one task unless it
+//!    alone matches enough rows to split, and no full column is sorted
+//!    for it. A chunk restricts the driving atom's first bound variable
+//!    to an inclusive value range
 //!    ([`tuffy_rdbms::ConjunctiveQuery::ranges`]); disjoint ranges
 //!    covering the whole `u32` domain partition the variant's binding
-//!    multiset exactly.
+//!    multiset exactly, so how a variant is cut never changes what it
+//!    emits (part 3).
 //! 3. **Canonical row order.** Every task's result is sorted
 //!    lexicographically by row content
 //!    ([`tuffy_rdbms::exec::Batch::sort_rows`]; per run when it spilled)
@@ -67,10 +78,10 @@ use tuffy_mln::fxhash::FxHashSet;
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
 use tuffy_mrf::{Mrf, MrfBuilder};
-use tuffy_rdbms::query::VarId;
+use tuffy_rdbms::query::{ColumnBinding, QueryAtom, VarId};
 use tuffy_rdbms::{
-    execute_spill, merge_cursor, plan_analyzed, ConjunctiveQuery, Database, OptimizerConfig,
-    SpillManager, SpillableBatch,
+    execute_spill, merge_cursor, plan_query, ConjunctiveQuery, Database, OptimizerConfig, Row,
+    SpillManager, SpillableBatch, TableId,
 };
 
 /// The output of grounding: the MRF, the atom registry mapping dense atom
@@ -143,22 +154,32 @@ enum GroupRows {
 /// Splits a binding query into value-range chunks on the first bound
 /// variable of its largest atom (classic parallel-hash-join
 /// partitioning: only the big side is split; small sides are re-scanned
-/// per chunk). Returns `None` when the query is too small to be worth
-/// splitting. Depends only on table contents — never on the thread
-/// count — so the task decomposition is identical for every thread
-/// count (the determinism contract).
+/// per chunk). An atom's size is the number of rows matching its
+/// constants ([`const_matches`]), or its table's length when it binds
+/// none, and the split points are quantiles of the chunked column over
+/// those rows only. Returns `None` when the query is too small to be
+/// worth splitting. Depends only on table contents — never on the thread
+/// count or the config — so the task decomposition is identical for
+/// every thread count (the determinism contract).
 fn chunk_ranges(db: &Database, q: &ConjunctiveQuery) -> Option<(VarId, Vec<(u32, u32)>)> {
-    let mut best: Option<(usize, usize)> = None; // (atom index, rows)
+    let mut best: Option<(usize, usize, Option<Vec<Row<'_>>>)> = None; // (atom, rows, matches)
     for (i, a) in q.atoms.iter().enumerate() {
         if a.var_columns().is_empty() {
             continue;
         }
-        let rows = db.table(a.table).len();
-        if best.map_or(true, |(_, b)| rows > b) {
-            best = Some((i, rows));
+        let len = db.table(a.table).len();
+        // A table below the threshold cannot match enough rows to split.
+        let matches = if len >= CHUNK_MIN_ROWS {
+            const_matches(db, a)
+        } else {
+            None
+        };
+        let rows = matches.as_ref().map_or(len, Vec::len);
+        if best.as_ref().map_or(true, |&(_, b, _)| rows > b) {
+            best = Some((i, rows, matches));
         }
     }
-    let (ai, rows) = best?;
+    let (ai, rows, matches) = best?;
     if rows < CHUNK_MIN_ROWS {
         return None;
     }
@@ -167,7 +188,10 @@ fn chunk_ranges(db: &Database, q: &ConjunctiveQuery) -> Option<(VarId, Vec<(u32,
     if q.ranges.iter().any(|&(w, _, _)| w == v) {
         return None;
     }
-    let mut vals: Vec<u32> = db.scan(atom.table).map(|r| r[c]).collect();
+    let mut vals: Vec<u32> = match matches {
+        Some(rows) => rows.iter().map(|r| r[c]).collect(),
+        None => db.scan(atom.table).map(|r| r[c]).collect(),
+    };
     vals.sort_unstable();
     let k = (rows / CHUNK_TARGET_ROWS).clamp(2, CHUNK_MAX);
     let mut splits: Vec<u32> = (1..k).map(|i| vals[i * vals.len() / k]).collect();
@@ -190,6 +214,92 @@ fn chunk_ranges(db: &Database, q: &ConjunctiveQuery) -> Option<(VarId, Vec<(u32,
         return None;
     }
     Some((v, ranges))
+}
+
+/// The rows of `atom`'s table that match every constant it binds, read
+/// through the equality index of its first constant column; `None` when
+/// it binds no constant (every row matches).
+fn const_matches<'d>(db: &'d Database, atom: &QueryAtom) -> Option<Vec<Row<'d>>> {
+    let mut consts = atom
+        .bindings
+        .iter()
+        .enumerate()
+        .filter_map(|(c, b)| match *b {
+            ColumnBinding::Const(value) => Some((c, value)),
+            _ => None,
+        });
+    let (col, value) = consts.next()?;
+    let rest: Vec<(usize, u32)> = consts.collect();
+    let rows = db.table(atom.table).lookup(col, value, db.pool());
+    Some(
+        rows.filter(|r| rest.iter().all(|&(c, v)| r[c] == v))
+            .collect(),
+    )
+}
+
+/// `q` as a round runs it: one query per value-range chunk of
+/// [`chunk_ranges`], each restricting the returned variable, or `q`
+/// alone when it is not split.
+fn split_into_chunks(db: &Database, q: ConjunctiveQuery) -> (Option<VarId>, Vec<ConjunctiveQuery>) {
+    match chunk_ranges(db, &q) {
+        Some((v, ranges)) => {
+            let chunks = ranges
+                .into_iter()
+                .map(|(lo, hi)| {
+                    let mut cq = q.clone();
+                    cq.ranges.push((v, lo, hi));
+                    cq
+                })
+                .collect();
+            (Some(v), chunks)
+        }
+        None => (None, vec![q]),
+    }
+}
+
+/// The binding-query variants `cc` runs in closure round `round`
+/// (`None`: ground once with the empty binding). Round 0 runs each
+/// clause's full query. Later (semi-naive) rounds run one variant per
+/// reachable atom with that atom's table swapped for the last round's
+/// delta: any genuinely new binding must use at least one newly
+/// activated atom. Negative-weight all-positive clauses instead run one
+/// union variant per literal, restricted to reachable (round 0) or
+/// newly-reachable (later rounds) atoms.
+fn round_variants(
+    cc: &CompiledClause,
+    round: usize,
+    reach_delta: &[TableId],
+) -> Vec<Option<ConjunctiveQuery>> {
+    if round > 0 && !cc.uses_reachable {
+        return Vec::new();
+    }
+    match &cc.query {
+        None if round > 0 => Vec::new(),
+        None => vec![None],
+        Some(q) if !cc.union_variants.is_empty() => cc
+            .union_variants
+            .iter()
+            .map(|(atom, pred_idx)| {
+                let mut v = q.clone();
+                let mut a = atom.clone();
+                if round > 0 {
+                    a.table = reach_delta[*pred_idx];
+                }
+                v.atoms.insert(0, a);
+                Some(v)
+            })
+            .collect(),
+        Some(q) if round == 0 => vec![Some(q.clone())],
+        Some(q) => cc
+            .reach_positions
+            .iter()
+            .map(|&(pos, pred_idx)| {
+                let mut v = q.clone();
+                v.atoms[pos].table = reach_delta[pred_idx];
+                Some(v)
+            })
+            .collect(),
+    }
 }
 
 /// Maps `f` over `0..n` on a transient work-stealing pool, returning the
@@ -270,81 +380,27 @@ pub fn ground_bottom_up_threaded(
     let mut round = 0usize;
     loop {
         // Phase A: refresh statistics, then enumerate this round's tasks
-        // against the start-of-round table state. Round 0 runs each
-        // clause's full query. Later (semi-naive) rounds run one variant
-        // per reachable atom with that atom's table swapped for the last
-        // round's delta: any genuinely new binding must use at least one
-        // newly activated atom. Negative-weight all-positive clauses
-        // instead run one union variant per literal, restricted to
-        // reachable (round 0) or newly-reachable (later rounds) atoms.
-        // Large variants are further split into value-range chunks.
+        // against the start-of-round table state: each clause's variants
+        // for this round, large ones split into value-range chunks.
         gdb.db.analyze_all();
         let mut tasks: Vec<RoundTask> = Vec::new();
         for (ci, cc) in compiled.iter().enumerate() {
-            if round > 0 && !cc.uses_reachable {
-                continue;
-            }
-            let variants: Vec<Option<ConjunctiveQuery>> = match &cc.query {
-                None => {
-                    if round > 0 {
-                        continue;
-                    }
-                    vec![None]
-                }
-                Some(q) if !cc.union_variants.is_empty() => cc
-                    .union_variants
-                    .iter()
-                    .map(|(atom, pred_idx)| {
-                        let mut v = q.clone();
-                        let mut a = atom.clone();
-                        if round > 0 {
-                            a.table = gdb.reach_delta[*pred_idx];
-                        }
-                        v.atoms.insert(0, a);
-                        Some(v)
-                    })
-                    .collect(),
-                Some(q) => {
-                    if round == 0 {
-                        vec![Some(q.clone())]
-                    } else {
-                        cc.reach_positions
-                            .iter()
-                            .map(|&(pos, pred_idx)| {
-                                let mut v = q.clone();
-                                v.atoms[pos].table = gdb.reach_delta[pred_idx];
-                                Some(v)
-                            })
-                            .collect()
-                    }
-                }
-            };
-            for variant in variants {
+            for variant in round_variants(cc, round, &gdb.reach_delta) {
                 let group = tasks.last().map_or(0, |t| t.group + 1);
-                match variant {
-                    None => tasks.push(RoundTask {
+                let queries = match variant {
+                    None => vec![None],
+                    Some(q) => split_into_chunks(&gdb.db, q)
+                        .1
+                        .into_iter()
+                        .map(Some)
+                        .collect(),
+                };
+                for query in queries {
+                    tasks.push(RoundTask {
                         clause: ci,
                         group,
-                        query: None,
-                    }),
-                    Some(q) => match chunk_ranges(&gdb.db, &q) {
-                        Some((v, ranges)) => {
-                            for (lo, hi) in ranges {
-                                let mut cq = q.clone();
-                                cq.ranges.push((v, lo, hi));
-                                tasks.push(RoundTask {
-                                    clause: ci,
-                                    group,
-                                    query: Some(cq),
-                                });
-                            }
-                        }
-                        None => tasks.push(RoundTask {
-                            clause: ci,
-                            group,
-                            query: Some(q),
-                        }),
-                    },
+                        query,
+                    });
                 }
             }
         }
@@ -472,13 +528,17 @@ pub fn ground_bottom_up_threaded(
     })
 }
 
-/// Plans every compiled clause's binding query and renders the plans as
-/// an `EXPLAIN` report — the paper's central mechanism made inspectable
-/// without executing anything. Surfaced by the CLI's `--explain` flag.
+/// Plans every compiled clause's round-0 binding queries and renders the
+/// plans as an `EXPLAIN` report — the paper's central mechanism made
+/// inspectable without executing anything. Surfaced by the CLI's
+/// `--explain` flag.
 ///
-/// Union-variant clauses (LazySAT activity for negative weights) report
-/// one plan per variant; clauses with no universal variables ground once
-/// with the empty binding and have no plan.
+/// The report shows the tasks round 0 runs: union-variant clauses
+/// (LazySAT activity for negative weights) report one plan per variant,
+/// and a variant the grounder splits into value-range chunks reports the
+/// split (`chunks=N on vK`) and then one plan per chunk, each headed by
+/// its range. Clauses with no universal variables ground once with the
+/// empty binding and have no plan.
 pub fn explain_grounding(
     program: &MlnProgram,
     evidence: &EvidenceSet,
@@ -488,6 +548,7 @@ pub fn explain_grounding(
     let domains = evidence.merged_domains(program);
     let ev = EvidenceIndex::build(program, evidence)?;
     let mut gdb = GroundingDb::build(program, &ev, &domains)?;
+    gdb.db.analyze_all();
     let clauses = clausify_program(program);
     let to_mln = |e: tuffy_rdbms::DbError| MlnError::general(e.to_string());
     let mut out = String::new();
@@ -499,26 +560,29 @@ pub fn explain_grounding(
             "clause {} (weight {}, {} universal vars)",
             cc.rule_index, cc.weight, cc.num_univ
         );
-        match &cc.query {
-            None => {
+        for (vi, variant) in round_variants(&cc, 0, &gdb.reach_delta)
+            .into_iter()
+            .enumerate()
+        {
+            let Some(q) = variant else {
                 out.push_str(&header);
                 out.push_str(": grounds once with the empty binding\n\n");
+                continue;
+            };
+            out.push_str(&header);
+            if !cc.union_variants.is_empty() {
+                out.push_str(&format!(", activity variant {vi}"));
             }
-            Some(q) if !cc.union_variants.is_empty() => {
-                for (vi, (atom, _)) in cc.union_variants.iter().enumerate() {
-                    let mut v = q.clone();
-                    v.atoms.insert(0, atom.clone());
-                    let plan = plan_analyzed(&mut gdb.db, &v, config).map_err(to_mln)?;
-                    out.push_str(&format!("{header}, activity variant {vi}\n"));
-                    out.push_str(&plan.explain());
-                    out.push('\n');
+            let (chunked, queries) = split_into_chunks(&gdb.db, q);
+            if let Some(v) = chunked {
+                out.push_str(&format!(", chunks={} on v{v}", queries.len()));
+            }
+            out.push('\n');
+            for q in &queries {
+                if let (Some(v), Some(&(_, lo, hi))) = (chunked, q.ranges.last()) {
+                    out.push_str(&format!("chunk v{v} in [{lo}, {hi}]\n"));
                 }
-            }
-            Some(q) => {
-                let plan = plan_analyzed(&mut gdb.db, q, config).map_err(to_mln)?;
-                out.push_str(&header);
-                out.push('\n');
-                out.push_str(&plan.explain());
+                out.push_str(&plan_query(&gdb.db, q, config).map_err(to_mln)?.explain());
                 out.push('\n');
             }
         }

@@ -1,7 +1,9 @@
 //! Golden tests pinning the `EXPLAIN` rendering of the physical plans
 //! for two representative grounding queries from the paper's Figure 1
-//! program. Any change to the planner's ordering heuristics, cost
-//! arithmetic, or the plan printer shows up here as a readable diff.
+//! program, and of `explain_grounding` on a table large enough to be
+//! chunked and index-read. Any change to the planner's ordering
+//! heuristics, access paths, cost arithmetic, the grounder's task split,
+//! or the plan printer shows up here as a readable diff.
 
 use tuffy_grounder::compile::{compile_clause, GroundingMode};
 use tuffy_grounder::dbload::GroundingDb;
@@ -162,4 +164,51 @@ node  5 SeqScan          est_rows=1        actual_rows=1        rows_in=1
 node  6 SeqScan          est_rows=1        actual_rows=1        rows_in=1
 ";
     assert_eq!(rendered, expected);
+}
+
+/// `tuffy --explain` on a table above the grounder's chunk threshold
+/// (2 100 `link` rows): the full-table rule is split into value-range
+/// chunks, and EXPLAIN prints the split and each chunk's plan; the
+/// constant selection matches 42 rows, runs as one task, and reads them
+/// through the table's equality index.
+#[test]
+fn explain_shows_chunks_and_index_lookups() {
+    let program = "*link(node, node)\n\
+                   label(node)\n\
+                   1 link(x, y) => label(y)\n\
+                   2 link(N0, y) => label(y)\n";
+    let evidence: String = (0..2_100)
+        .map(|i| format!("link(N{}, M{i})\n", i % 50))
+        .collect();
+    let mut p = parse_program(program).unwrap();
+    let set = parse_evidence(&mut p, &evidence).unwrap();
+    let text = tuffy_grounder::explain_grounding(
+        &p,
+        &set,
+        GroundingMode::LazyClosure,
+        &OptimizerConfig::default(),
+    )
+    .unwrap();
+    let expected = "\
+clause 0 (weight 1, 2 universal vars), chunks=2 on v0
+chunk v0 in [0, 55]
+Query (rows=974 cost=3182 output=[v0, v1])
+└─ AntiJoin keys=[v1]  (rows=974 cost=3182 width=2 vars=[0, 1])
+   ├─ SeqScan evt_link preds=[c0 in [0,55]]  (rows=1082 cost=2100 width=2 vars=[0, 1])
+   └─ SeqScan evt_label  (rows=0 cost=0 width=1 vars=[1])
+
+chunk v0 in [56, 4294967295]
+Query (rows=916 cost=3118 output=[v0, v1])
+└─ AntiJoin keys=[v1]  (rows=916 cost=3118 width=2 vars=[0, 1])
+   ├─ SeqScan evt_link preds=[c0 in [56,4294967295]]  (rows=1018 cost=2100 width=2 vars=[0, 1])
+   └─ SeqScan evt_label  (rows=0 cost=0 width=1 vars=[1])
+
+clause 1 (weight 2, 1 universal vars)
+Query (rows=38 cost=84 output=[v0])
+└─ AntiJoin keys=[v0]  (rows=38 cost=84 width=1 vars=[0])
+   ├─ IndexScan evt_link [c0=5]  (rows=42 cost=42 width=1 vars=[0])
+   └─ SeqScan evt_label  (rows=0 cost=0 width=1 vars=[0])
+
+";
+    assert_eq!(text, expected);
 }

@@ -1,4 +1,15 @@
 //! The database: a catalog of tables plus the shared buffer pool.
+//!
+//! Two kinds of derived state hang off each table, and a mutation drops
+//! both. Statistics (`ANALYZE`, [`Database::analyze`]) live here and are
+//! dropped by every mutator below, [`Database::table_mut`] included. The
+//! per-column equality indexes live in the [`Table`] itself, built on
+//! first use by whoever reads through `&Database` (the planner, the
+//! executor, the grounder's chunker, from any thread), and dropped by the
+//! table on any change to its rows — whether it arrives through
+//! [`Database::insert`], [`Database::bulk_load`],
+//! [`Database::update_cell`], [`Database::truncate`] or the `&mut Table`
+//! that [`Database::table_mut`] hands out.
 
 use crate::bufferpool::{BufferPool, DiskModel, IoStats};
 use crate::error::DbError;
@@ -77,7 +88,8 @@ impl Database {
         &self.tables[id.index()]
     }
 
-    /// Mutable access to a table (invalidates its statistics).
+    /// Mutable access to a table (invalidates its statistics; the table
+    /// drops its own equality indexes if its rows change).
     pub fn table_mut(&mut self, id: TableId) -> &mut Table {
         self.stats[id.index()] = None;
         &mut self.tables[id.index()]

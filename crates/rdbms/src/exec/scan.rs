@@ -1,9 +1,10 @@
-//! Sequential scan with predicate pushdown and projection.
+//! Base-table access with predicate pushdown and projection: a sequential
+//! scan, or a lookup through a column's equality index.
 
 use super::Batch;
 use crate::bufferpool::BufferPool;
 use crate::pred::Pred;
-use crate::storage::Table;
+use crate::storage::{Row, Table};
 
 /// Scans `table`, applying `preds` to each row (pushdown) and projecting to
 /// `projection` (or all columns when `None`).
@@ -29,11 +30,40 @@ pub fn seq_scan_into(
     projection: Option<&[usize]>,
     out: &mut Batch,
 ) {
-    let width = projection.map_or(table.width(), <[usize]>::len);
-    out.reset(width);
+    out.reset(projection.map_or(table.width(), <[usize]>::len));
+    filter_project(table.scan(pool), preds, projection, out);
+}
+
+/// The rows of `table` whose column `col` equals `value`, read through
+/// the column's equality index ([`Table::lookup`]), then filtered by
+/// `preds` and projected like [`seq_scan`]. Rows come out in table order,
+/// so the result equals the sequential scan with the extra predicate
+/// `col = value`; the output is sized by the matching rows.
+pub fn index_scan(
+    table: &Table,
+    pool: &BufferPool,
+    col: usize,
+    value: u32,
+    preds: &[Pred],
+    projection: Option<&[usize]>,
+) -> Batch {
+    let matches = table.index(col, pool).postings(value).len();
+    let mut out = Batch::with_capacity(projection.map_or(table.width(), <[usize]>::len), matches);
+    filter_project(table.lookup(col, value, pool), preds, projection, &mut out);
+    out
+}
+
+/// Appends the rows satisfying every predicate of `preds`, projected to
+/// `projection` (all columns when `None`), to `out`.
+fn filter_project<'t>(
+    rows: impl Iterator<Item = Row<'t>>,
+    preds: &[Pred],
+    projection: Option<&[usize]>,
+    out: &mut Batch,
+) {
     match projection {
         None => {
-            for row in table.scan(pool) {
+            for row in rows {
                 if preds.iter().all(|p| p.eval(row)) {
                     out.push(row);
                 }
@@ -41,7 +71,7 @@ pub fn seq_scan_into(
         }
         Some(cols) => {
             let mut buf = Vec::with_capacity(cols.len());
-            for row in table.scan(pool) {
+            for row in rows {
                 if preds.iter().all(|p| p.eval(row)) {
                     buf.clear();
                     buf.extend(cols.iter().map(|&c| row[c]));

@@ -19,7 +19,12 @@
 //! # Operators under a budget
 //!
 //! * **Scans** produce one batch (base tables are resident already); it
-//!   is cut into sorted runs if it exceeds the budget.
+//!   is cut into sorted runs if it exceeds the budget. An `IndexScan`
+//!   reads only the rows its key matches, through the table's equality
+//!   index ([`crate::storage::Table::lookup`], built on first use and
+//!   dropped by any mutation), charges the buffer pool one read per
+//!   distinct page those rows sit on, and sizes its batch by the matches,
+//!   not by the table.
 //! * **Filters** and **anti-joins** stream a spilled input chunk by
 //!   chunk; the anti-join's (small, evidence-derived) `NOT EXISTS` side
 //!   is materialized.
@@ -47,7 +52,7 @@ use crate::catalog::Database;
 use crate::error::DbError;
 use crate::exec::agg;
 use crate::exec::join::{cross_join, hash_anti_join, hash_join, nested_loop_join, sort_merge_join};
-use crate::exec::scan::seq_scan;
+use crate::exec::scan::{index_scan, seq_scan};
 use crate::exec::Batch;
 use crate::optimizer::{plan_query, OptimizerConfig};
 use crate::plan::{JoinNode, PhysicalPlan, PlanOp, QueryPlan};
@@ -233,6 +238,20 @@ fn exec_node(
             let table = db.table(s.table);
             rows_in = table.len();
             wrap(seq_scan(table, db.pool(), &s.preds, Some(&s.project)), mgr)?
+        }
+        (
+            PlanOp::IndexScan {
+                scan: s,
+                col,
+                value,
+            },
+            None,
+            None,
+        ) => {
+            let table = db.table(s.table);
+            rows_in = table.index(*col, db.pool()).postings(*value).len();
+            let rows = index_scan(table, db.pool(), *col, *value, &s.preds, Some(&s.project));
+            wrap(rows, mgr)?
         }
         (PlanOp::FilterScan { preds, .. }, Some(input), None) => {
             let width = input.width();

@@ -13,8 +13,10 @@
 //!
 //! * **storage**: fixed-width `u32` rows in pages, behind a buffer pool
 //!   with LRU eviction, I/O accounting, and an optional simulated-disk cost
-//!   model ([`storage`], [`bufferpool`]);
-//! * **executors**: sequential scans with predicate pushdown, nested-loop /
+//!   model ([`storage`], [`bufferpool`]), plus a lazily built equality
+//!   index per column that every mutation drops;
+//! * **executors**: sequential scans and equality-index lookups with
+//!   predicate pushdown, nested-loop /
 //!   hash / sort-merge joins, semi- and anti-joins, distinct, sorting, and
 //!   grouping ([`exec`]);
 //! * **a cost-based optimizer** for the conjunctive (select-project-join +

@@ -18,7 +18,10 @@
 //!    [`JoinAlgorithmPolicy::NestedLoopOnly`]);
 //! 3. **predicate pushdown** — constant filters evaluated at scan time
 //!    (disable with `pushdown: false` to defer them above the joins as a
-//!    top-level `FilterScan` over carried check columns).
+//!    top-level `FilterScan` over carried check columns). A pushed-down
+//!    `col = const` on a table larger than one page reads the table's
+//!    equality index instead of the whole table (`IndexScan`); under the
+//!    lesion no scan uses an index.
 //!
 //! Anti-joins (`NOT EXISTS` pruning) are applied as early as their
 //! correlation variables are available. Fully-constant atoms (no variable
@@ -42,6 +45,7 @@ use crate::error::DbError;
 use crate::plan::{JoinNode, NodeInfo, PhysicalPlan, PlanColumn, PlanOp, QueryPlan, ScanNode};
 use crate::pred::Pred;
 use crate::query::{ColumnBinding, ConjunctiveQuery, QueryAtom, VarId};
+use crate::storage::PAGE_ROWS;
 
 /// Join-order selection policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -616,18 +620,24 @@ fn scan_subtree(
         cols.push(PlanCol::Check(value));
     }
 
-    let scan = PhysicalPlan {
-        op: PlanOp::SeqScan(ScanNode {
+    let width = project.len();
+    let (op, est_cost) = access_path(
+        db,
+        ScanNode {
             table: atom.table,
             table_name: table.name.clone(),
             preds,
-            project: project.clone(),
-        }),
+            project,
+        },
+        config,
+    );
+    let scan = PhysicalPlan {
+        op,
         info: NodeInfo {
             id: 0,
             est_rows: info.est_rows,
-            est_cost: table.len() as f64,
-            width: project.len(),
+            est_cost,
+            width,
             cols: to_plan_columns(&cols),
         },
     };
@@ -652,6 +662,40 @@ fn scan_subtree(
         };
         (node, vec![])
     }
+}
+
+/// Chooses how a base-table scan reads its table, returning the operator
+/// and its cost in rows read. With pushdown on, a scan whose predicates
+/// hold a `col = const` on a table larger than one page becomes an
+/// [`PlanOp::IndexScan`] on the most selective such key (the first on
+/// ties); the key leaves the predicate list and the cost is the key's
+/// matching rows. Everything else, and every scan under the pushdown
+/// lesion, is a [`PlanOp::SeqScan`] costing the table's length. Asking
+/// the index for a key's row count builds it if needed, so the choice
+/// depends on table contents only, never on what was built before.
+fn access_path(db: &Database, mut scan: ScanNode, config: &OptimizerConfig) -> (PlanOp, f64) {
+    let table = db.table(scan.table);
+    if config.pushdown && table.len() > PAGE_ROWS {
+        let lookup = scan
+            .preds
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| match *p {
+                Pred::ColEqConst { col, value } => Some((
+                    i,
+                    col,
+                    value,
+                    table.index(col, db.pool()).postings(value).len(),
+                )),
+                _ => None,
+            })
+            .min_by_key(|&(.., matches)| matches);
+        if let Some((i, col, value, matches)) = lookup {
+            scan.preds.remove(i);
+            return (PlanOp::IndexScan { scan, col, value }, matches as f64);
+        }
+    }
+    (PlanOp::SeqScan(scan), table.len() as f64)
 }
 
 /// Joins the accumulated plan with one atom's scan subtree.
@@ -790,18 +834,24 @@ fn apply_antis(
             Some(s) => s.row_count as f64,
             None => table.len() as f64,
         };
-        let sub = PhysicalPlan {
-            op: PlanOp::SeqScan(ScanNode {
+        let width = project.len();
+        let (op, sub_cost) = access_path(
+            db,
+            ScanNode {
                 table: anti.table,
                 table_name: table.name.clone(),
                 preds,
-                project: project.clone(),
-            }),
+                project,
+            },
+            config,
+        );
+        let sub = PhysicalPlan {
+            op,
             info: NodeInfo {
                 id: 0,
                 est_rows: sub_rows,
-                est_cost: table.len() as f64,
-                width: project.len(),
+                est_cost: sub_cost,
+                width,
                 cols: sub_cols,
             },
         };

@@ -64,7 +64,8 @@ impl NodeInfo {
     }
 }
 
-/// A base-table scan specification shared by [`PlanOp::SeqScan`].
+/// A base-table scan specification shared by [`PlanOp::SeqScan`] and
+/// [`PlanOp::IndexScan`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScanNode {
     /// The scanned table.
@@ -96,6 +97,17 @@ pub struct JoinNode {
 pub enum PlanOp {
     /// Sequential scan of a base table with predicate pushdown.
     SeqScan(ScanNode),
+    /// Equality-index lookup of a base table: the rows whose column `col`
+    /// equals `value` ([`crate::storage::Table::lookup`]), filtered by the
+    /// scan's remaining pushed-down predicates and projected.
+    IndexScan {
+        /// The table, the remaining predicates and the projection.
+        scan: ScanNode,
+        /// The looked-up column.
+        col: usize,
+        /// The value that column must equal.
+        value: u32,
+    },
     /// Filter (σ) applied above an arbitrary input. Used for residual
     /// inequality predicates and, in the pushdown-disabled lesion, for
     /// constant filters deferred above the joins.
@@ -152,6 +164,7 @@ impl PhysicalPlan {
     pub fn name(&self) -> &'static str {
         match &self.op {
             PlanOp::SeqScan(_) => "SeqScan",
+            PlanOp::IndexScan { .. } => "IndexScan",
             PlanOp::FilterScan { .. } => "FilterScan",
             PlanOp::HashJoin(_) => "HashJoin",
             PlanOp::SortMergeJoin(_) => "SortMergeJoin",
@@ -166,7 +179,7 @@ impl PhysicalPlan {
     /// operator's arity) — the executor's allocation-free view.
     pub(crate) fn inputs(&self) -> [Option<&PhysicalPlan>; 2] {
         match &self.op {
-            PlanOp::SeqScan(_) => [None, None],
+            PlanOp::SeqScan(_) | PlanOp::IndexScan { .. } => [None, None],
             PlanOp::FilterScan { input, .. } | PlanOp::Distinct { input, .. } => {
                 [Some(input), None]
             }
@@ -187,7 +200,7 @@ impl PhysicalPlan {
     /// renumber node ids).
     pub fn children_mut(&mut self) -> Vec<&mut PhysicalPlan> {
         match &mut self.op {
-            PlanOp::SeqScan(_) => vec![],
+            PlanOp::SeqScan(_) | PlanOp::IndexScan { .. } => vec![],
             PlanOp::FilterScan { input, .. } | PlanOp::Distinct { input, .. } => {
                 vec![input]
             }
@@ -217,14 +230,20 @@ impl PhysicalPlan {
     }
 
     fn detail(&self) -> String {
-        match &self.op {
-            PlanOp::SeqScan(s) => {
-                if s.preds.is_empty() {
-                    s.table_name.clone()
-                } else {
-                    format!("{} preds={}", s.table_name, fmt_preds(&s.preds))
-                }
+        let scan = |s: &ScanNode, key: String| {
+            if s.preds.is_empty() {
+                format!("{}{key}", s.table_name)
+            } else {
+                format!("{}{key} preds={}", s.table_name, fmt_preds(&s.preds))
             }
+        };
+        match &self.op {
+            PlanOp::SeqScan(s) => scan(s, String::new()),
+            PlanOp::IndexScan {
+                scan: s,
+                col,
+                value,
+            } => scan(s, format!(" [c{col}={value}]")),
             PlanOp::FilterScan { preds, .. } => format!("preds={}", fmt_preds(preds)),
             PlanOp::HashJoin(j) | PlanOp::SortMergeJoin(j) | PlanOp::NestedLoopJoin(j) => {
                 format!("keys={}", fmt_key_vars(j))

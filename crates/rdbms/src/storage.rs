@@ -5,10 +5,25 @@
 //! [`crate::bufferpool::BufferPool`], which is how the engine models disk
 //! residency. Tables also expose their exact in-memory footprint, used for
 //! the paper's space-efficiency measurements (Tables 4–5).
+//!
+//! # Equality indexes
+//!
+//! Each column can carry an equality index: its distinct values, sorted,
+//! with the ascending ids of the rows holding each (a CSR). An index is
+//! built on first use ([`Table::lookup`]) behind a `OnceLock`, so
+//! readers that share a `&Table` — the planner and the grounder's worker
+//! pool — build it at most once between mutations. The
+//! build reads the table like a sequential scan (one page read per page).
+//! Every mutation of the rows (`insert`, `bulk_load`, `update_cell`,
+//! `truncate`) goes through one private accessor that drops every index,
+//! so a lookup never serves rows the table no longer holds. A lookup
+//! charges one page read per distinct page its rows sit on, never more
+//! than a sequential scan of the table.
 
 use crate::bufferpool::BufferPool;
 use crate::error::DbError;
 use crate::schema::TableSchema;
+use std::sync::OnceLock;
 
 /// Rows per page. With 4-byte values, a 4-column table has ~16 KiB pages,
 /// in the ballpark of PostgreSQL's 8 KiB heap pages.
@@ -16,6 +31,59 @@ pub const PAGE_ROWS: usize = 1024;
 
 /// A borrowed row.
 pub type Row<'a> = &'a [u32];
+
+/// An equality index over one column: the column's distinct values in
+/// ascending order and, for each, the ascending ids of the rows holding
+/// it, laid out as one CSR (no per-value allocation).
+#[derive(Clone, Debug)]
+pub(crate) struct ColumnIndex {
+    /// Distinct values, ascending.
+    values: Vec<u32>,
+    /// `rows[offsets[k]..offsets[k + 1]]` hold `values[k]`.
+    offsets: Vec<u32>,
+    /// Row ids grouped by value, ascending within each group.
+    rows: Vec<u32>,
+}
+
+impl ColumnIndex {
+    /// Indexes column `col` of `table`: one sort of packed `(value, row)`
+    /// keys, then one pass that cuts the sorted keys into groups.
+    fn build(table: &Table, col: usize, pool: &BufferPool) -> ColumnIndex {
+        assert!(
+            u32::try_from(table.len()).is_ok(),
+            "row ids of an indexed table fit in u32"
+        );
+        let mut keys: Vec<u64> = table
+            .scan(pool)
+            .zip(0u64..)
+            .map(|(row, id)| u64::from(row[col]) << 32 | id)
+            .collect();
+        keys.sort_unstable();
+        let mut index = ColumnIndex {
+            values: Vec::new(),
+            offsets: Vec::new(),
+            rows: Vec::with_capacity(keys.len()),
+        };
+        for key in keys {
+            let value = (key >> 32) as u32;
+            if index.values.last() != Some(&value) {
+                index.values.push(value);
+                index.offsets.push(index.rows.len() as u32);
+            }
+            index.rows.push(key as u32);
+        }
+        index.offsets.push(index.rows.len() as u32);
+        index
+    }
+
+    /// Ids of the rows whose column equals `value`, ascending.
+    pub(crate) fn postings(&self, value: u32) -> &[u32] {
+        match self.values.binary_search(&value) {
+            Ok(k) => &self.rows[self.offsets[k] as usize..self.offsets[k + 1] as usize],
+            Err(_) => &[],
+        }
+    }
+}
 
 /// A heap table: schema + paged rows.
 #[derive(Clone, Debug)]
@@ -30,6 +98,9 @@ pub struct Table {
     /// Flattened pages: each holds up to `PAGE_ROWS * width` values.
     pages: Vec<Vec<u32>>,
     nrows: usize,
+    /// One lazily built equality index per column; emptied by every
+    /// mutation (module docs).
+    index: Vec<OnceLock<ColumnIndex>>,
 }
 
 impl Table {
@@ -43,7 +114,46 @@ impl Table {
             width,
             pages: Vec::new(),
             nrows: 0,
+            index: (0..width).map(|_| OnceLock::new()).collect(),
         }
+    }
+
+    /// The pages, for writing: the one path to mutable row data, so every
+    /// mutation drops the equality indexes built over the old rows.
+    fn pages_mut(&mut self) -> &mut Vec<Vec<u32>> {
+        for index in &mut self.index {
+            index.take();
+        }
+        &mut self.pages
+    }
+
+    /// The equality index of column `col`, built on first use (charging
+    /// `pool` one read per page, as a sequential scan would).
+    pub(crate) fn index(&self, col: usize, pool: &BufferPool) -> &ColumnIndex {
+        self.index[col].get_or_init(|| ColumnIndex::build(self, col, pool))
+    }
+
+    /// The rows whose column `col` equals `value`, in table order, read
+    /// through the column's equality index. Charges one page read per
+    /// distinct page the matching rows sit on.
+    pub fn lookup<'t>(
+        &'t self,
+        col: usize,
+        value: u32,
+        pool: &'t BufferPool,
+    ) -> impl Iterator<Item = Row<'t>> + 't {
+        let mut last_page = usize::MAX;
+        self.index(col, pool)
+            .postings(value)
+            .iter()
+            .map(move |&id| {
+                let (page, slot) = (id as usize / PAGE_ROWS, id as usize % PAGE_ROWS);
+                if page != last_page {
+                    pool.touch_read((self.id, page as u32));
+                    last_page = page;
+                }
+                &self.pages[page][slot * self.width..(slot + 1) * self.width]
+            })
     }
 
     /// Number of rows.
@@ -78,12 +188,13 @@ impl Table {
                 expected: self.width,
             });
         }
-        let slot = self.nrows % PAGE_ROWS;
+        let (slot, width) = (self.nrows % PAGE_ROWS, self.width);
+        let pages = self.pages_mut();
         if slot == 0 {
-            self.pages.push(Vec::with_capacity(PAGE_ROWS * self.width));
+            pages.push(Vec::with_capacity(PAGE_ROWS * width));
         }
-        let page_idx = self.pages.len() - 1;
-        self.pages[page_idx].extend_from_slice(row);
+        let page_idx = pages.len() - 1;
+        pages[page_idx].extend_from_slice(row);
         self.nrows += 1;
         pool.touch_write((self.id, page_idx as u32));
         Ok(())
@@ -121,7 +232,8 @@ impl Table {
         let page = idx / PAGE_ROWS;
         let slot = idx % PAGE_ROWS;
         pool.touch_write((self.id, page as u32));
-        self.pages[page][slot * self.width + col] = value;
+        let width = self.width;
+        self.pages_mut()[page][slot * width + col] = value;
     }
 
     /// Iterates over all rows sequentially, charging one page read per page.
@@ -142,7 +254,7 @@ impl Table {
 
     /// Removes all rows.
     pub fn truncate(&mut self, pool: &BufferPool) {
-        self.pages.clear();
+        self.pages_mut().clear();
         self.nrows = 0;
         pool.evict_table(self.id);
     }
@@ -223,5 +335,34 @@ mod tests {
         pool.reset_stats();
         let _ = t.scan(&pool).count();
         assert_eq!(pool.stats().page_reads, 2);
+    }
+
+    #[test]
+    fn lookup_reads_matching_rows_on_their_pages_only() {
+        let (mut t, _unused) = table();
+        let pool = BufferPool::new(0);
+        for i in 0..(3 * PAGE_ROWS) {
+            // Value 7 sits only on the first and third pages.
+            let v = if i % PAGE_ROWS == 5 && i / PAGE_ROWS != 1 {
+                7
+            } else {
+                1
+            };
+            t.insert(&[v, i as u32], &pool).unwrap();
+        }
+        let index = t.index(0, &pool);
+        assert_eq!(index.postings(7), &[5, 2 * PAGE_ROWS as u32 + 5]);
+        assert_eq!(index.postings(1).len(), 3 * PAGE_ROWS - 2);
+        assert!(index.postings(2).is_empty());
+        pool.reset_stats();
+        let rows: Vec<Vec<u32>> = t.lookup(0, 7, &pool).map(<[u32]>::to_vec).collect();
+        assert_eq!(rows, vec![vec![7, 5], vec![7, 2 * PAGE_ROWS as u32 + 5]]);
+        assert_eq!(pool.stats().page_reads, 2);
+        t.update_cell(0, 0, 7, &pool);
+        assert_eq!(
+            t.lookup(0, 7, &pool).count(),
+            3,
+            "a mutation drops the index"
+        );
     }
 }

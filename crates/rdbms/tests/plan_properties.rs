@@ -8,15 +8,22 @@
 //! anything spilled). Plans are also pinned as a function of (query,
 //! `ANALYZE` statistics, config) alone: executing queries never changes
 //! them.
+//!
+//! Equality-index lookups (`IndexScan`) are held to the sequential scan:
+//! on tables on both sides of one page, a lookup plan returns the
+//! multiset the pushdown-lesioned plan (which reads every row) returns,
+//! no mutation leaves an index that serves rows the table no longer
+//! holds, and a lookup never reads more pages than a scan.
 
 use proptest::prelude::*;
-use tuffy_rdbms::executor::{execute_plan, execute_profiled};
+use tuffy_rdbms::executor::{execute, execute_plan, execute_profiled};
 use tuffy_rdbms::optimizer::{plan_analyzed, plan_query, run_query};
 use tuffy_rdbms::query::{ColumnBinding, ConjunctiveQuery, QueryAtom};
 use tuffy_rdbms::spill::collect_cursor;
 use tuffy_rdbms::{
-    execute_spill, Database, ExecProfile, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig,
-    PlanOp, SpillManager, TableSchema,
+    execute_spill, BufferPool, Database, DiskModel, ExecProfile, JoinAlgorithmPolicy,
+    JoinOrderPolicy, OptimizerConfig, PlanOp, QueryPlan, SpillManager, TableId, TableSchema,
+    PAGE_ROWS,
 };
 
 /// All sixteen lesion configurations (join order × algorithm × pushdown ×
@@ -311,5 +318,232 @@ proptest! {
         let p2 = plan_analyzed(&mut db, &q, &cfg).expect("plannable");
         prop_assert_eq!(p1.explain(), p2.explain());
         prop_assert_eq!(&p1, &p2);
+    }
+}
+
+/// The pushdown lesion: constants are filtered above the joins, every
+/// scan reads its whole table, and no index is used.
+fn no_pushdown() -> OptimizerConfig {
+    OptimizerConfig {
+        pushdown: false,
+        ..Default::default()
+    }
+}
+
+/// Number of `IndexScan` nodes in `plan`.
+fn index_scans(plan: &QueryPlan) -> usize {
+    let mut n = 0;
+    plan.root
+        .visit(&mut |node| n += usize::from(matches!(node.op, PlanOp::IndexScan { .. })));
+    n
+}
+
+/// `rows` two-column rows drawn from `seed`: column 0 in `0..4`, column 1
+/// in `0..64`, so the constants `0` and `1` select about a quarter and a
+/// sixty-fourth of the table.
+fn lcg_rows(rows: usize, seed: u64) -> Vec<[u32; 2]> {
+    let mut s = seed | 1;
+    (0..rows)
+        .map(|_| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            [(s >> 33) as u32 % 4, (s >> 45) as u32 % 64]
+        })
+        .collect()
+}
+
+fn table_of(db: &mut Database, name: &str, rows: &[[u32; 2]]) -> TableId {
+    let id = db
+        .create_table(name, TableSchema::new(vec!["a", "b"]))
+        .unwrap();
+    db.bulk_load(id, rows.iter().map(|r| &r[..])).unwrap();
+    id
+}
+
+/// Sorted rows of `plan` executed against `db`.
+fn sorted_rows(db: &Database, plan: &QueryPlan) -> Vec<Vec<u32>> {
+    let mut rows: Vec<Vec<u32>> = execute(db, plan)
+        .unwrap()
+        .iter()
+        .map(<[u32]>::to_vec)
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// A lookup of `t(key, v0)`: column 0 bound to a constant.
+fn lookup_query(table: TableId, key: u32) -> ConjunctiveQuery {
+    ConjunctiveQuery {
+        atoms: vec![QueryAtom {
+            table,
+            bindings: vec![ColumnBinding::Const(key), ColumnBinding::Var(0)],
+        }],
+        anti_atoms: vec![],
+        neq: vec![],
+        neq_const: vec![],
+        ranges: vec![],
+        output: vec![0],
+        distinct: false,
+    }
+}
+
+/// Every way to change a table's rows, each applied to a table whose
+/// column-0 index was built over the old rows. Each changes the answer of
+/// `lookup_query(t, 3)`, so an index a mutator failed to drop serves a
+/// wrong (or out-of-bounds) answer.
+#[test]
+fn no_mutation_leaves_a_stale_index() {
+    type Mutator = fn(&mut Database, TableId);
+    let mutators: [(&str, Mutator); 6] = [
+        ("insert", |db, t| db.insert(t, &[3, 99]).unwrap()),
+        ("bulk_load", |db, t| {
+            db.bulk_load(t, [[3u32, 98], [3, 97]].iter().map(|r| &r[..]))
+                .unwrap();
+        }),
+        ("update_cell into the key", |db, t| {
+            let row = (0..db.table(t).len())
+                .find(|&r| db.row(t, r)[0] != 3)
+                .unwrap();
+            db.update_cell(t, row, 0, 3);
+        }),
+        ("update_cell out of the key", |db, t| {
+            let row = (0..db.table(t).len())
+                .find(|&r| db.row(t, r)[0] == 3)
+                .unwrap();
+            db.update_cell(t, row, 0, 0);
+        }),
+        ("truncate", |db, t| db.truncate(t)),
+        ("table_mut", |db, t| {
+            let pool = BufferPool::new(1);
+            db.table_mut(t).insert(&[3, 96], &pool).unwrap();
+        }),
+    ];
+    for (name, mutate) in mutators {
+        let mut db = Database::in_memory();
+        let t = table_of(&mut db, "t", &lcg_rows(2 * PAGE_ROWS + 9, 5));
+        let q = lookup_query(t, 3);
+        let plan = plan_analyzed(&mut db, &q, &OptimizerConfig::default()).unwrap();
+        assert_eq!(index_scans(&plan), 1, "{name}: {plan}");
+        let before = sorted_rows(&db, &plan);
+        mutate(&mut db, t);
+        let scan = plan_analyzed(&mut db, &q, &no_pushdown()).unwrap();
+        let expected = sorted_rows(&db, &scan);
+        assert_ne!(expected, before, "{name} did not change the answer");
+        assert_eq!(
+            sorted_rows(&db, &plan),
+            expected,
+            "{name}: plan from before"
+        );
+        let fresh = plan_analyzed(&mut db, &q, &OptimizerConfig::default()).unwrap();
+        assert_eq!(sorted_rows(&db, &fresh), expected, "{name}: fresh plan");
+    }
+}
+
+/// With a pool that caches nothing, every page touch is a read: a lookup
+/// reads each page holding a match once, so never more pages than the
+/// table has, and a key clustered on one page reads one.
+#[test]
+fn lookups_read_at_most_every_page_once() {
+    let mut db = Database::new(0, DiskModel::in_memory());
+    let n = 3 * PAGE_ROWS + 7;
+    let rows: Vec<[u32; 2]> = (0..n)
+        .map(|i| [(i / PAGE_ROWS) as u32, (i % 7) as u32])
+        .collect();
+    let t = table_of(&mut db, "t", &rows);
+    let pages = db.table(t).page_count() as u64;
+    for (col, key, expect_pages) in [(0, 1, Some(1)), (1, 4, Some(pages)), (1, 9, Some(0))] {
+        let mut q = lookup_query(t, key);
+        q.atoms[0].bindings = if col == 0 {
+            vec![ColumnBinding::Const(key), ColumnBinding::Var(0)]
+        } else {
+            vec![ColumnBinding::Var(0), ColumnBinding::Const(key)]
+        };
+        // Planning builds the index (one read per page); execution is
+        // what a lookup costs.
+        let plan = plan_query(&db, &q, &OptimizerConfig::default()).unwrap();
+        assert_eq!(index_scans(&plan), 1, "{plan}");
+        let before = db.io_stats().page_reads;
+        let out = execute(&db, &plan).unwrap();
+        let reads = db.io_stats().page_reads - before;
+        assert!(
+            reads <= pages,
+            "c{col}={key}: {reads} reads > {pages} pages"
+        );
+        assert_eq!(Some(reads), expect_pages, "c{col}={key}");
+        assert_eq!(
+            out.len(),
+            rows.iter().filter(|r| r[col] == key).count(),
+            "c{col}={key}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Lookup ≡ scan: random queries over a table below or above one page
+    /// (plus a small second table), with random constants, value ranges,
+    /// inequalities, anti-joins and output projections, return the same
+    /// canonical rows with lookups as under the pushdown lesion, which
+    /// reads every row. A constant on the large table is always read
+    /// through its index; nothing else ever is.
+    #[test]
+    fn index_lookups_agree_with_full_scans(
+        size in 0usize..3,
+        extra in 0usize..PAGE_ROWS,
+        seed in any::<u64>(),
+        big in (0u8..14, 0u8..14),
+        small in (any::<bool>(), 0u8..14, 0u8..14),
+        anti in (any::<bool>(), 0u8..2, 0u8..14, 0u8..14),
+        range in (any::<bool>(), 0usize..4, 0u32..64, 0u32..64),
+        neq_const in (any::<bool>(), 0usize..4, 0u32..4),
+        out_mask in any::<u8>(),
+        distinct in any::<bool>(),
+    ) {
+        let big_rows = [300, PAGE_ROWS + 1, 2 * PAGE_ROWS + extra][size];
+        let small = small.0.then_some((small.1, small.2));
+        let anti = anti.0.then_some((anti.1, anti.2, anti.3));
+        let range = range.0.then_some((range.1, range.2, range.3));
+        let neq_const = neq_const.0.then_some((neq_const.1, neq_const.2));
+        let mut db = Database::in_memory();
+        let tables = [
+            table_of(&mut db, "big", &lcg_rows(big_rows, seed)),
+            table_of(&mut db, "small", &lcg_rows(40, seed ^ 0x5eed)),
+        ];
+        let mut atoms = vec![(0u8, big.0, big.1)];
+        atoms.extend(small.map(|(c0, c1)| (1u8, c0, c1)));
+        let mut q = build_query(&tables, &atoms, anti, false, distinct);
+        let bound = q.bound_variables();
+        if !bound.is_empty() {
+            if let Some((vi, a, b)) = range {
+                q.ranges.push((bound[vi % bound.len()], a.min(b), a.max(b)));
+            }
+            if let Some((vi, value)) = neq_const {
+                q.neq_const.push((bound[vi % bound.len()], value));
+            }
+        }
+        q.output = bound
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| out_mask & (1 << i) != 0)
+            .map(|(_, &v)| v)
+            .collect();
+
+        let (lookups, _) = run_canonical(&mut db, &q, &OptimizerConfig::default(), 0);
+        let (scans, _) = run_canonical(&mut db, &q, &no_pushdown(), 0);
+        prop_assert_eq!(&lookups, &scans);
+
+        let has_const = |a: &QueryAtom| {
+            a.table == tables[0] && a.bindings.iter().any(|b| matches!(b, ColumnBinding::Const(_)))
+        };
+        let expected = if big_rows > PAGE_ROWS {
+            q.atoms.iter().chain(&q.anti_atoms).filter(|a| has_const(a)).count()
+        } else {
+            0
+        };
+        let plan = plan_query(&db, &q, &OptimizerConfig::default()).unwrap();
+        prop_assert_eq!(index_scans(&plan), expected, "{}", plan);
+        prop_assert_eq!(index_scans(&plan_query(&db, &q, &no_pushdown()).unwrap()), 0);
     }
 }

@@ -12,7 +12,9 @@ mod common;
 use common::{fingerprint, fingerprint_hash};
 use proptest::prelude::*;
 use tuffy_datagen::Dataset;
-use tuffy_grounder::{ground_bottom_up, ground_bottom_up_threaded, GroundingMode, GroundingResult};
+use tuffy_grounder::{
+    explain_grounding, ground_bottom_up, ground_bottom_up_threaded, GroundingMode, GroundingResult,
+};
 use tuffy_rdbms::OptimizerConfig;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -172,6 +174,57 @@ fn golden_fingerprints_at_grounding_scale() {
         ),
         (tuffy_datagen::er(40, 220, BENCH_SEED), 0x319d9fb78e7a179a),
     ]);
+}
+
+/// An IE bed above the chunk threshold (≈ 3 k `token` rows). Each lexicon
+/// rule `token(Wk, p, c) => field(c, p, F)` is a constant selection
+/// matching ≈ 10 of those rows: it runs as one round-0 task that reads
+/// them through an `IndexScan`, where sizing tasks by the table's length
+/// cut it into value-range chunks that each rescanned the whole table.
+/// The hash was captured at the commit before that change, so the
+/// grounding is pinned identical across the switch at every thread count
+/// and budget.
+#[test]
+fn constant_selections_ground_identically_as_one_task_each() {
+    let ds = tuffy_datagen::ie(1_000, 300, BENCH_SEED);
+    for threads in THREADS {
+        for mem_budget_bytes in [0usize, 64 << 10] {
+            let config = OptimizerConfig {
+                mem_budget_bytes,
+                ..Default::default()
+            };
+            let g = ground_bottom_up_threaded(
+                &ds.program,
+                &ds.evidence,
+                GroundingMode::LazyClosure,
+                &config,
+                threads,
+            )
+            .unwrap();
+            assert_eq!(
+                fingerprint_hash(&g),
+                0x4d9d4d97cabcd920,
+                "threads={threads} mem_budget_bytes={mem_budget_bytes}"
+            );
+        }
+    }
+    // EXPLAIN enumerates round 0's tasks with the grounder's own code: a
+    // chunked variant would print `chunks=N`.
+    let text = explain_grounding(
+        &ds.program,
+        &ds.evidence,
+        GroundingMode::LazyClosure,
+        &OptimizerConfig::default(),
+    )
+    .unwrap();
+    let lexicon: Vec<&str> = text
+        .split("\nclause ")
+        .filter(|block| block.contains("IndexScan evt_token [c0="))
+        .collect();
+    assert_eq!(lexicon.len(), 300, "one lookup plan per lexicon rule");
+    for block in lexicon {
+        assert!(!block.contains("chunks="), "lexicon rule chunked:\n{block}");
+    }
 }
 
 proptest! {
