@@ -11,11 +11,24 @@
 //!   then commits the fork and acknowledges — an acknowledged apply is
 //!   durable, an unacknowledged one leaves the lineage (and the log)
 //!   exactly as before;
-//! * [`DurableEngine::open`] loads the base generation, replays every
-//!   WAL record above the base's folded sequence, and lands on the
+//! * [`DurableEngine::open`] loads the base generation, recovers the
+//!   WAL records above the base's folded sequence, and lands on the
 //!   exact pre-crash generation — bit-identically, because delta
 //!   parsing (constant interning order) and incremental grounding are
-//!   deterministic;
+//!   deterministic. It does not re-run history one apply at a time.
+//!   Some records re-ground on *any* store — a closed-world change, a
+//!   retract or a flip ([`forces_reground`]) — and a from-scratch
+//!   grounding depends only on program, evidence and config (paper
+//!   §3.1: it is a set of queries over the evidence tables). So every
+//!   record up to the last such record *r* is folded into the evidence
+//!   alone, the lineage grounds once with the program and evidence as
+//!   they stood after *r*, and only the records after *r* are forked
+//!   one by one. The pre-crash lineage re-grounded at *r* from those
+//!   very inputs, so everything after it replays bit for bit. (Folding
+//!   the whole suffix into one net change would not be exact: a patched
+//!   lineage numbers its atoms differently from a fresh grounding.)
+//!   Restart cost is base load, plus one grounding at *r*, plus one
+//!   patch per later record;
 //! * [`DurableEngine::checkpoint`] folds the lineage head into a new
 //!   base generation atomically (recording the folded WAL sequence
 //!   *inside* the base file), then truncates the log; a crash between
@@ -35,10 +48,12 @@ use crate::engine::Engine;
 use crate::persist::{load_with_folded_seq, save_snapshot};
 use crate::session::{ApplyReport, Session};
 use crate::snapshot::Snapshot;
+use tuffy_grounder::incremental::forces_reground;
+use tuffy_mln::evidence::{EvidenceChange, EvidenceSet};
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
-use tuffy_store::wal::{Wal, WalStorage};
-use tuffy_store::StoreError;
+use tuffy_store::wal::{Wal, WalRecord, WalStorage};
+use tuffy_store::{StoreError, WalOpenReport};
 
 /// File name of the delta WAL inside a store directory, next to
 /// [`GENERATION_FILE`](crate::GENERATION_FILE).
@@ -104,6 +119,14 @@ pub struct RecoveryReport {
     pub generation: u64,
     /// The WAL sequence the lineage has committed through.
     pub seq: u64,
+    /// Grounding runs replay paid for: one at the last record that
+    /// forces a re-ground (if any), plus any later record that falls
+    /// outside the patch fragment.
+    pub regrounds: u64,
+    /// Records whose evidence was folded into that one grounding with no
+    /// grounding work of their own: every record before the last
+    /// forcing one.
+    pub evidence_only: u64,
     /// Wall-clock time of load + replay.
     pub wall: Duration,
 }
@@ -138,16 +161,23 @@ impl DurableEngine {
     }
 
     /// Recovers the durable lineage in `dir`: loads the base
-    /// generation, replays the WAL above the base's folded sequence,
-    /// truncating a torn tail. Returns the lineage at its exact
-    /// pre-crash head plus what recovery found.
+    /// generation and opens the WAL above the base's folded sequence,
+    /// truncating a torn tail. Replay then runs in two passes (see the
+    /// [module docs](self)). The first parses every record against
+    /// throw-away copies of program and evidence to find the last record
+    /// that forces a re-ground. The second folds the records up to it
+    /// into the evidence, in order (so constants intern as they did
+    /// live), grounds once, and forks the head through the records after
+    /// it. Returns the lineage at its exact pre-crash head plus what
+    /// recovery found.
     pub fn open(
         dir: &Path,
         checkpoint_every: u64,
     ) -> Result<(DurableEngine, RecoveryReport), StoreError> {
+        let start = Instant::now();
         let (engine, folded_seq) = load_with_folded_seq(dir)?;
         let (wal, report) = Wal::open(&dir.join(WAL_FILE), folded_seq)?;
-        DurableEngine::replay(engine, wal, report, dir, checkpoint_every)
+        DurableEngine::replay(engine, wal, report, dir, checkpoint_every, start)
     }
 
     /// [`DurableEngine::create`] with the WAL on a caller-supplied
@@ -170,9 +200,10 @@ impl DurableEngine {
         storage: Box<dyn WalStorage>,
         checkpoint_every: u64,
     ) -> Result<(DurableEngine, RecoveryReport), StoreError> {
+        let start = Instant::now();
         let (engine, folded_seq) = load_with_folded_seq(dir)?;
         let (wal, report) = Wal::with_storage(storage, folded_seq)?;
-        DurableEngine::replay(engine, wal, report, dir, checkpoint_every)
+        DurableEngine::replay(engine, wal, report, dir, checkpoint_every, start)
     }
 
     fn assemble(engine: Engine, wal: Wal, dir: &Path, checkpoint_every: u64) -> DurableEngine {
@@ -188,32 +219,65 @@ impl DurableEngine {
         }
     }
 
+    /// The two replay passes of [`DurableEngine::open`] over the loaded
+    /// base. `start` is when the caller began loading, so the report's
+    /// wall time covers load and replay.
     fn replay(
         engine: Engine,
         wal: Wal,
-        found: tuffy_store::WalOpenReport,
+        found: WalOpenReport,
         dir: &Path,
         checkpoint_every: u64,
+        start: Instant,
     ) -> Result<(DurableEngine, RecoveryReport), StoreError> {
-        let start = Instant::now();
         let mut durable = DurableEngine::assemble(engine, wal, dir, checkpoint_every);
-        for record in &found.replay {
-            let src = std::str::from_utf8(&record.payload).map_err(|_| {
-                StoreError::malformed(format!(
-                    "wal record seq {} payload is not UTF-8",
-                    record.seq
-                ))
-            })?;
-            durable.fork_head(src).map_err(|e| {
-                StoreError::malformed(format!("wal replay of seq {} failed: {e}", record.seq))
-            })?;
+        let groundings = durable.engine.groundings_performed();
+        let records = &found.replay;
+
+        // Pass 1: how many leading records end at the last one that
+        // re-grounds on any store (0 when none does)?
+        let forced = {
+            let mut program = durable.program.clone();
+            let mut evidence = durable.head.evidence().clone();
+            let mut forced = 0;
+            for (i, record) in records.iter().enumerate() {
+                let changes = fold_record(&mut program, &mut evidence, record)?;
+                if forces_reground(&program, &changes).is_some() {
+                    forced = i + 1;
+                }
+            }
+            forced
+        };
+
+        // Pass 2: fold those records into the evidence and ground once
+        // under the program as it stood after the last of them; fork the
+        // head through the rest exactly as the live applies did.
+        if let Some(last) = forced.checked_sub(1) {
+            let mut program = durable.program.clone();
+            let mut evidence = durable.head.evidence().clone();
+            for record in &records[..forced] {
+                fold_record(&mut program, &mut evidence, record)?;
+            }
+            durable.head = durable
+                .head
+                .regrounded(&program, evidence)
+                .map_err(|e| replay_failed(&records[last], e))?;
+            durable.program = program;
         }
+        for record in &records[forced..] {
+            durable
+                .fork_head(record_source(record)?)
+                .map_err(|e| replay_failed(record, e))?;
+        }
+
         let report = RecoveryReport {
-            replayed: found.replay.len() as u64,
+            replayed: records.len() as u64,
             skipped: found.skipped,
             truncated_tail: found.truncated,
             generation: durable.head.generation(),
             seq: durable.wal.next_seq() - 1,
+            regrounds: durable.engine.groundings_performed() - groundings,
+            evidence_only: forced.saturating_sub(1) as u64,
             wall: start.elapsed(),
         };
         Ok((durable, report))
@@ -356,4 +420,33 @@ impl DurableEngine {
     pub fn take_checkpoint_error(&mut self) -> Option<StoreError> {
         self.last_checkpoint_error.take()
     }
+}
+
+/// A WAL record's delta source text.
+fn record_source(record: &WalRecord) -> Result<&str, StoreError> {
+    std::str::from_utf8(&record.payload).map_err(|_| {
+        StoreError::malformed(format!(
+            "wal record seq {} payload is not UTF-8",
+            record.seq
+        ))
+    })
+}
+
+fn replay_failed(record: &WalRecord, e: MlnError) -> StoreError {
+    StoreError::malformed(format!("wal replay of seq {} failed: {e}", record.seq))
+}
+
+/// Parses `record` against `program` (interning its constants) and
+/// applies it to `evidence` alone, returning the net changes.
+fn fold_record(
+    program: &mut Arc<MlnProgram>,
+    evidence: &mut EvidenceSet,
+    record: &WalRecord,
+) -> Result<Vec<EvidenceChange>, StoreError> {
+    let src = record_source(record)?;
+    let delta = tuffy_mln::parser::parse_delta(Arc::make_mut(program), src)
+        .map_err(|e| replay_failed(record, e))?;
+    evidence
+        .apply(program, &delta)
+        .map_err(|e| replay_failed(record, e))
 }

@@ -685,7 +685,8 @@ impl Snapshot {
     ///   its caches outright (same generation, zero copying);
     /// * a delta in the exact incremental fragment becomes a patched
     ///   copy ([`apply_delta_grounding`] — the old store is untouched);
-    /// * anything else re-grounds from the merged evidence.
+    /// * anything else re-grounds from the merged evidence
+    ///   ([`Snapshot::regrounded`]).
     ///
     /// `program` is the forked generation's program — the session's
     /// (possibly extended) program for committed applies, this
@@ -779,8 +780,8 @@ impl Snapshot {
                 Ok((snapshot, report, ForkWarm::Remap(patched.remap)))
             }
             DeltaOutcome::NeedsFullReground { reason } => {
-                let fresh = ground(program, &staged, &inner.config)?;
-                inner.counters.record_grounding();
+                let snapshot = self.regrounded(program, staged)?;
+                let fresh = snapshot.grounding();
                 let report = ApplyReport {
                     incremental: false,
                     reason: Some(reason),
@@ -790,19 +791,35 @@ impl Snapshot {
                     clauses: fresh.mrf.clauses().len(),
                     atoms: fresh.registry.len(),
                 };
-                let snapshot = Snapshot {
-                    inner: Arc::new(SnapshotInner {
-                        program: program.clone(),
-                        evidence: staged,
-                        config: inner.config,
-                        grounding: Arc::new(fresh),
-                        generation: inner.counters.next_generation(),
-                        counters: inner.counters.clone(),
-                        caches: Arc::new(GenerationCaches::default()),
-                    }),
-                };
                 Ok((snapshot, report, ForkWarm::Reground))
             }
         }
+    }
+
+    /// Grounds `program` under `evidence` from scratch into the next
+    /// generation of this lineage (same config and counters, fresh
+    /// caches). A from-scratch grounding depends only on program,
+    /// evidence and config, never on the store it replaces — which is
+    /// what lets WAL recovery ground once at the last record that forces
+    /// a re-ground instead of re-grounding at every one.
+    pub(crate) fn regrounded(
+        &self,
+        program: &Arc<MlnProgram>,
+        evidence: EvidenceSet,
+    ) -> Result<Snapshot, MlnError> {
+        let inner = &self.inner;
+        let fresh = ground(program, &evidence, &inner.config)?;
+        inner.counters.record_grounding();
+        Ok(Snapshot {
+            inner: Arc::new(SnapshotInner {
+                program: program.clone(),
+                evidence,
+                config: inner.config,
+                grounding: Arc::new(fresh),
+                generation: inner.counters.next_generation(),
+                counters: inner.counters.clone(),
+                caches: Arc::new(GenerationCaches::default()),
+            }),
+        })
     }
 }

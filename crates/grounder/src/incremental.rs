@@ -30,8 +30,10 @@
 //! be re-derived from the queries), asserts on inactive atoms
 //! (activation can cascade outward through bindings the store never
 //! saw), and a few provenance-sensitive corners documented inline. The
-//! patch is *exact* when taken: property tests pin clause-for-clause
-//! equality against a fresh grounding of the merged evidence.
+//! first two classes re-ground whatever the store holds, and
+//! [`forces_reground`] decides them without one. The patch is *exact*
+//! when taken: property tests pin clause-for-clause equality against a
+//! fresh grounding of the merged evidence.
 
 use crate::bottomup::GroundingResult;
 use crate::registry::AtomRegistry;
@@ -145,6 +147,38 @@ fn has_negative_rule_with_negated_open(program: &MlnProgram) -> bool {
     })
 }
 
+/// Why `changes` re-ground on *any* grounding, or `None` when the answer
+/// depends on the store they would patch. Two classes qualify, decided
+/// by the program and the net changes alone:
+///
+/// * a change on a closed-world predicate: its tuples feed the grounding
+///   joins of §3.1, so one tuple can create or destroy arbitrarily many
+///   bindings;
+/// * a retract or flip of existing evidence (`before.is_some()`): the
+///   old value pruned clauses at grounding time, and they must be
+///   re-derived from the queries.
+///
+/// [`apply_delta_grounding`] answers [`DeltaOutcome::NeedsFullReground`]
+/// through this function before it looks at the store, so a caller that
+/// holds no grounding — WAL replay finding the records a later re-ground
+/// throws away — sees exactly the decision an apply would make.
+pub fn forces_reground(program: &MlnProgram, changes: &[EvidenceChange]) -> Option<String> {
+    changes.iter().find_map(|ch| {
+        let name = program.predicate_name(ch.atom.predicate);
+        if program.predicate(ch.atom.predicate).closed_world {
+            Some(format!(
+                "delta touches closed-world predicate `{name}`: its tuples feed the grounding joins"
+            ))
+        } else if ch.before.is_some() {
+            Some(format!(
+                "retract/flip of existing `{name}` evidence: the old value pruned clauses that must be re-derived"
+            ))
+        } else {
+            None
+        }
+    })
+}
+
 /// Attempts to patch `previous` under the net evidence `changes` (as
 /// returned by [`tuffy_mln::evidence::EvidenceSet::apply`]).
 ///
@@ -168,30 +202,21 @@ pub fn apply_delta_grounding(
     if changes.is_empty() {
         return DeltaOutcome::Unchanged;
     }
+    if let Some(reason) = forces_reground(program, changes) {
+        return DeltaOutcome::NeedsFullReground { reason };
+    }
     let start = Instant::now();
     let full = |reason: &str| DeltaOutcome::NeedsFullReground {
         reason: reason.to_string(),
     };
 
     // ── Eligibility: which atoms can be clamped exactly? ────────────────
+    // Every change left is an assert on an open predicate with no prior
+    // evidence.
     let mut clamp: FxHashMap<AtomId, bool> = FxHashMap::default();
     for ch in changes {
-        let decl = program.predicate(ch.atom.predicate);
+        let Some(after) = ch.after else { continue };
         let name = program.predicate_name(ch.atom.predicate);
-        if decl.closed_world {
-            return full(&format!(
-                "delta touches closed-world predicate `{name}`: its tuples feed the grounding joins"
-            ));
-        }
-        let after = match (ch.before, ch.after) {
-            (Some(_), _) => {
-                return full(&format!(
-                    "retract/flip of existing `{name}` evidence: the old value pruned clauses that must be re-derived"
-                ));
-            }
-            (None, None) => continue,
-            (None, Some(v)) => v,
-        };
         let args: Vec<u32> = ch.atom.args.iter().map(|s| s.0).collect();
         let Some(aid) = previous.registry.get(ch.atom.predicate, &args) else {
             return full(&format!(
@@ -657,6 +682,71 @@ mod tests {
                 assert!(reason.contains("existential"), "{reason}");
             }
             _ => panic!("open existential must re-ground"),
+        }
+    }
+
+    #[test]
+    fn classifier_never_promises_a_reground_the_patch_would_not_do() {
+        let (mut p, ev, base) = setup();
+        // An already-patched store next to the base one.
+        let mut patched_ev = ev.clone();
+        let mut first = EvidenceDelta::new();
+        first.assert_false(atom(&mut p, "cat", &["P4", "DB"]));
+        let changes = patched_ev.apply(&p, &first).unwrap();
+        let patched = match apply_delta_grounding(&p, &base, &changes) {
+            DeltaOutcome::Patched(patched) => patched.grounding,
+            _ => panic!("the set-up delta should patch"),
+        };
+
+        type Op = for<'a> fn(&'a mut EvidenceDelta, GroundAtom) -> &'a mut EvidenceDelta;
+        let mut one = |op: Op, pred: &str, args: &[&str]| {
+            let mut delta = EvidenceDelta::new();
+            op(&mut delta, atom(&mut p, pred, args));
+            delta
+        };
+        let classes = [
+            (
+                "assert on an active atom",
+                one(EvidenceDelta::assert_true, "cat", &["P1", "DB"]),
+                false,
+            ),
+            (
+                "assert on an inactive atom",
+                one(EvidenceDelta::assert_true, "cat", &["P9", "DB"]),
+                false,
+            ),
+            (
+                "retract",
+                one(EvidenceDelta::retract, "cat", &["P2", "DB"]),
+                true,
+            ),
+            ("flip", one(EvidenceDelta::flip, "cat", &["P2", "DB"]), true),
+            (
+                "closed-world tuple",
+                one(EvidenceDelta::assert_true, "wrote", &["Joe", "P3"]),
+                true,
+            ),
+            (
+                "no-op",
+                one(EvidenceDelta::assert_true, "cat", &["P2", "DB"]),
+                false,
+            ),
+        ];
+        for (store, evidence, grounding) in
+            [("base", &ev, &base), ("patched", &patched_ev, &patched)]
+        {
+            for (class, delta, forcing) in &classes {
+                let changes = evidence.clone().apply(&p, delta).unwrap();
+                let forced = forces_reground(&p, &changes);
+                assert_eq!(forced.is_some(), *forcing, "{class} on the {store} store");
+                let Some(reason) = forced else { continue };
+                match apply_delta_grounding(&p, grounding, &changes) {
+                    DeltaOutcome::NeedsFullReground { reason: said } => {
+                        assert_eq!(said, reason, "{class} on the {store} store");
+                    }
+                    _ => panic!("{class} on the {store} store: promised a re-ground"),
+                }
+            }
         }
     }
 

@@ -19,10 +19,15 @@
 //! acknowledged, and on restart the server replays base + WAL back to
 //! the exact pre-crash generation (torn WAL tails from a crash
 //! mid-append are truncated; a recovery report is printed). If `DIR`
-//! already holds a generation file, the server warm-starts from it in
-//! milliseconds — no re-grounding, bit-identical answers, and the saved
-//! engine configuration applies (the CLI's config flags only matter on
-//! the run that grounds). Otherwise the server grounds as usual and
+//! already holds a generation file, the server warm-starts from it:
+//! base load, plus one grounding at the last WAL record that re-grounds
+//! on any store (a flip, a retract or a closed-world change; every
+//! record before it only edits the evidence), plus one patch per later
+//! record. Answers are bit-identical to the pre-crash server's, and the
+//! saved engine configuration applies (the CLI's config flags only
+//! matter on the run that grounds). The banner counts the grounding
+//! runs (`regrounds`) and the records folded into evidence alone
+//! (`evidence only`). Otherwise the server grounds as usual and
 //! saves the result into `DIR` (atomically; a crash mid-save leaves the
 //! previous state). A corrupt or truncated store file is reported and
 //! re-ground from sources, never served. Every `--checkpoint-every`
@@ -140,12 +145,15 @@ fn durable_with_store(
         match DurableEngine::open(dir, args.checkpoint_every) {
             Ok((durable, recovery)) => {
                 eprintln!(
-                    "recovered from {} in {:?}: generation {} (replayed {} WAL deltas, \
-                     skipped {} checkpointed{}; no re-grounding; saved config applies)",
+                    "recovered from {} in {:?}: generation {} (replayed {} WAL deltas: \
+                     evidence only {}, regrounds {}; skipped {} checkpointed{}; \
+                     saved config applies)",
                     dir.display(),
                     recovery.wall,
                     recovery.generation,
                     recovery.replayed,
+                    recovery.evidence_only,
+                    recovery.regrounds,
                     recovery.skipped,
                     if recovery.truncated_tail {
                         "; truncated a torn WAL tail"
