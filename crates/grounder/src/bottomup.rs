@@ -69,7 +69,7 @@
 use crate::compile::{compile_clause, CompiledClause, GroundingMode};
 use crate::dbload::GroundingDb;
 use crate::emit::{constant_cost, Emitter, Grounded};
-use crate::registry::{AtomRegistry, EvidenceIndex};
+use crate::registry::AtomRegistry;
 use crate::stats::GroundingStats;
 use std::time::{Duration, Instant};
 use tuffy_mln::clausify::clausify_program;
@@ -347,9 +347,9 @@ pub fn ground_bottom_up_threaded(
 ) -> Result<GroundingResult, MlnError> {
     crate::stats::record_grounding();
     let start = Instant::now();
+    evidence.validate(program)?;
     let domains = evidence.merged_domains(program);
-    let ev = EvidenceIndex::build(program, evidence)?;
-    let mut gdb = GroundingDb::build(program, &ev, &domains)?;
+    let mut gdb = GroundingDb::build(program, evidence, &domains)?;
     let clauses = clausify_program(program);
     let compiled: Vec<CompiledClause> = clauses
         .iter()
@@ -359,7 +359,7 @@ pub fn ground_bottom_up_threaded(
         .flatten()
         .collect();
 
-    let emitter = Emitter::new(&domains, &ev);
+    let emitter = Emitter::new(&domains, evidence);
     let mut registry = AtomRegistry::new();
     let mut builder = MrfBuilder::new();
     let mut seen: FxHashSet<(u32, Box<[u32]>)> = FxHashSet::default();
@@ -545,9 +545,9 @@ pub fn explain_grounding(
     mode: GroundingMode,
     config: &OptimizerConfig,
 ) -> Result<String, MlnError> {
+    evidence.validate(program)?;
     let domains = evidence.merged_domains(program);
-    let ev = EvidenceIndex::build(program, evidence)?;
-    let mut gdb = GroundingDb::build(program, &ev, &domains)?;
+    let mut gdb = GroundingDb::build(program, evidence, &domains)?;
     gdb.db.analyze_all();
     let clauses = clausify_program(program);
     let to_mln = |e: tuffy_rdbms::DbError| MlnError::general(e.to_string());

@@ -491,7 +491,6 @@ pub fn compile_clause(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::EvidenceIndex;
     use tuffy_mln::clausify::clausify_program;
     use tuffy_mln::parser::{parse_evidence, parse_program};
 
@@ -499,8 +498,7 @@ mod tests {
         let mut p = parse_program(src).unwrap();
         let set = parse_evidence(&mut p, ev).unwrap();
         let domains = set.merged_domains(&p);
-        let evidence = EvidenceIndex::build(&p, &set).unwrap();
-        let gdb = GroundingDb::build(&p, &evidence, &domains).unwrap();
+        let gdb = GroundingDb::build(&p, &set, &domains).unwrap();
         let clauses = clausify_program(&p);
         (p, gdb, clauses)
     }

@@ -7,8 +7,11 @@
 //! a copy of `evt_P` and grows with *active* unknown atoms during the lazy
 //! closure (Appendix A.3). Per type `T` we load the constant domain
 //! `dom_T`.
+//!
+//! The rows come straight from the [`EvidenceSet`] in insertion order; no
+//! second evidence index is built for the load.
 
-use crate::registry::EvidenceIndex;
+use tuffy_mln::evidence::EvidenceSet;
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
 use tuffy_rdbms::{Database, TableId, TableSchema};
@@ -36,10 +39,11 @@ pub struct GroundingDb {
 impl GroundingDb {
     /// Builds and bulk-loads all grounding tables. `domains` are the
     /// merged program + evidence constant domains
-    /// ([`tuffy_mln::evidence::EvidenceSet::merged_domains`]).
+    /// ([`EvidenceSet::merged_domains`]). Each predicate's evidence
+    /// tables hold its rows in the set's insertion order.
     pub fn build(
         program: &MlnProgram,
-        ev: &EvidenceIndex,
+        ev: &EvidenceSet,
         domains: &[Vec<tuffy_mln::symbols::Symbol>],
     ) -> Result<GroundingDb, MlnError> {
         let mut db = Database::in_memory();
@@ -49,7 +53,7 @@ impl GroundingDb {
         let mut reach_delta = Vec::with_capacity(program.predicates.len());
         let to_db = |e: tuffy_rdbms::DbError| MlnError::general(e.to_string());
 
-        for (pi, decl) in program.predicates.iter().enumerate() {
+        for decl in &program.predicates {
             let name = program.symbols.resolve(decl.name);
             let cols: Vec<String> = (0..decl.arity()).map(|i| format!("a{i}")).collect();
             let t = db
@@ -64,17 +68,22 @@ impl GroundingDb {
             let d = db
                 .create_table(format!("reach_delta_{name}"), TableSchema::new(cols))
                 .map_err(to_db)?;
-            let pred = tuffy_mln::schema::PredicateId(pi as u32);
-            for (args, truth) in ev.iter_pred(pred) {
-                db.insert(if truth { t } else { f }, args).map_err(to_db)?;
-                if truth {
-                    db.insert(r, args).map_err(to_db)?;
-                }
-            }
             evt.push(t);
             evf.push(f);
             reach.push(r);
             reach_delta.push(d);
+        }
+        let mut args: Vec<u32> = Vec::new();
+        for e in ev.iter() {
+            let pi = e.atom.predicate.index();
+            args.clear();
+            args.extend(e.atom.args.iter().map(|s| s.0));
+            if e.positive {
+                db.insert(evt[pi], &args).map_err(to_db)?;
+                db.insert(reach[pi], &args).map_err(to_db)?;
+            } else {
+                db.insert(evf[pi], &args).map_err(to_db)?;
+            }
         }
 
         let mut dom = Vec::with_capacity(program.types.len());
@@ -144,8 +153,7 @@ mod tests {
     fn tables_loaded() {
         let (p, set) = program();
         let domains = set.merged_domains(&p);
-        let ev = EvidenceIndex::build(&p, &set).unwrap();
-        let g = GroundingDb::build(&p, &ev, &domains).unwrap();
+        let g = GroundingDb::build(&p, &set, &domains).unwrap();
         let wrote = p.predicate_by_name("wrote").unwrap();
         let cat = p.predicate_by_name("cat").unwrap();
         assert_eq!(g.db.table(g.evt[wrote.index()]).len(), 2);
@@ -164,8 +172,7 @@ mod tests {
     fn activation_grows_reachable() {
         let (p, set) = program();
         let domains = set.merged_domains(&p);
-        let ev = EvidenceIndex::build(&p, &set).unwrap();
-        let mut g = GroundingDb::build(&p, &ev, &domains).unwrap();
+        let mut g = GroundingDb::build(&p, &set, &domains).unwrap();
         let cat = p.predicate_by_name("cat").unwrap();
         let before = g.db.table(g.reach[cat.index()]).len();
         g.activate(cat, &[77, 78]);

@@ -3,7 +3,9 @@
 //! Emission is the single place where evidence semantics are decided; both
 //! grounders route every candidate binding through [`Emitter::emit`],
 //! which re-checks each literal against evidence (so the relational
-//! anti-joins of [`crate::compile`] remain pure optimizations):
+//! anti-joins of [`crate::compile`] remain pure optimizations). The check
+//! probes the [`EvidenceSet`]'s own per-predicate index with the borrowed
+//! argument tuple:
 //!
 //! * a literal **satisfied** by evidence ⇒ the whole ground clause is a
 //!   constant (positive weight: cost 0, dropped; negative weight: cost
@@ -16,7 +18,8 @@
 //! implementation, Appendix B.1).
 
 use crate::compile::{ArgSource, CompiledClause};
-use crate::registry::{AtomRegistry, EvidenceIndex};
+use crate::registry::AtomRegistry;
+use tuffy_mln::evidence::EvidenceSet;
 use tuffy_mln::schema::PredicateId;
 use tuffy_mln::weight::Weight;
 use tuffy_mrf::{Cost, Lit};
@@ -46,15 +49,15 @@ pub fn constant_cost(weight: Weight, truth: bool) -> Cost {
 
 /// Shared emission state.
 pub struct Emitter<'a> {
-    ev: &'a EvidenceIndex,
+    ev: &'a EvidenceSet,
     /// Raw constant domains per type.
     domains: Vec<Vec<u32>>,
 }
 
 impl<'a> Emitter<'a> {
     /// Builds an emitter over the merged program + evidence constant
-    /// domains ([`tuffy_mln::evidence::EvidenceSet::merged_domains`]).
-    pub fn new(domains: &[Vec<tuffy_mln::symbols::Symbol>], ev: &'a EvidenceIndex) -> Emitter<'a> {
+    /// domains ([`EvidenceSet::merged_domains`]).
+    pub fn new(domains: &[Vec<tuffy_mln::symbols::Symbol>], ev: &'a EvidenceSet) -> Emitter<'a> {
         Emitter {
             ev,
             domains: domains
@@ -179,14 +182,15 @@ impl<'a> Emitter<'a> {
         args: &[u32],
     ) -> LitStatus {
         if closed {
-            let truth = self.ev.truth_cwa(pred, args);
+            // Closed world: unlisted atoms are false.
+            let truth = self.ev.truth_of(pred, args) == Some(true);
             if truth == positive {
                 LitStatus::True
             } else {
                 LitStatus::False
             }
         } else {
-            match self.ev.truth(pred, args) {
+            match self.ev.truth_of(pred, args) {
                 Some(t) => {
                     if t == positive {
                         LitStatus::True
@@ -225,12 +229,11 @@ mod tests {
         Vec<Vec<Symbol>>,
         GroundingDb,
         Vec<CompiledClause>,
-        EvidenceIndex,
+        EvidenceSet,
     ) {
         let mut p = parse_program(src).unwrap();
-        let set = parse_evidence(&mut p, ev).unwrap();
-        let domains = set.merged_domains(&p);
-        let evidence = EvidenceIndex::build(&p, &set).unwrap();
+        let evidence = parse_evidence(&mut p, ev).unwrap();
+        let domains = evidence.merged_domains(&p);
         let gdb = GroundingDb::build(&p, &evidence, &domains).unwrap();
         let compiled: Vec<CompiledClause> = clausify_program(&p)
             .iter()

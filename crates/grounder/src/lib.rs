@@ -49,6 +49,6 @@ pub use bottomup::{
 };
 pub use compile::GroundingMode;
 pub use incremental::{apply_delta_grounding, DeltaOutcome, PatchStats, PatchedGrounding};
-pub use registry::{AtomRegistry, EvidenceIndex};
+pub use registry::AtomRegistry;
 pub use stats::{groundings_performed, GroundingStats};
 pub use topdown::ground_top_down;

@@ -1,22 +1,25 @@
-//! Atom identity and evidence lookup.
+//! Atom identity: the dense ids of the query atoms search decides.
+//!
+//! Evidence has no index of its own here: emission and the bulk load
+//! read the one per-predicate index inside
+//! [`tuffy_mln::evidence::EvidenceSet`].
 
-use tuffy_mln::evidence::EvidenceSet;
-use tuffy_mln::fxhash::FxHashMap;
+use tuffy_mln::fxhash::{map_with_capacity, FxHashMap};
 use tuffy_mln::ground::GroundAtom;
-use tuffy_mln::program::MlnProgram;
 use tuffy_mln::schema::PredicateId;
 use tuffy_mln::symbols::Symbol;
-use tuffy_mln::MlnError;
 use tuffy_mrf::AtomId;
 
 /// Assigns dense [`AtomId`]s to unknown (query) ground atoms.
 ///
 /// This is the in-memory face of Tuffy's atom relations `R_P(aid, args,
 /// truth)` (§3.1): evidence atoms never enter the registry — only atoms
-/// whose truth value search must decide.
+/// whose truth value search must decide. Lookups go to a per-predicate
+/// map probed with a borrowed `&[u32]`, so a hit allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct AtomRegistry {
-    map: FxHashMap<(u32, Box<[u32]>), AtomId>,
+    /// Per predicate (grown on demand): argument tuple → atom id.
+    by_pred: Vec<FxHashMap<Box<[u32]>, AtomId>>,
     atoms: Vec<(PredicateId, Box<[u32]>)>,
 }
 
@@ -36,6 +39,15 @@ impl AtomRegistry {
         self.atoms.is_empty()
     }
 
+    /// `pred`'s lookup map, grown into existence if needed.
+    fn map_mut(&mut self, pred: PredicateId) -> &mut FxHashMap<Box<[u32]>, AtomId> {
+        if self.by_pred.len() <= pred.index() {
+            self.by_pred
+                .resize_with(pred.index() + 1, FxHashMap::default);
+        }
+        &mut self.by_pred[pred.index()]
+    }
+
     /// Rebuilds a registry from its `(predicate, args)` entries in id
     /// order — the persistence path: `tuffy-store` serializes
     /// [`AtomRegistry::iter`]'s output and reconstructs the identical
@@ -43,33 +55,41 @@ impl AtomRegistry {
     /// entries collide on `(predicate, args)`, which would silently remap
     /// atom ids.
     pub fn from_entries(entries: Vec<(PredicateId, Box<[u32]>)>) -> Result<AtomRegistry, String> {
-        let mut map: FxHashMap<(u32, Box<[u32]>), AtomId> = FxHashMap::default();
-        map.reserve(entries.len());
+        let mut sizes: Vec<usize> = Vec::new();
+        for (pred, _) in &entries {
+            if sizes.len() <= pred.index() {
+                sizes.resize(pred.index() + 1, 0);
+            }
+            sizes[pred.index()] += 1;
+        }
+        let mut r = AtomRegistry {
+            by_pred: sizes.into_iter().map(map_with_capacity).collect(),
+            atoms: Vec::new(),
+        };
         for (i, (pred, args)) in entries.iter().enumerate() {
-            if map.insert((pred.0, args.clone()), i as AtomId).is_some() {
+            if r.map_mut(*pred).insert(args.clone(), i as AtomId).is_some() {
                 return Err(format!("duplicate registry entry at atom {i}"));
             }
         }
-        Ok(AtomRegistry {
-            map,
-            atoms: entries,
-        })
+        r.atoms = entries;
+        Ok(r)
     }
 
     /// Returns the id for `(pred, args)`, registering it if new.
     pub fn intern(&mut self, pred: PredicateId, args: &[u32]) -> AtomId {
-        if let Some(&id) = self.map.get(&(pred.0, args.into())) {
+        if let Some(id) = self.get(pred, args) {
             return id;
         }
         let id = self.atoms.len() as AtomId;
+        self.map_mut(pred).insert(args.into(), id);
         self.atoms.push((pred, args.into()));
-        self.map.insert((pred.0, args.into()), id);
         id
     }
 
     /// Looks up an atom id without registering.
+    #[inline]
     pub fn get(&self, pred: PredicateId, args: &[u32]) -> Option<AtomId> {
-        self.map.get(&(pred.0, args.into())).copied()
+        self.by_pred.get(pred.index())?.get(args).copied()
     }
 
     /// The predicate and arguments of atom `id`.
@@ -101,57 +121,12 @@ impl AtomRegistry {
     }
 }
 
-/// Immutable evidence lookup: per-predicate maps from argument tuples to
-/// asserted truth.
-#[derive(Clone, Debug, Default)]
-pub struct EvidenceIndex {
-    by_pred: Vec<FxHashMap<Box<[u32]>, bool>>,
-}
-
-impl EvidenceIndex {
-    /// Builds the index over a program's schema from an [`EvidenceSet`].
-    /// Errors on arity mismatches (an `EvidenceSet` cannot hold
-    /// contradictions, so none are possible here).
-    pub fn build(program: &MlnProgram, evidence: &EvidenceSet) -> Result<EvidenceIndex, MlnError> {
-        evidence.validate(program)?;
-        let mut by_pred: Vec<FxHashMap<Box<[u32]>, bool>> =
-            vec![FxHashMap::default(); program.predicates.len()];
-        for ev in evidence.iter() {
-            let args: Box<[u32]> = ev.atom.args.iter().map(|s| s.0).collect();
-            by_pred[ev.atom.predicate.index()].insert(args, ev.positive);
-        }
-        Ok(EvidenceIndex { by_pred })
-    }
-
-    /// The asserted truth of `(pred, args)`, if any.
-    #[inline]
-    pub fn truth(&self, pred: PredicateId, args: &[u32]) -> Option<bool> {
-        self.by_pred[pred.index()].get(args).copied()
-    }
-
-    /// Truth under the closed-world assumption: unlisted atoms are false.
-    #[inline]
-    pub fn truth_cwa(&self, pred: PredicateId, args: &[u32]) -> bool {
-        self.truth(pred, args) == Some(true)
-    }
-
-    /// Number of positive-evidence tuples for `pred`.
-    pub fn positive_count(&self, pred: PredicateId) -> usize {
-        self.by_pred[pred.index()].values().filter(|&&v| v).count()
-    }
-
-    /// Iterates the evidence tuples for `pred` as `(args, truth)`.
-    pub fn iter_pred(&self, pred: PredicateId) -> impl Iterator<Item = (&[u32], bool)> + '_ {
-        self.by_pred[pred.index()]
-            .iter()
-            .map(|(k, &v)| (k.as_ref(), v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tuffy_mln::evidence::EvidenceSet;
     use tuffy_mln::parser::{parse_evidence, parse_program};
+    use tuffy_mln::program::MlnProgram;
 
     fn program() -> (MlnProgram, EvidenceSet) {
         let mut p =
@@ -160,7 +135,6 @@ mod tests {
         let ev = parse_evidence(&mut p, "wrote(Joe, P1)\n!cat(P1, Db)\n").unwrap();
         (p, ev)
     }
-
     #[test]
     fn registry_interns_densely() {
         let mut r = AtomRegistry::new();
@@ -178,19 +152,17 @@ mod tests {
 
     #[test]
     fn evidence_lookup() {
-        let (p, set) = program();
-        let ev = EvidenceIndex::build(&p, &set).unwrap();
+        // Emission probes the evidence set with raw argument ids.
+        let (p, ev) = program();
         let wrote = p.predicate_by_name("wrote").unwrap();
         let cat = p.predicate_by_name("cat").unwrap();
         let joe = p.symbols.get("Joe").unwrap().0;
         let p1 = p.symbols.get("P1").unwrap().0;
         let db = p.symbols.get("Db").unwrap().0;
-        assert_eq!(ev.truth(wrote, &[joe, p1]), Some(true));
-        assert!(ev.truth_cwa(wrote, &[joe, p1]));
-        assert!(!ev.truth_cwa(wrote, &[p1, joe]));
-        assert_eq!(ev.truth(cat, &[p1, db]), Some(false));
-        assert_eq!(ev.truth(cat, &[p1, joe]), None);
-        assert_eq!(ev.positive_count(wrote), 1);
+        assert_eq!(ev.truth_of(wrote, &[joe, p1]), Some(true));
+        assert_eq!(ev.truth_of(wrote, &[p1, joe]), None);
+        assert_eq!(ev.truth_of(cat, &[p1, db]), Some(false));
+        assert_eq!(ev.truth_of(cat, &[p1, joe]), None);
     }
 
     #[test]
@@ -203,7 +175,8 @@ mod tests {
         assert!(set
             .add(&p, GroundAtom::new(cat, vec![p1, db]), true)
             .is_err());
-        assert!(EvidenceIndex::build(&p, &set).is_ok());
+        assert_eq!(set.truth_of(cat, &[p1.0, db.0]), Some(false));
+        assert!(set.validate(&p).is_ok());
     }
 
     #[test]

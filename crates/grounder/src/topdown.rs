@@ -19,7 +19,7 @@ use crate::bottomup::GroundingResult;
 use crate::compile::{compile_clause, CompiledClause, GroundingMode};
 use crate::dbload::GroundingDb;
 use crate::emit::{constant_cost, Emitter, Grounded};
-use crate::registry::{AtomRegistry, EvidenceIndex};
+use crate::registry::AtomRegistry;
 use crate::stats::GroundingStats;
 use std::time::Instant;
 use tuffy_mln::clausify::clausify_program;
@@ -87,11 +87,11 @@ pub fn ground_top_down(
 ) -> Result<GroundingResult, MlnError> {
     crate::stats::record_grounding();
     let start = Instant::now();
+    evidence.validate(program)?;
     let domains = evidence.merged_domains(program);
-    let ev = EvidenceIndex::build(program, evidence)?;
     // The GroundingDb is built only so clause compilation has table ids to
     // reference; the top-down grounder never runs queries against it.
-    let gdb = GroundingDb::build(program, &ev, &domains)?;
+    let gdb = GroundingDb::build(program, evidence, &domains)?;
     let clauses = clausify_program(program);
     let compiled: Vec<CompiledClause> = clauses
         .iter()
@@ -120,7 +120,7 @@ pub fn ground_top_down(
         stores.insert(t, s);
     }
 
-    let emitter = Emitter::new(&domains, &ev);
+    let emitter = Emitter::new(&domains, evidence);
     let mut registry = AtomRegistry::new();
     let mut builder = MrfBuilder::new();
     let mut seen: FxHashSet<(u32, Box<[u32]>)> = FxHashSet::default();

@@ -7,7 +7,6 @@
 
 use tuffy_grounder::compile::{compile_clause, GroundingMode};
 use tuffy_grounder::dbload::GroundingDb;
-use tuffy_grounder::registry::EvidenceIndex;
 use tuffy_mln::clausify::clausify_program;
 use tuffy_mln::parser::{parse_evidence, parse_program};
 use tuffy_rdbms::optimizer::plan_analyzed;
@@ -29,8 +28,7 @@ fn grounding_db() -> (tuffy_mln::program::MlnProgram, GroundingDb) {
     let mut p = parse_program(PROGRAM).unwrap();
     let set = parse_evidence(&mut p, EVIDENCE).unwrap();
     let domains = set.merged_domains(&p);
-    let ev = EvidenceIndex::build(&p, &set).unwrap();
-    let gdb = GroundingDb::build(&p, &ev, &domains).unwrap();
+    let gdb = GroundingDb::build(&p, &set, &domains).unwrap();
     (p, gdb)
 }
 

@@ -13,7 +13,9 @@ use crate::error::MlnError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ground::GroundAtom;
 use crate::program::MlnProgram;
+use crate::schema::PredicateId;
 use crate::symbols::Symbol;
+use std::collections::hash_map::Entry;
 
 /// A single evidence assertion: a ground atom asserted true or false.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,9 +26,18 @@ pub struct Evidence {
     pub positive: bool,
 }
 
-/// Interned lookup key of a ground atom.
-fn key_of(atom: &GroundAtom) -> (u32, Box<[u32]>) {
-    (atom.predicate.0, atom.args.iter().map(|s| s.0).collect())
+/// Calls `f` with `args` as raw symbol ids, copied to the stack for any
+/// arity up to 8 (a probe builds no heap key).
+fn with_raw_args<R>(args: &[Symbol], f: impl FnOnce(&[u32]) -> R) -> R {
+    let mut buf = [0u32; 8];
+    if args.len() <= buf.len() {
+        for (b, s) in buf.iter_mut().zip(args) {
+            *b = s.0;
+        }
+        f(&buf[..args.len()])
+    } else {
+        f(&args.iter().map(|s| s.0).collect::<Vec<u32>>())
+    }
 }
 
 fn check_arity(program: &MlnProgram, atom: &GroundAtom) -> Result<(), MlnError> {
@@ -49,10 +60,16 @@ fn check_arity(program: &MlnProgram, atom: &GroundAtom) -> Result<(), MlnError> 
 /// At most one assertion is stored per atom; [`EvidenceSet::add`]
 /// rejects contradictions while [`EvidenceSet::apply`] (delta semantics)
 /// overwrites.
+///
+/// This is the system's one evidence index: the grounder's emission
+/// checks and its bulk load of the evidence tables read it directly
+/// ([`EvidenceSet::truth_of`], [`EvidenceSet::iter`]).
 #[derive(Clone, Debug, Default)]
 pub struct EvidenceSet {
     items: Vec<Evidence>,
-    index: FxHashMap<(u32, Box<[u32]>), u32>,
+    /// Per predicate (grown on demand): argument tuple → position in
+    /// `items`. Probed with a borrowed `&[u32]`.
+    index: Vec<FxHashMap<Box<[u32]>, u32>>,
 }
 
 impl EvidenceSet {
@@ -78,9 +95,30 @@ impl EvidenceSet {
 
     /// The asserted truth of `atom`, if any.
     pub fn truth(&self, atom: &GroundAtom) -> Option<bool> {
-        self.index
-            .get(&key_of(atom))
-            .map(|&i| self.items[i as usize].positive)
+        self.position(atom).map(|i| self.items[i].positive)
+    }
+
+    /// The asserted truth of `pred(args)` (raw symbol ids), if any.
+    #[inline]
+    pub fn truth_of(&self, pred: PredicateId, args: &[u32]) -> Option<bool> {
+        let i = *self.index.get(pred.index())?.get(args)?;
+        Some(self.items[i as usize].positive)
+    }
+
+    /// `pred`'s lookup map, grown into existence if needed.
+    fn map_mut(&mut self, pred: PredicateId) -> &mut FxHashMap<Box<[u32]>, u32> {
+        if self.index.len() <= pred.index() {
+            self.index.resize_with(pred.index() + 1, FxHashMap::default);
+        }
+        &mut self.index[pred.index()]
+    }
+
+    /// Appends a new assertion (the caller checked it is absent).
+    fn push(&mut self, atom: GroundAtom, positive: bool) {
+        let at = self.items.len() as u32;
+        let key: Box<[u32]> = atom.args.iter().map(|s| s.0).collect();
+        self.map_mut(atom.predicate).insert(key, at);
+        self.items.push(Evidence { atom, positive });
     }
 
     /// Adds one assertion (the bulk-load path used by the parser).
@@ -93,22 +131,24 @@ impl EvidenceSet {
         positive: bool,
     ) -> Result<(), MlnError> {
         check_arity(program, &atom)?;
-        match self.index.get(&key_of(&atom)) {
-            Some(&i) => {
-                if self.items[i as usize].positive != positive {
+        let at = self.items.len() as u32;
+        let key: Box<[u32]> = atom.args.iter().map(|s| s.0).collect();
+        match self.map_mut(atom.predicate).entry(key) {
+            Entry::Occupied(e) => {
+                let i = *e.get() as usize;
+                if self.items[i].positive != positive {
                     return Err(MlnError::general(format!(
                         "contradictory evidence for `{}`",
                         program.predicate_name(atom.predicate)
                     )));
                 }
-                Ok(())
             }
-            None => {
-                self.index.insert(key_of(&atom), self.items.len() as u32);
+            Entry::Vacant(e) => {
+                e.insert(at);
                 self.items.push(Evidence { atom, positive });
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// Applies a delta, returning the *net* change per touched atom
@@ -126,7 +166,7 @@ impl EvidenceSet {
     ) -> Result<Vec<EvidenceChange>, MlnError> {
         // Phase 1: stage. `changes` accumulates the net (before, after)
         // per atom; `first_seen` indexes it; nothing mutates yet.
-        let mut first_seen: FxHashMap<(u32, Box<[u32]>), usize> = FxHashMap::default();
+        let mut first_seen: FxHashMap<&GroundAtom, usize> = FxHashMap::default();
         let mut changes: Vec<EvidenceChange> = Vec::new();
         for op in &delta.ops {
             let atom = match op {
@@ -135,11 +175,11 @@ impl EvidenceSet {
                 | DeltaOp::Flip { atom } => atom,
             };
             check_arity(program, atom)?;
-            let key = key_of(atom);
-            let staged = first_seen
-                .get(&key)
-                .map(|&ci| changes[ci].after)
-                .unwrap_or_else(|| self.truth(atom));
+            let seen = first_seen.get(atom).copied();
+            let staged = match seen {
+                Some(ci) => changes[ci].after,
+                None => self.truth(atom),
+            };
             let after = match op {
                 DeltaOp::Assert { positive, .. } => Some(*positive),
                 DeltaOp::Retract { .. } => None,
@@ -153,13 +193,13 @@ impl EvidenceSet {
                     Some(!cur)
                 }
             };
-            match first_seen.get(&key) {
-                Some(&ci) => changes[ci].after = after,
+            match seen {
+                Some(ci) => changes[ci].after = after,
                 None => {
-                    first_seen.insert(key, changes.len());
+                    first_seen.insert(atom, changes.len());
                     changes.push(EvidenceChange {
                         atom: atom.clone(),
-                        before: self.truth(atom),
+                        before: staged,
                         after,
                     });
                 }
@@ -167,43 +207,47 @@ impl EvidenceSet {
         }
         changes.retain(|c| c.before != c.after);
 
-        // Phase 2: commit the net changes (infallible).
+        // Phase 2: commit the net changes (infallible). Each atom has one
+        // net change, so `before` says whether it is in the set.
         let mut retracted = false;
         for ch in &changes {
-            let key = key_of(&ch.atom);
-            match ch.after {
-                Some(v) => match self.index.get(&key) {
-                    Some(&i) => self.items[i as usize].positive = v,
-                    None => {
-                        self.index.insert(key, self.items.len() as u32);
-                        self.items.push(Evidence {
-                            atom: ch.atom.clone(),
-                            positive: v,
-                        });
-                    }
-                },
-                None => {
-                    self.index.remove(&key);
+            match (ch.before, ch.after) {
+                (None, Some(v)) => self.push(ch.atom.clone(), v),
+                (Some(_), Some(v)) => {
+                    let i = self.position(&ch.atom).expect("asserted atom is indexed");
+                    self.items[i].positive = v;
+                }
+                (Some(_), None) => {
+                    let map = &mut self.index[ch.atom.predicate.index()];
+                    with_raw_args(&ch.atom.args, |args| map.remove(args));
                     retracted = true;
                 }
+                (None, None) => unreachable!("net no-ops were dropped"),
             }
         }
         if retracted {
-            let index = std::mem::take(&mut self.index);
-            let mut i = 0u32;
+            // Keep the items still indexed, and renumber their positions.
+            let index = &mut self.index;
+            let mut next = 0u32;
             self.items.retain(|e| {
-                let keep = index.get(&key_of(&e.atom)) == Some(&i);
-                i += 1;
-                keep
+                let map = &mut index[e.atom.predicate.index()];
+                match with_raw_args(&e.atom.args, |args| map.get_mut(args)) {
+                    Some(at) => {
+                        *at = next;
+                        next += 1;
+                        true
+                    }
+                    None => false,
+                }
             });
-            self.index = self
-                .items
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (key_of(&e.atom), i as u32))
-                .collect();
         }
         Ok(changes)
+    }
+
+    /// Position of `atom` in `items`, if asserted.
+    fn position(&self, atom: &GroundAtom) -> Option<usize> {
+        let map = self.index.get(atom.predicate.index())?;
+        with_raw_args(&atom.args, |args| map.get(args).map(|&i| i as usize))
     }
 
     /// Per-type constant domains of `program` extended with this set's

@@ -40,12 +40,12 @@ use crate::program::MlnProgram;
 use crate::schema::PredicateId;
 use crate::weight::Weight;
 
-/// Tokens of the concrete syntax.
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Number(String),
-    Str(String),
+/// Tokens of the concrete syntax, borrowing their text from the source.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Number(&'a str),
+    Str(&'a str),
     LParen,
     RParen,
     Comma,
@@ -59,58 +59,29 @@ enum Tok {
     Neq,
 }
 
-/// Splits `src` into logical lines with comments stripped, keeping 1-based
-/// line numbers.
-fn logical_lines(src: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (i, raw) in src.lines().enumerate() {
-        let mut line = raw;
-        if let Some(pos) = find_comment(line) {
-            line = &line[..pos];
-        }
-        let trimmed = line.trim();
-        if !trimmed.is_empty() {
-            out.push((i + 1, trimmed.to_string()));
-        }
-    }
-    out
+/// The non-blank lines of `src`, trimmed, with 1-based line numbers.
+/// Comments are left to [`tokenize`].
+fn logical_lines(src: &str) -> impl Iterator<Item = (usize, &str)> {
+    src.lines()
+        .enumerate()
+        .map(|(i, raw)| (i + 1, raw.trim()))
+        .filter(|(_, line)| !line.is_empty())
 }
 
-/// Finds the start of a `//` or `#` comment outside quotes.
-fn find_comment(line: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut quote: Option<u8> = None;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match quote {
-            Some(q) => {
-                if b == q {
-                    quote = None;
-                }
-            }
-            None => {
-                if b == b'"' || b == b'\'' {
-                    quote = Some(b);
-                } else if b == b'#' || (b == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'/') {
-                    return Some(i);
-                }
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Tokenizes one logical line.
-fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, MlnError> {
-    let mut toks = Vec::new();
+/// Tokenizes one logical line into `toks` (cleared first). A `//` or `#`
+/// where a token would start ends the line as a comment; a quote opens a
+/// string literal only there too, so a primed name such as `x'` followed
+/// by a comment reads as the name, then the comment.
+fn tokenize<'a>(line: &'a str, lineno: usize, toks: &mut Vec<Tok<'a>>) -> Result<(), MlnError> {
+    toks.clear();
     let bytes = line.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];
         match b {
             b' ' | b'\t' => i += 1,
+            b'#' => break,
+            b'/' if bytes.get(i + 1) == Some(&b'/') => break,
             b'(' => {
                 toks.push(Tok::LParen);
                 i += 1;
@@ -173,7 +144,7 @@ fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, MlnError> {
                 if j >= bytes.len() {
                     return Err(MlnError::at(lineno, "unterminated string literal"));
                 }
-                toks.push(Tok::Str(line[start..j].to_string()));
+                toks.push(Tok::Str(&line[start..j]));
                 i = j + 1;
             }
             b'-' | b'+' | b'0'..=b'9' => {
@@ -189,18 +160,13 @@ fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, MlnError> {
                 {
                     i += 1;
                 }
-                let text = &line[start..i];
                 // `-inf` / `+inf` weights.
-                if (text == "-" || text == "+") && line[i..].starts_with("inf") {
-                    let sign = text.to_string();
+                if i == start + 1 && (b == b'-' || b == b'+') && line[i..].starts_with("inf") {
                     i += 3;
-                    toks.push(Tok::Number(format!("{sign}inf")));
-                } else {
-                    // Trim a trailing period: `5.` is weight 5 then hard-rule
-                    // marker only when followed by nothing; simpler to treat
-                    // `5.` as the float 5.0 (valid f64 parse).
-                    toks.push(Tok::Number(text.to_string()));
                 }
+                // A trailing period stays in the number: `5.` is the
+                // float 5.0 (valid f64 parse), not weight 5 + hard marker.
+                toks.push(Tok::Number(&line[start..i]));
             }
             _ if b.is_ascii_alphabetic() || b == b'_' => {
                 let start = i;
@@ -215,8 +181,8 @@ fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, MlnError> {
                     // it is a valid variable name inside an atom. The
                     // literal-list parser recognizes `Ident("v")` in
                     // separator position.
-                    "inf" | "infinity" => toks.push(Tok::Number("inf".into())),
-                    _ => toks.push(Tok::Ident(word.to_string())),
+                    "inf" | "infinity" => toks.push(Tok::Number("inf")),
+                    _ => toks.push(Tok::Ident(word)),
                 }
             }
             _ => {
@@ -227,23 +193,23 @@ fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, MlnError> {
             }
         }
     }
-    Ok(toks)
+    Ok(())
 }
 
 /// A cursor over a token list.
-struct Cursor<'a> {
-    toks: &'a [Tok],
+struct Cursor<'t, 'a> {
+    toks: &'t [Tok<'a>],
     pos: usize,
     line: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<&Tok> {
+impl<'t, 'a> Cursor<'t, 'a> {
+    fn peek(&self) -> Option<&'t Tok<'a>> {
         self.toks.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
+    fn next(&mut self) -> Option<&'t Tok<'a>> {
+        let t = self.toks.get(self.pos);
         if t.is_some() {
             self.pos += 1;
         }
@@ -284,8 +250,9 @@ fn is_variable_name(name: &str) -> bool {
 /// Parses a full program (declarations + rules) from source text.
 pub fn parse_program(src: &str) -> Result<MlnProgram, MlnError> {
     let mut program = MlnProgram::new();
+    let mut toks = Vec::new();
     for (lineno, line) in logical_lines(src) {
-        let toks = tokenize(&line, lineno)?;
+        tokenize(line, lineno, &mut toks)?;
         if toks.is_empty() {
             continue;
         }
@@ -319,8 +286,9 @@ pub fn parse_evidence_into(
     set: &mut EvidenceSet,
     src: &str,
 ) -> Result<(), MlnError> {
+    let mut toks = Vec::new();
     for (lineno, line) in logical_lines(src) {
-        let toks = tokenize(&line, lineno)?;
+        tokenize(line, lineno, &mut toks)?;
         if toks.is_empty() {
             continue;
         }
@@ -352,14 +320,15 @@ pub fn parse_evidence_into(
 /// ```
 pub fn parse_delta(program: &mut MlnProgram, src: &str) -> Result<EvidenceDelta, MlnError> {
     let mut delta = EvidenceDelta::new();
+    let mut toks = Vec::new();
     for (lineno, line) in logical_lines(src) {
         let (op, rest) = match line.as_bytes().first() {
             Some(b'+') => ('+', &line[1..]),
             Some(b'-') => ('-', &line[1..]),
             Some(b'~') => ('~', &line[1..]),
-            _ => ('+', line.as_str()),
+            _ => ('+', line),
         };
-        let toks = tokenize(rest, lineno)?;
+        tokenize(rest, lineno, &mut toks)?;
         if toks.is_empty() {
             continue;
         }
@@ -429,7 +398,7 @@ fn parse_declaration(
     };
     let closed = cur.eat(&Tok::Star);
     let name = match cur.next() {
-        Some(Tok::Ident(n)) => n,
+        Some(&Tok::Ident(n)) => n,
         other => {
             return Err(MlnError::at(
                 lineno,
@@ -441,10 +410,7 @@ fn parse_declaration(
     let mut types = Vec::new();
     loop {
         match cur.next() {
-            Some(Tok::Ident(t)) => {
-                let t = t.clone();
-                types.push(program.intern_type(&t));
-            }
+            Some(&Tok::Ident(t)) => types.push(program.intern_type(t)),
             other => {
                 return Err(MlnError::at(
                     lineno,
@@ -458,7 +424,7 @@ fn parse_declaration(
         cur.expect(&Tok::Comma, "`,`")?;
     }
     program
-        .declare_predicate(&name, types, closed)
+        .declare_predicate(name, types, closed)
         .map_err(|e| MlnError::at(lineno, e.message))?;
     Ok(())
 }
@@ -473,11 +439,10 @@ fn parse_rule_line(program: &mut MlnProgram, toks: &[Tok], lineno: usize) -> Res
     };
     // Weight prefix, if any.
     let explicit_weight = match cur.peek() {
-        Some(Tok::Number(n)) => {
-            let n = n.clone();
+        Some(&Tok::Number(n)) => {
             cur.pos += 1;
             Some(
-                Weight::parse(&n)
+                Weight::parse(n)
                     .ok_or_else(|| MlnError::at(lineno, format!("bad weight `{n}`")))?,
             )
         }
@@ -676,13 +641,12 @@ fn parse_literal_list(
         line: lineno,
     };
     // EXIST prefix.
-    if matches!(cur.peek(), Some(Tok::Ident(w)) if w == "EXIST" || w == "Exist" || w == "exist") {
+    if matches!(cur.peek(), Some(Tok::Ident("EXIST" | "Exist" | "exist"))) {
         cur.pos += 1;
         loop {
             match cur.next() {
-                Some(Tok::Ident(name)) if is_variable_name(&name) => {
-                    let name = name.clone();
-                    exists.push(Var(program.symbols.intern(&name)));
+                Some(&Tok::Ident(name)) if is_variable_name(name) => {
+                    exists.push(Var(program.symbols.intern(name)));
                 }
                 other => {
                     return Err(MlnError::at(
@@ -714,7 +678,7 @@ fn parse_literal_list(
         let this = match cur.next() {
             Some(Tok::Comma) => Sep::Conj,
             Some(Tok::Or) => Sep::Disj,
-            Some(Tok::Ident(w)) if w == "v" => Sep::Disj,
+            Some(Tok::Ident("v")) => Sep::Disj,
             other => {
                 return Err(MlnError::at(
                     lineno,
@@ -735,17 +699,17 @@ fn parse_literal_list(
 }
 
 /// Parses one literal: `[!]pred(t, …)`, or `t = t` / `t != t`.
-fn parse_literal(program: &mut MlnProgram, cur: &mut Cursor<'_>) -> Result<Literal, MlnError> {
+fn parse_literal(program: &mut MlnProgram, cur: &mut Cursor<'_, '_>) -> Result<Literal, MlnError> {
     let negated = cur.eat(&Tok::Bang);
     // Try a predicate literal: Ident `(`.
     if matches!(cur.peek(), Some(Tok::Ident(_))) && cur.toks.get(cur.pos + 1) == Some(&Tok::LParen)
     {
         let name = match cur.next() {
-            Some(Tok::Ident(n)) => n,
+            Some(&Tok::Ident(n)) => n,
             _ => unreachable!(),
         };
         let pred = program
-            .predicate_by_name(&name)
+            .predicate_by_name(name)
             .ok_or_else(|| MlnError::at(cur.line, format!("unknown predicate `{name}`")))?;
         cur.expect(&Tok::LParen, "`(`")?;
         let mut args = Vec::new();
@@ -785,23 +749,13 @@ fn parse_literal(program: &mut MlnProgram, cur: &mut Cursor<'_>) -> Result<Liter
 }
 
 /// Parses a term: variable, constant identifier, number, or quoted string.
-fn parse_term(program: &mut MlnProgram, cur: &mut Cursor<'_>) -> Result<Term, MlnError> {
+fn parse_term(program: &mut MlnProgram, cur: &mut Cursor<'_, '_>) -> Result<Term, MlnError> {
     match cur.next() {
-        Some(Tok::Ident(name)) => {
-            let name = name.clone();
-            if is_variable_name(&name) {
-                Ok(Term::Var(Var(program.symbols.intern(&name))))
-            } else {
-                Ok(Term::Const(program.symbols.intern(&name)))
-            }
+        Some(&Tok::Ident(name)) if is_variable_name(name) => {
+            Ok(Term::Var(Var(program.symbols.intern(name))))
         }
-        Some(Tok::Number(n)) => {
-            let n = n.clone();
-            Ok(Term::Const(program.symbols.intern(&n)))
-        }
-        Some(Tok::Str(s)) => {
-            let s = s.clone();
-            Ok(Term::Const(program.symbols.intern(&s)))
+        Some(&(Tok::Ident(c) | Tok::Number(c) | Tok::Str(c))) => {
+            Ok(Term::Const(program.symbols.intern(c)))
         }
         other => Err(MlnError::at(
             cur.line,
@@ -813,10 +767,10 @@ fn parse_term(program: &mut MlnProgram, cur: &mut Cursor<'_>) -> Result<Term, Ml
 /// Parses a ground atom for evidence: `pred(c1, …, ck)` with constant args.
 fn parse_ground_atom(
     program: &mut MlnProgram,
-    cur: &mut Cursor<'_>,
+    cur: &mut Cursor<'_, '_>,
 ) -> Result<(PredicateId, Vec<crate::symbols::Symbol>), MlnError> {
     let name = match cur.next() {
-        Some(Tok::Ident(n)) => n,
+        Some(&Tok::Ident(n)) => n,
         other => {
             return Err(MlnError::at(
                 cur.line,
@@ -825,23 +779,14 @@ fn parse_ground_atom(
         }
     };
     let pred = program
-        .predicate_by_name(&name)
+        .predicate_by_name(name)
         .ok_or_else(|| MlnError::at(cur.line, format!("unknown predicate `{name}`")))?;
     cur.expect(&Tok::LParen, "`(`")?;
     let mut args = Vec::new();
     loop {
         match cur.next() {
-            Some(Tok::Ident(n)) => {
-                let n = n.clone();
-                args.push(program.symbols.intern(&n));
-            }
-            Some(Tok::Number(n)) => {
-                let n = n.clone();
-                args.push(program.symbols.intern(&n));
-            }
-            Some(Tok::Str(s)) => {
-                let s = s.clone();
-                args.push(program.symbols.intern(&s));
+            Some(&(Tok::Ident(c) | Tok::Number(c) | Tok::Str(c))) => {
+                args.push(program.symbols.intern(c));
             }
             other => {
                 return Err(MlnError::at(
@@ -1016,6 +961,51 @@ mod tests {
         match &p.rules[0].formula.head[0] {
             Literal::Eq { negated, .. } => assert!(*negated),
             _ => panic!(),
+        }
+    }
+
+    #[test]
+    fn primed_variable_before_a_comment() {
+        // A `'` inside a name does not open a quote, so the comment after
+        // it is still a comment.
+        let p = parse_program("*e(t)\nq(t)\n1 e(x') => q(x) // c\n").unwrap();
+        assert_eq!(p.rules.len(), 1);
+    }
+
+    #[test]
+    fn primed_constant_before_a_comment() {
+        let mut p = parse_program("*e(t)\n").unwrap();
+        let ev = parse_evidence(&mut p, "e(A')   # note\ne('B // c') // d\n").unwrap();
+        let names: Vec<&str> = ev
+            .iter()
+            .map(|e| p.symbols.resolve(e.atom.args[0]))
+            .collect();
+        assert_eq!(names, ["A'", "B // c"]);
+    }
+
+    #[test]
+    fn evidence_errors_pin_message_and_line() {
+        let program = "*e(t, t)\n*f(t)\n";
+        for (evidence, line, message) in [
+            ("e(A, B)\nmystery(A)\n", 2, "unknown predicate `mystery`"),
+            (
+                "\n// c\ne(A)\n",
+                3,
+                "evidence for `e` has 1 arguments, expected 2",
+            ),
+            ("f(A)\n\n!f(A) # c\n", 3, "contradictory evidence for `f`"),
+            ("f(A) f(B)\n", 1, "trailing tokens after evidence atom"),
+            ("f(A)\r\nf(\"B)\r\n", 2, "unterminated string literal"),
+            ("f(A)\nf(B) @\n", 2, "unexpected character `@`"),
+            ("e(A, )\n", 1, "expected constant, got Some(RParen)"),
+        ] {
+            let mut p = parse_program(program).unwrap();
+            let err = parse_evidence(&mut p, evidence).unwrap_err();
+            assert_eq!(
+                (err.line, err.message.as_str()),
+                (line, message),
+                "{evidence:?}"
+            );
         }
     }
 
