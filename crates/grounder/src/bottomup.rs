@@ -27,9 +27,14 @@
 //!    task list — one task per clause variant, split further into
 //!    value-range chunks for large driving tables. All tasks of a round
 //!    query the *start-of-round* database state; activations become
-//!    visible only in the next round. The least fixpoint is unchanged —
-//!    bindings discovered late in a round are re-discovered from the
-//!    delta tables a round later.
+//!    visible only in the next round, through its delta tables. The
+//!    rounds are semi-naive and their variants disjoint by construction
+//!    (`round_variants`): each (rule, binding) is returned by exactly
+//!    one task of one round, so emission keeps no set of bindings it has
+//!    seen. The one variant that returns a binding is the first, in task
+//!    order, that would return it if every variant read the full
+//!    reachable tables, so emission follows the first-encounter order of
+//!    naive evaluation.
 //! 2. **Deterministic task decomposition.** Chunking decisions depend
 //!    only on table contents, *never* on the thread count or the config,
 //!    so every thread count executes the identical task list. A
@@ -71,17 +76,17 @@ use crate::dbload::GroundingDb;
 use crate::emit::{constant_cost, Emitter, Grounded};
 use crate::registry::AtomRegistry;
 use crate::stats::GroundingStats;
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 use tuffy_mln::clausify::clausify_program;
 use tuffy_mln::evidence::EvidenceSet;
-use tuffy_mln::fxhash::FxHashSet;
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
 use tuffy_mrf::{Mrf, MrfBuilder};
 use tuffy_rdbms::query::{ColumnBinding, QueryAtom, VarId};
 use tuffy_rdbms::{
     execute_spill, merge_cursor, plan_query, ConjunctiveQuery, Database, OptimizerConfig, Row,
-    SpillManager, SpillableBatch, TableId,
+    SpillManager, SpillableBatch,
 };
 
 /// The output of grounding: the MRF, the atom registry mapping dense atom
@@ -144,10 +149,9 @@ enum GroupRows {
     /// [`merge_cursor`] so the merged relation is never materialized.
     /// Chunks partition bindings by a value range, so the merge
     /// reproduces exactly the order the unchunked result would have.
-    /// Equal rows can occur across chunks when the chunked variable is
-    /// projected away — they come out adjacent and the emitter's
-    /// first-encounter dedup drops them, as it would for the unchunked
-    /// variant's `DISTINCT`.
+    /// The merged rows are a set: every universal variable is projected
+    /// and every base table is a set, so the stream is strictly
+    /// ascending.
     Rows(Vec<SpillableBatch>),
 }
 
@@ -258,17 +262,27 @@ fn split_into_chunks(db: &Database, q: ConjunctiveQuery) -> (Option<VarId>, Vec<
 }
 
 /// The binding-query variants `cc` runs in closure round `round`
-/// (`None`: ground once with the empty binding). Round 0 runs each
-/// clause's full query. Later (semi-naive) rounds run one variant per
-/// reachable atom with that atom's table swapped for the last round's
-/// delta: any genuinely new binding must use at least one newly
-/// activated atom. Negative-weight all-positive clauses instead run one
-/// union variant per literal, restricted to reachable (round 0) or
-/// newly-reachable (later rounds) atoms.
+/// (`None`: ground once with the empty binding). The variants of one round
+/// are disjoint, and no variant returns a binding an earlier round
+/// returned, so every binding reaches emission exactly once.
+///
+/// Round 0 runs each clause's full query. Later rounds are semi-naive:
+/// a genuinely new binding uses at least one atom activated in the last
+/// round, so variant k (in `reach_positions` order) reads the delta at
+/// reachable position k, `reach_old` at the positions before k and
+/// `reach` at those after. A binding whose new atoms sit at positions S
+/// is returned by variant min(S) alone.
+///
+/// Negative-weight all-positive clauses instead run one union variant per
+/// literal j, restricted to reachable (round 0) or newly reachable (later
+/// rounds) atoms of that literal. It anti-joins `reach` for every literal
+/// before j, and in later rounds `reach_old` for every literal after j: a
+/// newly active binding comes from the first literal over a new atom, in
+/// the first round any of its atoms is reachable.
 fn round_variants(
     cc: &CompiledClause,
     round: usize,
-    reach_delta: &[TableId],
+    gdb: &GroundingDb,
 ) -> Vec<Option<ConjunctiveQuery>> {
     if round > 0 && !cc.uses_reachable {
         return Vec::new();
@@ -276,26 +290,42 @@ fn round_variants(
     match &cc.query {
         None if round > 0 => Vec::new(),
         None => vec![None],
-        Some(q) if !cc.union_variants.is_empty() => cc
-            .union_variants
-            .iter()
-            .map(|(atom, pred_idx)| {
+        Some(q) if !cc.union_variants.is_empty() => (0..cc.union_variants.len())
+            .map(|j| {
                 let mut v = q.clone();
+                for (l, (atom, pred_idx)) in cc.union_variants.iter().enumerate() {
+                    let table = if l < j {
+                        gdb.reach[*pred_idx]
+                    } else if l > j && round > 0 {
+                        gdb.reach_old[*pred_idx]
+                    } else {
+                        continue;
+                    };
+                    v.anti_atoms.push(QueryAtom {
+                        table,
+                        bindings: atom.bindings.clone(),
+                    });
+                }
+                let (atom, pred_idx) = &cc.union_variants[j];
                 let mut a = atom.clone();
                 if round > 0 {
-                    a.table = reach_delta[*pred_idx];
+                    a.table = gdb.reach_delta[*pred_idx];
                 }
                 v.atoms.insert(0, a);
                 Some(v)
             })
             .collect(),
         Some(q) if round == 0 => vec![Some(q.clone())],
-        Some(q) => cc
-            .reach_positions
-            .iter()
-            .map(|&(pos, pred_idx)| {
+        Some(q) => (0..cc.reach_positions.len())
+            .map(|k| {
                 let mut v = q.clone();
-                v.atoms[pos].table = reach_delta[pred_idx];
+                for (i, &(pos, pred_idx)) in cc.reach_positions.iter().enumerate() {
+                    v.atoms[pos].table = match i.cmp(&k) {
+                        Ordering::Less => gdb.reach_old[pred_idx],
+                        Ordering::Equal => gdb.reach_delta[pred_idx],
+                        Ordering::Greater => gdb.reach[pred_idx],
+                    };
+                }
                 Some(v)
             })
             .collect(),
@@ -362,7 +392,10 @@ pub fn ground_bottom_up_threaded(
     let emitter = Emitter::new(&domains, evidence);
     let mut registry = AtomRegistry::new();
     let mut builder = MrfBuilder::new();
-    let mut seen: FxHashSet<(u32, Box<[u32]>)> = FxHashSet::default();
+    // Every (rule, binding) is emitted once by construction (see
+    // `round_variants`); debug builds check it.
+    #[cfg(debug_assertions)]
+    let mut emitted: tuffy_mln::fxhash::FxHashSet<(u32, Box<[u32]>)> = Default::default();
     let mut stats = GroundingStats::default();
     let mut new_atoms: Vec<tuffy_mrf::AtomId> = Vec::new();
     let mut peak_result_bytes = 0usize;
@@ -385,7 +418,7 @@ pub fn ground_bottom_up_threaded(
         gdb.db.analyze_all();
         let mut tasks: Vec<RoundTask> = Vec::new();
         for (ci, cc) in compiled.iter().enumerate() {
-            for variant in round_variants(cc, round, &gdb.reach_delta) {
+            for variant in round_variants(cc, round, &gdb) {
                 let group = tasks.last().map_or(0, |t| t.group + 1);
                 let queries = match variant {
                     None => vec![None],
@@ -428,8 +461,10 @@ pub fn ground_bottom_up_threaded(
         // Phase C: ordered merge. Consume results strictly in task-list
         // order so atom numbering and clause order are independent of
         // scheduling; the chunks of one variant are gathered into one
-        // group first.
-        let mut round_activations: Vec<(tuffy_mln::schema::PredicateId, Vec<u32>)> = Vec::new();
+        // group first. Every merged row is a binding no task emitted
+        // before. Phase B has finished, so activating atoms here cannot
+        // change what this round's anti-joins against `reach` saw.
+        let mut round_activations: Vec<tuffy_mrf::AtomId> = Vec::new();
         let mut groups: Vec<(usize, GroupRows)> = Vec::new();
         {
             let mut pending: Vec<SpillableBatch> = Vec::new();
@@ -467,10 +502,12 @@ pub fn ground_bottom_up_threaded(
             let cc = &compiled[clause];
             let mut emit_row = |row: &[u32]| {
                 stats.bindings_considered += 1;
-                let key = (cc.rule_index as u32, Box::<[u32]>::from(row));
-                if !seen.insert(key) {
-                    return;
-                }
+                #[cfg(debug_assertions)]
+                debug_assert!(
+                    emitted.insert((cc.rule_index as u32, row.into())),
+                    "rule {} binding {row:?} emitted twice",
+                    cc.rule_index
+                );
                 new_atoms.clear();
                 match emitter.emit(cc, row, &mut registry, &mut new_atoms) {
                     Grounded::Satisfied => {
@@ -485,10 +522,9 @@ pub fn ground_bottom_up_threaded(
                         builder.add_clause_from_rule(lits, cc.weight, cc.rule_index as u32);
                         for &aid in &new_atoms {
                             let (pred, args) = registry.atom(aid);
-                            let args = args.to_vec();
-                            gdb.activate(pred, &args);
-                            round_activations.push((pred, args));
+                            gdb.activate(pred, args);
                         }
+                        round_activations.extend_from_slice(&new_atoms);
                     }
                 }
             };
@@ -499,7 +535,16 @@ pub fn ground_bottom_up_threaded(
                     // one read buffer per spilled run is resident.
                     let mut cur = merge_cursor(parts, &mgr).map_err(to_mln)?;
                     let mut row: Vec<u32> = Vec::new();
+                    #[cfg(debug_assertions)]
+                    let mut prev: Vec<u32> = Vec::new();
                     while cur.next_into(&mut row).map_err(to_mln)? {
+                        #[cfg(debug_assertions)]
+                        {
+                            // Rows are never empty, so an empty `prev` is
+                            // the first row.
+                            debug_assert!(prev < row, "rows of a group must strictly ascend");
+                            prev.clone_from(&row);
+                        }
                         emit_row(&row);
                     }
                 }
@@ -509,7 +554,7 @@ pub fn ground_bottom_up_threaded(
         if round_activations.is_empty() || mode == GroundingMode::Eager {
             break;
         }
-        gdb.promote_deltas(&round_activations);
+        gdb.promote_deltas(&registry, &round_activations);
     }
 
     builder.reserve_atoms(registry.len());
@@ -560,10 +605,7 @@ pub fn explain_grounding(
             "clause {} (weight {}, {} universal vars)",
             cc.rule_index, cc.weight, cc.num_univ
         );
-        for (vi, variant) in round_variants(&cc, 0, &gdb.reach_delta)
-            .into_iter()
-            .enumerate()
-        {
+        for (vi, variant) in round_variants(&cc, 0, &gdb).into_iter().enumerate() {
             let Some(q) = variant else {
                 out.push_str(&header);
                 out.push_str(": grounds once with the empty binding\n\n");
@@ -609,6 +651,7 @@ fn builder_add_base(builder: &mut MrfBuilder, c: tuffy_mrf::Cost) {
 mod tests {
     use super::*;
     use tuffy_mln::parser::{parse_evidence, parse_program};
+    use tuffy_rdbms::TableId;
 
     fn figure1_program() -> (MlnProgram, tuffy_mln::evidence::EvidenceSet) {
         let mut p = parse_program(
@@ -635,6 +678,80 @@ mod tests {
         )
         .unwrap();
         (p, ev)
+    }
+
+    /// The tables each variant reads, per `reach_positions` slot (join
+    /// atoms) and in order (anti atoms).
+    #[test]
+    fn round_variants_are_semi_naive() {
+        let mut p = parse_program(
+            "a(t)\nb(t)\nc(t)\nd(t)\n1 a(x), b(x), c(x) => d(x)\n-1 a(x) v b(x) v c(x)\n",
+        )
+        .unwrap();
+        let ev = parse_evidence(&mut p, "a(K)\n").unwrap();
+        let gdb = GroundingDb::build(&p, &ev, &ev.merged_domains(&p)).unwrap();
+        let compiled: Vec<CompiledClause> = clausify_program(&p)
+            .iter()
+            .map(|c| compile_clause(&p, &gdb, c, GroundingMode::LazyClosure).unwrap())
+            .map(Option::unwrap)
+            .collect();
+        let pred = |name: &str| p.predicate_by_name(name).unwrap().index();
+        let [a, b, c] = [pred("a"), pred("b"), pred("c")];
+
+        // Three reachable positions: one variant at round 0, three later.
+        let join = &compiled[0];
+        assert_eq!(join.reach_positions.len(), 3);
+        assert_eq!(round_variants(join, 0, &gdb).len(), 1);
+        let tables = |q: &ConjunctiveQuery| -> Vec<TableId> {
+            join.reach_positions
+                .iter()
+                .map(|&(pos, _)| q.atoms[pos].table)
+                .collect()
+        };
+        let round1: Vec<Vec<TableId>> = round_variants(join, 1, &gdb)
+            .iter()
+            .map(|v| tables(v.as_ref().unwrap()))
+            .collect();
+        assert_eq!(
+            round1,
+            [
+                [gdb.reach_delta[a], gdb.reach[b], gdb.reach[c]],
+                [gdb.reach_old[a], gdb.reach_delta[b], gdb.reach[c]],
+                [gdb.reach_old[a], gdb.reach_old[b], gdb.reach_delta[c]],
+            ]
+        );
+
+        // Union variant j reads literal j's atom and anti-joins `reach`
+        // before j, and from round 1 on `reach_old` after j.
+        let union = &compiled[1];
+        let reads = |round: usize| -> Vec<(TableId, Vec<TableId>)> {
+            round_variants(union, round, &gdb)
+                .into_iter()
+                .map(|v| {
+                    let q = v.unwrap();
+                    (
+                        q.atoms[0].table,
+                        q.anti_atoms.iter().map(|x| x.table).collect(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            reads(0),
+            [
+                (gdb.reach[a], vec![]),
+                (gdb.reach[b], vec![gdb.reach[a]]),
+                (gdb.reach[c], vec![gdb.reach[a], gdb.reach[b]]),
+            ]
+        );
+        assert_eq!(
+            reads(1),
+            [
+                (gdb.reach_delta[a], vec![gdb.reach_old[b], gdb.reach_old[c]]),
+                (gdb.reach_delta[b], vec![gdb.reach[a], gdb.reach_old[c]]),
+                (gdb.reach_delta[c], vec![gdb.reach[a], gdb.reach[b]]),
+            ]
+        );
     }
 
     #[test]

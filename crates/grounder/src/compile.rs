@@ -468,9 +468,10 @@ pub fn compile_clause(
             ranges: vec![],
             output: (0..univ.len()).collect(),
             // Outputs are unique per binding combination (all universal
-            // variables are projected), and the grounder's seen-set
-            // deduplicates across rounds — a DISTINCT pass would only
-            // burn a hash-build over the full result.
+            // variables are projected over set-valued tables), and the
+            // closure's semi-naive variants are disjoint across rounds —
+            // a DISTINCT pass would only burn a hash-build over the full
+            // result.
             distinct: false,
         })
     };

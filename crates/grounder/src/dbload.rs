@@ -3,17 +3,23 @@
 //! §3.1: "These tables form the input to grounding, and Tuffy constructs
 //! them using standard bulk-loading techniques." Per predicate `P` we load
 //! `evt_P` (positive evidence tuples), `evf_P` (explicit negative
-//! evidence), and — for open-world predicates — `reach_P`, which starts as
-//! a copy of `evt_P` and grows with *active* unknown atoms during the lazy
-//! closure (Appendix A.3). Per type `T` we load the constant domain
-//! `dom_T`.
+//! evidence), and `reach_P`, which starts as a copy of `evt_P` and grows
+//! with *active* unknown atoms during the lazy closure (Appendix A.3).
+//! Two more tables per predicate drive the closure's semi-naive rounds:
+//! `reach_delta_P`, the atoms activated in the previous round, and
+//! `reach_old_P`, `reach_P` as it stood at the start of the previous round
+//! (so `reach_P` is always `reach_old_P` plus `reach_delta_P`). Per type
+//! `T` we load the constant domain `dom_T`.
 //!
 //! The rows come straight from the [`EvidenceSet`] in insertion order; no
 //! second evidence index is built for the load.
 
+use crate::registry::AtomRegistry;
 use tuffy_mln::evidence::EvidenceSet;
 use tuffy_mln::program::MlnProgram;
+use tuffy_mln::schema::PredicateId;
 use tuffy_mln::MlnError;
+use tuffy_mrf::AtomId;
 use tuffy_rdbms::{Database, TableId, TableSchema};
 
 /// The grounding database: the engine instance plus table handles.
@@ -32,6 +38,11 @@ pub struct GroundingDb {
     /// reachable set, the standard Datalog evaluation the SQL formulation
     /// gets for free.
     pub reach_delta: Vec<TableId>,
+    /// Per-predicate `reach` as it stood at the start of the previous
+    /// closure round: `reach` minus `reach_delta`. A semi-naive variant
+    /// reads it at the reachable positions before its delta position, so
+    /// a binding is returned only by the variant of its first new atom.
+    pub reach_old: Vec<TableId>,
     /// Constant-domain table per type.
     pub dom: Vec<TableId>,
 }
@@ -51,6 +62,7 @@ impl GroundingDb {
         let mut evf = Vec::with_capacity(program.predicates.len());
         let mut reach = Vec::with_capacity(program.predicates.len());
         let mut reach_delta = Vec::with_capacity(program.predicates.len());
+        let mut reach_old = Vec::with_capacity(program.predicates.len());
         let to_db = |e: tuffy_rdbms::DbError| MlnError::general(e.to_string());
 
         for decl in &program.predicates {
@@ -66,12 +78,19 @@ impl GroundingDb {
                 .create_table(format!("reach_{name}"), TableSchema::new(cols.clone()))
                 .map_err(to_db)?;
             let d = db
-                .create_table(format!("reach_delta_{name}"), TableSchema::new(cols))
+                .create_table(
+                    format!("reach_delta_{name}"),
+                    TableSchema::new(cols.clone()),
+                )
+                .map_err(to_db)?;
+            let o = db
+                .create_table(format!("reach_old_{name}"), TableSchema::new(cols))
                 .map_err(to_db)?;
             evt.push(t);
             evf.push(f);
             reach.push(r);
             reach_delta.push(d);
+            reach_old.push(o);
         }
         let mut args: Vec<u32> = Vec::new();
         for e in ev.iter() {
@@ -81,6 +100,7 @@ impl GroundingDb {
             if e.positive {
                 db.insert(evt[pi], &args).map_err(to_db)?;
                 db.insert(reach[pi], &args).map_err(to_db)?;
+                db.insert(reach_old[pi], &args).map_err(to_db)?;
             } else {
                 db.insert(evf[pi], &args).map_err(to_db)?;
             }
@@ -104,6 +124,7 @@ impl GroundingDb {
             evf,
             reach,
             reach_delta,
+            reach_old,
             dom,
         })
     }
@@ -111,20 +132,30 @@ impl GroundingDb {
     /// Adds a newly activated unknown atom to its predicate's reachable
     /// table (lazy-closure iteration). The atom is *not* added to the
     /// delta until [`GroundingDb::promote_deltas`] runs at round end.
-    pub fn activate(&mut self, pred: tuffy_mln::schema::PredicateId, args: &[u32]) {
+    pub fn activate(&mut self, pred: PredicateId, args: &[u32]) {
         let t = self.reach[pred.index()];
         self.db
             .insert(t, args)
             .expect("reachable table arity mismatch");
     }
 
-    /// Replaces every delta table's contents with this round's
-    /// activations, readying the next semi-naive round.
-    pub fn promote_deltas(&mut self, activations: &[(tuffy_mln::schema::PredicateId, Vec<u32>)]) {
-        for &t in &self.reach_delta {
-            self.db.truncate(t);
+    /// Readies the next semi-naive round: appends every outgoing delta to
+    /// its `reach_old` table, then refills the deltas with this round's
+    /// activations, whose arguments are read from `registry`.
+    pub fn promote_deltas(&mut self, registry: &AtomRegistry, activations: &[AtomId]) {
+        for (&d, &o) in self.reach_delta.iter().zip(&self.reach_old) {
+            if self.db.table(d).is_empty() {
+                continue;
+            }
+            let width = self.db.table(d).width();
+            let rows: Vec<u32> = self.db.scan(d).flatten().copied().collect();
+            self.db
+                .bulk_load(o, rows.chunks_exact(width))
+                .expect("old reachable table arity mismatch");
+            self.db.truncate(d);
         }
-        for (pred, args) in activations {
+        for &aid in activations {
+            let (pred, args) = registry.atom(aid);
             let t = self.reach_delta[pred.index()];
             self.db.insert(t, args).expect("delta table arity mismatch");
         }
@@ -177,5 +208,29 @@ mod tests {
         let before = g.db.table(g.reach[cat.index()]).len();
         g.activate(cat, &[77, 78]);
         assert_eq!(g.db.table(g.reach[cat.index()]).len(), before + 1);
+    }
+
+    #[test]
+    fn promotion_appends_the_outgoing_delta_to_reach_old() {
+        let (p, set) = program();
+        let domains = set.merged_domains(&p);
+        let mut g = GroundingDb::build(&p, &set, &domains).unwrap();
+        let cat = p.predicate_by_name("cat").unwrap();
+        let lens = |g: &GroundingDb| {
+            let len = |t: &[TableId]| g.db.table(t[cat.index()]).len();
+            (len(&g.reach_old), len(&g.reach_delta), len(&g.reach))
+        };
+        // reach_old starts as a copy of evt, like reach.
+        assert_eq!(lens(&g), (1, 0, 1));
+        let mut registry = AtomRegistry::new();
+        for (round, args) in [[77, 78], [79, 78]].iter().enumerate() {
+            let aid = registry.intern(cat, args);
+            g.activate(cat, args);
+            g.promote_deltas(&registry, &[aid]);
+            // reach = reach_old + reach_delta, the delta this round's atom.
+            assert_eq!(lens(&g), (1 + round, 1, 2 + round));
+            let delta: Vec<&[u32]> = g.db.scan(g.reach_delta[cat.index()]).collect();
+            assert_eq!(delta, [&args[..]]);
+        }
     }
 }

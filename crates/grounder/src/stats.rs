@@ -35,7 +35,9 @@ pub struct GroundingStats {
     pub clauses: usize,
     /// Unknown (query) atoms registered.
     pub atoms: usize,
-    /// Candidate bindings inspected by emission.
+    /// Candidate bindings inspected by emission. Bottom-up, each is a
+    /// distinct (rule, binding): the closure rounds never return one
+    /// twice. Top-down also counts the repeats its own dedup drops.
     pub bindings_considered: u64,
     /// Binding queries planned and executed in the RDBMS (bottom-up
     /// only): one per clause variant per closure round — or per

@@ -254,3 +254,71 @@ proptest! {
         }
     }
 }
+
+/// Negative-weight clauses whose literals are all positive open-world
+/// atoms ground as a union of one variant per literal (LazySAT activity).
+/// In the four testbeds every such clause has one literal, so these
+/// programs pin the multi-literal case: literals that become active in
+/// different closure rounds, through evidence and through activation.
+/// Each variant must return only the bindings no earlier variant or round
+/// returned. The hashes were captured before the closure rounds became
+/// disjoint by construction, when a seen-set dropped the repeats.
+#[test]
+fn union_variants_ground_identically() {
+    let cases = [
+        (tuffy_datagen::example1(20), 0xfbc4b6315f9973f8, 2),
+        (
+            parse_dataset(
+                "*seen(thing)\nq(thing)\nr(thing)\n-1 q(x) v r(x)\n\
+                 2 seen(x) => q(x)\n2 seen(x) => r(x)\n",
+                "seen(A)\nseen(B)\nq(C)\n",
+            ),
+            0x13a7e19fe04f3076,
+            2,
+        ),
+        (
+            parse_dataset(
+                "*link(t, t)\nq(t)\nr(t)\n-1 q(x) v r(x)\n\
+                 2 q(x), link(x, y) => r(y)\n2 r(x), link(x, y) => q(y)\n\
+                 -0.5 q(x) v r(y) v q(y)\n",
+                "link(A, B)\nlink(B, C)\nlink(C, D)\nlink(D, A)\nlink(B, D)\nq(A)\nr(C)\n",
+            ),
+            0x15b6244e2706b1c8,
+            3,
+        ),
+    ];
+    for (ds, golden, rounds) in cases {
+        for threads in [1usize, 2, 4] {
+            for mem_budget_bytes in [0usize, 64 << 10] {
+                let config = OptimizerConfig {
+                    mem_budget_bytes,
+                    ..Default::default()
+                };
+                let g = ground_bottom_up_threaded(
+                    &ds.program,
+                    &ds.evidence,
+                    GroundingMode::LazyClosure,
+                    &config,
+                    threads,
+                )
+                .unwrap();
+                assert_eq!(
+                    (fingerprint_hash(&g), g.stats.rounds),
+                    (golden, rounds),
+                    "{} threads={threads} mem_budget_bytes={mem_budget_bytes}",
+                    ds.name
+                );
+            }
+        }
+    }
+}
+
+fn parse_dataset(program: &str, evidence: &str) -> Dataset {
+    let mut program = tuffy_mln::parser::parse_program(program).unwrap();
+    let evidence = tuffy_mln::parser::parse_evidence(&mut program, evidence).unwrap();
+    Dataset {
+        name: "union".into(),
+        program,
+        evidence,
+    }
+}
