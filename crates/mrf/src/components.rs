@@ -76,7 +76,7 @@ impl ComponentSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MrfBuilder;
+    use crate::build::MrfBuilder;
     use crate::lit::Lit;
     use tuffy_mln::weight::Weight;
 

@@ -16,7 +16,8 @@
 //! charges the violation cost without re-deriving it from the
 //! [`Weight`] enum.
 
-use crate::clause::{ClauseRef, GroundClause};
+use crate::build::{harden_weight, merge_weights, ClauseColumns};
+use crate::clause::ClauseRef;
 use crate::cost::Cost;
 use crate::lit::{AtomId, Lit};
 use std::sync::Arc;
@@ -45,13 +46,13 @@ pub struct ClauseProvenance {
 }
 
 impl ClauseProvenance {
-    fn of(weight: Weight) -> ClauseProvenance {
+    pub(crate) fn of(weight: Weight) -> ClauseProvenance {
         let mut p = ClauseProvenance::default();
         p.absorb(weight);
         p
     }
 
-    fn absorb(&mut self, weight: Weight) {
+    pub(crate) fn absorb(&mut self, weight: Weight) {
         match weight {
             Weight::Soft(w) if w >= 0.0 => self.pos_soft += w,
             Weight::Soft(w) => self.neg_soft += -w,
@@ -60,7 +61,7 @@ impl ClauseProvenance {
         }
     }
 
-    fn combine(&mut self, other: ClauseProvenance) {
+    pub(crate) fn combine(&mut self, other: ClauseProvenance) {
         self.pos_soft += other.pos_soft;
         self.neg_soft += other.neg_soft;
         self.hard += other.hard;
@@ -153,12 +154,12 @@ impl std::fmt::Debug for Occurrence {
 /// word carrying the hard-violation unit and one bit per satisfaction
 /// state in which the clause counts as violated. A positive weight sets
 /// the "when unsatisfied" bit, a negative weight the "when satisfied"
-/// bit, and a sign-less weight neither: [`MrfBuilder::finish`] drops
+/// bit, and a sign-less weight neither: [`MrfBuilder::finish`](crate::MrfBuilder::finish) drops
 /// zero-weight clauses, but [`Mrf::reweight`] has to keep a clause whose
 /// learned weights cancel, and it must be violated in no state — exactly
 /// [`Weight::violated_when`].
 #[derive(Clone, Copy, Debug, Default)]
-struct PackedViolation {
+pub(crate) struct PackedViolation {
     /// `|w|` for soft clauses, `0.0` for hard.
     soft: f64,
     /// Bit 0: one hard violation unit; bit 1: violated when unsatisfied;
@@ -173,7 +174,7 @@ impl PackedViolation {
     /// between the two by shifting.
     const WHEN_SATISFIED: u64 = Self::WHEN_UNSATISFIED << 1;
 
-    fn of(weight: Weight) -> PackedViolation {
+    pub(crate) fn of(weight: Weight) -> PackedViolation {
         let cost = Cost::of_violation(weight);
         let polarity = match weight.signum() {
             1 => Self::WHEN_UNSATISFIED,
@@ -212,36 +213,36 @@ impl PackedViolation {
 /// untouched.
 #[derive(Clone, Debug, Default)]
 pub struct Mrf {
-    num_atoms: usize,
+    pub(crate) num_atoms: usize,
     /// Literal-arena bounds: clause `ci`'s literals are
     /// `lit_arena[lit_start[ci]..lit_start[ci + 1]]`.
-    lit_start: Arc<[u32]>,
+    pub(crate) lit_start: Arc<[u32]>,
     /// All clause literals, clause by clause.
-    lit_arena: Arc<[Lit]>,
+    pub(crate) lit_arena: Arc<[Lit]>,
     /// Per-clause weight, aligned with the clause index.
-    weights: Arc<[Weight]>,
+    pub(crate) weights: Arc<[Weight]>,
     /// Per-clause violation cost *and* polarity packed into one 16-byte
     /// record, so a flip-loop visit pays a single random load.
-    violation: Arc<[PackedViolation]>,
+    pub(crate) violation: Arc<[PackedViolation]>,
     /// Per-clause contribution split, aligned with the clause index.
-    provenance: Arc<[ClauseProvenance]>,
+    pub(crate) provenance: Arc<[ClauseProvenance]>,
     /// Occurrence-arena bounds: atom `a`'s occurrences are
     /// `occ_arena[occ_start[a]..occ_start[a + 1]]`.
-    occ_start: Arc<[u32]>,
+    pub(crate) occ_start: Arc<[u32]>,
     /// Clause-index + sign entries, atom by atom, ascending clause index
     /// within each atom.
-    occ_arena: Arc<[Occurrence]>,
+    pub(crate) occ_arena: Arc<[Occurrence]>,
     /// Origin-arena bounds: clause `ci`'s rule origins are
     /// `origin_arena[origin_start[ci]..origin_start[ci + 1]]`.
-    origin_start: Arc<[u32]>,
+    pub(crate) origin_start: Arc<[u32]>,
     /// Per-clause rule-origin lists, sorted by rule index within each
     /// clause. Clauses added without rule attribution (hand-built test
     /// MRFs) have empty origin lists and are left untouched by
     /// [`Mrf::reweight`].
-    origin_arena: Arc<[RuleOrigin]>,
+    pub(crate) origin_arena: Arc<[RuleOrigin]>,
     /// Atoms whose clause set cannot be patched incrementally because a
     /// clause over them merged to exactly weight 0 and was dropped.
-    opaque_atoms: Arc<[bool]>,
+    pub(crate) opaque_atoms: Arc<[bool]>,
     /// Constant cost from clauses already decided by evidence (empty
     /// clauses after literal deletion).
     pub base_cost: Cost,
@@ -401,7 +402,7 @@ impl Mrf {
     /// origin lists keep their current weight verbatim.
     ///
     /// Non-finite learned weights are re-normalized through the same
-    /// hardening path as [`MrfBuilder::finish`]: `Soft(+∞)` becomes
+    /// hardening path as [`MrfBuilder::finish`](crate::MrfBuilder::finish): `Soft(+∞)` becomes
     /// `Hard`, `Soft(−∞)` becomes `NegHard`, and `NaN` (including a
     /// `+∞ + −∞` merge) becomes the neutral `Soft(0.0)` — a NaN or ∞
     /// must never reach the branchless flip loop's violation column.
@@ -573,522 +574,12 @@ impl Mrf {
             + self.weights.len() * std::mem::size_of::<Weight>()
             + self.violation.len() * std::mem::size_of::<PackedViolation>()
     }
-
-    /// Exports the MRF's *persisted* columns — the minimal set from which
-    /// [`Mrf::from_columns`] reconstructs the rest (packed violation
-    /// records and the occurrence CSR are derived, not stored). Cheap:
-    /// every field is an `Arc` bump.
-    pub fn export_columns(&self) -> MrfColumns {
-        MrfColumns {
-            num_atoms: self.num_atoms,
-            lit_start: Arc::clone(&self.lit_start),
-            lit_arena: Arc::clone(&self.lit_arena),
-            weights: Arc::clone(&self.weights),
-            provenance: Arc::clone(&self.provenance),
-            origin_start: Arc::clone(&self.origin_start),
-            origin_arena: Arc::clone(&self.origin_arena),
-            opaque_atoms: Arc::clone(&self.opaque_atoms),
-            base_cost: self.base_cost,
-        }
-    }
-
-    /// Rebuilds an [`Mrf`] from persisted columns, *validating* every
-    /// structural invariant the builder normally guarantees — the input
-    /// may come from a corrupted or adversarial store file, so any
-    /// violation is a typed error, never a panic or an aliased index.
-    /// The violation column and the occurrence CSR are re-derived
-    /// deterministically (same counting sort as the builder), so a
-    /// round-trip is bit-identical to the source MRF.
-    pub fn from_columns(cols: MrfColumns) -> Result<Mrf, String> {
-        let MrfColumns {
-            num_atoms,
-            lit_start,
-            lit_arena,
-            weights,
-            provenance,
-            origin_start,
-            origin_arena,
-            opaque_atoms,
-            base_cost,
-        } = cols;
-        let num_clauses = weights.len();
-        if lit_start.len() != num_clauses + 1 {
-            return Err(format!(
-                "lit_start has {} bounds for {} clauses",
-                lit_start.len(),
-                num_clauses
-            ));
-        }
-        if provenance.len() != num_clauses {
-            return Err(format!(
-                "provenance column has {} rows for {} clauses",
-                provenance.len(),
-                num_clauses
-            ));
-        }
-        if opaque_atoms.len() != num_atoms {
-            return Err(format!(
-                "opaque column has {} rows for {} atoms",
-                opaque_atoms.len(),
-                num_atoms
-            ));
-        }
-        if num_clauses as u64 > Occurrence::MAX_CLAUSE as u64 {
-            return Err("clause count exceeds packed-occurrence capacity".into());
-        }
-        if lit_arena.len() as u64 > u32::MAX as u64 {
-            return Err("literal arena exceeds u32 bounds".into());
-        }
-        if lit_start[0] != 0 {
-            return Err("lit_start does not begin at 0".into());
-        }
-        if lit_start[num_clauses] as usize != lit_arena.len() {
-            return Err(format!(
-                "lit_start ends at {} but the arena holds {} literals",
-                lit_start[num_clauses],
-                lit_arena.len()
-            ));
-        }
-        for ci in 0..num_clauses {
-            let (s, e) = (lit_start[ci], lit_start[ci + 1]);
-            if s > e {
-                return Err(format!("clause {ci} has descending bounds {s}..{e}"));
-            }
-            if s == e {
-                return Err(format!(
-                    "clause {ci} is empty (empty clauses fold into base_cost)"
-                ));
-            }
-            let lits = &lit_arena[s as usize..e as usize];
-            for pair in lits.windows(2) {
-                if pair[0] >= pair[1] {
-                    return Err(format!("clause {ci} literals not strictly sorted"));
-                }
-                if pair[0].atom() == pair[1].atom() {
-                    return Err(format!("clause {ci} is a tautology or repeats an atom"));
-                }
-            }
-            // `Soft(0.0)` is allowed: `reweight` cannot drop a clause
-            // whose learned weights cancel (the structure is shared), so
-            // persisted relearned generations may carry neutral clauses.
-            // NaN is not: it is sign-less *and* non-finite, and the
-            // `is_finite` check below rejects it.
-            if let Weight::Soft(w) = weights[ci] {
-                if !w.is_finite() {
-                    return Err(format!(
-                        "clause {ci} has non-finite soft weight (builder normalizes to hard)"
-                    ));
-                }
-            }
-        }
-        for (i, l) in lit_arena.iter().enumerate() {
-            if l.atom() as usize >= num_atoms {
-                return Err(format!(
-                    "literal {i} references atom {} past num_atoms {num_atoms}",
-                    l.atom()
-                ));
-            }
-        }
-        if !base_cost.soft.is_finite() || base_cost.soft < 0.0 {
-            return Err("base_cost soft component is not a finite non-negative value".into());
-        }
-        if origin_start.len() != num_clauses + 1 {
-            return Err(format!(
-                "origin_start has {} bounds for {} clauses",
-                origin_start.len(),
-                num_clauses
-            ));
-        }
-        if origin_start[0] != 0 {
-            return Err("origin_start does not begin at 0".into());
-        }
-        if origin_start[num_clauses] as usize != origin_arena.len() {
-            return Err(format!(
-                "origin_start ends at {} but the arena holds {} origins",
-                origin_start[num_clauses],
-                origin_arena.len()
-            ));
-        }
-        for ci in 0..num_clauses {
-            let (s, e) = (origin_start[ci], origin_start[ci + 1]);
-            if s > e {
-                return Err(format!("clause {ci} has descending origin bounds {s}..{e}"));
-            }
-            let origins = &origin_arena[s as usize..e as usize];
-            for pair in origins.windows(2) {
-                if pair[0].rule >= pair[1].rule {
-                    return Err(format!("clause {ci} origins not strictly sorted by rule"));
-                }
-            }
-            for o in origins {
-                if !o.share.is_finite() || o.share <= 0.0 {
-                    return Err(format!(
-                        "clause {ci} origin of rule {} has bad share {}",
-                        o.rule, o.share
-                    ));
-                }
-            }
-        }
-        // Derived columns: same construction as `ClauseColumns::assemble`.
-        let violation: Vec<PackedViolation> =
-            weights.iter().map(|&w| PackedViolation::of(w)).collect();
-        let mut occ_start = vec![0u32; num_atoms + 1];
-        for l in lit_arena.iter() {
-            occ_start[l.atom() as usize + 1] += 1;
-        }
-        for a in 0..num_atoms {
-            occ_start[a + 1] += occ_start[a];
-        }
-        let mut cursor = occ_start.clone();
-        let mut occ_arena = vec![Occurrence::default(); lit_arena.len()];
-        for ci in 0..num_clauses {
-            for l in &lit_arena[lit_start[ci] as usize..lit_start[ci + 1] as usize] {
-                let a = l.atom() as usize;
-                occ_arena[cursor[a] as usize] = Occurrence::new(ci as u32, l.is_positive());
-                cursor[a] += 1;
-            }
-        }
-        Ok(Mrf {
-            num_atoms,
-            lit_start,
-            lit_arena,
-            weights,
-            violation: violation.into(),
-            provenance,
-            occ_start: occ_start.into(),
-            occ_arena: occ_arena.into(),
-            origin_start,
-            origin_arena,
-            opaque_atoms,
-            base_cost,
-        })
-    }
-}
-
-/// The persisted columns of an [`Mrf`] — what `tuffy-store` lays out as
-/// raw little-endian segments on disk. Only *source* columns appear: the
-/// packed violation records and the occurrence CSR are functions of the
-/// weight and literal columns and are rebuilt on load by
-/// [`Mrf::from_columns`], which also re-validates every structural
-/// invariant (a store file is untrusted input).
-#[derive(Clone, Debug)]
-pub struct MrfColumns {
-    /// Number of atoms (`0..num_atoms`).
-    pub num_atoms: usize,
-    /// Literal-arena bounds, `num_clauses + 1` entries starting at 0.
-    pub lit_start: Arc<[u32]>,
-    /// All clause literals, clause by clause, sorted within each clause.
-    pub lit_arena: Arc<[Lit]>,
-    /// Per-clause merged weight.
-    pub weights: Arc<[Weight]>,
-    /// Per-clause contribution split.
-    pub provenance: Arc<[ClauseProvenance]>,
-    /// Rule-origin bounds, `num_clauses + 1` entries starting at 0.
-    pub origin_start: Arc<[u32]>,
-    /// Rule origins, clause by clause, sorted by rule index within each.
-    pub origin_arena: Arc<[RuleOrigin]>,
-    /// Per-atom incremental-patch opacity flags.
-    pub opaque_atoms: Arc<[bool]>,
-    /// Constant cost from clauses already decided by evidence.
-    pub base_cost: Cost,
-}
-
-/// The growable clause columns shared by [`MrfBuilder::finish`] and
-/// [`Mrf::project`]: literals append to the arena, scalars to parallel
-/// vectors, and [`ClauseColumns::assemble`] derives the occurrence CSR.
-#[derive(Default)]
-struct ClauseColumns {
-    lit_arena: Vec<Lit>,
-    lit_ends: Vec<u32>,
-    weights: Vec<Weight>,
-    violation: Vec<PackedViolation>,
-    provenance: Vec<ClauseProvenance>,
-    origin_ends: Vec<u32>,
-    origin_arena: Vec<RuleOrigin>,
-}
-
-impl ClauseColumns {
-    fn with_capacity(clauses: usize, literals: usize) -> ClauseColumns {
-        ClauseColumns {
-            lit_arena: Vec::with_capacity(literals),
-            lit_ends: Vec::with_capacity(clauses),
-            weights: Vec::with_capacity(clauses),
-            violation: Vec::with_capacity(clauses),
-            provenance: Vec::with_capacity(clauses),
-            origin_ends: Vec::with_capacity(clauses),
-            origin_arena: Vec::new(),
-        }
-    }
-
-    fn push(
-        &mut self,
-        lits: &[Lit],
-        weight: Weight,
-        provenance: ClauseProvenance,
-        origins: &[RuleOrigin],
-    ) {
-        self.lit_arena.extend_from_slice(lits);
-        self.lit_ends.push(self.lit_arena.len() as u32);
-        self.violation.push(PackedViolation::of(weight));
-        self.weights.push(weight);
-        self.provenance.push(provenance);
-        self.origin_arena.extend_from_slice(origins);
-        self.origin_ends.push(self.origin_arena.len() as u32);
-    }
-
-    /// Finalizes the columns into an [`Mrf`], building the occurrence
-    /// arena by counting sort (entries stay ascending by clause index
-    /// within each atom).
-    fn assemble(self, num_atoms: usize, opaque_atoms: Vec<bool>, base_cost: Cost) -> Mrf {
-        // The arenas index clauses through 31-bit packed occurrences and
-        // literals through u32 bounds; fail loudly (release included)
-        // rather than silently alias indices past either limit.
-        assert!(
-            self.lit_ends.len() as u64 <= Occurrence::MAX_CLAUSE as u64,
-            "MRF exceeds the 2^31-1 packed-occurrence clause capacity"
-        );
-        assert!(
-            self.lit_arena.len() as u64 <= u32::MAX as u64,
-            "MRF literal arena exceeds u32 bounds"
-        );
-        let mut lit_start = Vec::with_capacity(self.lit_ends.len() + 1);
-        lit_start.push(0u32);
-        lit_start.extend_from_slice(&self.lit_ends);
-        let mut origin_start = Vec::with_capacity(self.origin_ends.len() + 1);
-        origin_start.push(0u32);
-        origin_start.extend_from_slice(&self.origin_ends);
-
-        let mut occ_start = vec![0u32; num_atoms + 1];
-        for l in &self.lit_arena {
-            occ_start[l.atom() as usize + 1] += 1;
-        }
-        for a in 0..num_atoms {
-            occ_start[a + 1] += occ_start[a];
-        }
-        let mut cursor = occ_start.clone();
-        let mut occ_arena = vec![Occurrence::default(); self.lit_arena.len()];
-        for ci in 0..self.lit_ends.len() {
-            for l in &self.lit_arena[lit_start[ci] as usize..lit_start[ci + 1] as usize] {
-                let a = l.atom() as usize;
-                occ_arena[cursor[a] as usize] = Occurrence::new(ci as u32, l.is_positive());
-                cursor[a] += 1;
-            }
-        }
-        Mrf {
-            num_atoms,
-            lit_start: lit_start.into(),
-            lit_arena: self.lit_arena.into(),
-            weights: self.weights.into(),
-            violation: self.violation.into(),
-            provenance: self.provenance.into(),
-            occ_start: occ_start.into(),
-            occ_arena: occ_arena.into(),
-            origin_start: origin_start.into(),
-            origin_arena: self.origin_arena.into(),
-            opaque_atoms: opaque_atoms.into(),
-            base_cost,
-        }
-    }
-}
-
-/// Incremental MRF constructor with duplicate-clause merging.
-///
-/// Different rules can ground to the same clause; following Alchemy and
-/// Tuffy, duplicate soft clauses *merge by summing weights* and a clause
-/// identical to a hard clause is absorbed by it.
-#[derive(Clone, Debug, Default)]
-pub struct MrfBuilder {
-    num_atoms: usize,
-    clauses: Vec<GroundClause>,
-    provenance: Vec<ClauseProvenance>,
-    /// Per-clause rule attribution (parallel to `clauses`); empty for
-    /// clauses added without an origin. Duplicate merges union the lists
-    /// (sorted by rule index, shares summed).
-    origins: Vec<Vec<RuleOrigin>>,
-    index: FxHashMap<Box<[Lit]>, u32>,
-    /// Atoms pre-flagged opaque via [`MrfBuilder::mark_opaque`].
-    opaque: Vec<AtomId>,
-    base_cost: Cost,
-}
-
-impl MrfBuilder {
-    /// New empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ensures the MRF has at least `n` atoms.
-    pub fn reserve_atoms(&mut self, n: usize) {
-        self.num_atoms = self.num_atoms.max(n);
-    }
-
-    /// Number of atoms seen so far.
-    pub fn num_atoms(&self) -> usize {
-        self.num_atoms
-    }
-
-    /// Number of clauses added so far (after merging).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Adds a ground clause. Tautologies are dropped; the empty clause
-    /// contributes constant cost (positive weight: always violated).
-    pub fn add_clause(&mut self, lits: Vec<Lit>, weight: Weight) {
-        let provenance = ClauseProvenance::of(weight);
-        self.add_clause_with_origins(lits, weight, provenance, &[]);
-    }
-
-    /// [`MrfBuilder::add_clause`] attributed to one program rule with
-    /// multiplicity 1 — the grounders' path. Duplicate groundings of the
-    /// same rule merge into one clause whose origin share counts the
-    /// multiplicity, which is exactly the per-rule sufficient-statistic
-    /// coefficient weight learning needs.
-    pub fn add_clause_from_rule(&mut self, lits: Vec<Lit>, weight: Weight, rule: u32) {
-        let provenance = ClauseProvenance::of(weight);
-        self.add_clause_with_origins(lits, weight, provenance, &[RuleOrigin { rule, share: 1.0 }]);
-    }
-
-    /// Adds a ground clause carrying an explicit contribution split —
-    /// the incremental re-grounder's path, which rebuilds an MRF from
-    /// already-merged clauses and must not collapse their provenance
-    /// into the merged weight (that would make a *second* patch lose the
-    /// negative/hard constants the first one preserved). `origins`
-    /// likewise carries forward already-merged rule attribution.
-    pub fn add_clause_with_origins(
-        &mut self,
-        lits: Vec<Lit>,
-        weight: Weight,
-        provenance: ClauseProvenance,
-        origins: &[RuleOrigin],
-    ) {
-        if lits.is_empty() {
-            // An empty disjunction is false: violated iff weight > 0.
-            match weight {
-                Weight::Soft(w) if w > 0.0 => {
-                    self.base_cost = self.base_cost.add(Cost::soft(w));
-                }
-                Weight::Hard => {
-                    self.base_cost = self.base_cost.add(Cost { hard: 1, soft: 0.0 });
-                }
-                _ => {}
-            }
-            return;
-        }
-        let Some(clause) = GroundClause::new(lits, weight) else {
-            return; // tautology
-        };
-        for l in clause.lits.iter() {
-            self.num_atoms = self.num_atoms.max(l.atom() as usize + 1);
-        }
-        match self.index.get(&clause.lits) {
-            Some(&i) => {
-                let existing = &mut self.clauses[i as usize];
-                existing.weight = merge_weights(existing.weight, clause.weight);
-                self.provenance[i as usize].combine(provenance);
-                merge_origins(&mut self.origins[i as usize], origins);
-            }
-            None => {
-                let i = self.clauses.len() as u32;
-                self.index.insert(clause.lits.clone(), i);
-                self.provenance.push(provenance);
-                self.origins.push(origins.to_vec());
-                self.clauses.push(clause);
-            }
-        }
-    }
-
-    /// Flags `atom` as opaque to incremental patching (see
-    /// [`Mrf::patch_opaque`]) — used when rebuilding an MRF whose source
-    /// already carried opaque flags.
-    pub fn mark_opaque(&mut self, atom: AtomId) {
-        self.num_atoms = self.num_atoms.max(atom as usize + 1);
-        self.opaque.push(atom);
-    }
-
-    /// Finalizes into an [`Mrf`], flattening the clauses into the CSR
-    /// arenas and building the occurrence arena. Clauses whose merged
-    /// weight cancelled to exactly 0 are dropped; their atoms are
-    /// flagged opaque for the incremental re-grounder
-    /// ([`Mrf::patch_opaque`]).
-    pub fn finish(self) -> Mrf {
-        let mut opaque_atoms: Vec<bool> = vec![false; self.num_atoms];
-        for a in &self.opaque {
-            opaque_atoms[*a as usize] = true;
-        }
-        let literals: usize = self.clauses.iter().map(|c| c.lits.len()).sum();
-        let mut columns = ClauseColumns::with_capacity(self.clauses.len(), literals);
-        for ((c, p), o) in self
-            .clauses
-            .into_iter()
-            .zip(self.provenance)
-            .zip(self.origins)
-        {
-            // Sign-less weights carry no violation polarity and can never
-            // contribute cost (`Weight::violated_when` is false both
-            // ways): exact 0.0 from cancelling merges, and NaN from a
-            // `+∞ + −∞` soft-literal merge. Drop both rather than carry
-            // dead clauses through every search.
-            if c.weight.signum() == 0 {
-                for l in c.lits.iter() {
-                    opaque_atoms[l.atom() as usize] = true;
-                }
-                continue;
-            }
-            // A soft weight that reached ±∞ (overflowing literal, or a
-            // finite-weight merge that summed past f64::MAX) *is* the
-            // hard semantics (Appendix A.1). Normalizing here keeps the
-            // violation column finite, which the flip loop's branchless
-            // `×0` accumulation relies on (0 × ∞ would be NaN).
-            let weight = match c.weight {
-                Weight::Soft(w) if w == f64::INFINITY => Weight::Hard,
-                Weight::Soft(w) if w == f64::NEG_INFINITY => Weight::NegHard,
-                w => w,
-            };
-            columns.push(&c.lits, weight, p, &o);
-        }
-        columns.assemble(self.num_atoms, opaque_atoms, self.base_cost)
-    }
-}
-
-/// Weight of two identical clauses merged (soft weights add; hard wins).
-fn merge_weights(a: Weight, b: Weight) -> Weight {
-    match (a, b) {
-        (Weight::Soft(x), Weight::Soft(y)) => Weight::Soft(x + y),
-        (Weight::Hard, _) | (_, Weight::Hard) => Weight::Hard,
-        (Weight::NegHard, _) | (_, Weight::NegHard) => Weight::NegHard,
-    }
-}
-
-/// Merges `extra` rule origins into the sorted list `into`, summing the
-/// shares of origins attributed to the same rule. Both inputs are sorted
-/// by rule index; the result stays sorted.
-fn merge_origins(into: &mut Vec<RuleOrigin>, extra: &[RuleOrigin]) {
-    for o in extra {
-        match into.binary_search_by_key(&o.rule, |e| e.rule) {
-            Ok(i) => into[i].share += o.share,
-            Err(i) => into.insert(i, *o),
-        }
-    }
-}
-
-/// The finish-time weight-hardening map, shared by [`MrfBuilder::finish`]
-/// and [`Mrf::reweight`]: soft ±∞ *is* the hard semantics, and NaN (which
-/// has no polarity, so it can never contribute cost) normalizes to the
-/// neutral `Soft(0.0)`. Guarantees no non-finite magnitude ever reaches
-/// the branchless flip loop's violation column.
-fn harden_weight(w: Weight) -> Weight {
-    match w {
-        Weight::Soft(v) if v == f64::INFINITY => Weight::Hard,
-        Weight::Soft(v) if v == f64::NEG_INFINITY => Weight::NegHard,
-        Weight::Soft(v) if v.is_nan() => Weight::Soft(0.0),
-        w => w,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::MrfBuilder;
 
     fn example_mrf() -> Mrf {
         // Example 1 of the paper, one component:

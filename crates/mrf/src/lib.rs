@@ -8,7 +8,7 @@
 //! * the ground representation itself: packed signed literals, weighted
 //!   clauses, atom↔clause adjacency, and world-cost evaluation with
 //!   lexicographic ⟨hard, soft⟩ cost ([`lit`], [`clause`], [`cost`],
-//!   [`graph`]);
+//!   [`graph`]), built by [`build`] and persisted through [`columns`];
 //! * **connected-component detection** via union-find over a single scan
 //!   of the clause table, exactly as §3.3 describes ([`components`]);
 //! * the **greedy MRF partitioner** of Appendix B.7 (Algorithm 3): clauses
@@ -20,7 +20,9 @@
 //!   ([`memory`]).
 
 pub mod binpack;
+pub mod build;
 pub mod clause;
+pub mod columns;
 pub mod components;
 pub mod cost;
 pub mod graph;
@@ -29,10 +31,12 @@ pub mod memory;
 pub mod partition;
 pub mod unionfind;
 
+pub use build::MrfBuilder;
 pub use clause::{ClauseRef, GroundClause};
+pub use columns::MrfColumns;
 pub use components::ComponentSet;
 pub use cost::Cost;
-pub use graph::{ClauseProvenance, Clauses, Mrf, MrfBuilder, MrfColumns, Occurrence, RuleOrigin};
+pub use graph::{ClauseProvenance, Clauses, Mrf, Occurrence, RuleOrigin};
 pub use lit::{AtomId, Lit};
 pub use partition::Partitioning;
 pub use unionfind::UnionFind;

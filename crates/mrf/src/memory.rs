@@ -94,7 +94,7 @@ pub fn human_bytes(bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MrfBuilder;
+    use crate::build::MrfBuilder;
     use crate::lit::Lit;
     use tuffy_mln::weight::Weight;
 

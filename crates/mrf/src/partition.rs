@@ -151,7 +151,7 @@ impl Partitioning {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MrfBuilder;
+    use crate::build::MrfBuilder;
     use crate::lit::Lit;
     use tuffy_mln::weight::Weight;
 
