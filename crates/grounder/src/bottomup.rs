@@ -73,7 +73,7 @@
 
 use crate::compile::{compile_clause, CompiledClause, GroundingMode};
 use crate::dbload::GroundingDb;
-use crate::emit::{constant_cost, Emitter, Grounded};
+use crate::emit::{constant_cost, EmitBuf, Emitter, Grounded};
 use crate::registry::AtomRegistry;
 use crate::stats::GroundingStats;
 use std::cmp::Ordering;
@@ -397,7 +397,7 @@ pub fn ground_bottom_up_threaded(
     #[cfg(debug_assertions)]
     let mut emitted: tuffy_mln::fxhash::FxHashSet<(u32, Box<[u32]>)> = Default::default();
     let mut stats = GroundingStats::default();
-    let mut new_atoms: Vec<tuffy_mrf::AtomId> = Vec::new();
+    let mut emit_buf = EmitBuf::default();
     let mut peak_result_bytes = 0usize;
 
     let to_mln = |e: tuffy_rdbms::DbError| MlnError::general(e.to_string());
@@ -508,23 +508,22 @@ pub fn ground_bottom_up_threaded(
                     "rule {} binding {row:?} emitted twice",
                     cc.rule_index
                 );
-                new_atoms.clear();
-                match emitter.emit(cc, row, &mut registry, &mut new_atoms) {
-                    Grounded::Satisfied => {
-                        let c = constant_cost(cc.weight, true);
-                        builder_add_base(&mut builder, c);
-                    }
+                match emitter.emit(cc, row, &mut registry, &mut emit_buf) {
+                    Grounded::Satisfied => builder.add_constant(constant_cost(cc.weight, true)),
                     Grounded::EmptyClause => {
-                        let c = constant_cost(cc.weight, false);
-                        builder_add_base(&mut builder, c);
+                        builder.add_constant(constant_cost(cc.weight, false));
                     }
-                    Grounded::Clause(lits) => {
-                        builder.add_clause_from_rule(lits, cc.weight, cc.rule_index as u32);
-                        for &aid in &new_atoms {
+                    Grounded::Clause => {
+                        builder.add_clause_from_rule(
+                            emit_buf.lits(),
+                            cc.weight,
+                            cc.rule_index as u32,
+                        );
+                        for &aid in emit_buf.new_atoms() {
                             let (pred, args) = registry.atom(aid);
                             gdb.activate(pred, args);
                         }
-                        round_activations.extend_from_slice(&new_atoms);
+                        round_activations.extend_from_slice(emit_buf.new_atoms());
                     }
                 }
             };
@@ -630,21 +629,6 @@ pub fn explain_grounding(
         }
     }
     Ok(out)
-}
-
-fn builder_add_base(builder: &mut MrfBuilder, c: tuffy_mrf::Cost) {
-    if !c.is_zero() {
-        // Route constants through an empty clause so MrfBuilder tracks them
-        // uniformly in `base_cost`.
-        if c.hard > 0 {
-            for _ in 0..c.hard {
-                builder.add_clause(vec![], tuffy_mln::weight::Weight::Hard);
-            }
-        }
-        if c.soft > 0.0 {
-            builder.add_clause(vec![], tuffy_mln::weight::Weight::Soft(c.soft));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -16,24 +16,32 @@
 //! Existentially quantified literals expand into one disjunct per constant
 //! of the variable's domain (PostgreSQL `array_agg` in the paper's
 //! implementation, Appendix B.1).
+//!
+//! Emission allocates nothing per clause or per literal: every buffer it
+//! needs lives in a caller-owned [`EmitBuf`] that one grounding reuses
+//! for all its bindings. Unknown literals are recorded as keys into the
+//! buffer's argument arena, sorted and checked for tautology there, and
+//! only then interned, so atoms are numbered in the keys' sorted order.
+//! The clause's literals are left in [`EmitBuf::lits`], from which the
+//! caller appends them to the MRF builder's arena.
 
-use crate::compile::{ArgSource, CompiledClause};
+use crate::compile::{ArgSource, CompiledClause, LiteralTemplate};
 use crate::registry::AtomRegistry;
 use tuffy_mln::evidence::EvidenceSet;
 use tuffy_mln::schema::PredicateId;
 use tuffy_mln::weight::Weight;
-use tuffy_mrf::{Cost, Lit};
+use tuffy_mrf::{AtomId, Cost, Lit};
 
 /// The result of grounding one binding.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Grounded {
     /// Some literal (or a tautological pair) is true in every world: the
     /// clause is a constant with the given truth value `true`.
     Satisfied,
     /// Every literal was falsified by evidence: constant `false`.
     EmptyClause,
-    /// A live clause over the returned literals.
-    Clause(Vec<Lit>),
+    /// A live clause over the literals left in [`EmitBuf::lits`].
+    Clause,
 }
 
 /// The constant cost contributed by a clause whose truth is fixed.
@@ -44,6 +52,52 @@ pub fn constant_cost(weight: Weight, truth: bool) -> Cost {
     match weight {
         Weight::Soft(w) => Cost::soft(w.abs()),
         Weight::Hard | Weight::NegHard => Cost { hard: 1, soft: 0.0 },
+    }
+}
+
+/// One unknown literal of the binding being emitted: its arguments are
+/// `args[start..start + len]` of the [`EmitBuf`] argument arena.
+#[derive(Clone, Copy, Debug)]
+struct LitKey {
+    pred: PredicateId,
+    start: u32,
+    len: u32,
+    positive: bool,
+}
+
+impl LitKey {
+    #[inline]
+    fn args<'a>(&self, arena: &'a [u32]) -> &'a [u32] {
+        &arena[self.start as usize..(self.start + self.len) as usize]
+    }
+}
+
+/// The buffers [`Emitter::emit`] works in, owned by the caller and reused
+/// across bindings so that emission allocates only when a buffer grows.
+#[derive(Debug, Default)]
+pub struct EmitBuf {
+    /// Arguments of the binding's unknown literals, back to back.
+    args: Vec<u32>,
+    /// The binding's unknown literals, keyed into `args`.
+    keys: Vec<LitKey>,
+    /// Odometer over the domains of one literal's existential variables.
+    odometer: Vec<usize>,
+    /// The last live clause's literals.
+    lits: Vec<Lit>,
+    /// Atoms the last emission registered.
+    new_atoms: Vec<AtomId>,
+}
+
+impl EmitBuf {
+    /// The literals of the clause the last [`Grounded::Clause`] emitted,
+    /// one per distinct unknown atom, in the order they were interned.
+    pub fn lits(&self) -> &[Lit] {
+        &self.lits
+    }
+
+    /// The atoms the last emission registered, in id order.
+    pub fn new_atoms(&self) -> &[AtomId] {
+        &self.new_atoms
     }
 }
 
@@ -68,109 +122,132 @@ impl<'a> Emitter<'a> {
     }
 
     /// Grounds `cc` under `binding` (one value per universal variable),
-    /// registering unknown atoms in `registry` and recording ids new to
-    /// the registry in `new_atoms`.
+    /// registering unknown atoms in `registry`. The clause's literals and
+    /// the ids new to the registry are left in `buf`.
     pub fn emit(
         &self,
         cc: &CompiledClause,
         binding: &[u32],
         registry: &mut AtomRegistry,
-        new_atoms: &mut Vec<tuffy_mrf::AtomId>,
+        buf: &mut EmitBuf,
     ) -> Grounded {
         debug_assert_eq!(binding.len(), cc.num_univ);
-        // Collected unknown literals as (pred, args, positive).
-        let mut keys: Vec<(PredicateId, Vec<u32>, bool)> = Vec::new();
-        let mut argbuf: Vec<u32> = Vec::new();
+        buf.args.clear();
+        buf.keys.clear();
+        buf.lits.clear();
+        buf.new_atoms.clear();
 
         for t in &cc.templates {
             if t.exist_used.is_empty() {
-                argbuf.clear();
+                let start = buf.args.len();
+                buf.args.extend(t.args.iter().map(|a| match *a {
+                    ArgSource::Univ(i) => binding[i],
+                    ArgSource::Const(c) => c,
+                    ArgSource::Exist(_) => unreachable!("no existential args"),
+                }));
+                if self.classify(t, start, buf) {
+                    return Grounded::Satisfied;
+                }
+                continue;
+            }
+            // Expand the existential variables used by this literal.
+            let domain =
+                |k: usize| self.domains[cc.exist_types[t.exist_used[k]].index()].as_slice();
+            let n = t.exist_used.len();
+            if (0..n).any(|k| domain(k).is_empty()) {
+                continue; // empty domain: no disjuncts
+            }
+            buf.odometer.clear();
+            buf.odometer.resize(n, 0);
+            loop {
+                let start = buf.args.len();
                 for a in &t.args {
-                    argbuf.push(match *a {
+                    let v = match *a {
                         ArgSource::Univ(i) => binding[i],
                         ArgSource::Const(c) => c,
-                        ArgSource::Exist(_) => unreachable!("no existential args"),
-                    });
-                }
-                match self.literal_status(t.pred, t.closed, t.positive, &argbuf) {
-                    LitStatus::True => return Grounded::Satisfied,
-                    LitStatus::False => {}
-                    LitStatus::Unknown => {
-                        keys.push((t.pred, argbuf.clone(), t.positive));
-                    }
-                }
-            } else {
-                // Expand the existential variables used by this literal.
-                let doms: Vec<&[u32]> = t
-                    .exist_used
-                    .iter()
-                    .map(|&ei| self.domains[cc.exist_types[ei].index()].as_slice())
-                    .collect();
-                if doms.iter().any(|d| d.is_empty()) {
-                    continue; // empty domain: no disjuncts
-                }
-                let mut odometer = vec![0usize; doms.len()];
-                loop {
-                    argbuf.clear();
-                    for a in &t.args {
-                        argbuf.push(match *a {
-                            ArgSource::Univ(i) => binding[i],
-                            ArgSource::Const(c) => c,
-                            ArgSource::Exist(ei) => {
-                                let pos = t.exist_used.iter().position(|&e| e == ei).unwrap();
-                                doms[pos][odometer[pos]]
-                            }
-                        });
-                    }
-                    match self.literal_status(t.pred, t.closed, t.positive, &argbuf) {
-                        LitStatus::True => return Grounded::Satisfied,
-                        LitStatus::False => {}
-                        LitStatus::Unknown => {
-                            keys.push((t.pred, argbuf.clone(), t.positive));
+                        ArgSource::Exist(ei) => {
+                            let k = t.exist_used.iter().position(|&e| e == ei).unwrap();
+                            domain(k)[buf.odometer[k]]
                         }
-                    }
-                    // Advance the odometer.
-                    let mut k = 0;
-                    loop {
-                        if k == doms.len() {
-                            break;
-                        }
-                        odometer[k] += 1;
-                        if odometer[k] < doms[k].len() {
-                            break;
-                        }
-                        odometer[k] = 0;
-                        k += 1;
-                    }
-                    if k == doms.len() {
+                    };
+                    buf.args.push(v);
+                }
+                if self.classify(t, start, buf) {
+                    return Grounded::Satisfied;
+                }
+                // Advance the odometer.
+                let mut k = 0;
+                while k < n {
+                    buf.odometer[k] += 1;
+                    if buf.odometer[k] < domain(k).len() {
                         break;
                     }
+                    buf.odometer[k] = 0;
+                    k += 1;
+                }
+                if k == n {
+                    break;
                 }
             }
         }
 
-        if keys.is_empty() {
+        if buf.keys.is_empty() {
             return Grounded::EmptyClause;
         }
-        // Tautology check: the same atom with both polarities.
-        keys.sort_unstable_by(|a, b| (a.0 .0, &a.1).cmp(&(b.0 .0, &b.1)));
-        keys.dedup();
-        for w in keys.windows(2) {
-            if w[0].0 == w[1].0 && w[0].1 == w[1].1 {
-                return Grounded::Satisfied; // same atom, different polarity
-            }
+        let EmitBuf {
+            args,
+            keys,
+            lits,
+            new_atoms,
+            ..
+        } = buf;
+        // Tautology check: the same atom with both polarities. Sorted by
+        // atom (polarity is no part of the order), so equal atoms are
+        // adjacent once exact repeats are gone.
+        keys.sort_unstable_by(|a, b| (a.pred.0, a.args(args)).cmp(&(b.pred.0, b.args(args))));
+        keys.dedup_by(|a, b| {
+            a.pred == b.pred && a.positive == b.positive && a.args(args) == b.args(args)
+        });
+        if keys
+            .windows(2)
+            .any(|w| w[0].pred == w[1].pred && w[0].args(args) == w[1].args(args))
+        {
+            return Grounded::Satisfied;
         }
 
-        let mut lits = Vec::with_capacity(keys.len());
-        for (pred, args, positive) in keys {
+        for k in keys.iter() {
             let before = registry.len();
-            let aid = registry.intern(pred, &args);
+            let aid = registry.intern(k.pred, k.args(args));
             if registry.len() > before {
                 new_atoms.push(aid);
             }
-            lits.push(Lit::new(aid, positive));
+            lits.push(Lit::new(aid, k.positive));
         }
-        Grounded::Clause(lits)
+        Grounded::Clause
+    }
+
+    /// Classifies the literal of template `t` whose arguments are
+    /// `buf.args[start..]`: an unknown literal is kept as a key, a
+    /// falsified one gives its arguments back. Returns whether evidence
+    /// satisfies it.
+    #[inline]
+    fn classify(&self, t: &LiteralTemplate, start: usize, buf: &mut EmitBuf) -> bool {
+        match self.literal_status(t.pred, t.closed, t.positive, &buf.args[start..]) {
+            LitStatus::True => true,
+            LitStatus::False => {
+                buf.args.truncate(start);
+                false
+            }
+            LitStatus::Unknown => {
+                buf.keys.push(LitKey {
+                    pred: t.pred,
+                    start: start as u32,
+                    len: (buf.args.len() - start) as u32,
+                    positive: t.positive,
+                });
+                false
+            }
+        }
     }
 
     #[inline]
@@ -250,20 +327,16 @@ mod tests {
         );
         let emitter = Emitter::new(&domains, &ev);
         let mut reg = AtomRegistry::new();
-        let mut new_atoms = Vec::new();
+        let mut buf = EmitBuf::default();
         let cc = &compiled[0];
         // binding: x=Joe, p=P1 (order of first occurrence: x, p).
         let joe = p.symbols.get("Joe").unwrap().0;
         let p1 = p.symbols.get("P1").unwrap().0;
-        let out = emitter.emit(cc, &[joe, p1], &mut reg, &mut new_atoms);
-        match out {
-            Grounded::Clause(lits) => {
-                assert_eq!(lits.len(), 1); // ¬wrote dropped (closed, satisfied-false)
-                assert!(lits[0].is_positive());
-            }
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(new_atoms.len(), 1);
+        let out = emitter.emit(cc, &[joe, p1], &mut reg, &mut buf);
+        assert_eq!(out, Grounded::Clause);
+        assert_eq!(buf.lits().len(), 1); // ¬wrote dropped (closed, satisfied-false)
+        assert!(buf.lits()[0].is_positive());
+        assert_eq!(buf.new_atoms().len(), 1);
         assert_eq!(reg.len(), 1);
     }
 
@@ -275,10 +348,10 @@ mod tests {
         );
         let emitter = Emitter::new(&domains, &ev);
         let mut reg = AtomRegistry::new();
-        let mut new_atoms = Vec::new();
+        let mut buf = EmitBuf::default();
         let joe = p.symbols.get("Joe").unwrap().0;
         let p1 = p.symbols.get("P1").unwrap().0;
-        let out = emitter.emit(&compiled[0], &[joe, p1], &mut reg, &mut new_atoms);
+        let out = emitter.emit(&compiled[0], &[joe, p1], &mut reg, &mut buf);
         assert_eq!(out, Grounded::Satisfied);
         assert!(reg.is_empty());
     }
@@ -291,10 +364,10 @@ mod tests {
         );
         let emitter = Emitter::new(&domains, &ev);
         let mut reg = AtomRegistry::new();
-        let mut new_atoms = Vec::new();
+        let mut buf = EmitBuf::default();
         let joe = p.symbols.get("Joe").unwrap().0;
         let p1 = p.symbols.get("P1").unwrap().0;
-        let out = emitter.emit(&compiled[0], &[joe, p1], &mut reg, &mut new_atoms);
+        let out = emitter.emit(&compiled[0], &[joe, p1], &mut reg, &mut buf);
         assert_eq!(out, Grounded::EmptyClause);
     }
 
@@ -306,13 +379,11 @@ mod tests {
         );
         let emitter = Emitter::new(&domains, &ev);
         let mut reg = AtomRegistry::new();
-        let mut new_atoms = Vec::new();
+        let mut buf = EmitBuf::default();
         let p1 = p.symbols.get("P1").unwrap().0;
-        let out = emitter.emit(&compiled[0], &[p1], &mut reg, &mut new_atoms);
-        match out {
-            Grounded::Clause(lits) => assert_eq!(lits.len(), 2), // wrote(Ann,P1) ∨ wrote(Bob,P1)
-            other => panic!("{other:?}"),
-        }
+        let out = emitter.emit(&compiled[0], &[p1], &mut reg, &mut buf);
+        assert_eq!(out, Grounded::Clause);
+        assert_eq!(buf.lits().len(), 2); // wrote(Ann,P1) ∨ wrote(Bob,P1)
     }
 
     #[test]

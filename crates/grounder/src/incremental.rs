@@ -312,9 +312,9 @@ pub fn apply_delta_grounding(
     // atom anchors the activity variant. Clamped-true atoms are seeded
     // into the reachable tables by the new evidence; everything else
     // must be re-activated by an admitted clause. Least fixpoint.
-    struct Live {
+    struct Live<'a> {
         ci: usize,
-        lits: Option<Vec<Lit>>, // None = original clause literals
+        lits: Option<&'a [Lit]>, // None = original clause literals
     }
     let live: Vec<Live> = fate
         .iter()
@@ -323,13 +323,13 @@ pub fn apply_delta_grounding(
             Fate::Keep => Some(Live { ci, lits: None }),
             Fate::Shrunk(lits) => Some(Live {
                 ci,
-                lits: Some(lits.clone()),
+                lits: Some(lits),
             }),
             _ => None,
         })
         .collect();
-    fn lits_of<'a>(lc: &'a Live, mrf: &'a tuffy_mrf::Mrf) -> &'a [Lit] {
-        lc.lits.as_deref().unwrap_or_else(|| mrf.clause_lits(lc.ci))
+    fn lits_of<'a>(lc: &Live<'a>, mrf: &'a tuffy_mrf::Mrf) -> &'a [Lit] {
+        lc.lits.unwrap_or_else(|| mrf.clause_lits(lc.ci))
     }
     let mut admitted = vec![false; live.len()];
     let mut active = vec![false; mrf.num_atoms()];
@@ -395,25 +395,24 @@ pub fn apply_delta_grounding(
     stats.orphaned_atoms = previous.registry.len() - registry.len() - clamp.len();
 
     let mut builder = MrfBuilder::new();
+    let mut remapped: Vec<Lit> = Vec::new();
     for (i, lc) in live.iter().enumerate() {
         if !admitted[i] {
             continue;
         }
-        let remapped: Vec<Lit> = lits_of(lc, mrf)
-            .iter()
-            .map(|l| {
-                Lit::new(
-                    remap[l.atom() as usize].expect("surviving atom"),
-                    l.is_positive(),
-                )
-            })
-            .collect();
+        remapped.clear();
+        remapped.extend(lits_of(lc, mrf).iter().map(|l| {
+            Lit::new(
+                remap[l.atom() as usize].expect("surviving atom"),
+                l.is_positive(),
+            )
+        }));
         // Carry the contribution split and rule attribution verbatim:
         // constants of a *later* patch must still see which part of a
         // merged weight is negative or hard, and a relearn after a patch
         // must still know which rules fed each clause.
         builder.add_clause_with_origins(
-            remapped,
+            &remapped,
             mrf.clause_weight(lc.ci),
             mrf.provenance(lc.ci),
             mrf.clause_origins(lc.ci),

@@ -18,7 +18,7 @@
 use crate::bottomup::GroundingResult;
 use crate::compile::{compile_clause, CompiledClause, GroundingMode};
 use crate::dbload::GroundingDb;
-use crate::emit::{constant_cost, Emitter, Grounded};
+use crate::emit::{constant_cost, EmitBuf, Emitter, Grounded};
 use crate::registry::AtomRegistry;
 use crate::stats::GroundingStats;
 use std::time::Instant;
@@ -125,7 +125,7 @@ pub fn ground_top_down(
     let mut builder = MrfBuilder::new();
     let mut seen: FxHashSet<(u32, Box<[u32]>)> = FxHashSet::default();
     let mut stats = GroundingStats::default();
-    let mut new_atoms: Vec<tuffy_mrf::AtomId> = Vec::new();
+    let mut emit_buf = EmitBuf::default();
 
     let mut round = 0usize;
     loop {
@@ -147,7 +147,7 @@ pub fn ground_top_down(
                         &mut builder,
                         &mut seen,
                         &mut stats,
-                        &mut new_atoms,
+                        &mut emit_buf,
                         &mut stores,
                         &gdb,
                         &mut activated,
@@ -183,7 +183,7 @@ pub fn ground_top_down(
                             &mut builder,
                             &mut seen,
                             &mut stats,
-                            &mut new_atoms,
+                            &mut emit_buf,
                             &mut stores,
                             &gdb,
                             &mut activated,
@@ -231,7 +231,7 @@ fn backtrack(
     builder: &mut MrfBuilder,
     seen: &mut FxHashSet<(u32, Box<[u32]>)>,
     stats: &mut GroundingStats,
-    new_atoms: &mut Vec<tuffy_mrf::AtomId>,
+    emit_buf: &mut EmitBuf,
     stores: &mut FxHashMap<TableId, TupleStore>,
     gdb: &GroundingDb,
     activated: &mut bool,
@@ -254,7 +254,7 @@ fn backtrack(
             .map(|b| b.expect("complete binding"))
             .collect();
         process_binding(
-            cc, &row, emitter, registry, builder, seen, stats, new_atoms, stores, gdb, activated,
+            cc, &row, emitter, registry, builder, seen, stats, emit_buf, stores, gdb, activated,
         );
         return;
     }
@@ -320,7 +320,7 @@ fn backtrack(
                 builder,
                 seen,
                 stats,
-                new_atoms,
+                emit_buf,
                 stores,
                 gdb,
                 activated,
@@ -341,7 +341,7 @@ fn process_binding(
     builder: &mut MrfBuilder,
     seen: &mut FxHashSet<(u32, Box<[u32]>)>,
     stats: &mut GroundingStats,
-    new_atoms: &mut Vec<tuffy_mrf::AtomId>,
+    emit_buf: &mut EmitBuf,
     stores: &mut FxHashMap<TableId, TupleStore>,
     gdb: &GroundingDb,
     activated: &mut bool,
@@ -351,35 +351,18 @@ fn process_binding(
     if !seen.insert(key) {
         return;
     }
-    new_atoms.clear();
-    match emitter.emit(cc, row, registry, new_atoms) {
-        Grounded::Satisfied => {
-            add_base(builder, constant_cost(cc.weight, true));
-        }
-        Grounded::EmptyClause => {
-            add_base(builder, constant_cost(cc.weight, false));
-        }
-        Grounded::Clause(lits) => {
-            builder.add_clause_from_rule(lits, cc.weight, cc.rule_index as u32);
-            for &aid in new_atoms.iter() {
+    match emitter.emit(cc, row, registry, emit_buf) {
+        Grounded::Satisfied => builder.add_constant(constant_cost(cc.weight, true)),
+        Grounded::EmptyClause => builder.add_constant(constant_cost(cc.weight, false)),
+        Grounded::Clause => {
+            builder.add_clause_from_rule(emit_buf.lits(), cc.weight, cc.rule_index as u32);
+            for &aid in emit_buf.new_atoms() {
                 let (pred, args) = registry.atom(aid);
-                let args: Vec<u32> = args.to_vec();
                 let reach = gdb.reach[pred.index()];
-                stores.get_mut(&reach).expect("reach store").push(&args);
+                stores.get_mut(&reach).expect("reach store").push(args);
                 *activated = true;
             }
         }
-    }
-}
-
-fn add_base(builder: &mut MrfBuilder, c: tuffy_mrf::Cost) {
-    if c.hard > 0 {
-        for _ in 0..c.hard {
-            builder.add_clause(vec![], tuffy_mln::weight::Weight::Hard);
-        }
-    }
-    if c.soft > 0.0 {
-        builder.add_clause(vec![], tuffy_mln::weight::Weight::Soft(c.soft));
     }
 }
 

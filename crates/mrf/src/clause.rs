@@ -1,39 +1,8 @@
-//! Weighted ground clauses.
+//! Weighted ground clauses, borrowed from the MRF's arenas.
 
 use crate::cost::Cost;
 use crate::lit::Lit;
 use tuffy_mln::weight::Weight;
-
-/// A ground clause: a disjunction of signed literals with a weight
-/// (one row of Tuffy's clause table `C(cid, lits, weight)`, §3.1).
-#[derive(Clone, Debug, PartialEq)]
-pub struct GroundClause {
-    /// The disjuncts. Construction guarantees no duplicate or
-    /// complementary literals.
-    pub lits: Box<[Lit]>,
-    /// Clause weight.
-    pub weight: Weight,
-}
-
-impl GroundClause {
-    /// Builds a clause, deduplicating literals. Returns `None` when the
-    /// clause is a tautology (contains `l` and `¬l`) — such clauses can
-    /// never be violated (positive weight) or always are (negative weight,
-    /// a constant the search cannot change), so they are excluded.
-    pub fn new(mut lits: Vec<Lit>, weight: Weight) -> Option<GroundClause> {
-        lits.sort_unstable();
-        lits.dedup();
-        for w in lits.windows(2) {
-            if w[0].atom() == w[1].atom() {
-                return None; // sorted ⇒ complementary literals are adjacent
-            }
-        }
-        Some(GroundClause {
-            lits: lits.into_boxed_slice(),
-            weight,
-        })
-    }
-}
 
 /// A borrowed clause: a slice of the MRF's literal arena plus the
 /// clause's weight. This is what [`crate::Mrf::clause`] and clause
@@ -83,60 +52,68 @@ impl ClauseRef<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::MrfBuilder;
 
-    /// Evaluates `c` through its borrowed form, as the MRF does.
-    fn eval(c: &GroundClause) -> ClauseRef<'_> {
-        ClauseRef {
-            lits: &c.lits,
-            weight: c.weight,
-        }
+    fn clause(lits: &[Lit], weight: Weight) -> ClauseRef<'_> {
+        ClauseRef { lits, weight }
     }
 
     #[test]
     fn tautology_rejected() {
-        assert!(GroundClause::new(vec![Lit::pos(0), Lit::neg(0)], Weight::Soft(1.0)).is_none());
+        let mut b = MrfBuilder::new();
+        b.add_clause([Lit::pos(0), Lit::neg(0)], Weight::Soft(1.0));
+        b.add_clause([Lit::neg(1), Lit::pos(2), Lit::pos(1)], Weight::Soft(-1.0));
+        assert_eq!(b.num_clauses(), 0);
+        let m = b.finish();
+        assert_eq!(m.num_clauses(), 0);
+        assert_eq!(m.base_cost, Cost::ZERO);
+        // A dropped tautology neither adds atoms nor makes them opaque.
+        assert_eq!(m.num_atoms(), 0);
     }
 
     #[test]
     fn duplicates_removed() {
-        let c = GroundClause::new(vec![Lit::pos(0), Lit::pos(0)], Weight::Soft(1.0)).unwrap();
-        assert_eq!(c.lits.len(), 1);
+        let mut b = MrfBuilder::new();
+        b.add_clause([Lit::pos(0), Lit::pos(0)], Weight::Soft(1.0));
+        b.add_clause([Lit::neg(2), Lit::pos(1), Lit::neg(2)], Weight::Soft(1.0));
+        let m = b.finish();
+        assert_eq!(m.clause_lits(0), [Lit::pos(0)]);
+        assert_eq!(m.clause_lits(1), [Lit::pos(1), Lit::neg(2)]);
     }
 
     #[test]
     fn satisfaction_and_violation() {
-        let c = GroundClause::new(vec![Lit::pos(0), Lit::neg(1)], Weight::Soft(2.0)).unwrap();
-        assert!(eval(&c).satisfied(&[true, true]));
-        assert!(eval(&c).satisfied(&[false, false]));
-        assert!(!eval(&c).satisfied(&[false, true]));
-        assert!(eval(&c).violated(&[false, true]));
-        assert_eq!(eval(&c).cost(&[false, true]), Cost::soft(2.0));
-        assert_eq!(eval(&c).cost(&[true, true]), Cost::ZERO);
+        let lits = [Lit::pos(0), Lit::neg(1)];
+        let c = clause(&lits, Weight::Soft(2.0));
+        assert!(c.satisfied(&[true, true]));
+        assert!(c.satisfied(&[false, false]));
+        assert!(!c.satisfied(&[false, true]));
+        assert!(c.violated(&[false, true]));
+        assert_eq!(c.cost(&[false, true]), Cost::soft(2.0));
+        assert_eq!(c.cost(&[true, true]), Cost::ZERO);
     }
 
     #[test]
     fn negative_weight_violated_when_true() {
-        let c = GroundClause::new(vec![Lit::pos(0)], Weight::Soft(-1.5)).unwrap();
-        assert!(eval(&c).violated(&[true]));
-        assert!(!eval(&c).violated(&[false]));
-        assert_eq!(eval(&c).cost(&[true]), Cost::soft(1.5));
+        let lits = [Lit::pos(0)];
+        let c = clause(&lits, Weight::Soft(-1.5));
+        assert!(c.violated(&[true]));
+        assert!(!c.violated(&[false]));
+        assert_eq!(c.cost(&[true]), Cost::soft(1.5));
     }
 
     #[test]
     fn hard_clause_costs_hard_unit() {
-        let c = GroundClause::new(vec![Lit::pos(0)], Weight::Hard).unwrap();
-        let cost = eval(&c).cost(&[false]);
+        let lits = [Lit::pos(0)];
+        let cost = clause(&lits, Weight::Hard).cost(&[false]);
         assert_eq!(cost.hard, 1);
     }
 
     #[test]
     fn true_count() {
-        let c = GroundClause::new(
-            vec![Lit::pos(0), Lit::pos(1), Lit::neg(2)],
-            Weight::Soft(1.0),
-        )
-        .unwrap();
-        assert_eq!(eval(&c).true_count(&[true, false, false]), 2);
-        assert_eq!(eval(&c).true_count(&[false, false, true]), 0);
+        let lits = [Lit::pos(0), Lit::pos(1), Lit::neg(2)];
+        let c = clause(&lits, Weight::Soft(1.0));
+        assert_eq!(c.true_count(&[true, false, false]), 2);
+        assert_eq!(c.true_count(&[false, false, true]), 0);
     }
 }

@@ -1,6 +1,7 @@
 //! The persisted form of an [`Mrf`]: the source columns a store lays out
 //! on disk, and the validating constructor that rebuilds the derived ones.
 
+use crate::build::occurrence_csr;
 use crate::cost::Cost;
 use crate::graph::{ClauseProvenance, Mrf, Occurrence, PackedViolation, RuleOrigin};
 use crate::lit::Lit;
@@ -166,22 +167,7 @@ impl Mrf {
         // Derived columns: same construction as `ClauseColumns::assemble`.
         let violation: Vec<PackedViolation> =
             weights.iter().map(|&w| PackedViolation::of(w)).collect();
-        let mut occ_start = vec![0u32; num_atoms + 1];
-        for l in lit_arena.iter() {
-            occ_start[l.atom() as usize + 1] += 1;
-        }
-        for a in 0..num_atoms {
-            occ_start[a + 1] += occ_start[a];
-        }
-        let mut cursor = occ_start.clone();
-        let mut occ_arena = vec![Occurrence::default(); lit_arena.len()];
-        for ci in 0..num_clauses {
-            for l in &lit_arena[lit_start[ci] as usize..lit_start[ci + 1] as usize] {
-                let a = l.atom() as usize;
-                occ_arena[cursor[a] as usize] = Occurrence::new(ci as u32, l.is_positive());
-                cursor[a] += 1;
-            }
-        }
+        let (occ_start, occ_arena) = occurrence_csr(num_atoms, &lit_start, &lit_arena);
         Ok(Mrf {
             num_atoms,
             lit_start,

@@ -16,7 +16,7 @@
 //! charges the violation cost without re-deriving it from the
 //! [`Weight`] enum.
 
-use crate::build::{harden_weight, merge_weights, ClauseColumns};
+use crate::build::{harden_weight, merge_weights, ClauseColumns, OriginColumns};
 use crate::clause::ClauseRef;
 use crate::cost::Cost;
 use crate::lit::{AtomId, Lit};
@@ -530,6 +530,7 @@ impl Mrf {
             dense.insert(a, i as AtomId);
         }
         let mut columns = ClauseColumns::default();
+        let mut origins = OriginColumns::with_capacity(0);
         let mut origin: Vec<u32> = Vec::new();
         let mut seen: Vec<bool> = vec![false; self.num_clauses()];
         let mut lit_buf: Vec<Lit> = Vec::new();
@@ -552,16 +553,12 @@ impl Mrf {
                 // Clause literals are sorted by packed value; the remap
                 // permutes atom ids, so re-establish the invariant.
                 lit_buf.sort_unstable();
-                columns.push(
-                    &lit_buf,
-                    self.weights[ci],
-                    self.provenance[ci],
-                    self.clause_origins(ci),
-                );
+                columns.push(&lit_buf, self.weights[ci], self.provenance[ci]);
+                origins.push(self.clause_origins(ci));
                 origin.push(ci as u32);
             }
         }
-        let sub = columns.assemble(atoms.len(), vec![false; atoms.len()], Cost::ZERO);
+        let sub = columns.assemble(origins, atoms.len(), vec![false; atoms.len()], Cost::ZERO);
         (sub, origin)
     }
 

@@ -32,7 +32,7 @@ pub mod partition;
 pub mod unionfind;
 
 pub use build::MrfBuilder;
-pub use clause::{ClauseRef, GroundClause};
+pub use clause::ClauseRef;
 pub use columns::MrfColumns;
 pub use components::ComponentSet;
 pub use cost::Cost;

@@ -319,7 +319,7 @@ mod tests {
             let mut b = MrfBuilder::new();
             b.reserve_atoms(16); // atoms 14 and 15 are in no clause
             for (lits, w) in &clauses {
-                let lits = lits.iter().map(|&(a, pos)| Lit::new(a, pos)).collect();
+                let lits: Vec<Lit> = lits.iter().map(|&(a, pos)| Lit::new(a, pos)).collect();
                 let weight = match *w {
                     0 => Weight::Hard,
                     w => Weight::Soft(f64::from(w)),

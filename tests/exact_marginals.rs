@@ -73,7 +73,7 @@ fn random_mrf(seed: u64) -> Mrf {
         }
         for _ in 0..3 {
             let width = 2 + rng.below(2);
-            let lits = (0..width)
+            let lits: Vec<Lit> = (0..width)
                 .map(|_| Lit::new(atom_in(&mut rng, block), rng.coin()))
                 .collect();
             b.add_clause(lits, rng.weight(0.5, 2.5));

@@ -156,7 +156,7 @@ fn condition_unit(mrf: &Mrf, schedule: &Schedule, pi: usize, global: &[bool]) ->
         let lits = c.lits.iter();
         b.add_clause(
             lits.map(|l| Lit::new(dense[&l.atom()], l.is_positive()))
-                .collect(),
+                .collect::<Vec<_>>(),
             c.weight,
         );
     }
@@ -182,7 +182,7 @@ fn rebuilt(mrf: &Mrf) -> Mrf {
     let mut b = MrfBuilder::new();
     b.reserve_atoms(mrf.num_atoms());
     for c in mrf.clauses() {
-        b.add_clause(c.lits.to_vec(), c.weight);
+        b.add_clause(c.lits, c.weight);
     }
     b.finish()
 }
