@@ -166,7 +166,8 @@ impl<'a> Emitter<'a> {
                         ArgSource::Univ(i) => binding[i],
                         ArgSource::Const(c) => c,
                         ArgSource::Exist(ei) => {
-                            let k = t.exist_used.iter().position(|&e| e == ei).unwrap();
+                            let k = t.exist_used.iter().position(|&e| e == ei);
+                            let k = k.expect("exist_used lists every existential argument");
                             domain(k)[buf.odometer[k]]
                         }
                     };
