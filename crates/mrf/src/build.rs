@@ -544,3 +544,35 @@ pub(crate) fn harden_weight(w: Weight) -> Weight {
         w => w,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn constant_matches_the_empty_clauses_it_replaces() {
+        // Evidence-decided constants used to enter as one empty hard
+        // clause per hard unit plus one empty soft clause.
+        let mut via_clauses = MrfBuilder::new();
+        let mut via_constant = MrfBuilder::new();
+        for c in [
+            Cost { hard: 2, soft: 0.0 },
+            Cost::soft(0.1),
+            Cost { hard: 1, soft: 0.2 },
+        ] {
+            for _ in 0..c.hard {
+                via_clauses.add_clause([], Weight::Hard);
+            }
+            if c.soft > 0.0 {
+                via_clauses.add_clause([], Weight::Soft(c.soft));
+            }
+            via_constant.add_constant(c);
+        }
+        let (a, b) = (
+            via_clauses.finish().base_cost,
+            via_constant.finish().base_cost,
+        );
+        assert_eq!(a.hard, b.hard);
+        assert_eq!(a.soft.to_bits(), b.soft.to_bits());
+    }
+}

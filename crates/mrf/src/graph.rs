@@ -52,7 +52,7 @@ impl ClauseProvenance {
         p
     }
 
-    pub(crate) fn absorb(&mut self, weight: Weight) {
+    fn absorb(&mut self, weight: Weight) {
         match weight {
             Weight::Soft(w) if w >= 0.0 => self.pos_soft += w,
             Weight::Soft(w) => self.neg_soft += -w,
@@ -154,8 +154,9 @@ impl std::fmt::Debug for Occurrence {
 /// word carrying the hard-violation unit and one bit per satisfaction
 /// state in which the clause counts as violated. A positive weight sets
 /// the "when unsatisfied" bit, a negative weight the "when satisfied"
-/// bit, and a sign-less weight neither: [`MrfBuilder::finish`](crate::MrfBuilder::finish) drops
-/// zero-weight clauses, but [`Mrf::reweight`] has to keep a clause whose
+/// bit, and a sign-less weight neither:
+/// [`MrfBuilder::finish`](crate::MrfBuilder::finish) drops zero-weight
+/// clauses, but [`Mrf::reweight`] has to keep a clause whose
 /// learned weights cancel, and it must be violated in no state — exactly
 /// [`Weight::violated_when`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -402,7 +403,8 @@ impl Mrf {
     /// origin lists keep their current weight verbatim.
     ///
     /// Non-finite learned weights are re-normalized through the same
-    /// hardening path as [`MrfBuilder::finish`](crate::MrfBuilder::finish): `Soft(+∞)` becomes
+    /// hardening path as
+    /// [`MrfBuilder::finish`](crate::MrfBuilder::finish): `Soft(+∞)` becomes
     /// `Hard`, `Soft(−∞)` becomes `NegHard`, and `NaN` (including a
     /// `+∞ + −∞` merge) becomes the neutral `Soft(0.0)` — a NaN or ∞
     /// must never reach the branchless flip loop's violation column.
