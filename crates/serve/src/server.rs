@@ -60,7 +60,10 @@
 //! always replays to (at least) the acked generation on restart. WAL
 //! append failures answer `error internal` and leave the head on the
 //! previous committed generation — a delta that was not made durable is
-//! never served.
+//! never served. Applies and queries take the head in arrival order: a
+//! query that arrives during an apply waits for it and answers from the
+//! generation it commits (the previous one if it failed), never behind a
+//! later apply.
 //!
 //! # Graceful drain
 //!
@@ -79,8 +82,9 @@ use crate::wire::{
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tuffy::{
@@ -263,16 +267,86 @@ struct Shared {
     /// until then; each costs a few KB, bounded by connection churn.
     handlers: Mutex<Vec<JoinHandle<()>>>,
     /// The durable serving lineage ([`Server::start_durable`]); `None`
-    /// for in-memory serving with per-connection sessions.
-    durable: Option<Mutex<DurableEngine>>,
+    /// for in-memory serving with per-connection sessions. Applies and
+    /// queries cloning the committed head take it in turn (see
+    /// [`TurnLock`]). Poison is cleared: `DurableEngine::apply` is
+    /// transactional (the WAL append is the commit point; program and
+    /// head advance only after it succeeds), so state behind a poisoned
+    /// lock is always a consistent committed generation.
+    durable: Option<TurnLock<DurableEngine>>,
 }
 
-/// Locks the durable lineage, clearing poison: `DurableEngine::apply`
-/// is transactional (the WAL append is the commit point; program and
-/// head advance only after it succeeds), so state behind a poisoned
-/// lock is always a consistent committed generation.
-fn lock_durable(durable: &Mutex<DurableEngine>) -> std::sync::MutexGuard<'_, DurableEngine> {
-    durable.lock().unwrap_or_else(PoisonError::into_inner)
+/// A mutex that hands itself out in arrival order: each caller takes the
+/// next ticket and waits for its turn. The durable lineage needs this
+/// because a plain mutex lets the applying connection's next request race
+/// a query woken at the end of the apply, and which one wins depends on
+/// how the threads happen to be scheduled: a query could wait out several
+/// applies in a row, more or fewer from one run to the next. Poison is
+/// cleared (see [`Shared::durable`]).
+struct TurnLock<T> {
+    value: Mutex<T>,
+    /// `(next ticket to hand out, ticket whose turn it is)`.
+    tickets: Mutex<(u64, u64)>,
+    turn: Condvar,
+}
+
+impl<T> TurnLock<T> {
+    fn new(value: T) -> TurnLock<T> {
+        TurnLock {
+            value: Mutex::new(value),
+            tickets: Mutex::new((0, 0)),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// Waits for every earlier caller to be done, then locks.
+    fn lock(&self) -> TurnGuard<'_, T> {
+        let mut tickets = self.tickets.lock().unwrap_or_else(PoisonError::into_inner);
+        let ticket = tickets.0;
+        tickets.0 += 1;
+        while tickets.1 != ticket {
+            tickets = self
+                .turn
+                .wait(tickets)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(tickets);
+        TurnGuard {
+            lock: self,
+            value: self.value.lock().unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+}
+
+/// A [`TurnLock`]'s value; passes the turn on when dropped, also when a
+/// panicking request unwinds.
+struct TurnGuard<'a, T> {
+    lock: &'a TurnLock<T>,
+    value: MutexGuard<'a, T>,
+}
+
+impl<T> Deref for TurnGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for TurnGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
+
+impl<T> Drop for TurnGuard<'_, T> {
+    fn drop(&mut self) {
+        self.lock
+            .tickets
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .1 += 1;
+        self.lock.turn.notify_all();
+    }
 }
 
 /// A running `tuffyd` server; see the module docs. Dropping (or calling
@@ -332,7 +406,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
             handlers: Mutex::new(Vec::new()),
-            durable: durable.map(Mutex::new),
+            durable: durable.map(TurnLock::new),
         });
         let accept_shared = shared.clone();
         let accept = std::thread::Builder::new()
@@ -430,7 +504,7 @@ impl Server {
         drop(draining);
         // Final durability barrier: everything acked is on disk.
         if let Some(durable) = &self.shared.durable {
-            let _ = lock_durable(durable).sync();
+            let _ = durable.lock().sync();
         }
     }
 }
@@ -662,7 +736,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     // queries route through the shared durable head instead.
     let mut session = shared.engine.open_session();
     let generation = match &shared.durable {
-        Some(durable) => lock_durable(durable).generation(),
+        Some(durable) => durable.lock().generation(),
         None => session.snapshot().generation(),
     };
     if write_response(
@@ -769,7 +843,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         // must cost exactly one request. Admission guards release on
         // unwind; snapshots are immutable, so no shared state can be
         // left half-mutated — `AssertUnwindSafe` is sound here. The
-        // durable lock is poison-cleared by `lock_durable` because
+        // durable lock is poison-cleared by `TurnLock::lock` because
         // `DurableEngine::apply` commits atomically at the WAL append.
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             handle_request(shared, &mut session, request)
@@ -870,7 +944,7 @@ fn handle_request(shared: &Shared, session: &mut Session, request: Request) -> R
             let mut reader;
             let session: &mut Session = match &shared.durable {
                 Some(durable) => {
-                    reader = lock_durable(durable).reader();
+                    reader = durable.lock().reader();
                     &mut reader
                 }
                 None => session,
@@ -914,8 +988,8 @@ fn handle_request(shared: &Shared, session: &mut Session, request: Request) -> R
 /// (the commit point, fsynced) → advance the shared head. A WAL failure
 /// answers `error internal` and the head stays on the previous
 /// committed generation — an unlogged delta is never served.
-fn apply_durable(shared: &Shared, durable: &Mutex<DurableEngine>, delta: &str) -> Response {
-    let mut durable = lock_durable(durable);
+fn apply_durable(shared: &Shared, durable: &TurnLock<DurableEngine>, delta: &str) -> Response {
+    let mut durable = durable.lock();
     match durable.apply(delta) {
         Ok(outcome) => {
             if let Some(e) = durable.take_checkpoint_error() {
@@ -1059,4 +1133,27 @@ pub fn explain_stats(stats: &ServerStats) -> String {
         stats.drained,
         stats.aborted,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TurnLock;
+
+    #[test]
+    fn turn_lock_serves_waiters_in_arrival_order() {
+        let lock = TurnLock::new(Vec::new());
+        let first = lock.lock();
+        std::thread::scope(|scope| {
+            for i in 0..4u64 {
+                let lock = &lock;
+                scope.spawn(move || lock.lock().push(i));
+                // Let waiter i take its ticket before waiter i + 1 starts.
+                while lock.tickets.lock().unwrap().0 < i + 2 {
+                    std::thread::yield_now();
+                }
+            }
+            drop(first);
+        });
+        assert_eq!(*lock.lock(), [0, 1, 2, 3]);
+    }
 }
