@@ -9,7 +9,7 @@
 
 use super::trace_block;
 use crate::datasets::all_four;
-use crate::{alchemy_config, run, tuffy_config};
+use crate::{alchemy, run, tuffy_config};
 
 /// Flip budget per system.
 pub const FLIPS: u64 = 1_000_000;
@@ -23,9 +23,8 @@ pub fn report() -> String {
     );
     for ds in all_four() {
         let name = ds.name.clone();
-        let alchemy = run(ds, alchemy_config(FLIPS));
-        let ds2 = all_four().into_iter().find(|d| d.name == name).unwrap();
-        let tuffy = run(ds2, tuffy_config(FLIPS));
+        let alchemy = alchemy(ds.clone(), FLIPS);
+        let tuffy = run(ds, tuffy_config(FLIPS));
         out.push_str(&format!("# dataset {name}\n"));
         out.push_str(&format!(
             "grounding: alchemy-style {} s vs tuffy {} s; final cost: {} vs {}\n",

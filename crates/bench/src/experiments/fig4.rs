@@ -7,7 +7,7 @@
 
 use super::trace_block;
 use crate::datasets::{lp_bench, rc_bench};
-use crate::{alchemy_config, run, tuffy_mm_config, tuffy_p_config};
+use crate::{alchemy, run, tuffy_mm, tuffy_p_config};
 
 /// Flip budgets: in-memory systems get the full budget; Tuffy-mm pays
 /// ~2 scans/flip so gets a small one (its simulated time is what counts).
@@ -23,9 +23,9 @@ pub fn report() -> String {
     );
     for make in [lp_bench, rc_bench] {
         let name = make().name;
-        let alchemy = run(make(), alchemy_config(FLIPS));
+        let alchemy = alchemy(make(), FLIPS);
         let tuffy_p = run(make(), tuffy_p_config(FLIPS));
-        let tuffy_mm = run(make(), tuffy_mm_config(MM_FLIPS));
+        let tuffy_mm = tuffy_mm(make(), MM_FLIPS);
         out.push_str(&format!("# dataset {name}\n"));
         out.push_str(&format!(
             "final costs: alchemy {}, tuffy-p {}, tuffy-mm {}\n",

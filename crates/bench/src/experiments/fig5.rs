@@ -7,7 +7,7 @@
 
 use super::trace_block;
 use crate::datasets::{ie_bench, rc_bench};
-use crate::{alchemy_config, run, tuffy_config, tuffy_p_config};
+use crate::{alchemy, run, tuffy_config, tuffy_p_config};
 
 /// Flip budget (the "extended run": 4x the Table 5 budget).
 pub const FLIPS: u64 = 4_000_000;
@@ -23,7 +23,7 @@ pub fn report() -> String {
         let name = make().name;
         let tuffy = run(make(), tuffy_config(FLIPS));
         let tuffy_p = run(make(), tuffy_p_config(FLIPS));
-        let alchemy = run(make(), alchemy_config(FLIPS));
+        let alchemy = alchemy(make(), FLIPS);
         out.push_str(&format!("# dataset {name}\n"));
         out.push_str(&format!(
             "final costs: tuffy {}, tuffy-p {}, alchemy {}\n",

@@ -8,7 +8,7 @@
 
 use super::trace_block;
 use crate::datasets::example1_bench;
-use crate::{alchemy_config, run, tuffy_config, tuffy_p_config};
+use crate::{alchemy, run, tuffy_config, tuffy_p_config};
 
 /// Components (the paper plots N = 1000).
 pub const N: usize = 1000;
@@ -24,7 +24,7 @@ pub fn report() -> String {
     );
     let tuffy = run(example1_bench(N), tuffy_config(FLIPS));
     let tuffy_p = run(example1_bench(N), tuffy_p_config(FLIPS));
-    let alchemy = run(example1_bench(N), alchemy_config(FLIPS));
+    let alchemy = alchemy(example1_bench(N), FLIPS);
     out.push_str(&format!(
         "final costs: tuffy {} | tuffy-p {} | alchemy {} (optimum {})\n",
         tuffy.cost, tuffy_p.cost, alchemy.cost, N

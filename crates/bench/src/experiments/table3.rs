@@ -2,7 +2,7 @@
 
 use crate::datasets::all_four;
 use crate::format::TextTable;
-use tuffy::{DiskModel, Tuffy};
+use crate::{run, tuffy_mm, tuffy_p_config};
 
 /// Paper's Table 3 (flips/sec): Alchemy, Tuffy-mm, Tuffy-p.
 pub const PAPER: [(&str, f64, f64, f64); 4] = [
@@ -14,8 +14,9 @@ pub const PAPER: [(&str, f64, f64, f64); 4] = [
 
 /// Builds the Table 3 report. Both rates come straight from
 /// [`tuffy::InferenceReport::flips_per_sec`] — the in-memory one from a
-/// monolithic (Tuffy-p) session, the Tuffy-mm one from an RDBMS-resident
-/// session whose search time includes the simulated disk I/O.
+/// monolithic (Tuffy-p) session, the Tuffy-mm one from
+/// [`crate::tuffy_mm`], whose search time includes the simulated disk
+/// I/O.
 pub fn report() -> String {
     let mut out = String::from(
         "Table 3: flipping rates (flips/sec)\n\
@@ -34,25 +35,8 @@ pub fn report() -> String {
     ]);
     for (ds, paper) in all_four().into_iter().zip(PAPER.iter()) {
         let name = ds.name.clone();
-        let tuffy =
-            Tuffy::from_parts(ds.program, ds.evidence).with_config(crate::tuffy_p_config(300_000));
-        let mem = tuffy
-            .open_session()
-            .expect("grounding")
-            .map()
-            .expect("inference");
-        // Pool capacity 0: the Tuffy-mm regime is an MRF much larger
-        // than memory, so every page access misses.
-        let mm = tuffy
-            .with_config(tuffy::TuffyConfig {
-                disk: DiskModel::ssd(),
-                pool_pages: 0,
-                ..crate::tuffy_mm_config(150)
-            })
-            .open_session()
-            .expect("grounding")
-            .map()
-            .expect("inference");
+        let mem = run(ds.clone(), tuffy_p_config(300_000));
+        let mm = tuffy_mm(ds, 150);
         let gap = mem.report.flips_per_sec / mm.report.flips_per_sec.max(1e-9);
         t.row(vec![
             name,

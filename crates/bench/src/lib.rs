@@ -14,9 +14,16 @@
 //! claims about the system itself are the repo benchmark's
 //! (`BENCHMARK.json`), not these reports'.
 
-use std::time::Duration;
-use tuffy::{Architecture, PartitionStrategy, Tuffy, TuffyConfig, WalkSatParams};
+use std::time::{Duration, Instant};
+use tuffy::{
+    Cost, InferenceReport, PartitionStrategy, TimeCostTrace, Tuffy, TuffyConfig, WalkSatParams,
+};
 use tuffy_datagen::Dataset;
+use tuffy_grounder::{ground_top_down, GroundingResult};
+use tuffy_mrf::memory::MemoryFootprint;
+use tuffy_rdbms::DiskModel;
+use tuffy_search::rdbms_search::RdbmsSearch;
+use tuffy_search::{flip_rate, WalkSat};
 
 pub mod alchemy_model;
 pub mod datasets;
@@ -47,38 +54,103 @@ pub fn tuffy_p_config(max_flips: u64) -> TuffyConfig {
     }
 }
 
-/// The Alchemy-style baseline: top-down grounding + monolithic search.
-pub fn alchemy_config(max_flips: u64) -> TuffyConfig {
-    TuffyConfig {
-        architecture: Architecture::InMemory,
-        partitioning: PartitionStrategy::None,
-        ..tuffy_config(max_flips)
-    }
-}
-
-/// `Tuffy-mm`: RDBMS-resident search with an SSD-like simulated disk.
-/// The pool holds nothing (capacity 0): Tuffy-mm exists for MRFs much
-/// larger than memory, so at bench scale we model the
-/// every-access-misses regime rather than let a toy-sized clause table
-/// become pool-resident.
-pub fn tuffy_mm_config(max_flips: u64) -> TuffyConfig {
-    TuffyConfig {
-        architecture: Architecture::RdbmsOnly,
-        disk: tuffy::DiskModel::ssd(),
-        pool_pages: 0,
-        ..tuffy_config(max_flips)
-    }
+/// One MAP run of a system under comparison.
+pub struct Run {
+    /// Cost of the best world found.
+    pub cost: Cost,
+    /// Best cost over time, offset by the grounding time.
+    pub trace: TimeCostTrace,
+    /// Run measurements. The baselines do not look for components, so
+    /// they leave the component and partition counts at 0.
+    pub report: InferenceReport,
 }
 
 /// Runs MAP inference on a dataset under a configuration (a one-shot
 /// session: ground, search, report).
-pub fn run(dataset: Dataset, cfg: TuffyConfig) -> tuffy::MapResult {
-    Tuffy::from_parts(dataset.program, dataset.evidence)
+pub fn run(dataset: Dataset, cfg: TuffyConfig) -> Run {
+    let r = Tuffy::from_parts(dataset.program, dataset.evidence)
         .with_config(cfg)
         .open_session()
         .expect("grounding")
         .map()
-        .expect("inference")
+        .expect("inference");
+    Run {
+        cost: r.cost,
+        trace: r.trace,
+        report: r.report,
+    }
+}
+
+/// The Alchemy-style baseline: top-down in-memory grounding, then one
+/// monolithic WalkSAT from the all-false state, unaware of components.
+pub fn alchemy(dataset: Dataset, max_flips: u64) -> Run {
+    let cfg = tuffy_config(max_flips);
+    let grounding =
+        ground_top_down(&dataset.program, &dataset.evidence, cfg.grounding).expect("grounding");
+    let mrf = &grounding.mrf;
+    let mut trace = TimeCostTrace::with_offset(grounding.stats.wall);
+    let started = Instant::now();
+    let ws = WalkSat::run_from(
+        mrf,
+        vec![false; mrf.num_atoms()],
+        &cfg.search,
+        Some(&mut trace),
+    );
+    let search_time = started.elapsed();
+    let report = InferenceReport {
+        flips: ws.flips(),
+        search_time,
+        search_ram: MemoryFootprint::of(mrf).total(),
+        flips_per_sec: flip_rate(ws.flips(), search_time),
+        ..report_of(&grounding)
+    };
+    Run {
+        cost: ws.best_cost(),
+        trace,
+        report,
+    }
+}
+
+/// `Tuffy-mm`: bottom-up grounding, then WalkSAT against the clause
+/// table in the RDBMS on a simulated SSD, whose I/O its search time and
+/// flip rate include. The pool holds nothing (capacity 0): Tuffy-mm is
+/// for MRFs much larger than memory, so every page access misses.
+pub fn tuffy_mm(dataset: Dataset, max_flips: u64) -> Run {
+    let cfg = tuffy_config(max_flips);
+    let grounding = Tuffy::from_parts(dataset.program, dataset.evidence)
+        .with_config(cfg)
+        .ground()
+        .expect("grounding");
+    let mrf = &grounding.mrf;
+    let mut trace = TimeCostTrace::with_offset(grounding.stats.wall);
+    let r = RdbmsSearch::new(mrf, 0, DiskModel::ssd(), cfg.search.seed).run(
+        max_flips,
+        cfg.search.noise,
+        Some(&mut trace),
+    );
+    let report = InferenceReport {
+        flips: r.flips,
+        search_time: r.wall + r.simulated_io,
+        search_ram: mrf.num_atoms() * 2, // truth arrays only
+        flips_per_sec: r.flips_per_sec,
+        ..report_of(&grounding)
+    };
+    Run {
+        cost: r.cost,
+        trace,
+        report,
+    }
+}
+
+/// The grounding half of a baseline's report.
+fn report_of(grounding: &GroundingResult) -> InferenceReport {
+    InferenceReport {
+        grounding: grounding.stats.clone(),
+        clauses: grounding.mrf.clauses().len(),
+        atoms: grounding.registry.len(),
+        clause_table_bytes: grounding.mrf.clause_bytes(),
+        ..Default::default()
+    }
 }
 
 /// Formats a duration in seconds with 2 decimals.

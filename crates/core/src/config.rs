@@ -1,24 +1,9 @@
 //! Inference configuration.
 
 use tuffy_grounder::GroundingMode;
-use tuffy_rdbms::{DiskModel, OptimizerConfig};
+use tuffy_rdbms::OptimizerConfig;
 use tuffy_search::mcsat::McSatParams;
 use tuffy_search::WalkSatParams;
-
-/// Which of the paper's three architectures to run (Appendix B.3,
-/// Figure 7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Architecture {
-    /// Tuffy's hybrid: RDBMS grounding + in-memory search (§3.2).
-    #[default]
-    Hybrid,
-    /// The Alchemy baseline: top-down in-memory grounding + monolithic
-    /// in-memory WalkSAT, unaware of components.
-    InMemory,
-    /// `Tuffy-mm`: RDBMS grounding *and* RDBMS-resident search
-    /// (Appendix B.2).
-    RdbmsOnly,
-}
 
 /// How the in-memory search is decomposed (§3.3–3.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -43,8 +28,6 @@ pub struct TuffyConfig {
     /// RDBMS optimizer knobs (all enabled by default; the lesion study of
     /// Table 6 disables them one at a time).
     pub optimizer: OptimizerConfig,
-    /// Architecture selection.
-    pub architecture: Architecture,
     /// Search decomposition.
     pub partitioning: PartitionStrategy,
     /// Worker threads for per-component search (1 = sequential).
@@ -66,10 +49,6 @@ pub struct TuffyConfig {
     /// stops early once a round changes nothing, and runs exactly one
     /// round when nothing is cut).
     pub partition_rounds: usize,
-    /// Disk model for the RDBMS-resident search (`RdbmsOnly`).
-    pub disk: DiskModel,
-    /// Buffer-pool pages for the RDBMS-resident search.
-    pub pool_pages: usize,
 }
 
 impl Default for TuffyConfig {
@@ -77,15 +56,12 @@ impl Default for TuffyConfig {
         TuffyConfig {
             grounding: GroundingMode::LazyClosure,
             optimizer: OptimizerConfig::default(),
-            architecture: Architecture::Hybrid,
             partitioning: PartitionStrategy::Components,
             threads: 1,
             ground_threads: 0,
             search: WalkSatParams::default(),
             mcsat: McSatParams::default(),
             partition_rounds: 3,
-            disk: DiskModel::in_memory(),
-            pool_pages: 64,
         }
     }
 }
@@ -125,7 +101,6 @@ mod tests {
     #[test]
     fn default_is_the_papers_tuffy() {
         let c = TuffyConfig::default();
-        assert_eq!(c.architecture, Architecture::Hybrid);
         assert_eq!(c.partitioning, PartitionStrategy::Components);
         assert_eq!(c.grounding, GroundingMode::LazyClosure);
     }

@@ -10,8 +10,9 @@
 //!    pushdown) build the ground network orders of magnitude faster than
 //!    top-down grounders (§3.1);
 //! 2. a **hybrid architecture**: ground in the database, search in
-//!    memory, falling back to RDBMS-resident search only when the ground
-//!    network exceeds RAM (§3.2);
+//!    memory (§3.2). The paper's two baselines, Alchemy-style top-down
+//!    grounding and RDBMS-resident search (Tuffy-mm), are measured by
+//!    the `tuffy-bench` crate and are not engine modes;
 //! 3. **partitioning**: solve connected components independently —
 //!    provably exponentially faster for multi-component networks
 //!    (Theorem 3.1) — and split oversized components further, searching
@@ -109,7 +110,7 @@ pub mod result;
 pub mod session;
 pub mod snapshot;
 
-pub use config::{Architecture, PartitionStrategy, TuffyConfig};
+pub use config::{PartitionStrategy, TuffyConfig};
 pub use durable::{ApplyOutcome, DurableEngine, DurableError, RecoveryReport, WAL_FILE};
 pub use engine::Engine;
 pub use persist::GENERATION_FILE;
@@ -125,7 +126,7 @@ pub use snapshot::Snapshot;
 pub use tuffy_grounder::{GroundingMode, PatchStats};
 pub use tuffy_mln::{DeltaOp, EvidenceDelta, EvidenceSet, MlnError, MlnProgram, Weight};
 pub use tuffy_mrf::{Cost, RuleOrigin};
-pub use tuffy_rdbms::{DiskModel, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig};
+pub use tuffy_rdbms::{JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig};
 pub use tuffy_search::mcsat::McSatParams;
 pub use tuffy_search::{
     MarginalSamples, Schedule, ScheduleResult, Scheduler, SchedulerConfig, TimeCostTrace,

@@ -15,13 +15,13 @@
 //! `f64` bit, and query seeds derive from query parameters, never from
 //! how the grounding was obtained.
 
-use crate::config::{Architecture, PartitionStrategy, TuffyConfig};
+use crate::config::{PartitionStrategy, TuffyConfig};
 use crate::engine::Engine;
 use crate::snapshot::{EngineCounters, Snapshot};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tuffy_grounder::GroundingMode;
-use tuffy_rdbms::{DiskModel, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig};
+use tuffy_rdbms::{JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig};
 use tuffy_search::mcsat::McSatParams;
 use tuffy_search::WalkSatParams;
 use tuffy_store::bytes::{ByteReader, ByteWriter};
@@ -33,8 +33,11 @@ pub const GENERATION_FILE: &str = "generation.tst";
 /// Version of the engine-config blob inside the store's `config`
 /// segment (independent of the store's container version). Version 2
 /// appended the folded WAL sequence; version-1 files (written before
-/// the WAL existed) still load, with an implied fold of 0.
-const CONFIG_VERSION: u32 = 2;
+/// the WAL existed) still load, with an implied fold of 0. Version 3
+/// dropped a reserved byte and the fields of the removed engine modes;
+/// version-1 and -2 files still load if they name the hybrid
+/// architecture.
+const CONFIG_VERSION: u32 = 3;
 
 impl Engine {
     /// Saves this engine's base generation into `dir` (created if
@@ -94,9 +97,6 @@ pub(crate) fn load_with_folded_seq(dir: &Path) -> Result<(Engine, u64), StoreErr
 /// — the tag table cannot silently drift.
 const GROUNDING_LAZY: u8 = 0;
 const GROUNDING_EAGER: u8 = 1;
-const ARCH_HYBRID: u8 = 0;
-const ARCH_IN_MEMORY: u8 = 1;
-const ARCH_RDBMS_ONLY: u8 = 2;
 const PART_NONE: u8 = 0;
 const PART_COMPONENTS: u8 = 1;
 const PART_BUDGET: u8 = 2;
@@ -125,15 +125,7 @@ pub(crate) fn encode_config(c: &TuffyConfig, folded_seq: u64) -> Vec<u8> {
     });
     w.put_u8(c.optimizer.pushdown as u8);
     w.put_u8(c.optimizer.use_stats as u8);
-    // Reserved: the removed `replan` knob lived here. Written 0, ignored
-    // on read, so files from before its removal still load.
-    w.put_u8(0);
     w.put_u64(c.optimizer.mem_budget_bytes as u64);
-    w.put_u8(match c.architecture {
-        Architecture::Hybrid => ARCH_HYBRID,
-        Architecture::InMemory => ARCH_IN_MEMORY,
-        Architecture::RdbmsOnly => ARCH_RDBMS_ONLY,
-    });
     match c.partitioning {
         PartitionStrategy::None => w.put_u8(PART_NONE),
         PartitionStrategy::Components => w.put_u8(PART_COMPONENTS),
@@ -155,24 +147,22 @@ pub(crate) fn encode_config(c: &TuffyConfig, folded_seq: u64) -> Vec<u8> {
     w.put_f64(c.mcsat.temperature);
     w.put_u64(c.mcsat.seed);
     w.put_u64(c.partition_rounds as u64);
-    w.put_u64(c.disk.read_latency_ns);
-    w.put_u64(c.disk.write_latency_ns);
-    w.put_u64(c.pool_pages as u64);
     w.put_u64(folded_seq);
     w.finish()
 }
 
-/// Decodes the config blob written by [`encode_config`], returning the
-/// config and the folded WAL sequence (0 for version-1 blobs, which
-/// predate the WAL).
+/// Decodes the config blob written by [`encode_config`], or by a
+/// version-1 or -2 encoder, returning the config and the folded WAL
+/// sequence (0 for version-1 blobs, which predate the WAL).
 pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreError> {
     let mut r = ByteReader::new(bytes, "config");
     let version = r.get_u32()?;
-    if version != 1 && version != CONFIG_VERSION {
+    if !(1..=CONFIG_VERSION).contains(&version) {
         return Err(StoreError::malformed(format!(
             "unsupported engine-config version {version}"
         )));
     }
+    let legacy = version < 3;
     let grounding = match r.get_u8()? {
         GROUNDING_LAZY => GroundingMode::LazyClosure,
         GROUNDING_EAGER => GroundingMode::Eager,
@@ -190,7 +180,9 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreErr
     };
     let pushdown = tag_bool(r.get_u8()?, "pushdown")?;
     let use_stats = tag_bool(r.get_u8()?, "use_stats")?;
-    r.get_u8()?; // reserved (see `encode_config`)
+    if legacy {
+        r.get_u8()?; // reserved: the removed `replan` knob
+    }
     let optimizer = OptimizerConfig {
         join_order,
         join_algorithm,
@@ -198,12 +190,19 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreErr
         use_stats,
         mem_budget_bytes: r.get_len()?,
     };
-    let architecture = match r.get_u8()? {
-        ARCH_HYBRID => Architecture::Hybrid,
-        ARCH_IN_MEMORY => Architecture::InMemory,
-        ARCH_RDBMS_ONLY => Architecture::RdbmsOnly,
-        t => return Err(StoreError::malformed(format!("bad architecture tag {t}"))),
-    };
+    if legacy {
+        let removed = match r.get_u8()? {
+            0 => None, // hybrid, the one architecture the engine runs
+            1 => Some("in-memory (the Alchemy baseline)"),
+            2 => Some("rdbms-only (the Tuffy-mm baseline)"),
+            t => return Err(StoreError::malformed(format!("bad architecture tag {t}"))),
+        };
+        if let Some(name) = removed {
+            return Err(StoreError::malformed(format!(
+                "engine config selects the {name} architecture, which this build no longer runs"
+            )));
+        }
+    }
     let partitioning = match r.get_u8()? {
         PART_NONE => PartitionStrategy::None,
         PART_COMPONENTS => PartitionStrategy::Components,
@@ -217,7 +216,6 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreErr
     let config = TuffyConfig {
         grounding,
         optimizer,
-        architecture,
         partitioning,
         threads: r.get_len()?,
         ground_threads: r.get_len()?,
@@ -236,12 +234,14 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreErr
             seed: r.get_u64()?,
         },
         partition_rounds: r.get_len()?,
-        disk: DiskModel {
-            read_latency_ns: r.get_u64()?,
-            write_latency_ns: r.get_u64()?,
-        },
-        pool_pages: r.get_len()?,
     };
+    if legacy {
+        // The simulated disk's read and write latencies and the buffer
+        // pool size, read only by the removed RDBMS-resident search.
+        for _ in 0..3 {
+            r.get_u64()?;
+        }
+    }
     let folded_seq = if version >= 2 { r.get_u64()? } else { 0 };
     r.expect_end()?;
     Ok((config, folded_seq))
@@ -259,9 +259,9 @@ fn tag_bool(v: u8, what: &str) -> Result<bool, StoreError> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn config_round_trips_every_field() {
-        let config = TuffyConfig {
+    /// A config with no field at its default.
+    fn every_field_config() -> TuffyConfig {
+        TuffyConfig {
             grounding: GroundingMode::Eager,
             optimizer: OptimizerConfig {
                 join_order: JoinOrderPolicy::Program,
@@ -270,7 +270,6 @@ mod tests {
                 use_stats: false,
                 mem_budget_bytes: 123_456,
             },
-            architecture: Architecture::RdbmsOnly,
             partitioning: PartitionStrategy::Budget(987_654),
             threads: 7,
             ground_threads: 3,
@@ -289,33 +288,41 @@ mod tests {
                 seed: 77,
             },
             partition_rounds: 5,
-            disk: DiskModel {
-                read_latency_ns: 100,
-                write_latency_ns: 200,
-            },
-            pool_pages: 256,
-        };
+        }
+    }
+
+    /// The version-2 blob the previous encoder wrote for
+    /// [`every_field_config`] with the hybrid architecture, the SSD disk
+    /// model (100 µs reads and writes), a 64-page pool and fold 9.
+    const V2_EVERY_FIELD: &str = "\
+        0200000001010100000040e2010000000000000206120f000000000007000000\
+        000000000300000000000000393000000000000009000000000000000000c03f\
+        efbeadde000000000b0000000000000002000000000000004d01000000000000\
+        000000000000e83f000000000000f83f4d000000000000000500000000000000\
+        a086010000000000a08601000000000040000000000000000900000000000000";
+    /// Offsets of the version-2 reserved and architecture bytes.
+    const V2_RESERVED: usize = 9;
+    const V2_ARCH: usize = 18;
+
+    fn v2_blob() -> Vec<u8> {
+        (0..V2_EVERY_FIELD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V2_EVERY_FIELD[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// `Debug` prints every field, each `f64` in a form that round-trips
+    /// its bits.
+    fn same_config(a: &TuffyConfig, b: &TuffyConfig) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    #[test]
+    fn config_round_trips_every_field() {
+        let config = every_field_config();
         let (back, folded) = decode_config(&encode_config(&config, 42)).unwrap();
         assert_eq!(folded, 42);
-        assert_eq!(back.grounding, config.grounding);
-        assert_eq!(back.optimizer, config.optimizer);
-        assert_eq!(back.architecture, config.architecture);
-        assert_eq!(back.partitioning, config.partitioning);
-        assert_eq!(back.threads, config.threads);
-        assert_eq!(back.ground_threads, config.ground_threads);
-        assert_eq!(back.search.max_flips, config.search.max_flips);
-        assert_eq!(back.search.max_tries, config.search.max_tries);
-        assert_eq!(back.search.noise.to_bits(), config.search.noise.to_bits());
-        assert_eq!(back.search.seed, config.search.seed);
-        assert_eq!(back.mcsat.samples, config.mcsat.samples);
-        assert_eq!(
-            back.mcsat.p_anneal.to_bits(),
-            config.mcsat.p_anneal.to_bits()
-        );
-        assert_eq!(back.mcsat.seed, config.mcsat.seed);
-        assert_eq!(back.partition_rounds, config.partition_rounds);
-        assert_eq!(back.disk, config.disk);
-        assert_eq!(back.pool_pages, config.pool_pages);
+        assert!(same_config(&back, &config), "{back:?}");
     }
 
     #[test]
@@ -324,41 +331,70 @@ mod tests {
         let (back, folded) = decode_config(&encode_config(&config, 0)).unwrap();
         assert_eq!(folded, 0);
         assert_eq!(back.optimizer, config.optimizer);
-        assert_eq!(back.architecture, config.architecture);
         assert_eq!(back.partitioning, config.partitioning);
+    }
+
+    #[test]
+    fn version_2_blob_decodes_to_the_same_config_and_fold() {
+        let (back, folded) = decode_config(&v2_blob()).unwrap();
+        let (v3, v3_folded) = decode_config(&encode_config(&every_field_config(), 9)).unwrap();
+        assert!(same_config(&back, &v3), "{back:?}");
+        assert_eq!((folded, v3_folded), (9, 9));
+    }
+
+    /// `decode_config`'s error, which must be `Malformed`.
+    fn malformed(bytes: &[u8]) -> String {
+        match decode_config(bytes) {
+            Err(e @ StoreError::Malformed { .. }) => e.to_string(),
+            Err(e) => panic!("expected Malformed, got {e}"),
+            Ok(_) => panic!("expected Malformed, got a config"),
+        }
+    }
+
+    #[test]
+    fn version_2_blob_of_a_removed_architecture_is_typed_error() {
+        for (arch, name) in [(1, "in-memory"), (2, "rdbms-only")] {
+            let mut bytes = v2_blob();
+            bytes[V2_ARCH] = arch;
+            let err = malformed(&bytes);
+            assert!(err.contains(name), "{err}");
+        }
     }
 
     #[test]
     fn version_1_blob_without_fold_still_decodes() {
         // A pre-WAL (version-1) blob is the version-2 encoding minus the
         // trailing folded-sequence u64, with the version field rewritten.
-        let mut bytes = encode_config(&TuffyConfig::default(), 0);
+        let mut bytes = v2_blob();
         bytes.truncate(bytes.len() - 8);
         bytes[..4].copy_from_slice(&1u32.to_le_bytes());
         let (back, folded) = decode_config(&bytes).unwrap();
         assert_eq!(folded, 0);
-        assert_eq!(back.optimizer, TuffyConfig::default().optimizer);
+        assert!(same_config(&back, &every_field_config()), "{back:?}");
+    }
+
+    #[test]
+    fn later_versions_are_rejected() {
+        let mut bytes = encode_config(&TuffyConfig::default(), 0);
+        bytes[..4].copy_from_slice(&4u32.to_le_bytes());
+        assert!(malformed(&bytes).contains("version 4"));
     }
 
     #[test]
     fn reserved_byte_written_by_older_builds_is_ignored() {
         // Builds that still had the `replan` knob wrote it (default 1)
-        // where the reserved byte now sits.
-        let mut bytes = encode_config(&TuffyConfig::default(), 0);
-        assert_eq!(bytes[9], 0, "reserved byte is written as 0");
-        bytes[9] = 1;
+        // where versions 1 and 2 reserve a byte.
+        let mut bytes = v2_blob();
+        assert_eq!(bytes[V2_RESERVED], 0, "reserved byte is written as 0");
+        bytes[V2_RESERVED] = 1;
         let (back, _) = decode_config(&bytes).unwrap();
-        assert_eq!(back.optimizer, OptimizerConfig::default());
+        assert!(same_config(&back, &every_field_config()), "{back:?}");
     }
 
     #[test]
     fn bad_tag_is_typed_error() {
         let mut bytes = encode_config(&TuffyConfig::default(), 0);
         bytes[4] = 0xff; // grounding tag
-        match decode_config(&bytes) {
-            Err(StoreError::Malformed { .. }) => {}
-            Err(e) => panic!("expected Malformed, got {e}"),
-            Ok(_) => panic!("expected Malformed, got a config"),
-        }
+        malformed(&bytes);
     }
 }

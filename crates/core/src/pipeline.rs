@@ -72,8 +72,7 @@ impl Tuffy {
 
     /// Renders the physical plans (`EXPLAIN`) of every grounding query
     /// under the configured optimizer lesion knobs, without executing
-    /// anything. The plans are those the bottom-up grounder would run;
-    /// the in-memory architecture grounds top-down and has no plans.
+    /// anything: the plans the bottom-up grounder runs.
     pub fn explain_grounding(&self) -> Result<String, MlnError> {
         tuffy_grounder::explain_grounding(
             &self.program,
@@ -92,9 +91,9 @@ impl Tuffy {
         Ok(Scheduler::new(&grounding.mrf, self.config.scheduler_config()).explain())
     }
 
-    /// Grounds the program according to the configured architecture
-    /// (without building an engine). Shares the engine's grounding
-    /// dispatch, so the two can never disagree.
+    /// Grounds the program bottom-up in the RDBMS (without building an
+    /// engine). Shares the engine's grounding call, so the two can never
+    /// disagree.
     pub fn ground(&self) -> Result<GroundingResult, MlnError> {
         crate::snapshot::ground(&self.program, &self.evidence, &self.config)
     }
@@ -103,7 +102,7 @@ impl Tuffy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Architecture, PartitionStrategy};
+    use crate::config::PartitionStrategy;
     use tuffy_search::mcsat::McSatParams;
     use tuffy_search::WalkSatParams;
 
@@ -138,36 +137,6 @@ mod tests {
             ]
         );
         assert!(r.true_atoms_of("unknown_pred").is_none());
-    }
-
-    #[test]
-    fn architectures_agree_on_quality() {
-        let mk = |arch| {
-            let mut cfg = TuffyConfig {
-                architecture: arch,
-                search: WalkSatParams {
-                    max_flips: 20_000,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            if arch == Architecture::RdbmsOnly {
-                cfg.search.max_flips = 2_000; // scans are expensive
-            }
-            Tuffy::from_sources(PROGRAM, EVIDENCE)
-                .unwrap()
-                .with_config(cfg)
-                .open_session()
-                .unwrap()
-                .map()
-                .unwrap()
-        };
-        let hybrid = mk(Architecture::Hybrid);
-        let in_mem = mk(Architecture::InMemory);
-        let rdbms = mk(Architecture::RdbmsOnly);
-        assert!(hybrid.cost.is_zero());
-        assert!(in_mem.cost.is_zero());
-        assert!(rdbms.cost.is_zero());
     }
 
     #[test]

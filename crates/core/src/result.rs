@@ -33,7 +33,8 @@ pub struct InferenceReport {
     pub rounds: usize,
     /// Total search flips.
     pub flips: u64,
-    /// Search wall time (plus simulated I/O for `RdbmsOnly`).
+    /// Search wall time (the bench's Tuffy-mm baseline adds its simulated
+    /// I/O).
     pub search_time: Duration,
     /// Peak bytes of in-memory search state.
     pub search_ram: usize,

@@ -15,7 +15,7 @@
 //! never from execution order — concurrent executions are bit-identical
 //! to sequential ones (pinned by the serve stress suite).
 
-use crate::config::{Architecture, PartitionStrategy, TuffyConfig};
+use crate::config::{PartitionStrategy, TuffyConfig};
 use crate::query::{Query, QueryKind};
 use crate::result::{
     render_atom, InferenceReport, MapResult, MarginalResult, QueryAnswer, TopEntry, TopKResult,
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tuffy_grounder::incremental::{apply_delta_grounding, DeltaOutcome};
-use tuffy_grounder::{ground_bottom_up_threaded, ground_top_down, GroundingResult};
+use tuffy_grounder::{ground_bottom_up_threaded, GroundingResult};
 use tuffy_mln::evidence::{EvidenceDelta, EvidenceSet};
 use tuffy_mln::fxhash::FxHashMap;
 use tuffy_mln::program::MlnProgram;
@@ -33,29 +33,26 @@ use tuffy_mln::{MlnError, Weight};
 use tuffy_mrf::memory::MemoryFootprint;
 use tuffy_mrf::{AtomId, ComponentSet, Cost};
 use tuffy_search::mcsat::{McSat, McSatParams};
-use tuffy_search::rdbms_search::RdbmsSearch;
 use tuffy_search::{
-    MarginalSamples, Schedule, Scheduler, SchedulerConfig, TimeCostTrace, WalkSat, WalkSatParams,
+    flip_rate, MarginalSamples, Schedule, Scheduler, SchedulerConfig, TimeCostTrace, WalkSat,
+    WalkSatParams,
 };
 
-/// Grounds `program` under `evidence` according to the configured
-/// architecture — the single grounding dispatch every path (engine
-/// build, session re-ground, one-shot pipeline) goes through.
+/// Grounds `program` under `evidence` bottom-up in the RDBMS — the
+/// single grounding call every path (engine build, session re-ground,
+/// one-shot pipeline) goes through.
 pub(crate) fn ground(
     program: &MlnProgram,
     evidence: &EvidenceSet,
     config: &TuffyConfig,
 ) -> Result<GroundingResult, MlnError> {
-    match config.architecture {
-        Architecture::InMemory => ground_top_down(program, evidence, config.grounding),
-        Architecture::Hybrid | Architecture::RdbmsOnly => ground_bottom_up_threaded(
-            program,
-            evidence,
-            config.grounding,
-            &config.optimizer,
-            resolve_ground_threads(config.ground_threads),
-        ),
-    }
+    ground_bottom_up_threaded(
+        program,
+        evidence,
+        config.grounding,
+        &config.optimizer,
+        resolve_ground_threads(config.ground_threads),
+    )
 }
 
 /// Resolves the configured grounding thread count: `0` means "use the
@@ -278,15 +275,9 @@ impl Snapshot {
     }
 
     fn scheduler_config(&self, search: &WalkSatParams) -> SchedulerConfig {
-        let config = &self.inner.config;
         SchedulerConfig {
-            threads: config.threads,
-            mem_budget: match config.partitioning {
-                PartitionStrategy::Budget(bytes) => Some(bytes),
-                _ => None,
-            },
-            rounds: config.partition_rounds,
             search: *search,
+            ..self.inner.config.scheduler_config()
         }
     }
 
@@ -414,7 +405,6 @@ impl Snapshot {
         init: Option<Vec<bool>>,
         search: &WalkSatParams,
     ) -> (Vec<bool>, Cost, TimeCostTrace, InferenceReport) {
-        let config = &self.inner.config;
         let grounding = &self.inner.grounding;
         let mrf = &grounding.mrf;
         let mut report = InferenceReport {
@@ -431,69 +421,34 @@ impl Snapshot {
         let init = init.unwrap_or_else(|| vec![false; mrf.num_atoms()]);
         report.components = self.components();
 
-        let (truth, cost) = match config.architecture {
-            Architecture::RdbmsOnly => {
-                // Tuffy-mm keeps its state in the buffer pool; it always
-                // searches cold.
-                let mut rdbms_search =
-                    RdbmsSearch::new(mrf, config.pool_pages, config.disk, search.seed);
-                let r = rdbms_search.run(search.max_flips, search.noise, None, Some(&mut trace));
-                report.flips = r.flips;
-                report.search_time = r.wall + r.simulated_io;
-                report.flips_per_sec = r.flips_per_sec;
-                report.search_ram = mrf.num_atoms() * 2; // truth arrays only
-                (r.truth, r.cost)
-            }
-            Architecture::InMemory => {
-                // Alchemy-style: monolithic WalkSAT, not component-aware.
+        let (truth, cost) = match self.inner.config.partitioning {
+            PartitionStrategy::None => {
                 report.search_ram = MemoryFootprint::of(mrf).total();
                 let ws = WalkSat::run_from(mrf, init, search, Some(&mut trace));
                 report.flips = ws.flips();
                 (ws.best_truth().to_vec(), ws.best_cost())
             }
-            Architecture::Hybrid => {
-                match config.partitioning {
-                    PartitionStrategy::None => {
-                        report.search_ram = MemoryFootprint::of(mrf).total();
-                        let ws = WalkSat::run_from(mrf, init, search, Some(&mut trace));
-                        report.flips = ws.flips();
-                        (ws.best_truth().to_vec(), ws.best_cost())
-                    }
-                    // The PartitionedInference stage: components (or
-                    // budget-bounded Algorithm 3 partitions) → FFD bins →
-                    // worker pool → Gauss-Seidel rounds over cut clauses.
-                    PartitionStrategy::Components | PartitionStrategy::Budget(_) => {
-                        // The generation-scoped schedule cache: repeated
-                        // queries — from any number of sessions and
-                        // threads — skip Algorithm 3 + FFD re-planning.
-                        let scheduler = Scheduler::with_schedule(
-                            mrf,
-                            self.schedule(),
-                            self.scheduler_config(search),
-                        );
-                        let r = scheduler.run_from(&init, Some(&mut trace));
-                        report.flips = r.flips;
-                        report.search_ram = r.peak_partition_bytes;
-                        report.partitions = scheduler.schedule().units.len();
-                        report.bins = scheduler.schedule().bins.len();
-                        report.rounds = r.rounds_run;
-                        (r.truth, r.cost)
-                    }
-                }
+            // The PartitionedInference stage: components (or
+            // budget-bounded Algorithm 3 partitions) → FFD bins →
+            // worker pool → Gauss-Seidel rounds over cut clauses.
+            PartitionStrategy::Components | PartitionStrategy::Budget(_) => {
+                // The generation-scoped schedule cache: repeated
+                // queries — from any number of sessions and
+                // threads — skip Algorithm 3 + FFD re-planning.
+                let scheduler =
+                    Scheduler::with_schedule(mrf, self.schedule(), self.scheduler_config(search));
+                let r = scheduler.run_from(&init, Some(&mut trace));
+                report.flips = r.flips;
+                report.search_ram = r.peak_partition_bytes;
+                report.partitions = scheduler.schedule().units.len();
+                report.bins = scheduler.schedule().bins.len();
+                report.rounds = r.rounds_run;
+                (r.truth, r.cost)
             }
         };
 
-        if report.search_time.is_zero() {
-            report.search_time = search_started.elapsed();
-        }
-        if report.flips_per_sec == 0.0 {
-            let secs = report.search_time.as_secs_f64();
-            report.flips_per_sec = if secs > 0.0 {
-                report.flips as f64 / secs
-            } else {
-                f64::INFINITY
-            };
-        }
+        report.search_time = search_started.elapsed();
+        report.flips_per_sec = flip_rate(report.flips, report.search_time);
         (truth, cost, trace, report)
     }
 
@@ -511,7 +466,6 @@ impl Snapshot {
         let sample_started = Instant::now();
         let samples = self.marginal_stats(params)?;
         let search_time = sample_started.elapsed();
-        let secs = search_time.as_secs_f64();
         let flips = samples.flips;
         let report = InferenceReport {
             grounding: grounding.stats.clone(),
@@ -521,11 +475,7 @@ impl Snapshot {
             components: self.components(),
             flips,
             search_time,
-            flips_per_sec: if secs > 0.0 {
-                flips as f64 / secs
-            } else {
-                f64::INFINITY
-            },
+            flips_per_sec: flip_rate(flips, search_time),
             ..Default::default()
         };
         Ok((samples.probs.clone(), report))

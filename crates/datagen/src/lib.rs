@@ -41,6 +41,7 @@ use tuffy_mln::program::MlnProgram;
 
 /// A generated testbed: a name plus a fully parsed program and its
 /// evidence set.
+#[derive(Clone)]
 pub struct Dataset {
     /// Short dataset name ("LP", "IE", "RC", "ER", …).
     pub name: String,
@@ -50,7 +51,9 @@ pub struct Dataset {
     pub evidence: EvidenceSet,
 }
 
-pub(crate) fn parse(name: &str, program_src: &str, evidence_src: &str) -> Dataset {
+/// Parses a named dataset from program and evidence text, panicking on
+/// a syntax error.
+pub fn parse(name: &str, program_src: &str, evidence_src: &str) -> Dataset {
     let mut program = tuffy_mln::parser::parse_program(program_src)
         .unwrap_or_else(|e| panic!("{name} program: {e}"));
     let evidence = tuffy_mln::parser::parse_evidence(&mut program, evidence_src)

@@ -562,7 +562,6 @@ pub fn ground_bottom_up_threaded(
     stats.rounds = round;
     stats.clauses = mrf.clauses().len();
     stats.atoms = registry.len();
-    stats.io = gdb.db.io_stats();
     stats.peak_bytes = registry.bytes() + peak_result_bytes;
     stats.spill = mgr.stats();
     Ok(GroundingResult {

@@ -438,7 +438,6 @@ pub fn apply_delta_grounding(
         queries: 0,
         replans: 0,
         query_exec: std::time::Duration::ZERO,
-        io: Default::default(),
         peak_bytes: previous.stats.peak_bytes,
         spill: Default::default(),
     };

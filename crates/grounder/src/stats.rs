@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use tuffy_rdbms::{IoStats, SpillStats};
+use tuffy_rdbms::SpillStats;
 
 /// Process-wide count of full grounding runs (bottom-up or top-down).
 ///
@@ -52,8 +52,6 @@ pub struct GroundingStats {
     /// execute and canonical sort of each task, summed over tasks and
     /// grounding threads.
     pub query_exec: Duration,
-    /// RDBMS I/O counters (bottom-up only; zero for top-down).
-    pub io: IoStats,
     /// Peak bytes of grounding-time state: for the top-down grounder this
     /// is the in-memory tuple stores + registry + clause store it must
     /// hold throughout; for bottom-up it is the registry plus the largest

@@ -5,10 +5,15 @@
 //! a page access (~10 ms if it goes to a random disk location) where an
 //! in-memory step pays nanoseconds, so an RDBMS-backed search is three to
 //! five orders of magnitude slower per flip. To reproduce that behaviour
-//! deterministically on any machine, every page access in this engine runs
-//! through a [`BufferPool`]: hits are free, misses are counted, and a
-//! [`DiskModel`] converts miss counts into simulated I/O time. Experiments
-//! report wall-clock time plus simulated I/O time.
+//! deterministically on any machine, every page access runs through a
+//! [`BufferPool`]: hits are free, misses are counted, and a [`DiskModel`]
+//! converts miss counts into simulated I/O time. Experiments report
+//! wall-clock time plus simulated I/O time.
+//!
+//! Only a bounded pool counts: the Tuffy-mm baseline's
+//! (`tuffy_search::rdbms_search`) and tests'. The unbounded pool of
+//! [`crate::Database::in_memory`], which grounding uses, never misses,
+//! evicts or writes back, so an access returns before taking the lock.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -125,17 +130,14 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Creates a pool holding at most `capacity` pages. A capacity of 0
-    /// disables caching entirely (every access is a miss).
+    /// disables caching entirely (every access is a miss). A capacity of
+    /// `usize::MAX` holds every page: each access is a hit that is not
+    /// counted, and the pool keeps no state.
     pub fn new(capacity: usize) -> Self {
         BufferPool {
             capacity,
             state: Mutex::new(PoolState::default()),
         }
-    }
-
-    /// Capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Records an access to `key` for reading; returns `true` on a hit.
@@ -149,6 +151,9 @@ impl BufferPool {
     }
 
     fn access(&self, key: PageKey, write: bool) -> bool {
+        if self.capacity == usize::MAX {
+            return true;
+        }
         let st = &mut *self.state.lock();
         if let Some(page) = st.resident.get_mut(&key) {
             page.dirty |= write;
@@ -194,6 +199,9 @@ impl BufferPool {
     /// Drops every resident page belonging to `table`, writing back dirty
     /// ones (used when a table is truncated or dropped).
     pub fn evict_table(&self, table: u32) {
+        if self.capacity == usize::MAX {
+            return;
+        }
         let mut st = self.state.lock();
         let keys: Vec<PageKey> = st
             .resident
@@ -274,8 +282,18 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_pool_keeps_nothing() {
+        let pool = BufferPool::new(usize::MAX);
+        assert!(pool.touch_read((0, 0)));
+        assert!(pool.touch_write((0, 1)));
+        pool.evict_table(0);
+        assert_eq!(pool.stats(), IoStats::default());
+        assert!(pool.state.lock().lru.is_empty());
+    }
+
+    #[test]
     fn hits_leave_the_lru_queue_bounded() {
-        // The in-memory database's pool never evicts, so eviction cannot
+        // A pool larger than every table never evicts, so eviction cannot
         // be what trims the queue.
         let pool = BufferPool::new(usize::MAX / 2);
         for p in 0..4 {

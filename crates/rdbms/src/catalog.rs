@@ -1,5 +1,9 @@
 //! The database: a catalog of tables plus the shared buffer pool.
 //!
+//! The pool counts page accesses only when it is bounded, as in the
+//! Tuffy-mm baseline's database; [`Database::in_memory`], the grounder's,
+//! counts none.
+//!
 //! Two kinds of derived state hang off each table, and a mutation drops
 //! both. Statistics (`ANALYZE`, [`Database::analyze`]) live here and are
 //! dropped by every mutator below, [`Database::table_mut`] included. The
@@ -53,9 +57,10 @@ impl Database {
         }
     }
 
-    /// A database with an effectively unbounded pool and zero I/O latency.
+    /// A database whose pool holds every page, under zero I/O latency.
+    /// It keeps no I/O counters: its [`Database::io_stats`] stay zero.
     pub fn in_memory() -> Self {
-        Self::new(usize::MAX / 2, DiskModel::in_memory())
+        Self::new(usize::MAX, DiskModel::in_memory())
     }
 
     /// Creates a table, returning its id. Errors if the name exists.
@@ -100,12 +105,8 @@ impl Database {
         &self.pool
     }
 
-    /// The disk cost model.
-    pub fn disk(&self) -> &DiskModel {
-        &self.disk
-    }
-
-    /// Cumulative I/O counters.
+    /// Cumulative I/O counters of a bounded pool (all zero for
+    /// [`Database::in_memory`], which keeps none).
     pub fn io_stats(&self) -> IoStats {
         self.pool.stats()
     }

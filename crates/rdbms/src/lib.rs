@@ -12,9 +12,10 @@
 //! relational engine with
 //!
 //! * **storage**: fixed-width `u32` rows in pages, behind a buffer pool
-//!   with LRU eviction, I/O accounting, and an optional simulated-disk cost
-//!   model ([`storage`], [`bufferpool`]), plus a lazily built equality
-//!   index per column that every mutation drops;
+//!   that, when bounded, evicts LRU and counts I/O under an optional
+//!   simulated-disk cost model for the Tuffy-mm baseline ([`storage`],
+//!   [`bufferpool`]), plus a lazily built equality index per column that
+//!   every mutation drops;
 //! * **executors**: sequential scans and equality-index lookups with
 //!   predicate pushdown, nested-loop /
 //!   hash / sort-merge joins, semi- and anti-joins, distinct, sorting, and

@@ -2,8 +2,10 @@
 //!
 //! Rows are fixed-width `u32` tuples stored in pages of [`PAGE_ROWS`] rows.
 //! Every page-granularity access is reported to the owning database's
-//! [`crate::bufferpool::BufferPool`], which is how the engine models disk
-//! residency. Tables also expose their exact in-memory footprint, used for
+//! [`crate::bufferpool::BufferPool`], which is how the Tuffy-mm baseline
+//! models disk residency. Only a bounded pool counts pages; the unbounded
+//! pool of [`crate::Database::in_memory`], which grounding uses, returns
+//! at once. Tables also expose their exact in-memory footprint, used for
 //! the paper's space-efficiency measurements (Tables 4–5).
 //!
 //! # Equality indexes

@@ -34,5 +34,5 @@ pub use mcsat::McSat;
 pub use scheduler::{
     MarginalSamples, Schedule, ScheduleResult, ScheduleUnit, Scheduler, SchedulerConfig,
 };
-pub use timecost::{TimeCostTrace, TracePoint};
+pub use timecost::{flip_rate, TimeCostTrace, TracePoint};
 pub use walksat::{SearchScratch, WalkSat, WalkSatParams};

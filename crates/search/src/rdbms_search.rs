@@ -14,7 +14,7 @@
 //! deterministically on any hardware (Appendix C.1 bounds any disk-backed
 //! implementation at ≈100 flips/sec for 10 ms random I/O).
 
-use crate::timecost::TimeCostTrace;
+use crate::timecost::{flip_rate, TimeCostTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -32,7 +32,7 @@ pub struct RdbmsSearch {
     weights: Vec<Weight>,
     /// Physical plan of the clause-table scan (`SELECT cid, lit FROM
     /// clause_lits`), planned once at load time and executed on every
-    /// WalkSAT step — render it with [`RdbmsSearch::explain_scan`].
+    /// WalkSAT step.
     scan_plan: QueryPlan,
     /// Reused materialization buffer for the per-step scans (the I/O is
     /// re-charged on every scan; only the allocation is reused).
@@ -121,16 +121,6 @@ impl RdbmsSearch {
     /// Returns a batch obtained from [`RdbmsSearch::take_scan`] for reuse.
     fn return_scan(&mut self, buf: Batch) {
         self.scan_buf = buf;
-    }
-
-    /// The physical plan of the per-step clause-table scan.
-    pub fn scan_plan(&self) -> &QueryPlan {
-        &self.scan_plan
-    }
-
-    /// `EXPLAIN` rendering of the per-step clause-table scan.
-    pub fn explain_scan(&self) -> String {
-        self.scan_plan.explain()
     }
 
     /// Current cost by a full clause-table scan.
@@ -278,13 +268,12 @@ impl RdbmsSearch {
         atoms[best]
     }
 
-    /// Runs up to `max_flips` steps or until `deadline` of combined
-    /// wall + simulated-I/O time elapses. Returns the run statistics.
+    /// Runs up to `max_flips` steps, recording the best cost over
+    /// combined wall + simulated-I/O time. Returns the run statistics.
     pub fn run(
         &mut self,
         max_flips: u64,
         noise: f64,
-        deadline: Option<Duration>,
         mut trace: Option<&mut TimeCostTrace>,
     ) -> RdbmsSearchResult {
         let start = Instant::now();
@@ -293,45 +282,21 @@ impl RdbmsSearch {
             if !self.step(noise) {
                 break;
             }
-            let sim = Duration::from_nanos((self.db.simulated_io_nanos() - io_start) as u64);
-            let elapsed = start.elapsed() + sim;
             if let Some(t) = trace.as_deref_mut() {
-                t.record_at(elapsed, self.flips, self.best_cost);
-            }
-            if deadline.is_some_and(|d| elapsed >= d) {
-                break;
+                let sim = Duration::from_nanos((self.db.simulated_io_nanos() - io_start) as u64);
+                t.record_at(start.elapsed() + sim, self.flips, self.best_cost);
             }
         }
         let wall = start.elapsed();
         let simulated_io = Duration::from_nanos((self.db.simulated_io_nanos() - io_start) as u64);
-        let total = (wall + simulated_io).as_secs_f64();
         RdbmsSearchResult {
             truth: self.best_truth.clone(),
             cost: self.best_cost,
             flips: self.flips,
             wall,
             simulated_io,
-            flips_per_sec: if total > 0.0 {
-                self.flips as f64 / total
-            } else {
-                f64::INFINITY
-            },
+            flips_per_sec: flip_rate(self.flips, wall + simulated_io),
         }
-    }
-
-    /// Flips performed so far.
-    pub fn flips(&self) -> u64 {
-        self.flips
-    }
-
-    /// Best cost so far.
-    pub fn best_cost(&self) -> Cost {
-        self.best_cost
-    }
-
-    /// I/O counters of the underlying database.
-    pub fn io_stats(&self) -> tuffy_rdbms::IoStats {
-        self.db.io_stats()
     }
 }
 
@@ -355,7 +320,7 @@ mod tests {
     fn finds_same_optimum_as_memory_walksat() {
         let m = example1(2);
         let mut s = RdbmsSearch::new(&m, 1024, DiskModel::in_memory(), 7);
-        let r = s.run(2000, 0.5, None, None);
+        let r = s.run(2000, 0.5, None);
         assert_eq!(r.cost, Cost::soft(2.0)); // both components at optimum
     }
 
@@ -363,9 +328,9 @@ mod tests {
     fn io_charged_per_step() {
         let m = example1(8);
         let mut s = RdbmsSearch::new(&m, 0, DiskModel::in_memory(), 3);
-        let before = s.io_stats().page_reads;
+        let before = s.db.io_stats().page_reads;
         s.step(0.5);
-        let after = s.io_stats().page_reads;
+        let after = s.db.io_stats().page_reads;
         assert!(after > before, "steps must touch the clause table");
     }
 
@@ -374,9 +339,9 @@ mod tests {
         let m = example1(8);
         // Tiny pool + SSD latency: rate should collapse vs in-memory.
         let mut slow = RdbmsSearch::new(&m, 0, DiskModel::ssd(), 3);
-        let r_slow = slow.run(50, 0.5, None, None);
+        let r_slow = slow.run(50, 0.5, None);
         let mut fast = RdbmsSearch::new(&m, usize::MAX / 2, DiskModel::in_memory(), 3);
-        let r_fast = fast.run(50, 0.5, None, None);
+        let r_fast = fast.run(50, 0.5, None);
         assert!(r_slow.simulated_io > Duration::ZERO);
         assert!(r_fast.simulated_io == Duration::ZERO);
         assert!(r_slow.flips_per_sec < r_fast.flips_per_sec);

@@ -3,6 +3,16 @@
 use std::time::{Duration, Instant};
 use tuffy_mrf::Cost;
 
+/// Flips per second over `elapsed`; infinite when no time elapsed.
+pub fn flip_rate(flips: u64, elapsed: Duration) -> f64 {
+    let secs = elapsed.as_secs_f64();
+    if secs > 0.0 {
+        flips as f64 / secs
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// One sample of a best-so-far cost curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TracePoint {

@@ -7,10 +7,9 @@
 //! tuffy -i prog.mln -e evidence.db [-r result.out] [--marginal] \
 //!       [--delta d.db ...] [--session] [--connect ADDR] \
 //!       [--flips N] [--parallel N] [--no-partition] [--mem-budget BYTES] \
-//!       [--partition-rounds N] [--seed N] [--arch hybrid|inmemory|rdbms] \
-//!       [--explain] [--explain-schedule] [--join-order auto|program] \
-//!       [--join-algo auto|nl] [--no-pushdown] [--no-stats] \
-//!       [--ground-threads N]
+//!       [--partition-rounds N] [--seed N] [--explain] [--explain-schedule] \
+//!       [--join-order auto|program] [--join-algo auto|nl] [--no-pushdown] \
+//!       [--no-stats] [--ground-threads N]
 //! ```
 //!
 //! All inference runs inside one long-lived session (ground once, query
@@ -29,8 +28,8 @@
 //! `tuffyd --store DIR` an apply is durable and shared — it is written
 //! to the server's write-ahead log and every connection sees it. Flags
 //! that configure a local engine (`-i`, `-e`, `--explain*`, `--learn*`,
-//! `--arch`, the partitioning, planner and grounding knobs) are rejected
-//! in this mode, naming the flag.
+//! the partitioning, planner and grounding knobs) are rejected in this
+//! mode, naming the flag.
 //!
 //! `--explain` prints the physical plan (`EXPLAIN`) of every grounding
 //! query under the selected lesion knobs and exits without running
@@ -48,8 +47,8 @@
 use std::io::BufRead;
 use std::process::ExitCode;
 use tuffy::{
-    Architecture, GroundingMode, JoinAlgorithmPolicy, JoinOrderPolicy, McSatParams,
-    PartitionStrategy, Query, Session, Tuffy, TuffyConfig, WalkSatParams,
+    GroundingMode, JoinAlgorithmPolicy, JoinOrderPolicy, McSatParams, PartitionStrategy, Query,
+    Session, Tuffy, TuffyConfig, WalkSatParams,
 };
 use tuffy_learn::{DiagonalNewton, Learner, TrainingSet, VotedPerceptron, WeightLearner};
 use tuffy_serve::client::{Client, RetryPolicy, WireAnswer};
@@ -70,7 +69,6 @@ struct Args {
     partition: PartitionStrategy,
     partition_rounds: usize,
     seed: u64,
-    arch: Architecture,
     join_order: JoinOrderPolicy,
     join_algorithm: JoinAlgorithmPolicy,
     pushdown: bool,
@@ -93,7 +91,7 @@ fn usage() -> &'static str {
      \x20       [--marginal] [--delta <delta.db>]... [--session]\n\
      \x20       [--connect HOST:PORT] [--flips N] [--parallel N] [--no-partition]\n\
      \x20       [--mem-budget BYTES] [--partition-rounds N] [--seed N]\n\
-     \x20       [--arch hybrid|inmemory|rdbms] [--explain] [--explain-schedule]\n\
+     \x20       [--explain] [--explain-schedule]\n\
      \x20       [--join-order auto|program] [--join-algo auto|nl]\n\
      \x20       [--no-pushdown] [--no-stats] [--ground-threads N]\n\
      \x20       [--mem-budget-bytes N]\n\
@@ -101,12 +99,11 @@ fn usage() -> &'static str {
 }
 
 /// Flags that configure a local engine; `--connect` rejects each.
-const LOCAL_ONLY: [&str; 18] = [
+const LOCAL_ONLY: [&str; 17] = [
     "-i",
     "-e",
     "--explain",
     "--explain-schedule",
-    "--arch",
     "--parallel",
     "--no-partition",
     "--mem-budget",
@@ -138,7 +135,6 @@ fn parse_args() -> Result<Args, String> {
         partition: PartitionStrategy::Components,
         partition_rounds: 3,
         seed: 42,
-        arch: Architecture::Hybrid,
         join_order: JoinOrderPolicy::Auto,
         join_algorithm: JoinAlgorithmPolicy::Auto,
         pushdown: true,
@@ -220,14 +216,6 @@ fn parse_args() -> Result<Args, String> {
                 args.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--arch" => {
-                args.arch = match value("--arch")?.as_str() {
-                    "hybrid" => Architecture::Hybrid,
-                    "inmemory" => Architecture::InMemory,
-                    "rdbms" => Architecture::RdbmsOnly,
-                    other => return Err(format!("unknown architecture `{other}`")),
-                };
             }
             "--learn" => args.learn = Some(value("--learn")?),
             "--learner" => {
@@ -566,7 +554,6 @@ fn run() -> Result<(), String> {
         None => String::new(),
     };
     let config = TuffyConfig {
-        architecture: args.arch,
         partitioning: args.partition,
         partition_rounds: args.partition_rounds,
         threads: args.threads,

@@ -18,12 +18,11 @@ fn stderr(out: &Output) -> String {
 /// loopback refuses connections, so a connect attempt would report it).
 #[test]
 fn connect_rejects_local_engine_flags_by_name() {
-    let flags: [&[&str]; 18] = [
+    let flags: [&[&str]; 17] = [
         &["-i", "prog.mln"],
         &["-e", "evidence.db"],
         &["--explain"],
         &["--explain-schedule"],
-        &["--arch", "rdbms"],
         &["--parallel", "2"],
         &["--no-partition"],
         &["--mem-budget", "4096"],
@@ -55,13 +54,16 @@ fn connect_rejects_local_engine_flags_by_name() {
     }
 }
 
+/// Removed flags fail as unknown ones rather than being ignored.
 #[test]
 fn serve_is_an_unknown_flag() {
-    let out = tuffy(&["--serve", "2"]);
-    assert!(!out.status.success());
-    assert!(
-        stderr(&out).contains("unknown flag `--serve`"),
-        "{}",
-        stderr(&out)
-    );
+    for flag in ["--serve", "--arch"] {
+        let out = tuffy(&[flag, "2"]);
+        assert!(!out.status.success());
+        assert!(
+            stderr(&out).contains(&format!("unknown flag `{flag}`")),
+            "{}",
+            stderr(&out)
+        );
+    }
 }

@@ -25,7 +25,7 @@ use tuffy_mln::{
     Symbol, SymbolTable, Term, TypeId, Var, Weight,
 };
 use tuffy_mrf::{ClauseProvenance, Cost, Lit, Mrf, MrfColumns, RuleOrigin};
-use tuffy_rdbms::{IoStats, SpillStats};
+use tuffy_rdbms::SpillStats;
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::error::StoreError;
@@ -669,9 +669,12 @@ fn encode_stats(stats: &GroundingStats) -> Vec<u8> {
     w.put_u64(stats.queries);
     w.put_u64(stats.replans);
     w.put_u64(stats.query_exec.as_nanos() as u64);
-    w.put_u64(stats.io.hits);
-    w.put_u64(stats.io.page_reads);
-    w.put_u64(stats.io.page_writes);
+    // Reserved: the removed buffer-pool counters (hits, page reads,
+    // page writes). Written 0, ignored on read, so files written while
+    // grounding still counted pages load.
+    for _ in 0..3 {
+        w.put_u64(0);
+    }
     w.put_u64(stats.peak_bytes as u64);
     w.put_u64(stats.spill.runs_written);
     w.put_u64(stats.spill.bytes_spilled);
@@ -691,12 +694,12 @@ fn decode_stats(bytes: &[u8]) -> Result<GroundingStats, StoreError> {
         queries: r.get_u64()?,
         replans: r.get_u64()?,
         query_exec: Duration::from_nanos(r.get_u64()?),
-        io: IoStats {
-            hits: r.get_u64()?,
-            page_reads: r.get_u64()?,
-            page_writes: r.get_u64()?,
+        peak_bytes: {
+            for _ in 0..3 {
+                r.get_u64()?; // reserved (see `encode_stats`)
+            }
+            r.get_len()?
         },
-        peak_bytes: r.get_len()?,
         spill: SpillStats {
             runs_written: r.get_u64()?,
             bytes_spilled: r.get_u64()?,
@@ -838,6 +841,20 @@ mod tests {
         assert_eq!(loaded.config, b"cfg-bytes");
 
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn stats_with_legacy_io_counters_load() {
+        let (_, _, result) = grounded();
+        let mut bytes = encode_stats(&result.stats);
+        // Slots 8..11 held the buffer-pool hits, page reads and page
+        // writes; builds that counted pages wrote them non-zero.
+        assert!(bytes[64..88].iter().all(|&b| b == 0));
+        bytes[64..88].fill(0x5a);
+        let back = decode_stats(&bytes).unwrap();
+        assert_eq!(back.query_exec, result.stats.query_exec);
+        assert_eq!(back.peak_bytes, result.stats.peak_bytes);
+        assert_eq!(back.spill, result.stats.spill);
     }
 
     #[test]

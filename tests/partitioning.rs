@@ -201,3 +201,32 @@ fn ffd_batches_ie_components() {
         assert!(b.total <= capacity || b.items.len() == 1);
     }
 }
+
+/// Loading one component at a time needs less RAM than the whole MRF
+/// (Table 5's RAM column).
+#[test]
+fn search_ram_reflects_partitioning() {
+    let search_ram = |partitioning| {
+        let ds = tuffy_datagen::rc(6, 4, 3);
+        let cfg = TuffyConfig {
+            partitioning,
+            search: WalkSatParams {
+                max_flips: 5_000,
+                seed: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let tuffy = Tuffy::from_parts(ds.program, ds.evidence).with_config(cfg);
+        tuffy
+            .open_session()
+            .unwrap()
+            .map()
+            .unwrap()
+            .report
+            .search_ram
+    };
+    let whole = search_ram(PartitionStrategy::None);
+    let comps = search_ram(PartitionStrategy::Components);
+    assert!(comps <= whole, "components {comps} vs whole {whole}");
+}

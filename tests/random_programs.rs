@@ -1,10 +1,11 @@
 //! End-to-end property test: on random small programs, MAP inference
 //! returns a world whose independently re-evaluated cost matches the
 //! reported cost, hard rules hold whenever the search satisfies them at
-//! all, and all three architectures ground identically.
+//! all, and top-down grounding builds the same network as bottom-up.
 
 use proptest::prelude::*;
-use tuffy::{Architecture, Tuffy, TuffyConfig, WalkSatParams};
+use tuffy::{Tuffy, TuffyConfig, WalkSatParams};
+use tuffy_grounder::ground_top_down;
 
 /// A random classification-flavored program: link evidence + label rules.
 fn program_source(
@@ -72,21 +73,10 @@ proptest! {
         // The trace's final cost equals the result cost.
         prop_assert_eq!(r.trace.final_cost().unwrap(), r.cost);
 
-        // Architectures agree on the ground network.
-        for arch in [Architecture::InMemory, Architecture::RdbmsOnly] {
-            let cfg2 = TuffyConfig {
-                architecture: arch,
-                search: WalkSatParams {
-                    max_flips: 50,
-                    seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let t2 = Tuffy::from_sources(&src, &ev).unwrap().with_config(cfg2);
-            let g2 = t2.ground().unwrap();
-            prop_assert_eq!(g2.mrf.clauses().len(), g.mrf.clauses().len());
-            prop_assert_eq!(g2.registry.len(), g.registry.len());
-        }
+        // Top-down grounding (the Alchemy baseline's) agrees on the
+        // ground network.
+        let g2 = ground_top_down(t.program(), t.evidence(), cfg.grounding).unwrap();
+        prop_assert_eq!(g2.mrf.clauses().len(), g.mrf.clauses().len());
+        prop_assert_eq!(g2.registry.len(), g.registry.len());
     }
 }
