@@ -36,7 +36,8 @@ pub const GENERATION_FILE: &str = "generation.tst";
 /// the WAL existed) still load, with an implied fold of 0. Version 3
 /// dropped a reserved byte and the fields of the removed engine modes;
 /// version-1 and -2 files still load if they name the hybrid
-/// architecture.
+/// architecture. The optimizer byte after `pushdown` is reserved in
+/// every version (see [`decode_config`]).
 const CONFIG_VERSION: u32 = 3;
 
 impl Engine {
@@ -124,7 +125,7 @@ pub(crate) fn encode_config(c: &TuffyConfig, folded_seq: u64) -> Vec<u8> {
         JoinAlgorithmPolicy::NestedLoopOnly => JA_NESTED_LOOP,
     });
     w.put_u8(c.optimizer.pushdown as u8);
-    w.put_u8(c.optimizer.use_stats as u8);
+    w.put_u8(1); // reserved
     w.put_u64(c.optimizer.mem_budget_bytes as u64);
     match c.partitioning {
         PartitionStrategy::None => w.put_u8(PART_NONE),
@@ -179,7 +180,10 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreErr
         t => return Err(StoreError::malformed(format!("bad join-algorithm tag {t}"))),
     };
     let pushdown = tag_bool(r.get_u8()?, "pushdown")?;
-    let use_stats = tag_bool(r.get_u8()?, "use_stats")?;
+    // Reserved: the removed `use_stats` knob. Written as 1, its old
+    // default, so older builds plan as they did; read as a bool, so a
+    // corrupt byte is still an error, and discarded.
+    tag_bool(r.get_u8()?, "reserved optimizer byte")?;
     if legacy {
         r.get_u8()?; // reserved: the removed `replan` knob
     }
@@ -187,7 +191,6 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreErr
         join_order,
         join_algorithm,
         pushdown,
-        use_stats,
         mem_budget_bytes: r.get_len()?,
     };
     if legacy {
@@ -267,7 +270,6 @@ mod tests {
                 join_order: JoinOrderPolicy::Program,
                 join_algorithm: JoinAlgorithmPolicy::NestedLoopOnly,
                 pushdown: false,
-                use_stats: false,
                 mem_budget_bytes: 123_456,
             },
             partitioning: PartitionStrategy::Budget(987_654),
@@ -303,6 +305,9 @@ mod tests {
     /// Offsets of the version-2 reserved and architecture bytes.
     const V2_RESERVED: usize = 9;
     const V2_ARCH: usize = 18;
+    /// Offset of the reserved optimizer byte, in every version: builds
+    /// that still had the statistics knob wrote it there.
+    const STATS_RESERVED: usize = 8;
 
     fn v2_blob() -> Vec<u8> {
         (0..V2_EVERY_FIELD.len())
@@ -389,6 +394,22 @@ mod tests {
         bytes[V2_RESERVED] = 1;
         let (back, _) = decode_config(&bytes).unwrap();
         assert!(same_config(&back, &every_field_config()), "{back:?}");
+    }
+
+    #[test]
+    fn reserved_stats_byte_of_either_value_decodes_to_the_same_config() {
+        // A blob written by an older build with statistics switched off
+        // carries 0 where this build writes 1.
+        let bytes = encode_config(&every_field_config(), 9);
+        assert_eq!(bytes[STATS_RESERVED], 1, "reserved byte is written as 1");
+        let mut off = bytes.clone();
+        off[STATS_RESERVED] = 0;
+        let (back, folded) = decode_config(&off).unwrap();
+        let (v3, v3_folded) = decode_config(&bytes).unwrap();
+        assert!(same_config(&back, &v3), "{back:?}");
+        assert_eq!((folded, v3_folded), (9, 9));
+        off[STATS_RESERVED] = 2;
+        assert!(malformed(&off).contains("reserved optimizer byte"));
     }
 
     #[test]

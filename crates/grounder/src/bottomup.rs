@@ -22,8 +22,7 @@
 //! worker pool while keeping the [`GroundingResult`] **byte-identical at
 //! every thread count**, including 1. The design:
 //!
-//! 1. **Snapshot-per-round.** Each round first refreshes table statistics
-//!    ([`tuffy_rdbms::Database::analyze_all`]) and enumerates an ordered
+//! 1. **Snapshot-per-round.** Each round first enumerates an ordered
 //!    task list — one task per clause variant, split further into
 //!    value-range chunks for large driving tables. All tasks of a round
 //!    query the *start-of-round* database state; activations become
@@ -57,7 +56,7 @@
 //!    before emission, and a variant's sorted chunks and runs are k-way
 //!    merged ([`merge_cursor`]) into one content-ordered stream. Emission
 //!    order therefore depends only on the binding *set* of each variant —
-//!    never on the join order, join algorithm, or statistics that
+//!    never on the join order, join algorithm, or estimates that
 //!    produced it — which keeps atom numbering stable under
 //!    optimizer changes and under evidence deltas that merely prune
 //!    bindings (the incremental patch path relies on this).
@@ -68,8 +67,9 @@
 //!    provenance, and the CSR arena layout never depend on scheduling.
 //!
 //! Planning inputs are identical at every thread count too: a plan
-//! depends only on the query, the round-start statistics of part 1, and
-//! the config — never on what other tasks executed.
+//! depends only on the query, the round-start table contents of part 1
+//! (their lengths and column indexes), and the config — never on what
+//! other tasks executed.
 
 use crate::compile::{compile_clause, CompiledClause, GroundingMode};
 use crate::dbload::GroundingDb;
@@ -412,10 +412,9 @@ pub fn ground_bottom_up_threaded(
 
     let mut round = 0usize;
     loop {
-        // Phase A: refresh statistics, then enumerate this round's tasks
-        // against the start-of-round table state: each clause's variants
-        // for this round, large ones split into value-range chunks.
-        gdb.db.analyze_all();
+        // Phase A: enumerate this round's tasks against the start-of-round
+        // table state: each clause's variants for this round, large ones
+        // split into value-range chunks.
         let mut tasks: Vec<RoundTask> = Vec::new();
         for (ci, cc) in compiled.iter().enumerate() {
             for variant in round_variants(cc, round, &gdb) {
@@ -590,8 +589,7 @@ pub fn explain_grounding(
 ) -> Result<String, MlnError> {
     evidence.validate(program)?;
     let domains = evidence.merged_domains(program);
-    let mut gdb = GroundingDb::build(program, evidence, &domains)?;
-    gdb.db.analyze_all();
+    let gdb = GroundingDb::build(program, evidence, &domains)?;
     let clauses = clausify_program(program);
     let to_mln = |e: tuffy_rdbms::DbError| MlnError::general(e.to_string());
     let mut out = String::new();
@@ -882,19 +880,15 @@ mod tests {
                 JoinAlgorithmPolicy::NestedLoopOnly,
             ] {
                 for pushdown in [true, false] {
-                    for use_stats in [true, false] {
-                        let cfg = OptimizerConfig {
-                            join_order,
-                            join_algorithm,
-                            pushdown,
-                            use_stats,
-                            ..Default::default()
-                        };
-                        let r =
-                            ground_bottom_up(&p, &ev, GroundingMode::LazyClosure, &cfg).unwrap();
-                        assert_eq!(r.stats.clauses, reference.stats.clauses);
-                        assert_eq!(r.stats.atoms, reference.stats.atoms);
-                    }
+                    let cfg = OptimizerConfig {
+                        join_order,
+                        join_algorithm,
+                        pushdown,
+                        ..Default::default()
+                    };
+                    let r = ground_bottom_up(&p, &ev, GroundingMode::LazyClosure, &cfg).unwrap();
+                    assert_eq!(r.stats.clauses, reference.stats.clauses);
+                    assert_eq!(r.stats.atoms, reference.stats.atoms);
                 }
             }
         }

@@ -9,7 +9,7 @@ use tuffy_grounder::compile::{compile_clause, GroundingMode};
 use tuffy_grounder::dbload::GroundingDb;
 use tuffy_mln::clausify::clausify_program;
 use tuffy_mln::parser::{parse_evidence, parse_program};
-use tuffy_rdbms::optimizer::plan_analyzed;
+use tuffy_rdbms::optimizer::plan_query;
 use tuffy_rdbms::OptimizerConfig;
 
 /// Figure 1: coauthorship + citation label propagation.
@@ -44,14 +44,12 @@ fn query_for_rule(
     cc.query.expect("rule has universal variables")
 }
 
-fn plan_with_config(rule: usize, config: &OptimizerConfig) -> String {
-    let (p, mut gdb) = grounding_db();
-    let q = query_for_rule(&p, &gdb, rule);
-    plan_analyzed(&mut gdb.db, &q, config).unwrap().explain()
-}
-
 fn plan_for_rule(rule: usize) -> String {
-    plan_with_config(rule, &OptimizerConfig::default())
+    let (p, gdb) = grounding_db();
+    let q = query_for_rule(&p, &gdb, rule);
+    plan_query(&gdb.db, &q, &OptimizerConfig::default())
+        .unwrap()
+        .explain()
 }
 
 /// F2 of Figure 1: `wrote(x,p1), wrote(x,p2), cat(p1,c) => cat(p2,c)`.
@@ -62,8 +60,8 @@ fn plan_for_rule(rule: usize) -> String {
 #[test]
 fn coauthor_label_propagation_plan_is_pinned() {
     let expected = "\
-Query (rows=1 cost=21 output=[v0, v1, v2, v3])
-└─ AntiJoin keys=[v2, v3]  (rows=1 cost=21 width=4 vars=[1, 3, 0, 2])
+Query (rows=1 cost=20 output=[v0, v1, v2, v3])
+└─ AntiJoin keys=[v2, v3]  (rows=1 cost=20 width=4 vars=[1, 3, 0, 2])
    ├─ HashJoin keys=[v0]  (rows=1 cost=18 width=4 vars=[1, 3, 0, 2])
    │  ├─ HashJoin keys=[v1]  (rows=1 cost=10 width=3 vars=[1, 3, 0])
    │  │  ├─ AntiJoin keys=[v1, v3]  (rows=1 cost=2 width=2 vars=[1, 3])
@@ -93,47 +91,15 @@ Query (rows=1 cost=9 output=[v0, v1, v2])
     assert_eq!(plan_for_rule(1), expected);
 }
 
-/// Lesion: the same F2 query planned with table statistics disabled.
-/// Estimates fall back to schema defaults; on this tiny fixture the join
-/// order survives but the cost arithmetic shifts (cost=20 vs the
-/// stats-on cost=21 above) — the regression guard that grounding plans
-/// actually consume [`tuffy_rdbms::stats::TableStats`] end to end.
-#[test]
-fn stats_lesion_changes_the_plan() {
-    let no_stats = OptimizerConfig {
-        use_stats: false,
-        ..Default::default()
-    };
-    let lesioned = plan_with_config(0, &no_stats);
-    let expected = "\
-Query (rows=1 cost=20 output=[v0, v1, v2, v3])
-└─ AntiJoin keys=[v2, v3]  (rows=1 cost=20 width=4 vars=[1, 3, 0, 2])
-   ├─ HashJoin keys=[v0]  (rows=1 cost=18 width=4 vars=[1, 3, 0, 2])
-   │  ├─ HashJoin keys=[v1]  (rows=1 cost=10 width=3 vars=[1, 3, 0])
-   │  │  ├─ AntiJoin keys=[v1, v3]  (rows=1 cost=2 width=2 vars=[1, 3])
-   │  │  │  ├─ SeqScan reach_cat  (rows=1 cost=1 width=2 vars=[1, 3])
-   │  │  │  └─ SeqScan evf_cat  (rows=0 cost=0 width=2 vars=[1, 3])
-   │  │  └─ SeqScan evt_wrote  (rows=3 cost=3 width=2 vars=[0, 1])
-   │  └─ SeqScan evt_wrote  (rows=3 cost=3 width=2 vars=[0, 2])
-   └─ SeqScan evt_cat  (rows=1 cost=1 width=2 vars=[2, 3])
-";
-    assert_eq!(lesioned, expected);
-    assert_ne!(
-        lesioned,
-        plan_for_rule(0),
-        "disabling statistics did not change the plan: stats are not being consumed"
-    );
-}
-
 /// `EXPLAIN ANALYZE` for F3: estimated versus actual rows per node,
 /// pinned with the (nondeterministic) timings stripped. The estimates
-/// come from [`tuffy_rdbms::stats::TableStats`]; the actuals from
-/// profiled execution of the same plan.
+/// come from the table lengths; the actuals from profiled execution of
+/// the same plan.
 #[test]
 fn est_vs_actual_rendering_is_pinned() {
-    let (p, mut gdb) = grounding_db();
+    let (p, gdb) = grounding_db();
     let q = query_for_rule(&p, &gdb, 1);
-    let plan = plan_analyzed(&mut gdb.db, &q, &OptimizerConfig::default()).unwrap();
+    let plan = plan_query(&gdb.db, &q, &OptimizerConfig::default()).unwrap();
     let (_, profile) = tuffy_rdbms::execute_profiled(&gdb.db, &plan).unwrap();
     let rendered: String = profile
         .explain_analyze(&plan)
@@ -190,21 +156,21 @@ fn explain_shows_chunks_and_index_lookups() {
     let expected = "\
 clause 0 (weight 1, 2 universal vars), chunks=2 on v0
 chunk v0 in [0, 55]
-Query (rows=974 cost=3182 output=[v0, v1])
-└─ AntiJoin keys=[v1]  (rows=974 cost=3182 width=2 vars=[0, 1])
-   ├─ SeqScan evt_link preds=[c0 in [0,55]]  (rows=1082 cost=2100 width=2 vars=[0, 1])
+Query (rows=945 cost=3150 output=[v0, v1])
+└─ AntiJoin keys=[v1]  (rows=945 cost=3150 width=2 vars=[0, 1])
+   ├─ SeqScan evt_link preds=[c0 in [0,55]]  (rows=1050 cost=2100 width=2 vars=[0, 1])
    └─ SeqScan evt_label  (rows=0 cost=0 width=1 vars=[1])
 
 chunk v0 in [56, 4294967295]
-Query (rows=916 cost=3118 output=[v0, v1])
-└─ AntiJoin keys=[v1]  (rows=916 cost=3118 width=2 vars=[0, 1])
-   ├─ SeqScan evt_link preds=[c0 in [56,4294967295]]  (rows=1018 cost=2100 width=2 vars=[0, 1])
+Query (rows=945 cost=3150 output=[v0, v1])
+└─ AntiJoin keys=[v1]  (rows=945 cost=3150 width=2 vars=[0, 1])
+   ├─ SeqScan evt_link preds=[c0 in [56,4294967295]]  (rows=1050 cost=2100 width=2 vars=[0, 1])
    └─ SeqScan evt_label  (rows=0 cost=0 width=1 vars=[1])
 
 clause 1 (weight 2, 1 universal vars)
-Query (rows=38 cost=84 output=[v0])
-└─ AntiJoin keys=[v0]  (rows=38 cost=84 width=1 vars=[0])
-   ├─ IndexScan evt_link [c0=5]  (rows=42 cost=42 width=1 vars=[0])
+Query (rows=1 cost=43 output=[v0])
+└─ AntiJoin keys=[v0]  (rows=1 cost=43 width=1 vars=[0])
+   ├─ IndexScan evt_link [c0=5]  (rows=1 cost=42 width=1 vars=[0])
    └─ SeqScan evt_label  (rows=0 cost=0 width=1 vars=[0])
 
 ";

@@ -4,13 +4,11 @@
 //! Tuffy-mm baseline's database; [`Database::in_memory`], the grounder's,
 //! counts none.
 //!
-//! Two kinds of derived state hang off each table, and a mutation drops
-//! both. Statistics (`ANALYZE`, [`Database::analyze`]) live here and are
-//! dropped by every mutator below, [`Database::table_mut`] included. The
-//! per-column equality indexes live in the [`Table`] itself, built on
-//! first use by whoever reads through `&Database` (the planner, the
-//! executor, the grounder's chunker, from any thread), and dropped by the
-//! table on any change to its rows — whether it arrives through
+//! One kind of derived state hangs off each table: the per-column
+//! equality indexes. They live in the [`Table`] itself, built on first
+//! use by whoever reads through `&Database` (the planner, the executor,
+//! the grounder's chunker, from any thread), and dropped by the table on
+//! any change to its rows — whether it arrives through
 //! [`Database::insert`], [`Database::bulk_load`],
 //! [`Database::update_cell`], [`Database::truncate`] or the `&mut Table`
 //! that [`Database::table_mut`] hands out.
@@ -18,7 +16,6 @@
 use crate::bufferpool::{BufferPool, DiskModel, IoStats};
 use crate::error::DbError;
 use crate::schema::TableSchema;
-use crate::stats::TableStats;
 use crate::storage::Table;
 use tuffy_mln::fxhash::FxHashMap;
 
@@ -34,11 +31,10 @@ impl TableId {
     }
 }
 
-/// An embedded database instance: tables, statistics, and a buffer pool.
+/// An embedded database instance: tables and a buffer pool.
 pub struct Database {
     tables: Vec<Table>,
     by_name: FxHashMap<String, TableId>,
-    stats: Vec<Option<TableStats>>,
     pool: BufferPool,
     disk: DiskModel,
 }
@@ -51,7 +47,6 @@ impl Database {
         Database {
             tables: Vec::new(),
             by_name: FxHashMap::default(),
-            stats: Vec::new(),
             pool: BufferPool::new(pool_pages),
             disk,
         }
@@ -75,7 +70,6 @@ impl Database {
         }
         let id = TableId(self.tables.len() as u32);
         self.tables.push(Table::new(name.clone(), schema, id.0));
-        self.stats.push(None);
         self.by_name.insert(name, id);
         Ok(id)
     }
@@ -93,10 +87,9 @@ impl Database {
         &self.tables[id.index()]
     }
 
-    /// Mutable access to a table (invalidates its statistics; the table
-    /// drops its own equality indexes if its rows change).
+    /// Mutable access to a table (the table drops its own equality
+    /// indexes if its rows change).
     pub fn table_mut(&mut self, id: TableId) -> &mut Table {
-        self.stats[id.index()] = None;
         &mut self.tables[id.index()]
     }
 
@@ -116,34 +109,8 @@ impl Database {
         self.pool.stats().simulated_nanos(&self.disk)
     }
 
-    /// Computes (and caches) statistics for `id` — `ANALYZE`.
-    pub fn analyze(&mut self, id: TableId) -> &TableStats {
-        if self.stats[id.index()].is_none() {
-            let t = &self.tables[id.index()];
-            self.stats[id.index()] = Some(TableStats::compute(t, &self.pool));
-        }
-        self.stats[id.index()].as_ref().unwrap()
-    }
-
-    /// Cached statistics if `ANALYZE` has run since the last mutation.
-    pub fn stats(&self, id: TableId) -> Option<&TableStats> {
-        self.stats[id.index()].as_ref()
-    }
-
-    /// `ANALYZE` for every table whose statistics are stale or absent.
-    /// Cheap to call repeatedly: tables untouched since the last analyze
-    /// keep their cached statistics. The grounder runs this at the start
-    /// of each closure round so the immutable [`crate::plan_query`] path
-    /// (required by parallel planning) always sees fresh statistics.
-    pub fn analyze_all(&mut self) {
-        for i in 0..self.tables.len() {
-            self.analyze(TableId(i as u32));
-        }
-    }
-
     /// Inserts a row into `id`, charging I/O to the shared pool.
     pub fn insert(&mut self, id: TableId, row: &[u32]) -> Result<(), DbError> {
-        self.stats[id.index()] = None;
         self.tables[id.index()].insert(row, &self.pool)
     }
 
@@ -152,13 +119,11 @@ impl Database {
     where
         I: IntoIterator<Item = &'a [u32]>,
     {
-        self.stats[id.index()] = None;
         self.tables[id.index()].bulk_load(rows, &self.pool)
     }
 
     /// Updates one cell of `id`.
     pub fn update_cell(&mut self, id: TableId, row: usize, col: usize, value: u32) {
-        self.stats[id.index()] = None;
         self.tables[id.index()].update_cell(row, col, value, &self.pool);
     }
 
@@ -174,7 +139,6 @@ impl Database {
 
     /// Removes all rows of `id`.
     pub fn truncate(&mut self, id: TableId) {
-        self.stats[id.index()] = None;
         self.tables[id.index()].truncate(&self.pool);
     }
 
@@ -213,15 +177,5 @@ mod tests {
         let mut db = Database::in_memory();
         db.create_table("t", TableSchema::new(vec!["a"])).unwrap();
         assert!(db.create_table("t", TableSchema::new(vec!["a"])).is_err());
-    }
-
-    #[test]
-    fn analyze_invalidated_by_mutation() {
-        let mut db = Database::in_memory();
-        let id = db.create_table("t", TableSchema::new(vec!["a"])).unwrap();
-        db.analyze(id);
-        assert!(db.stats(id).is_some());
-        db.table_mut(id); // any mutable access invalidates
-        assert!(db.stats(id).is_none());
     }
 }

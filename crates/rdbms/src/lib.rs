@@ -30,9 +30,7 @@
 //!   estimated-versus-actual counters on request. A byte budget decides
 //!   how much stays resident, not which code runs: relations over it
 //!   live as sorted runs on a storage backend ([`spill`], [`backend`]),
-//!   and with no budget nothing spills;
-//! * **statistics**: per-table row counts and per-column distinct-value
-//!   estimates driving the cost model ([`stats`]).
+//!   and with no budget nothing spills.
 //!
 //! Values are `u32`s: the MLN layer interns every constant, so the engine
 //! never sees strings (mirroring Tuffy's bulk-loading of integer-encoded
@@ -50,7 +48,6 @@ pub mod pred;
 pub mod query;
 pub mod schema;
 pub mod spill;
-pub mod stats;
 pub mod storage;
 
 pub use backend::{FileBackend, MemBackend, RunHandle, StorageBackend};
@@ -60,9 +57,7 @@ pub use error::DbError;
 pub use executor::{
     execute, execute_into, execute_profiled, execute_spill, ExecProfile, NodeMetrics,
 };
-pub use optimizer::{
-    plan_analyzed, plan_query, run_query, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig,
-};
+pub use optimizer::{plan_query, run_query, JoinAlgorithmPolicy, JoinOrderPolicy, OptimizerConfig};
 pub use plan::{NodeId, NodeInfo, PhysicalPlan, PlanColumn, PlanOp, QueryPlan};
 pub use pred::Pred;
 pub use query::{ConjunctiveQuery, QueryAtom, VarId};

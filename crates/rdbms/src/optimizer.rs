@@ -11,8 +11,8 @@
 //! study isolates (Table 6, Appendix C.2):
 //!
 //! 1. **join order** — greedy smallest-intermediate-first ordering driven
-//!    by table statistics (disable with [`JoinOrderPolicy::Program`], which
-//!    mimics Alchemy's literal order);
+//!    by estimates from table lengths (disable with
+//!    [`JoinOrderPolicy::Program`], which mimics Alchemy's literal order);
 //! 2. **join algorithms** — hash join by default, sort-merge for very
 //!    large equi-joins, nested loop otherwise (restrict with
 //!    [`JoinAlgorithmPolicy::NestedLoopOnly`]);
@@ -29,15 +29,18 @@
 //! scan, cross-joined in — regardless of the pushdown lesion, which keeps
 //! result multiplicity identical across all configurations.
 //!
-//! # Statistics
+//! # Estimates come from table lengths
 //!
-//! On top of the three lesioned mechanisms, estimates are *stats-driven*
-//! ([`OptimizerConfig::use_stats`]): [`plan_analyzed`] `ANALYZE`s every
-//! table a query touches, and join ordering scores candidates with
-//! NDV-based join selectivity ([`crate::stats::TableStats`]). A plan is a
-//! function of (query, catalog statistics, config) only — never of what
-//! was executed before — so the plan `EXPLAIN` prints is the plan that
-//! runs, and [`crate::executor::execute_profiled`] reports estimated
+//! The planner keeps no statistics and needs no `ANALYZE`: every
+//! estimate is read from the current table lengths. Each column of a
+//! table of `n` rows is taken to hold `n` distinct values (capped by the
+//! atom's estimated rows), so a pushed-down `col = const` keeps `1/n` of
+//! the rows, and an equi-join divides the product of its inputs by the
+//! larger distinct count of each shared variable. The other filters use
+//! the fixed selectivities below. A plan is therefore a function of
+//! (query, current table contents, config) only — never of what was
+//! executed before — so the plan `EXPLAIN` prints is the plan that runs,
+//! and [`crate::executor::execute_profiled`] reports estimated
 //! versus actual rows for each of its nodes.
 
 use crate::catalog::Database;
@@ -77,11 +80,6 @@ pub struct OptimizerConfig {
     pub join_algorithm: JoinAlgorithmPolicy,
     /// Whether constant predicates are pushed into scans.
     pub pushdown: bool,
-    /// Whether `ANALYZE`d table statistics (row counts, per-column NDV,
-    /// min/max) drive the cost model. When disabled — the `--no-stats`
-    /// lesion — every estimate falls back to raw table lengths, as if no
-    /// table had ever been analyzed.
-    pub use_stats: bool,
     /// Memory budget in bytes for intermediate join state; `0` is
     /// unbounded (everything stays in RAM). The budget never selects a
     /// different executor: the grounder hands it to the
@@ -98,7 +96,6 @@ impl Default for OptimizerConfig {
             join_order: JoinOrderPolicy::Auto,
             join_algorithm: JoinAlgorithmPolicy::Auto,
             pushdown: true,
-            use_stats: true,
             mem_budget_bytes: 0,
         }
     }
@@ -115,10 +112,14 @@ const RESIDUAL_SELECTIVITY: f64 = 0.9;
 const ANTI_SELECTIVITY: f64 = 0.9;
 
 /// Heuristic selectivity of one deferred constant filter (pushdown
-/// lesion; the pushed-down path uses real NDV statistics instead).
+/// lesion; a pushed-down one keeps `1/len` of its table's rows).
 const DEFERRED_CONST_SELECTIVITY: f64 = 0.1;
 
-/// Per-atom planning info derived from statistics.
+/// Heuristic fraction of a table's rows inside one value range (the
+/// parallel grounder's chunk restriction).
+const RANGE_SELECTIVITY: f64 = 0.5;
+
+/// Per-atom planning info derived from its table's length.
 struct AtomInfo {
     /// Estimated rows after pushed-down filters.
     est_rows: f64,
@@ -130,48 +131,31 @@ fn atom_info(
     db: &Database,
     atom: &QueryAtom,
     pushdown: bool,
-    use_stats: bool,
     ranges: &[(VarId, u32, u32)],
 ) -> AtomInfo {
-    let stats = if use_stats {
-        db.stats(atom.table)
-    } else {
-        None
-    };
-    let (rows, ndv): (f64, Vec<usize>) = match stats {
-        Some(s) => (s.row_count as f64, s.ndv.clone()),
-        None => {
-            let t = db.table(atom.table);
-            (t.len() as f64, vec![t.len().max(1); t.width()])
-        }
-    };
-    let mut est = rows;
+    let len = db.table(atom.table).len();
+    // Every column is taken to hold `len` distinct values.
+    let ndv = len.max(1) as f64;
+    let mut est = len as f64;
     if pushdown {
-        for (c, b) in atom.bindings.iter().enumerate() {
+        for b in &atom.bindings {
             if matches!(b, ColumnBinding::Const(_)) {
-                est /= ndv.get(c).copied().unwrap_or(1).max(1) as f64;
+                est /= ndv;
             }
         }
     }
     // Value-range restrictions are always pushed (they are structural,
-    // not lesioned): narrow the estimate by the range fraction of each
-    // restricted column this atom binds.
-    for &(v, lo, hi) in ranges {
-        if let Some((_, c)) = atom.var_columns().into_iter().find(|&(w, _)| w == v) {
-            let sel = match stats {
-                Some(s) => s.range_selectivity(c, lo, hi),
-                None => Pred::ColInRange { col: c, lo, hi }.selectivity(&ndv),
-            };
-            est *= sel;
+    // not lesioned): narrow the estimate once per restricted variable
+    // this atom binds.
+    let var_cols = atom.var_columns();
+    for &(v, ..) in ranges {
+        if var_cols.iter().any(|&(w, _)| w == v) {
+            est *= RANGE_SELECTIVITY;
         }
     }
-    let var_ndv = atom
-        .var_columns()
+    let var_ndv = var_cols
         .into_iter()
-        .map(|(v, c)| {
-            let d = ndv.get(c).copied().unwrap_or(1).max(1) as f64;
-            (v, d.min(est.max(1.0)))
-        })
+        .map(|(v, _)| (v, ndv.min(est.max(1.0))))
         .collect();
     AtomInfo {
         est_rows: est.max(0.0),
@@ -279,11 +263,10 @@ fn to_plan_columns(cols: &[PlanCol]) -> Vec<PlanColumn> {
         .collect()
 }
 
-/// Plans `query` against `db` (tables should be `ANALYZE`d for best
-/// results; un-analyzed tables fall back to row counts). The returned
-/// plan is immutable and independent of the database's data — execute it
-/// with [`crate::executor::execute`], or render it with `{}` for
-/// `EXPLAIN`.
+/// Plans `query` against `db`, estimating from the tables' current
+/// lengths. The returned plan is immutable: execute it with
+/// [`crate::executor::execute`] (against this state of the database or
+/// a later one), or render it with `{}` for `EXPLAIN`.
 pub fn plan_query(
     db: &Database,
     query: &ConjunctiveQuery,
@@ -412,28 +395,15 @@ pub fn plan_query(
     })
 }
 
-/// Analyzes every referenced table, then plans. The common entry point
-/// for callers that also mutate the database between queries.
-pub fn plan_analyzed(
-    db: &mut Database,
-    query: &ConjunctiveQuery,
-    config: &OptimizerConfig,
-) -> Result<QueryPlan, DbError> {
-    for atom in query.atoms.iter().chain(query.anti_atoms.iter()) {
-        db.analyze(atom.table);
-    }
-    plan_query(db, query, config)
-}
-
 /// Plans and executes in one call (the convenience entry point; use
-/// [`plan_analyzed`] + [`crate::executor::execute`] to inspect or reuse
+/// [`plan_query`] + [`crate::executor::execute`] to inspect or reuse
 /// the plan).
 pub fn run_query(
-    db: &mut Database,
+    db: &Database,
     query: &ConjunctiveQuery,
     config: &OptimizerConfig,
 ) -> Result<crate::exec::Batch, DbError> {
-    let plan = plan_analyzed(db, query, config)?;
+    let plan = plan_query(db, query, config)?;
     crate::executor::execute(db, &plan)
 }
 
@@ -458,7 +428,7 @@ fn compute_infos(
         .iter()
         .map(|a| {
             let push = config.pushdown || a.variables().is_empty();
-            let mut info = atom_info(db, a, push, config.use_stats, &query.ranges);
+            let mut info = atom_info(db, a, push, &query.ranges);
             if a.variables().is_empty() {
                 info.est_rows = info.est_rows.min(1.0);
             }
@@ -825,15 +795,7 @@ fn apply_antis(
         let sub_cols: Vec<PlanColumn> =
             first_col.iter().map(|(v, _)| PlanColumn::Var(*v)).collect();
         let table = db.table(anti.table);
-        let stats = if config.use_stats {
-            db.stats(anti.table)
-        } else {
-            None
-        };
-        let sub_rows = match stats {
-            Some(s) => s.row_count as f64,
-            None => table.len() as f64,
-        };
+        let sub_rows = table.len() as f64;
         let width = project.len();
         let (op, sub_cost) = access_path(
             db,
@@ -1001,8 +963,8 @@ mod tests {
 
     #[test]
     fn self_join_with_inequality() {
-        let (mut db, wrote, _) = db();
-        let out = run_query(&mut db, &q_coauthor(wrote), &OptimizerConfig::default()).unwrap();
+        let (db, wrote, _) = db();
+        let out = run_query(&db, &q_coauthor(wrote), &OptimizerConfig::default()).unwrap();
         // a1 wrote p1,p2 → (10,11) and (11,10).
         let mut rows: Vec<Vec<u32>> = out.iter().map(<[u32]>::to_vec).collect();
         rows.sort();
@@ -1011,7 +973,7 @@ mod tests {
 
     #[test]
     fn all_configs_agree() {
-        let (mut db, wrote, _) = db();
+        let (db, wrote, _) = db();
         let q = q_coauthor(wrote);
         let mut results = Vec::new();
         for join_order in [JoinOrderPolicy::Auto, JoinOrderPolicy::Program] {
@@ -1026,7 +988,7 @@ mod tests {
                         pushdown,
                         ..Default::default()
                     };
-                    let out = run_query(&mut db, &q, &cfg).unwrap();
+                    let out = run_query(&db, &q, &cfg).unwrap();
                     let mut rows: Vec<Vec<u32>> = out.iter().map(<[u32]>::to_vec).collect();
                     rows.sort();
                     results.push(rows);
@@ -1040,7 +1002,7 @@ mod tests {
 
     #[test]
     fn anti_join_pruning() {
-        let (mut db, wrote, cat) = db();
+        let (db, wrote, cat) = db();
         // wrote(x, p) and NOT EXISTS cat_true(p, _): papers without a label.
         let q = ConjunctiveQuery {
             atoms: vec![QueryAtom {
@@ -1057,7 +1019,7 @@ mod tests {
             output: vec![1],
             distinct: true,
         };
-        let out = run_query(&mut db, &q, &OptimizerConfig::default()).unwrap();
+        let out = run_query(&db, &q, &OptimizerConfig::default()).unwrap();
         let mut vals: Vec<u32> = out.iter().map(|r| r[0]).collect();
         vals.sort_unstable();
         assert_eq!(vals, vec![11, 12]); // p1=10 is labeled
@@ -1065,7 +1027,7 @@ mod tests {
 
     #[test]
     fn constant_binding_filters() {
-        let (mut db, wrote, _) = db();
+        let (db, wrote, _) = db();
         let q = ConjunctiveQuery {
             atoms: vec![QueryAtom {
                 table: wrote,
@@ -1083,7 +1045,7 @@ mod tests {
                 pushdown,
                 ..Default::default()
             };
-            let out = run_query(&mut db, &q, &cfg).unwrap();
+            let out = run_query(&db, &q, &cfg).unwrap();
             let mut vals: Vec<u32> = out.iter().map(|r| r[0]).collect();
             vals.sort_unstable();
             assert_eq!(vals, vec![10, 11], "pushdown={pushdown}");
@@ -1092,7 +1054,7 @@ mod tests {
 
     #[test]
     fn fully_constant_atom_is_existence_check() {
-        let (mut db, wrote, cat) = db();
+        let (db, wrote, cat) = db();
         // wrote(x, p) AND cat_true(10, 100) (a fact that holds): all rows
         // survive with multiplicity 1; with a fact that fails, none do.
         let mut q = ConjunctiveQuery {
@@ -1118,7 +1080,7 @@ mod tests {
                 pushdown,
                 ..Default::default()
             };
-            let out = run_query(&mut db, &q, &cfg).unwrap();
+            let out = run_query(&db, &q, &cfg).unwrap();
             assert_eq!(out.len(), 3, "pushdown={pushdown}");
         }
         // Flip the constant so the existence check fails.
@@ -1128,14 +1090,14 @@ mod tests {
                 pushdown,
                 ..Default::default()
             };
-            let out = run_query(&mut db, &q, &cfg).unwrap();
+            let out = run_query(&db, &q, &cfg).unwrap();
             assert!(out.is_empty(), "pushdown={pushdown}");
         }
     }
 
     #[test]
     fn unbound_output_rejected() {
-        let (mut db, wrote, _) = db();
+        let (db, wrote, _) = db();
         let q = ConjunctiveQuery {
             atoms: vec![QueryAtom {
                 table: wrote,
@@ -1148,13 +1110,15 @@ mod tests {
             output: vec![7],
             distinct: false,
         };
-        assert!(run_query(&mut db, &q, &OptimizerConfig::default()).is_err());
+        assert!(run_query(&db, &q, &OptimizerConfig::default()).is_err());
     }
 
-    #[test]
-    fn plan_prefers_connected_joins() {
-        let (mut db, wrote, cat) = db();
-        let q = ConjunctiveQuery {
+    /// wrote(x, p), cat_true(p, c) → output (x, c)
+    fn q_wrote_cat(
+        wrote: crate::catalog::TableId,
+        cat: crate::catalog::TableId,
+    ) -> ConjunctiveQuery {
+        ConjunctiveQuery {
             atoms: vec![
                 QueryAtom {
                     table: wrote,
@@ -1171,30 +1135,54 @@ mod tests {
             ranges: vec![],
             output: vec![0, 2],
             distinct: false,
-        };
-        let plan = plan_analyzed(&mut db, &q, &OptimizerConfig::default()).unwrap();
-        // Smallest table (cat_true, 1 row) scanned first, then a hash join
-        // against wrote on the shared paper variable.
+        }
+    }
+
+    /// The table the root hash join builds its left side from.
+    fn anchor(plan: &QueryPlan) -> &str {
         match &plan.root.op {
             PlanOp::HashJoin(j) => {
+                assert_eq!(j.keys.len(), 1);
                 match &j.left.op {
-                    PlanOp::SeqScan(s) => assert_eq!(s.table_name, "cat_true"),
+                    PlanOp::SeqScan(s) => &s.table_name,
                     other => panic!("unexpected left child {other:?}"),
                 }
-                assert_eq!(j.keys.len(), 1);
             }
             other => panic!("unexpected root {other:?}"),
         }
+    }
+
+    #[test]
+    fn plan_prefers_connected_joins() {
+        let (db, wrote, cat) = db();
+        let plan = plan_query(&db, &q_wrote_cat(wrote, cat), &OptimizerConfig::default()).unwrap();
+        // Smallest table (cat_true, 1 row) scanned first, then a hash join
+        // against wrote on the shared paper variable.
+        assert_eq!(anchor(&plan), "cat_true");
         let out = execute(&db, &plan).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.row(0), &[1, 100]);
     }
 
     #[test]
+    fn plan_reads_current_table_lengths() {
+        let (mut db, wrote, cat) = db();
+        let q = q_wrote_cat(wrote, cat);
+        let cfg = OptimizerConfig::default();
+        assert_eq!(anchor(&plan_query(&db, &q, &cfg).unwrap()), "cat_true");
+        // cat_true grows past wrote's 3 rows; nothing is refreshed before
+        // the next plan, which must see the new length.
+        let rows: Vec<[u32; 2]> = (20..25).map(|p| [p, 100]).collect();
+        db.bulk_load(cat, rows.iter().map(|r| &r[..])).unwrap();
+        assert!(db.table(cat).len() > db.table(wrote).len());
+        assert_eq!(anchor(&plan_query(&db, &q, &cfg).unwrap()), "wrote");
+    }
+
+    #[test]
     fn node_ids_are_preorder_and_metrics_populated() {
-        let (mut db, wrote, _) = db();
+        let (db, wrote, _) = db();
         let q = q_coauthor(wrote);
-        let plan = plan_analyzed(&mut db, &q, &OptimizerConfig::default()).unwrap();
+        let plan = plan_query(&db, &q, &OptimizerConfig::default()).unwrap();
         let mut ids = Vec::new();
         plan.root.visit(&mut |n| ids.push(n.info.id));
         assert_eq!(ids, (0..plan.node_count).collect::<Vec<_>>());
@@ -1219,7 +1207,7 @@ mod tests {
         // check column, so the accumulated layout is [v0, check, v1] and
         // the second join keys on v1 at column 2. The EXPLAIN must still
         // name the *variable*, not misread the shifted column.
-        let (mut db, wrote, cat) = db();
+        let (db, wrote, cat) = db();
         let q = ConjunctiveQuery {
             atoms: vec![
                 QueryAtom {
@@ -1247,7 +1235,7 @@ mod tests {
             pushdown: false,
             ..Default::default()
         };
-        let plan = plan_analyzed(&mut db, &q, &cfg).unwrap();
+        let plan = plan_query(&db, &q, &cfg).unwrap();
         let text = plan.explain();
         assert!(
             text.contains("HashJoin keys=[v1]"),
@@ -1267,9 +1255,9 @@ mod tests {
 
     #[test]
     fn explain_names_every_node() {
-        let (mut db, wrote, _) = db();
+        let (db, wrote, _) = db();
         let q = q_coauthor(wrote);
-        let plan = plan_analyzed(&mut db, &q, &OptimizerConfig::default()).unwrap();
+        let plan = plan_query(&db, &q, &OptimizerConfig::default()).unwrap();
         let text = plan.explain();
         assert!(text.contains("FilterScan"), "{text}");
         assert!(text.contains("HashJoin"), "{text}");
@@ -1279,7 +1267,7 @@ mod tests {
             join_algorithm: JoinAlgorithmPolicy::NestedLoopOnly,
             ..Default::default()
         };
-        let plan = plan_analyzed(&mut db, &q, &cfg).unwrap();
+        let plan = plan_query(&db, &q, &cfg).unwrap();
         assert!(
             plan.explain().contains("NestedLoopJoin"),
             "{}",

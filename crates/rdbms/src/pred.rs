@@ -56,31 +56,6 @@ impl Pred {
             Pred::ColInRange { col, lo, hi } => (lo..=hi).contains(&row[col]),
         }
     }
-
-    /// Estimated selectivity for the cost model, given per-column NDV.
-    pub fn selectivity(&self, ndv: &[usize]) -> f64 {
-        match *self {
-            Pred::ColEqConst { col, .. } => 1.0 / ndv.get(col).copied().unwrap_or(1).max(1) as f64,
-            Pred::ColNeConst { col, .. } => {
-                1.0 - 1.0 / ndv.get(col).copied().unwrap_or(1).max(1) as f64
-            }
-            Pred::ColEqCol { a, b } => {
-                let d = ndv
-                    .get(a)
-                    .copied()
-                    .unwrap_or(1)
-                    .max(ndv.get(b).copied().unwrap_or(1))
-                    .max(1);
-                1.0 / d as f64
-            }
-            Pred::ColNeCol { .. } => 0.9,
-            // Without a histogram the NDV vector says nothing about a
-            // value range; the planner refines this with
-            // [`crate::stats::TableStats::range_selectivity`] when real
-            // statistics are available.
-            Pred::ColInRange { .. } => 0.5,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -96,19 +71,5 @@ mod tests {
         assert!(Pred::ColEqCol { a: 0, b: 1 }.eval(row));
         assert!(Pred::ColNeCol { a: 0, b: 2 }.eval(row));
         assert!(!Pred::ColNeCol { a: 0, b: 1 }.eval(row));
-    }
-
-    #[test]
-    fn selectivity_bounds() {
-        let ndv = vec![10, 2];
-        for p in [
-            Pred::ColEqConst { col: 0, value: 1 },
-            Pred::ColNeConst { col: 1, value: 1 },
-            Pred::ColEqCol { a: 0, b: 1 },
-            Pred::ColNeCol { a: 0, b: 1 },
-        ] {
-            let s = p.selectivity(&ndv);
-            assert!((0.0..=1.0).contains(&s), "{p:?} → {s}");
-        }
     }
 }

@@ -625,7 +625,6 @@ mod tests {
             db.insert(a, &[i % 97, i % 31]).unwrap();
             db.insert(b, &[i % 31, i % 53]).unwrap();
         }
-        db.analyze_all();
         let q = ConjunctiveQuery {
             atoms: vec![
                 QueryAtom {
@@ -764,7 +763,6 @@ mod tests {
             db.insert(a, &[i]).unwrap();
             db.insert(b, &[(i * 7) % 2000]).unwrap();
         }
-        db.analyze_all();
         let atom = |table, v| QueryAtom {
             table,
             bindings: vec![ColumnBinding::Var(v)],

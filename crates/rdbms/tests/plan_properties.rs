@@ -6,8 +6,7 @@
 //! satisfy their structural invariants (pre-order node ids, consistent
 //! widths, runtime counters populated for every node whether or not
 //! anything spilled). Plans are also pinned as a function of (query,
-//! `ANALYZE` statistics, config) alone: executing queries never changes
-//! them.
+//! table contents, config) alone: executing queries never changes them.
 //!
 //! Equality-index lookups (`IndexScan`) are held to the sequential scan:
 //! on tables on both sides of one page, a lookup plan returns the
@@ -17,7 +16,7 @@
 
 use proptest::prelude::*;
 use tuffy_rdbms::executor::{execute, execute_plan, execute_profiled};
-use tuffy_rdbms::optimizer::{plan_analyzed, plan_query, run_query};
+use tuffy_rdbms::optimizer::{plan_query, run_query};
 use tuffy_rdbms::query::{ColumnBinding, ConjunctiveQuery, QueryAtom};
 use tuffy_rdbms::spill::collect_cursor;
 use tuffy_rdbms::{
@@ -26,8 +25,8 @@ use tuffy_rdbms::{
     PAGE_ROWS,
 };
 
-/// All sixteen lesion configurations (join order × algorithm × pushdown ×
-/// statistics); index 0 is the all-on default and the last is the paper's
+/// All eight lesion configurations (join order × algorithm × pushdown);
+/// index 0 is the all-on default and the last is the paper's
 /// fully-lesioned Alchemy-like baseline.
 fn all_configs() -> Vec<OptimizerConfig> {
     let mut out = Vec::new();
@@ -37,15 +36,12 @@ fn all_configs() -> Vec<OptimizerConfig> {
             JoinAlgorithmPolicy::NestedLoopOnly,
         ] {
             for pushdown in [true, false] {
-                for use_stats in [true, false] {
-                    out.push(OptimizerConfig {
-                        join_order,
-                        join_algorithm,
-                        pushdown,
-                        use_stats,
-                        ..Default::default()
-                    });
-                }
+                out.push(OptimizerConfig {
+                    join_order,
+                    join_algorithm,
+                    pushdown,
+                    ..Default::default()
+                });
             }
         }
     }
@@ -130,12 +126,12 @@ fn build_query(
 /// manager (0 = unbounded), returning the canonical row sequence and the
 /// per-node profile.
 fn run_canonical(
-    db: &mut Database,
+    db: &Database,
     q: &ConjunctiveQuery,
     cfg: &OptimizerConfig,
     budget: usize,
 ) -> (Vec<Vec<u32>>, ExecProfile) {
-    let plan = plan_analyzed(db, q, cfg).expect("plannable query");
+    let plan = plan_query(db, q, cfg).expect("plannable query");
     let mgr = SpillManager::in_memory(budget);
     let mut profile = ExecProfile::default();
     let out = execute_plan(db, &plan, &mgr, Some(&mut profile)).expect("executable plan");
@@ -154,15 +150,16 @@ fn run_canonical(
     (batch.iter().map(<[u32]>::to_vec).collect(), profile)
 }
 
-/// A four-table chain query whose `A ⋈ B` prefix breaks the independence
-/// assumption: `A.y` takes two values while `B.y` takes ten, so the
-/// planner estimates 192 rows where execution produces 800.
+/// A four-table chain query whose `A ⋈ B` prefix breaks the planner's
+/// assumption that each column of an `n`-row table holds `n` distinct
+/// values: `A.y` takes two values and `B.y` ten, so the planner
+/// estimates 40·48/48 = 40 rows where execution produces 800.
 ///
-/// A(x, y): 40 rows, y = x mod 2            → ndv(x)=40, ndv(y)=2
+/// A(x, y): 40 rows, y = x mod 2            → taken as 40 values per column
 /// B(y, z): 48 rows; y ∈ {0,1} carry 20 duplicates of z = y each,
-///          y ∈ 2..10 one row z = y         → ndv(y)=10, ndv(z)=10
-/// C(z, c): 60 rows, z ∈ {0,1} × 30 distinct c
-/// D(x, w): 320 rows, 8 distinct w per x
+///          y ∈ 2..10 one row z = y         → taken as 48 (really 10 and 10)
+/// C(z, c): 60 rows, z ∈ {0,1} × 30 distinct c → taken as 60
+/// D(x, w): 320 rows, 8 distinct w per x       → taken as 320
 fn misestimated_chain() -> (Database, ConjunctiveQuery) {
     let mut db = Database::in_memory();
     let mut table = |name: &str, cols: [&str; 2], rows: Vec<[u32; 2]>| {
@@ -197,7 +194,6 @@ fn misestimated_chain() -> (Database, ConjunctiveQuery) {
             .flat_map(|x| (0..8).map(move |j| [x, 1000 + x * 8 + j]))
             .collect(),
     );
-    db.analyze_all();
     let atom = |table, u, v| QueryAtom {
         table,
         bindings: vec![ColumnBinding::Var(u), ColumnBinding::Var(v)],
@@ -214,14 +210,13 @@ fn misestimated_chain() -> (Database, ConjunctiveQuery) {
     (db, query)
 }
 
-/// Planning the same query on the same `ANALYZE`d catalog gives
-/// byte-identical `EXPLAIN` text before and after other queries run,
+/// Planning the same query on the same tables gives byte-identical `EXPLAIN` text before and after other queries run,
 /// through every execution entry point — even when execution shows an
 /// estimate to be 4× off. The miss is reported per node by
 /// [`execute_profiled`]; it is never written back into planning inputs.
 #[test]
 fn plans_do_not_depend_on_execution_history() {
-    let (mut db, query) = misestimated_chain();
+    let (db, query) = misestimated_chain();
     let cfg = OptimizerConfig::default();
     let plan = plan_query(&db, &query, &cfg).unwrap();
     let before = plan.explain();
@@ -243,15 +238,11 @@ fn plans_do_not_depend_on_execution_history() {
     let mut prefix = query.clone();
     prefix.atoms.truncate(2);
     prefix.output = vec![0, 1, 2];
-    assert_eq!(run_query(&mut db, &prefix, &cfg).unwrap().len(), 800);
+    assert_eq!(run_query(&db, &prefix, &cfg).unwrap().len(), 800);
     let spilled = execute_spill(&db, &query, &cfg, &SpillManager::in_memory(1 << 12)).unwrap();
     assert_eq!(spilled.rows(), 192_000);
 
     assert_eq!(plan_query(&db, &query, &cfg).unwrap().explain(), before);
-    assert_eq!(
-        plan_analyzed(&mut db, &query, &cfg).unwrap().explain(),
-        before
-    );
 }
 
 proptest! {
@@ -272,7 +263,7 @@ proptest! {
         neq in any::<bool>(),
         distinct in any::<bool>(),
     ) {
-        let (mut db, tables) = build_db(&t0, &t1);
+        let (db, tables) = build_db(&t0, &t1);
         let q = build_query(
             &tables,
             &atoms_raw,
@@ -280,10 +271,10 @@ proptest! {
             neq,
             distinct,
         );
-        let (reference, _) = run_canonical(&mut db, &q, &all_configs()[0], 0);
+        let (reference, _) = run_canonical(&db, &q, &all_configs()[0], 0);
         for cfg in &all_configs() {
-            let (unbounded, resident) = run_canonical(&mut db, &q, cfg, 0);
-            let (budgeted, spilled) = run_canonical(&mut db, &q, cfg, 256);
+            let (unbounded, resident) = run_canonical(&db, &q, cfg, 0);
+            let (budgeted, spilled) = run_canonical(&db, &q, cfg, 256);
             for (budget, got) in [(0, &unbounded), (256, &budgeted)] {
                 prop_assert_eq!(
                     got,
@@ -302,7 +293,7 @@ proptest! {
         }
     }
 
-    /// Replanning the same query against the same statistics is
+    /// Replanning the same query against the same tables is
     /// deterministic, and the plan's estimated output arity matches what
     /// execution produces.
     #[test]
@@ -311,11 +302,11 @@ proptest! {
         t1 in proptest::collection::vec((0u8..4, 0u8..4), 0..10),
         atoms_raw in proptest::collection::vec((0u8..2, 0u8..14, 0u8..14), 1..3),
     ) {
-        let (mut db, tables) = build_db(&t0, &t1);
+        let (db, tables) = build_db(&t0, &t1);
         let q = build_query(&tables, &atoms_raw, None, false, false);
         let cfg = OptimizerConfig::default();
-        let p1 = plan_analyzed(&mut db, &q, &cfg).expect("plannable");
-        let p2 = plan_analyzed(&mut db, &q, &cfg).expect("plannable");
+        let p1 = plan_query(&db, &q, &cfg).expect("plannable");
+        let p2 = plan_query(&db, &q, &cfg).expect("plannable");
         prop_assert_eq!(p1.explain(), p2.explain());
         prop_assert_eq!(&p1, &p2);
     }
@@ -423,11 +414,11 @@ fn no_mutation_leaves_a_stale_index() {
         let mut db = Database::in_memory();
         let t = table_of(&mut db, "t", &lcg_rows(2 * PAGE_ROWS + 9, 5));
         let q = lookup_query(t, 3);
-        let plan = plan_analyzed(&mut db, &q, &OptimizerConfig::default()).unwrap();
+        let plan = plan_query(&db, &q, &OptimizerConfig::default()).unwrap();
         assert_eq!(index_scans(&plan), 1, "{name}: {plan}");
         let before = sorted_rows(&db, &plan);
         mutate(&mut db, t);
-        let scan = plan_analyzed(&mut db, &q, &no_pushdown()).unwrap();
+        let scan = plan_query(&db, &q, &no_pushdown()).unwrap();
         let expected = sorted_rows(&db, &scan);
         assert_ne!(expected, before, "{name} did not change the answer");
         assert_eq!(
@@ -435,7 +426,7 @@ fn no_mutation_leaves_a_stale_index() {
             expected,
             "{name}: plan from before"
         );
-        let fresh = plan_analyzed(&mut db, &q, &OptimizerConfig::default()).unwrap();
+        let fresh = plan_query(&db, &q, &OptimizerConfig::default()).unwrap();
         assert_eq!(sorted_rows(&db, &fresh), expected, "{name}: fresh plan");
     }
 }
@@ -530,8 +521,8 @@ proptest! {
             .map(|(_, &v)| v)
             .collect();
 
-        let (lookups, _) = run_canonical(&mut db, &q, &OptimizerConfig::default(), 0);
-        let (scans, _) = run_canonical(&mut db, &q, &no_pushdown(), 0);
+        let (lookups, _) = run_canonical(&db, &q, &OptimizerConfig::default(), 0);
+        let (scans, _) = run_canonical(&db, &q, &no_pushdown(), 0);
         prop_assert_eq!(&lookups, &scans);
 
         let has_const = |a: &QueryAtom| {

@@ -23,7 +23,7 @@ use tuffy_mrf::{AtomId, Cost, Lit, Mrf};
 use tuffy_rdbms::exec::Batch;
 use tuffy_rdbms::query::{ColumnBinding, ConjunctiveQuery, QueryAtom};
 use tuffy_rdbms::{
-    execute_into, plan_analyzed, Database, DiskModel, OptimizerConfig, QueryPlan, TableSchema,
+    execute_into, plan_query, Database, DiskModel, OptimizerConfig, QueryPlan, TableSchema,
 };
 
 /// WalkSAT over an RDBMS-resident clause table.
@@ -89,7 +89,7 @@ impl RdbmsSearch {
             output: vec![0, 1],
             distinct: false,
         };
-        let scan_plan = plan_analyzed(&mut db, &scan_query, &OptimizerConfig::default())
+        let scan_plan = plan_query(&db, &scan_query, &OptimizerConfig::default())
             .expect("clause-table scan query is well-formed");
         let truth = vec![false; mrf.num_atoms()];
         let mut s = RdbmsSearch {

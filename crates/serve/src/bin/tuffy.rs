@@ -9,7 +9,7 @@
 //!       [--flips N] [--parallel N] [--no-partition] [--mem-budget BYTES] \
 //!       [--partition-rounds N] [--seed N] [--explain] [--explain-schedule] \
 //!       [--join-order auto|program] [--join-algo auto|nl] [--no-pushdown] \
-//!       [--no-stats] [--ground-threads N]
+//!       [--ground-threads N]
 //! ```
 //!
 //! All inference runs inside one long-lived session (ground once, query
@@ -72,7 +72,6 @@ struct Args {
     join_order: JoinOrderPolicy,
     join_algorithm: JoinAlgorithmPolicy,
     pushdown: bool,
-    use_stats: bool,
     ground_threads: usize,
     mem_budget_bytes: usize,
     learn: Option<String>,
@@ -93,13 +92,13 @@ fn usage() -> &'static str {
      \x20       [--mem-budget BYTES] [--partition-rounds N] [--seed N]\n\
      \x20       [--explain] [--explain-schedule]\n\
      \x20       [--join-order auto|program] [--join-algo auto|nl]\n\
-     \x20       [--no-pushdown] [--no-stats] [--ground-threads N]\n\
+     \x20       [--no-pushdown] [--ground-threads N]\n\
      \x20       [--mem-budget-bytes N]\n\
      \x20       [--learn <labels.db>] [--learner vp|dn] [--learn-iters N]"
 }
 
 /// Flags that configure a local engine; `--connect` rejects each.
-const LOCAL_ONLY: [&str; 17] = [
+const LOCAL_ONLY: [&str; 16] = [
     "-i",
     "-e",
     "--explain",
@@ -111,7 +110,6 @@ const LOCAL_ONLY: [&str; 17] = [
     "--join-order",
     "--join-algo",
     "--no-pushdown",
-    "--no-stats",
     "--ground-threads",
     "--mem-budget-bytes",
     "--learn",
@@ -138,7 +136,6 @@ fn parse_args() -> Result<Args, String> {
         join_order: JoinOrderPolicy::Auto,
         join_algorithm: JoinAlgorithmPolicy::Auto,
         pushdown: true,
-        use_stats: true,
         ground_threads: 0,
         mem_budget_bytes: 0,
         learn: None,
@@ -166,7 +163,6 @@ fn parse_args() -> Result<Args, String> {
             "--explain" => args.explain = true,
             "--explain-schedule" => args.explain_schedule = true,
             "--no-pushdown" => args.pushdown = false,
-            "--no-stats" => args.use_stats = false,
             "--ground-threads" => {
                 args.ground_threads = value("--ground-threads")?
                     .parse()
@@ -562,9 +558,6 @@ fn run() -> Result<(), String> {
             join_order: args.join_order,
             join_algorithm: args.join_algorithm,
             pushdown: args.pushdown,
-            // `--no-stats` is the statistics lesion: estimates fall back
-            // to raw table lengths.
-            use_stats: args.use_stats,
             mem_budget_bytes: args.mem_budget_bytes,
         },
         search: WalkSatParams {

@@ -71,40 +71,6 @@ fn ie_grounding_is_thread_invariant() {
     assert_thread_invariant(tuffy_datagen::ie(24, 12, 7));
 }
 
-/// Lesion interplay: determinism must hold with statistics disabled too
-/// (the `--no-stats` path).
-#[test]
-fn determinism_holds_without_stats() {
-    let ds = tuffy_datagen::er(8, 24, 11);
-    let config = OptimizerConfig {
-        use_stats: false,
-        ..Default::default()
-    };
-    let reference = fingerprint(
-        &ground_bottom_up_threaded(
-            &ds.program,
-            &ds.evidence,
-            GroundingMode::LazyClosure,
-            &config,
-            1,
-        )
-        .unwrap(),
-    );
-    for t in THREADS {
-        let got = fingerprint(
-            &ground_bottom_up_threaded(
-                &ds.program,
-                &ds.evidence,
-                GroundingMode::LazyClosure,
-                &config,
-                t,
-            )
-            .unwrap(),
-        );
-        assert_eq!(got, reference, "no-stats threads={t} diverged");
-    }
-}
-
 /// Grounds every dataset in memory and under a 64 KiB
 /// `mem_budget_bytes` and compares the FNV-1a hash of the deep
 /// fingerprint with the recorded one.
