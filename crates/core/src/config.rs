@@ -1,5 +1,6 @@
 //! Inference configuration.
 
+use std::sync::OnceLock;
 use tuffy_grounder::GroundingMode;
 use tuffy_rdbms::OptimizerConfig;
 use tuffy_search::mcsat::McSatParams;
@@ -30,14 +31,15 @@ pub struct TuffyConfig {
     pub optimizer: OptimizerConfig,
     /// Search decomposition.
     pub partitioning: PartitionStrategy,
-    /// Worker threads for per-component search (1 = sequential).
+    /// Worker threads for both parallel phases: the binding queries of
+    /// each grounding round, and the scheduler's pool of partition
+    /// searches. `0` (the default) means every core the process may use
+    /// (see [`TuffyConfig::resolved_threads`]). Grounding, MAP and
+    /// marginal answers are bit-identical at every thread count, so this
+    /// is purely a performance setting. A MAP search takes fewer workers
+    /// than this when its flip budget does not pay for them
+    /// ([`tuffy_search::MIN_FLIPS_PER_WORKER`]).
     pub threads: usize,
-    /// Worker threads for parallel bottom-up grounding; `0` (the
-    /// default) resolves to the machine's available parallelism. The
-    /// grounding result is byte-identical at every thread count (see
-    /// `tuffy_grounder::bottomup` for the deterministic-merge contract),
-    /// so this is purely a performance knob.
-    pub ground_threads: usize,
     /// WalkSAT parameters.
     pub search: WalkSatParams,
     /// MC-SAT parameters for marginal queries. Like [`Self::search`] for
@@ -57,8 +59,7 @@ impl Default for TuffyConfig {
             grounding: GroundingMode::LazyClosure,
             optimizer: OptimizerConfig::default(),
             partitioning: PartitionStrategy::Components,
-            threads: 1,
-            ground_threads: 0,
+            threads: 0,
             search: WalkSatParams::default(),
             mcsat: McSatParams::default(),
             partition_rounds: 3,
@@ -77,13 +78,26 @@ impl TuffyConfig {
         tuffy_mrf::memory::beta_for_budget(budget_bytes)
     }
 
+    /// The worker count [`Self::threads`] stands for: itself, or for `0`
+    /// the machine's available parallelism. That is read once per
+    /// process, not once per query: on Linux the std call reads cgroup
+    /// files.
+    pub fn resolved_threads(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        match self.threads {
+            0 => *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            n => n,
+        }
+    }
+
     /// The scheduler configuration this Tuffy configuration implies:
     /// [`PartitionStrategy::Components`] schedules exact connected
     /// components; [`PartitionStrategy::Budget`] bounds β and bin
-    /// capacity by the byte budget.
+    /// capacity by the byte budget. The pool is the resolved
+    /// [`Self::threads`].
     pub fn scheduler_config(&self) -> tuffy_search::SchedulerConfig {
         tuffy_search::SchedulerConfig {
-            threads: self.threads,
+            threads: self.resolved_threads(),
             mem_budget: match self.partitioning {
                 PartitionStrategy::Budget(bytes) => Some(bytes),
                 _ => None,
@@ -103,6 +117,17 @@ mod tests {
         let c = TuffyConfig::default();
         assert_eq!(c.partitioning, PartitionStrategy::Components);
         assert_eq!(c.grounding, GroundingMode::LazyClosure);
+    }
+
+    #[test]
+    fn zero_threads_resolves_to_every_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let c = TuffyConfig::default();
+        assert_eq!(c.threads, 0);
+        assert_eq!(c.resolved_threads(), cores);
+        assert_eq!(c.scheduler_config().threads, cores);
+        let one = TuffyConfig { threads: 3, ..c };
+        assert_eq!(one.scheduler_config().threads, 3);
     }
 
     #[test]

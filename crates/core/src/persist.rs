@@ -135,8 +135,10 @@ pub(crate) fn encode_config(c: &TuffyConfig, folded_seq: u64) -> Vec<u8> {
             w.put_u64(bytes as u64);
         }
     }
+    // Builds before the one `threads` setting kept a second slot for
+    // grounding; both carry it, so they read it back unchanged.
     w.put_u64(c.threads as u64);
-    w.put_u64(c.ground_threads as u64);
+    w.put_u64(c.threads as u64);
     w.put_u64(c.search.max_flips);
     w.put_u32(c.search.max_tries);
     w.put_f64(c.search.noise);
@@ -216,12 +218,19 @@ pub(crate) fn decode_config(bytes: &[u8]) -> Result<(TuffyConfig, u64), StoreErr
             )))
         }
     };
+    // The search and grounding thread slots fold into the one setting:
+    // every core (0) if either asked for it, the larger count otherwise.
+    let (search_threads, ground_threads) = (r.get_len()?, r.get_len()?);
+    let threads = if search_threads == 0 || ground_threads == 0 {
+        0
+    } else {
+        search_threads.max(ground_threads)
+    };
     let config = TuffyConfig {
         grounding,
         optimizer,
         partitioning,
-        threads: r.get_len()?,
-        ground_threads: r.get_len()?,
+        threads,
         search: WalkSatParams {
             max_flips: r.get_u64()?,
             max_tries: r.get_u32()?,
@@ -274,7 +283,6 @@ mod tests {
             },
             partitioning: PartitionStrategy::Budget(987_654),
             threads: 7,
-            ground_threads: 3,
             search: WalkSatParams {
                 max_flips: 12_345,
                 max_tries: 9,
@@ -309,11 +317,15 @@ mod tests {
     /// that still had the statistics knob wrote it there.
     const STATS_RESERVED: usize = 8;
 
-    fn v2_blob() -> Vec<u8> {
-        (0..V2_EVERY_FIELD.len())
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
             .step_by(2)
-            .map(|i| u8::from_str_radix(&V2_EVERY_FIELD[i..i + 2], 16).unwrap())
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
             .collect()
+    }
+
+    fn v2_blob() -> Vec<u8> {
+        from_hex(V2_EVERY_FIELD)
     }
 
     /// `Debug` prints every field, each `f64` in a form that round-trips
@@ -354,6 +366,39 @@ mod tests {
             Err(e) => panic!("expected Malformed, got {e}"),
             Ok(_) => panic!("expected Malformed, got a config"),
         }
+    }
+
+    /// The version-3 blob the build with two thread settings wrote for
+    /// its default config (`threads` 1, `ground_threads` 0) at fold 5.
+    const V3_TWO_THREAD_SLOTS: &str = "\
+        0300000000000001010000000000000000010100000000000000000000000000\
+        0000a08601000000000001000000000000000000e03f2a00000000000000c800\
+        0000000000001400000000000000d007000000000000000000000000e03f0000\
+        00000000e03f2a0000000000000003000000000000000500000000000000";
+    /// Offsets of its search and grounding thread slots.
+    const V3_THREADS: [usize; 2] = [18, 26];
+
+    #[test]
+    fn two_thread_slots_fold_into_one_setting() {
+        let blob = from_hex(V3_TWO_THREAD_SLOTS);
+        // The old defaults, one search thread and every core for
+        // grounding, reopen as this build's default: every core.
+        let (back, folded) = decode_config(&blob).unwrap();
+        assert!(same_config(&back, &TuffyConfig::default()), "{back:?}");
+        assert_eq!(folded, 5);
+        let with_slots = |search: u64, ground: u64| {
+            let mut b = blob.clone();
+            b[V3_THREADS[0]..V3_THREADS[0] + 8].copy_from_slice(&search.to_le_bytes());
+            b[V3_THREADS[1]..V3_THREADS[1] + 8].copy_from_slice(&ground.to_le_bytes());
+            decode_config(&b).unwrap().0.threads
+        };
+        assert_eq!(with_slots(0, 3), 0);
+        assert_eq!(with_slots(2, 3), 3);
+        assert_eq!(with_slots(4, 1), 4);
+        // This build writes its one setting, 0, into both slots.
+        let mut mine = blob;
+        mine[V3_THREADS[0]] = 0;
+        assert_eq!(encode_config(&TuffyConfig::default(), 5), mine);
     }
 
     #[test]

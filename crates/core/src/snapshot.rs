@@ -4,7 +4,7 @@
 //! cheap (`Clone + Send + Sync`) handle onto one *generation* of the
 //! grounded store — program, evidence, MRF, registry — plus lazily
 //! built, generation-scoped analysis caches (the partition
-//! [`Schedule`], the component count). Snapshots never mutate:
+//! [`Schedule`], the marginal samples). Snapshots never mutate:
 //! [`crate::Session::apply`] and [`crate::Query::given`] produce a *new*
 //! generation copy-on-write (sharing the old generation's `Arc`-backed
 //! arenas whenever the delta leaves them untouched), so any number of
@@ -51,18 +51,8 @@ pub(crate) fn ground(
         evidence,
         config.grounding,
         &config.optimizer,
-        resolve_ground_threads(config.ground_threads),
+        config.resolved_threads(),
     )
-}
-
-/// Resolves the configured grounding thread count: `0` means "use the
-/// machine's available parallelism".
-pub(crate) fn resolve_ground_threads(configured: usize) -> usize {
-    if configured > 0 {
-        configured
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
 }
 
 /// Counters shared by every snapshot descended from one engine:
@@ -137,8 +127,6 @@ pub(crate) enum ForkWarm {
 struct GenerationCaches {
     /// Partition schedule, planned on first use.
     schedule: OnceLock<Arc<Schedule>>,
-    /// Nontrivial component count, detected on first use.
-    components: OnceLock<usize>,
     /// Marginal-sampling results keyed on `(generation, McSatParams
     /// fingerprint)`. Marginal inference is deterministic in (generation,
     /// params), so a repeat query — the weight-learning loop re-issues
@@ -264,14 +252,16 @@ impl Snapshot {
             .clone()
     }
 
-    /// Nontrivial connected components of this generation's MRF,
-    /// detected once.
+    /// Nontrivial connected components of this generation's MRF. Under
+    /// [`PartitionStrategy::Components`] they are the schedule's units,
+    /// which the search plans anyway; other strategies detect them.
     pub(crate) fn components(&self) -> usize {
-        *self
-            .inner
-            .caches
-            .components
-            .get_or_init(|| ComponentSet::detect(&self.inner.grounding.mrf).nontrivial_count())
+        match self.inner.config.partitioning {
+            PartitionStrategy::Components => self.schedule().units.len(),
+            PartitionStrategy::None | PartitionStrategy::Budget(_) => {
+                ComponentSet::detect(&self.inner.grounding.mrf).nontrivial_count()
+            }
+        }
     }
 
     fn scheduler_config(&self, search: &WalkSatParams) -> SchedulerConfig {
@@ -454,9 +444,9 @@ impl Snapshot {
 
     /// Runs MC-SAT marginal sampling over this generation (Appendix
     /// A.5), returning `P(atom = true)` per atom id plus the run report.
-    /// With worker threads or a memory budget configured, MC-SAT runs
-    /// per partition through the scheduler; otherwise one sampler covers
-    /// the whole MRF.
+    /// With a memory budget configured, MC-SAT runs per partition
+    /// through the scheduler; otherwise one sampler covers the whole
+    /// MRF.
     pub(crate) fn execute_marginal(
         &self,
         params: &McSatParams,
@@ -491,8 +481,9 @@ impl Snapshot {
     /// re-sampling. [`Snapshot::marginal_cache_hits`] counts the hits.
     ///
     /// Routing matches [`Snapshot::query`]'s marginal path: per-partition
-    /// MC-SAT through the scheduler when threads or a memory budget are
-    /// configured, one monolithic sampler otherwise.
+    /// MC-SAT through the scheduler under a memory budget, one monolithic
+    /// sampler otherwise. It depends on the strategy alone, never on the
+    /// thread count, so marginals are the same on every host.
     ///
     /// Errors if `params.samples` is 0: no sample estimates nothing.
     pub fn marginal_stats(&self, params: &McSatParams) -> Result<Arc<MarginalSamples>, MlnError> {
@@ -532,12 +523,7 @@ impl Snapshot {
     fn compute_marginal(&self, params: &McSatParams) -> Result<MarginalSamples, MlnError> {
         let config = &self.inner.config;
         let mrf = &self.inner.grounding.mrf;
-        let partitioned = match config.partitioning {
-            PartitionStrategy::None => false, // monolithic by request
-            PartitionStrategy::Components => config.threads > 1,
-            PartitionStrategy::Budget(_) => true,
-        };
-        if partitioned {
+        if let PartitionStrategy::Budget(_) = config.partitioning {
             let scheduler = Scheduler::with_schedule(
                 mrf,
                 self.schedule(),
@@ -568,9 +554,9 @@ impl Snapshot {
     /// weight learning's iteration step. O(clauses): the MRF's weight and
     /// violation-cost columns are rebuilt through
     /// [`tuffy_mrf::Mrf::reweight`] while every structural arena
-    /// (literals, occurrences, origins, registry, partition schedule,
-    /// component counts) is shared with this snapshot, which stays fully
-    /// usable — in-flight queries on any generation are undisturbed.
+    /// (literals, occurrences, origins, registry, partition schedule) is
+    /// shared with this snapshot, which stays fully usable — in-flight
+    /// queries on any generation are undisturbed.
     ///
     /// The forked program carries the new weights on its rules, so a
     /// later re-ground (or a persisted save) reproduces them. Non-finite

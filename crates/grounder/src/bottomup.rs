@@ -80,6 +80,7 @@ use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 use tuffy_mln::clausify::clausify_program;
 use tuffy_mln::evidence::EvidenceSet;
+use tuffy_mln::pool::pool_map;
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
 use tuffy_mrf::{Mrf, MrfBuilder};
@@ -332,38 +333,6 @@ fn round_variants(
     }
 }
 
-/// Maps `f` over `0..n` on a transient work-stealing pool, returning the
-/// results in index order regardless of which worker ran each job.
-fn pool_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.max(1).min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<T>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if j >= n {
-                    break;
-                }
-                *slots[j].lock() = Some(f(j));
-            });
-        }
-    })
-    .expect("grounding worker panicked");
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("missing worker result"))
-        .collect()
-}
-
 /// Grounds `program` under `evidence` bottom-up, running each closure
 /// round's binding queries on `threads` worker threads. The result is
 /// byte-identical to the single-threaded run at any thread count — see
@@ -448,13 +417,17 @@ pub fn ground_bottom_up_threaded(
         type TaskResult = Result<Option<(SpillableBatch, Duration)>, tuffy_rdbms::DbError>;
         let results: Vec<TaskResult> = {
             let db = &gdb.db;
-            pool_map(tasks.len(), threads, |ti| match &tasks[ti].query {
-                None => Ok(None),
-                Some(q) => {
-                    let t0 = Instant::now();
-                    execute_spill(db, q, config, &mgr).map(|rows| Some((rows, t0.elapsed())))
-                }
-            })
+            pool_map(
+                tasks.len(),
+                &mut vec![(); threads.max(1)],
+                |_, ti| match &tasks[ti].query {
+                    None => Ok(None),
+                    Some(q) => {
+                        let t0 = Instant::now();
+                        execute_spill(db, q, config, &mgr).map(|rows| Some((rows, t0.elapsed())))
+                    }
+                },
+            )
         };
 
         // Phase C: ordered merge. Consume results strictly in task-list

@@ -75,16 +75,18 @@ fn trajectory_bits(fit: &tuffy_learn::FitResult) -> Vec<Vec<u64>> {
 
 #[test]
 fn fit_trajectories_bit_identical_across_threads() {
-    // MAP inference routes through the scheduler at every thread count
-    // under the default `Components` strategy, but marginal inference
-    // deliberately runs the monolithic sampler at `Components` + one
-    // thread (preserved pre-learning behavior). A marginal-based fit
-    // that must be comparable across thread counts therefore pins a
-    // partitioned routing — `Budget` always schedules (the budget is
-    // large enough that components still ride whole).
+    // Inference routes on the partition strategy alone: MAP through the
+    // scheduler, marginals through one sampler under `Components` and
+    // per partition under `Budget` (the budget is large enough that
+    // components still ride whole). Each route is bit-identical at
+    // every thread count, so each fit is too.
     for (learner, partitioning) in [
         (
             Box::new(VotedPerceptron::default()) as Box<dyn WeightLearner>,
+            tuffy::PartitionStrategy::Components,
+        ),
+        (
+            Box::new(DiagonalNewton::default()),
             tuffy::PartitionStrategy::Components,
         ),
         (

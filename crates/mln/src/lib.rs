@@ -16,7 +16,8 @@
 //! The crate provides the data model ([`program::MlnProgram`]), a parser for
 //! an Alchemy-compatible concrete syntax ([`parser`]), conversion of rules to
 //! clausal form ([`clausify`]), and shared utilities (string interning in
-//! [`symbols`], fast hashing in [`fxhash`]) used across the workspace.
+//! [`symbols`], fast hashing in [`fxhash`], the worker pool in [`pool`])
+//! used across the workspace.
 //!
 //! ## Example
 //!
@@ -45,6 +46,7 @@ pub mod evidence;
 pub mod fxhash;
 pub mod ground;
 pub mod parser;
+pub mod pool;
 pub mod printer;
 pub mod program;
 pub mod schema;

@@ -46,19 +46,23 @@ impl Partitioning {
         let mut size: Vec<u64> = vec![1; n];
 
         // Clauses in descending |weight|; hard clauses first (∞), ties by
-        // index for determinism.
+        // index for determinism. At β = ∞ no merge is ever skipped, so the
+        // order cannot change the sets (labels number them by atom, and
+        // tracked sizes are integer sums): that scan keeps clause order.
         let mut order: Vec<u32> = (0..mrf.num_clauses() as u32).collect();
-        order.sort_by(|&a, &b| {
-            let ka = mrf
-                .clause_weight(a as usize)
-                .magnitude()
-                .unwrap_or(f64::INFINITY);
-            let kb = mrf
-                .clause_weight(b as usize)
-                .magnitude()
-                .unwrap_or(f64::INFINITY);
-            kb.total_cmp(&ka).then(a.cmp(&b))
-        });
+        if beta != usize::MAX {
+            order.sort_by(|&a, &b| {
+                let ka = mrf
+                    .clause_weight(a as usize)
+                    .magnitude()
+                    .unwrap_or(f64::INFINITY);
+                let kb = mrf
+                    .clause_weight(b as usize)
+                    .magnitude()
+                    .unwrap_or(f64::INFINITY);
+                kb.total_cmp(&ka).then(a.cmp(&b))
+            });
+        }
 
         // Distinct roots touched by the clause at hand (one buffer for
         // the whole scan).

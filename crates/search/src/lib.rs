@@ -33,6 +33,7 @@ pub mod walksat;
 pub use mcsat::McSat;
 pub use scheduler::{
     MarginalSamples, Schedule, ScheduleResult, ScheduleUnit, Scheduler, SchedulerConfig,
+    MIN_FLIPS_PER_WORKER,
 };
 pub use timecost::{flip_rate, TimeCostTrace, TracePoint};
 pub use walksat::{SearchScratch, WalkSat, WalkSatParams};

@@ -40,17 +40,35 @@
 use crate::mcsat::{McSat, McSatParams};
 use crate::timecost::TimeCostTrace;
 use crate::walksat::{SearchScratch, WalkSat, WalkSatParams};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use tuffy_mln::pool::pool_map;
 use tuffy_mln::MlnError;
 use tuffy_mrf::binpack::{first_fit_decreasing, Bin};
 use tuffy_mrf::memory::{beta_for_budget, human_bytes, MemoryFootprint};
 use tuffy_mrf::{Cost, Lit, Mrf, Partitioning};
 
+/// The flip budget each worker of a MAP run must have to pay for
+/// itself: a run takes at most `max_flips / MIN_FLIPS_PER_WORKER`
+/// workers, and at least one.
+///
+/// Measured on 2 vCPUs, 1 → 2 workers. Alone, a second worker pays at
+/// every budget: a warm `ie(2500, 700)` MAP (p50 of 30) goes 4.5 → 3.6
+/// ms at 10 k flips and 15.5 → 9.7 ms at 100 k; `ie(25000, 2000)` at
+/// 5 M flips, 581 → 323 ms. With two clients already on both cores it
+/// does not: splitting `serve_read`'s 10 k-flip MAPs moved `op_p50_ms`
+/// from 8.7–9.9 to 12.5–13.4 ms (three pairs). So requests of up to
+/// five such budgets stay on their caller's thread, and cold runs of a
+/// million flips take every core.
+pub const MIN_FLIPS_PER_WORKER: u64 = 50_000;
+
 /// Configuration of a [`Scheduler`].
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
-    /// Worker threads in the pool (0 and 1 both mean sequential).
+    /// The largest worker pool a run may take (0 and 1 both mean the
+    /// calling thread alone). A MAP run takes fewer when its flip
+    /// budget does not pay for them (see [`MIN_FLIPS_PER_WORKER`]), and
+    /// a bin never runs more workers than it has partitions. The result
+    /// is bit-identical at every pool size.
     pub threads: usize,
     /// Byte budget for a resident bin; `None` schedules exact connected
     /// components in a single bin.
@@ -188,7 +206,7 @@ pub struct ScheduleResult {
     /// Whether a full round left the assignment unchanged (always `false`
     /// when the round limit was exhausted first).
     pub converged: bool,
-    /// Worker threads used.
+    /// Worker threads the run actually took: the most any bin ran.
     pub threads: usize,
     /// Per-partition best-cost traces, aligned with
     /// [`Schedule::units`]. Flips are cumulative across rounds; elapsed
@@ -382,7 +400,9 @@ impl<'a> Scheduler<'a> {
         let mut rounds_run = 0;
         let mut converged = false;
         // One per worker, for every in-place pass of the run.
-        let mut scratch = self.per_worker(SearchScratch::default);
+        let mut scratch = scratches(self.map_workers());
+        let widest = self.schedule.bins.iter().map(|b| b.items.len()).max();
+        let threads = scratch.len().min(widest.unwrap_or(1)).max(1);
 
         for round in 0..rounds {
             rounds_run = round + 1;
@@ -449,7 +469,7 @@ impl<'a> Scheduler<'a> {
             peak_partition_bytes: peak,
             rounds_run,
             converged,
-            threads: self.config.threads.max(1),
+            threads,
             unit_traces,
         }
     }
@@ -476,18 +496,18 @@ impl<'a> Scheduler<'a> {
         // every entry is written.
         let mut clause_sat = vec![f64::NAN; self.mrf.num_clauses()];
         let (parts, cut_by_part) = (&self.schedule.parts, &self.schedule.cut_by_part);
-        let mut scratch = self.per_worker(SearchScratch::default);
+        let mut scratch = scratches(self.config.threads.max(1));
         for bin in &self.schedule.bins {
             let jobs = &bin.items;
-            let run_unit = |scratch: &mut SearchScratch, ui: usize| {
-                let p = self.schedule.units[ui].part;
+            let run_unit = |scratch: &mut SearchScratch, j: usize| {
+                let p = self.schedule.units[jobs[j]].part;
                 let seed = derive_seed(params.seed, p, 0);
                 let (atoms, clauses) = (&parts.atoms[p], &parts.internal_clauses[p]);
                 let mut mc = McSat::in_scope(self.mrf, atoms, clauses, &cut_by_part[p], seed);
                 let (probs, sat) = mc.marginals_in(params, &condition_state, scratch);
                 (probs, sat, mc.flips())
             };
-            let locals = self.pool_map(jobs, &mut scratch, run_unit);
+            let locals = pool_map(jobs.len(), &mut scratch, run_unit);
             for (&ui, (probs, sat, unit_flips)) in jobs.iter().zip(locals) {
                 let p = self.schedule.units[ui].part;
                 for (&a, prob) in parts.atoms[p].iter().zip(probs) {
@@ -511,8 +531,17 @@ impl<'a> Scheduler<'a> {
         })
     }
 
-    /// Executes one bin: workers steal partition passes off a shared
-    /// queue; outcomes come back in schedule order.
+    /// Workers a MAP run takes: the configured pool, but no more than
+    /// its flip budget pays for (see [`MIN_FLIPS_PER_WORKER`]).
+    fn map_workers(&self) -> usize {
+        let paid = self.config.search.max_flips / MIN_FLIPS_PER_WORKER;
+        let paid = usize::try_from(paid).unwrap_or(usize::MAX).max(1);
+        self.config.threads.max(1).min(paid)
+    }
+
+    /// Executes one bin on one worker per entry of `scratch`: workers
+    /// steal partition passes off a shared queue; outcomes come back in
+    /// schedule order.
     fn run_bin(
         &self,
         bin: &Bin,
@@ -529,8 +558,8 @@ impl<'a> Scheduler<'a> {
             let share = max_flips * u.atom_count as u128 / all_passes;
             u64::try_from(share).unwrap_or(u64::MAX).max(1)
         };
-        let pass = |scratch: &mut SearchScratch, ui: usize| {
-            let unit = &self.schedule.units[ui];
+        let pass = |scratch: &mut SearchScratch, j: usize| {
+            let unit = &self.schedule.units[bin.items[j]];
             self.run_unit_pass(
                 unit,
                 snapshot,
@@ -539,53 +568,7 @@ impl<'a> Scheduler<'a> {
                 scratch,
             )
         };
-        self.pool_map(&bin.items, scratch, pass)
-    }
-
-    /// One state per pool worker (see [`Scheduler::pool_map`]).
-    fn per_worker<S>(&self, state: impl FnMut() -> S) -> Vec<S> {
-        std::iter::repeat_with(state)
-            .take(self.config.threads.max(1))
-            .collect()
-    }
-
-    /// Maps `f` over unit indices with the work-stealing pool: workers
-    /// claim the next job off a shared counter as they finish, results
-    /// come back in job order. Each worker owns one entry of `states`
-    /// (from [`Scheduler::per_worker`]) for the duration of the call.
-    /// Sequential (no threads spawned) when the pool — or the job list —
-    /// has a single entry.
-    fn pool_map<S, T, F>(&self, jobs: &[usize], states: &mut [S], f: F) -> Vec<T>
-    where
-        S: Send,
-        T: Send,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        let workers = states.len().min(jobs.len());
-        if workers <= 1 {
-            let state = &mut states[0];
-            return jobs.iter().map(|&ui| f(state, ui)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<parking_lot::Mutex<Option<T>>> =
-            jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-        crossbeam::scope(|scope| {
-            for state in &mut states[..workers] {
-                let (next, slots, f) = (&next, &slots, &f);
-                scope.spawn(move |_| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= jobs.len() {
-                        break;
-                    }
-                    *slots[j].lock() = Some(f(state, jobs[j]));
-                });
-            }
-        })
-        .expect("scheduler worker panicked");
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("missing worker result"))
-            .collect()
+        pool_map(bin.items.len(), scratch, pass)
     }
 
     /// One WalkSAT pass over a partition, from the snapshot's state, in
@@ -642,6 +625,13 @@ impl<'a> Scheduler<'a> {
         }
         MemoryFootprint::estimate(unit.atom_count, clauses, literals).total()
     }
+}
+
+/// One search scratch per pool worker.
+fn scratches(workers: usize) -> Vec<SearchScratch> {
+    std::iter::repeat_with(SearchScratch::default)
+        .take(workers)
+        .collect()
 }
 
 /// Spends up to `budget` flips on `ws`, recording every improvement of
@@ -742,7 +732,7 @@ mod tests {
             &m,
             SchedulerConfig {
                 threads: 4,
-                ..config(64 * 100, 21)
+                ..config(4 * MIN_FLIPS_PER_WORKER, 21)
             },
         );
         let r = s.run(None);
@@ -760,7 +750,7 @@ mod tests {
                 &m,
                 SchedulerConfig {
                     threads,
-                    ..config(16 * 200, 4)
+                    ..config(8 * MIN_FLIPS_PER_WORKER, 4)
                 },
             );
             let r = s.run(Some(&mut trace));
@@ -774,6 +764,40 @@ mod tests {
         let base = run(1);
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), base, "threads={threads} diverged");
+        }
+    }
+
+    #[test]
+    fn flip_budget_sizes_the_pool() {
+        // Eight satisfiable components: every pass stops at its
+        // zero-cost world, so a large budget costs no time.
+        let mut b = MrfBuilder::new();
+        for i in 0..8u32 {
+            b.add_clause(
+                vec![Lit::pos(2 * i), Lit::pos(2 * i + 1)],
+                Weight::Soft(1.0),
+            );
+            b.add_clause(vec![Lit::neg(2 * i)], Weight::Soft(0.5));
+        }
+        let m = b.finish();
+        let run = |threads, max_flips| {
+            let r = Scheduler::new(
+                &m,
+                SchedulerConfig {
+                    threads,
+                    ..config(max_flips, 6)
+                },
+            )
+            .run(None);
+            (r.threads, (r.truth, format!("{}", r.cost), r.flips))
+        };
+        let serving = run(1, 10_000).1;
+        for threads in [2, 4, 16] {
+            assert_eq!(run(threads, 10_000), (1, serving.clone()));
+        }
+        let cold = run(1, 5_000_000).1;
+        for threads in [2, 4, 16] {
+            assert_eq!(run(threads, 5_000_000), (threads.min(8), cold.clone()));
         }
     }
 

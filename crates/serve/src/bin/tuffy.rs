@@ -8,8 +8,7 @@
 //!       [--delta d.db ...] [--session] [--connect ADDR] \
 //!       [--flips N] [--parallel N] [--no-partition] [--mem-budget BYTES] \
 //!       [--partition-rounds N] [--seed N] [--explain] [--explain-schedule] \
-//!       [--join-order auto|program] [--join-algo auto|nl] [--no-pushdown] \
-//!       [--ground-threads N]
+//!       [--join-order auto|program] [--join-algo auto|nl] [--no-pushdown]
 //! ```
 //!
 //! All inference runs inside one long-lived session (ground once, query
@@ -30,6 +29,9 @@
 //! that configure a local engine (`-i`, `-e`, `--explain*`, `--learn*`,
 //! the partitioning, planner and grounding knobs) are rejected in this
 //! mode, naming the flag.
+//!
+//! `--parallel N` sets the worker threads of both grounding and search;
+//! the default, 0, is every core. Answers do not depend on it.
 //!
 //! `--explain` prints the physical plan (`EXPLAIN`) of every grounding
 //! query under the selected lesion knobs and exits without running
@@ -72,7 +74,6 @@ struct Args {
     join_order: JoinOrderPolicy,
     join_algorithm: JoinAlgorithmPolicy,
     pushdown: bool,
-    ground_threads: usize,
     mem_budget_bytes: usize,
     learn: Option<String>,
     learner: LearnerKind,
@@ -92,13 +93,12 @@ fn usage() -> &'static str {
      \x20       [--mem-budget BYTES] [--partition-rounds N] [--seed N]\n\
      \x20       [--explain] [--explain-schedule]\n\
      \x20       [--join-order auto|program] [--join-algo auto|nl]\n\
-     \x20       [--no-pushdown] [--ground-threads N]\n\
-     \x20       [--mem-budget-bytes N]\n\
+     \x20       [--no-pushdown] [--mem-budget-bytes N]\n\
      \x20       [--learn <labels.db>] [--learner vp|dn] [--learn-iters N]"
 }
 
 /// Flags that configure a local engine; `--connect` rejects each.
-const LOCAL_ONLY: [&str; 16] = [
+const LOCAL_ONLY: [&str; 15] = [
     "-i",
     "-e",
     "--explain",
@@ -110,7 +110,6 @@ const LOCAL_ONLY: [&str; 16] = [
     "--join-order",
     "--join-algo",
     "--no-pushdown",
-    "--ground-threads",
     "--mem-budget-bytes",
     "--learn",
     "--learner",
@@ -129,14 +128,13 @@ fn parse_args() -> Result<Args, String> {
         explain: false,
         explain_schedule: false,
         flips: 1_000_000,
-        threads: 1,
+        threads: 0,
         partition: PartitionStrategy::Components,
         partition_rounds: 3,
         seed: 42,
         join_order: JoinOrderPolicy::Auto,
         join_algorithm: JoinAlgorithmPolicy::Auto,
         pushdown: true,
-        ground_threads: 0,
         mem_budget_bytes: 0,
         learn: None,
         learner: LearnerKind::VotedPerceptron,
@@ -163,11 +161,6 @@ fn parse_args() -> Result<Args, String> {
             "--explain" => args.explain = true,
             "--explain-schedule" => args.explain_schedule = true,
             "--no-pushdown" => args.pushdown = false,
-            "--ground-threads" => {
-                args.ground_threads = value("--ground-threads")?
-                    .parse()
-                    .map_err(|e| format!("--ground-threads: {e}"))?;
-            }
             "--join-order" => {
                 args.join_order = match value("--join-order")?.as_str() {
                     "auto" => JoinOrderPolicy::Auto,
@@ -553,7 +546,6 @@ fn run() -> Result<(), String> {
         partitioning: args.partition,
         partition_rounds: args.partition_rounds,
         threads: args.threads,
-        ground_threads: args.ground_threads,
         optimizer: tuffy::OptimizerConfig {
             join_order: args.join_order,
             join_algorithm: args.join_algorithm,

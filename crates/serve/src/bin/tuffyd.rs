@@ -8,7 +8,7 @@
 //! ```text
 //! tuffyd -i prog.mln [-e evidence.db] [--listen ADDR] [--store DIR]
 //!        [--checkpoint-every N] [--drain-ms N]
-//!        [--flips N] [--seed N] [--parallel N] [--ground-threads N]
+//!        [--flips N] [--seed N] [--parallel N]
 //!        [--mem-budget-bytes N]
 //!        [--max-connections N] [--max-inflight N] [--max-heavy N]
 //!        [--max-frame-bytes N] [--frame-deadline-ms N]
@@ -33,6 +33,10 @@
 //! re-ground from sources, never served. Every `--checkpoint-every`
 //! WAL records (default 64; 0 disables) the log is folded into a new
 //! base generation so recovery time stays bounded.
+//!
+//! `--parallel N` sets the worker threads of both grounding and search
+//! (default 0: every core); a request's search takes a second worker
+//! only when its flip budget pays for one. Answers do not depend on it.
 //!
 //! `--mem-budget-bytes N` bounds grounding-time join state: oversized
 //! intermediate results spill to sorted on-disk runs instead of
@@ -59,7 +63,6 @@ struct Args {
     flips: u64,
     seed: u64,
     threads: usize,
-    ground_threads: usize,
     mem_budget_bytes: usize,
     serve: ServeConfig,
 }
@@ -67,7 +70,7 @@ struct Args {
 fn usage() -> &'static str {
     "usage: tuffyd -i <prog.mln> [-e <evidence.db>] [--listen ADDR] [--store DIR]\n\
      \x20       [--checkpoint-every N] [--drain-ms N]\n\
-     \x20       [--flips N] [--seed N] [--parallel N] [--ground-threads N]\n\
+     \x20       [--flips N] [--seed N] [--parallel N]\n\
      \x20       [--mem-budget-bytes N]\n\
      \x20       [--max-connections N] [--max-inflight N] [--max-heavy N]\n\
      \x20       [--max-frame-bytes N] [--frame-deadline-ms N]"
@@ -82,8 +85,7 @@ fn parse_args() -> Result<Args, String> {
         checkpoint_every: 64,
         flips: 1_000_000,
         seed: 42,
-        threads: 1,
-        ground_threads: 0,
+        threads: 0,
         mem_budget_bytes: 0,
         serve: ServeConfig::default(),
     };
@@ -112,7 +114,6 @@ fn parse_args() -> Result<Args, String> {
             "--flips" => args.flips = num(&flag, value(&flag)?)?,
             "--seed" => args.seed = num(&flag, value(&flag)?)?,
             "--parallel" => args.threads = num(&flag, value(&flag)?)?,
-            "--ground-threads" => args.ground_threads = num(&flag, value(&flag)?)?,
             "--max-connections" => args.serve.max_connections = num(&flag, value(&flag)?)?,
             "--max-inflight" => args.serve.max_inflight = num(&flag, value(&flag)?)?,
             "--max-heavy" => args.serve.max_heavy = num(&flag, value(&flag)?)?,
@@ -192,7 +193,6 @@ fn run() -> Result<(), String> {
     let args = parse_args()?;
     let config = TuffyConfig {
         threads: args.threads,
-        ground_threads: args.ground_threads,
         optimizer: tuffy::OptimizerConfig {
             mem_budget_bytes: args.mem_budget_bytes,
             ..Default::default()

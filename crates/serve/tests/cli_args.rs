@@ -18,7 +18,7 @@ fn stderr(out: &Output) -> String {
 /// loopback refuses connections, so a connect attempt would report it).
 #[test]
 fn connect_rejects_local_engine_flags_by_name() {
-    let flags: [&[&str]; 16] = [
+    let flags: [&[&str]; 15] = [
         &["-i", "prog.mln"],
         &["-e", "evidence.db"],
         &["--explain"],
@@ -30,7 +30,6 @@ fn connect_rejects_local_engine_flags_by_name() {
         &["--join-order", "program"],
         &["--join-algo", "nl"],
         &["--no-pushdown"],
-        &["--ground-threads", "2"],
         &["--mem-budget-bytes", "64"],
         &["--learn", "labels.db"],
         &["--learner", "dn"],
@@ -56,7 +55,7 @@ fn connect_rejects_local_engine_flags_by_name() {
 /// Removed flags fail as unknown ones rather than being ignored.
 #[test]
 fn serve_is_an_unknown_flag() {
-    for flag in ["--serve", "--arch", "--no-stats"] {
+    for flag in ["--serve", "--arch", "--no-stats", "--ground-threads"] {
         let out = tuffy(&[flag, "2"]);
         assert!(!out.status.success());
         assert!(

@@ -4,29 +4,47 @@
 //! component schedule and the memory-budgeted Gauss-Seidel schedule.
 //! (Partition passes seed from (partition, round) alone and merge in
 //! schedule order, so thread count must never show in the results.)
+//! Marginal and top-k answers, and the default configuration, which
+//! takes every core, are held to the same standard.
 
-use tuffy::{MapResult, PartitionStrategy, Tuffy, TuffyConfig, WalkSatParams};
+use tuffy::{
+    MapResult, McSatParams, PartitionStrategy, Query, QueryAnswer, Tuffy, TuffyConfig,
+    WalkSatParams,
+};
+use tuffy_datagen::Dataset;
+use tuffy_search::MIN_FLIPS_PER_WORKER;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn run(program: &tuffy_datagen::Dataset, strategy: PartitionStrategy, threads: usize) -> MapResult {
-    let cfg = TuffyConfig {
+/// A flip budget that pays for every pool size in [`THREADS`], so each
+/// one really runs that many workers.
+const FLIPS: u64 = 8 * MIN_FLIPS_PER_WORKER;
+
+fn config(strategy: PartitionStrategy, threads: usize) -> TuffyConfig {
+    TuffyConfig {
         partitioning: strategy,
         threads,
         partition_rounds: 3,
         search: WalkSatParams {
-            max_flips: 30_000,
+            max_flips: FLIPS,
             seed: 77,
             ..Default::default()
         },
         ..Default::default()
-    };
+    }
+}
+
+fn run_config(program: &Dataset, cfg: TuffyConfig) -> MapResult {
     Tuffy::from_parts(program.program.clone(), program.evidence.clone())
         .with_config(cfg)
         .open_session()
         .unwrap()
         .map()
         .unwrap()
+}
+
+fn run(program: &Dataset, strategy: PartitionStrategy, threads: usize) -> MapResult {
+    run_config(program, config(strategy, threads))
 }
 
 /// Everything about a run that must be thread-count invariant: the final
@@ -73,4 +91,95 @@ fn repeated_runs_are_bitwise_identical() {
     let a = fingerprint(&run(&ds, PartitionStrategy::Budget(6_000), 4));
     let b = fingerprint(&run(&ds, PartitionStrategy::Budget(6_000), 4));
     assert_eq!(a, b);
+}
+
+/// The seed of `tuffy-bench`'s dataset constructors.
+const BENCH_SEED: u64 = 20110829;
+
+/// `tuffy-bench`'s search-scale `all_four()`.
+fn four_testbeds() -> [Dataset; 4] {
+    [
+        tuffy_datagen::lp(5, 4, BENCH_SEED),
+        tuffy_datagen::ie(300, 200, BENCH_SEED),
+        tuffy_datagen::rc(40, 7, BENCH_SEED),
+        tuffy_datagen::er(14, 80, BENCH_SEED),
+    ]
+}
+
+#[test]
+fn default_config_matches_one_thread_on_the_four_testbeds() {
+    for ds in four_testbeds() {
+        let default = TuffyConfig {
+            search: WalkSatParams {
+                max_flips: FLIPS,
+                seed: 77,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let one = TuffyConfig {
+            threads: 1,
+            ..default
+        };
+        assert_eq!(
+            fingerprint(&run_config(&ds, default)),
+            fingerprint(&run_config(&ds, one)),
+            "{}: the default diverged from one thread",
+            ds.name
+        );
+    }
+}
+
+/// Every probability of a marginal answer and every entry of a top-k
+/// answer, as exact bits.
+fn sampled(ds: &Dataset, strategy: PartitionStrategy, threads: usize) -> Vec<(String, u64)> {
+    let engine = Tuffy::from_parts(ds.program.clone(), ds.evidence.clone())
+        .with_config(config(strategy, threads))
+        .build_engine()
+        .unwrap();
+    let mcsat = McSatParams {
+        samples: 60,
+        seed: 5,
+        ..Default::default()
+    };
+    let snapshot = engine.snapshot();
+    let mut bits = Vec::new();
+    for query in [Query::marginal_all(), Query::top_k("field", 25)] {
+        match snapshot.query(&query.with_mcsat(mcsat)).unwrap() {
+            QueryAnswer::Marginal(m) => bits.extend(
+                m.names
+                    .iter()
+                    .zip(&m.marginals)
+                    .map(|(name, (_, p))| (name.clone(), p.to_bits())),
+            ),
+            QueryAnswer::TopK(t) => bits.extend(
+                t.entries
+                    .iter()
+                    .map(|e| (e.name.clone(), e.probability.to_bits())),
+            ),
+            QueryAnswer::Map(_) => unreachable!("no MAP query was asked"),
+        }
+    }
+    bits
+}
+
+#[test]
+fn marginals_are_independent_of_the_thread_count() {
+    // `Budget` samples through the scheduler: 60 components in 12 bins,
+    // several per bin for the pool. `Components` runs one sampler.
+    let ds = tuffy_datagen::ie(60, 40, 9);
+    for strategy in [
+        PartitionStrategy::Components,
+        PartitionStrategy::Budget(4_000),
+    ] {
+        let base = sampled(&ds, strategy, 1);
+        assert!(!base.is_empty());
+        for threads in [2, 4] {
+            assert_eq!(
+                sampled(&ds, strategy, threads),
+                base,
+                "{strategy:?}: threads={threads} diverged"
+            );
+        }
+    }
 }

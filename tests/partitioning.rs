@@ -230,3 +230,31 @@ fn search_ram_reflects_partitioning() {
     let comps = search_ram(PartitionStrategy::Components);
     assert!(comps <= whole, "components {comps} vs whole {whole}");
 }
+
+/// At β = ∞ Algorithm 3 skips its weight sort and scans clauses in
+/// order; its partitions must still be exactly the connected components
+/// on `tuffy-bench`'s four search-scale testbeds.
+#[test]
+fn unbounded_partitioning_is_the_component_set_on_the_four_testbeds() {
+    const BENCH_SEED: u64 = 20110829;
+    for ds in [
+        tuffy_datagen::lp(5, 4, BENCH_SEED),
+        tuffy_datagen::ie(300, 200, BENCH_SEED),
+        tuffy_datagen::rc(40, 7, BENCH_SEED),
+        tuffy_datagen::er(14, 80, BENCH_SEED),
+    ] {
+        let g = ground_bottom_up(
+            &ds.program,
+            &ds.evidence,
+            GroundingMode::LazyClosure,
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        let parts = Partitioning::compute(&g.mrf, usize::MAX);
+        let components = ComponentSet::detect(&g.mrf);
+        assert_eq!(parts.label, components.label, "{}", ds.name);
+        assert_eq!(parts.atoms, components.atoms, "{}", ds.name);
+        assert_eq!(parts.internal_clauses, components.clauses, "{}", ds.name);
+        assert!(parts.cut_clauses.is_empty(), "{}", ds.name);
+    }
+}
