@@ -67,8 +67,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
     fn worker_panics_reach_the_caller() {
-        pool_map(4, &mut [(), ()], |_, j| assert_ne!(j, 2, "job 2 fails"));
+        let r = std::panic::catch_unwind(|| {
+            pool_map(4, &mut [(), ()], |_, j| assert_ne!(j, 2, "job 2 fails"))
+        });
+        let payload = r.expect_err("a worker's panic resumes on the caller");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("a scoped thread panicked"), "payload: {msg:?}");
     }
 }
