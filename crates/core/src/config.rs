@@ -36,9 +36,9 @@ pub struct TuffyConfig {
     /// searches. `0` (the default) means every core the process may use
     /// (see [`TuffyConfig::resolved_threads`]). Grounding, MAP and
     /// marginal answers are bit-identical at every thread count, so this
-    /// is purely a performance setting. A MAP search takes fewer workers
-    /// than this when its flip budget does not pay for them
-    /// ([`tuffy_search::MIN_FLIPS_PER_WORKER`]).
+    /// is purely a performance setting. A MAP query's search takes fewer
+    /// workers than this when its flip budget does not pay for them
+    /// ([`tuffy_search::SchedulerConfig::paid_by_flips`]).
     pub threads: usize,
     /// WalkSAT parameters.
     pub search: WalkSatParams,

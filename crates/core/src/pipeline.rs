@@ -88,7 +88,8 @@ impl Tuffy {
     /// schedule, and prints it without running any search.
     pub fn explain_schedule(&self) -> Result<String, MlnError> {
         let grounding = self.ground()?;
-        Ok(Scheduler::new(&grounding.mrf, self.config.scheduler_config()).explain())
+        let config = self.config.scheduler_config().paid_by_flips();
+        Ok(Scheduler::new(&grounding.mrf, config).explain())
     }
 
     /// Grounds the program bottom-up in the RDBMS (without building an

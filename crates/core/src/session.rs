@@ -281,7 +281,7 @@ impl Session {
         let schedule = Scheduler::with_schedule(
             &g.mrf,
             self.snapshot.schedule(),
-            self.config().scheduler_config(),
+            self.config().scheduler_config().paid_by_flips(),
         )
         .explain();
         out.push_str("└─ ");

@@ -4,7 +4,7 @@
 //! cheap (`Clone + Send + Sync`) handle onto one *generation* of the
 //! grounded store — program, evidence, MRF, registry — plus lazily
 //! built, generation-scoped analysis caches (the partition
-//! [`Schedule`], the marginal samples). Snapshots never mutate:
+//! [`Schedule`], the component count). Snapshots never mutate:
 //! [`crate::Session::apply`] and [`crate::Query::given`] produce a *new*
 //! generation copy-on-write (sharing the old generation's `Arc`-backed
 //! arenas whenever the delta leaves them untouched), so any number of
@@ -127,6 +127,8 @@ pub(crate) enum ForkWarm {
 struct GenerationCaches {
     /// Partition schedule, planned on first use.
     schedule: OnceLock<Arc<Schedule>>,
+    /// Nontrivial component count, detected on first use.
+    components: OnceLock<usize>,
     /// Marginal-sampling results keyed on `(generation, McSatParams
     /// fingerprint)`. Marginal inference is deterministic in (generation,
     /// params), so a repeat query — the weight-learning loop re-issues
@@ -252,16 +254,21 @@ impl Snapshot {
             .clone()
     }
 
-    /// Nontrivial connected components of this generation's MRF. Under
-    /// [`PartitionStrategy::Components`] they are the schedule's units,
-    /// which the search plans anyway; other strategies detect them.
+    /// Nontrivial connected components of this generation's MRF,
+    /// counted once. Under [`PartitionStrategy::Components`] they are the
+    /// schedule's units, which the search plans anyway; other strategies
+    /// detect them.
     pub(crate) fn components(&self) -> usize {
-        match self.inner.config.partitioning {
-            PartitionStrategy::Components => self.schedule().units.len(),
-            PartitionStrategy::None | PartitionStrategy::Budget(_) => {
-                ComponentSet::detect(&self.inner.grounding.mrf).nontrivial_count()
-            }
-        }
+        *self
+            .inner
+            .caches
+            .components
+            .get_or_init(|| match self.inner.config.partitioning {
+                PartitionStrategy::Components => self.schedule().units.len(),
+                PartitionStrategy::None | PartitionStrategy::Budget(_) => {
+                    ComponentSet::detect(&self.inner.grounding.mrf).nontrivial_count()
+                }
+            })
     }
 
     fn scheduler_config(&self, search: &WalkSatParams) -> SchedulerConfig {
@@ -424,9 +431,10 @@ impl Snapshot {
             PartitionStrategy::Components | PartitionStrategy::Budget(_) => {
                 // The generation-scoped schedule cache: repeated
                 // queries — from any number of sessions and
-                // threads — skip Algorithm 3 + FFD re-planning.
-                let scheduler =
-                    Scheduler::with_schedule(mrf, self.schedule(), self.scheduler_config(search));
+                // threads — skip Algorithm 3 + FFD re-planning. The
+                // pool is cut to what the flip budget pays for.
+                let config = self.scheduler_config(search).paid_by_flips();
+                let scheduler = Scheduler::with_schedule(mrf, self.schedule(), config);
                 let r = scheduler.run_from(&init, Some(&mut trace));
                 report.flips = r.flips;
                 report.search_ram = r.peak_partition_bytes;
@@ -554,9 +562,9 @@ impl Snapshot {
     /// weight learning's iteration step. O(clauses): the MRF's weight and
     /// violation-cost columns are rebuilt through
     /// [`tuffy_mrf::Mrf::reweight`] while every structural arena
-    /// (literals, occurrences, origins, registry, partition schedule) is
-    /// shared with this snapshot, which stays fully usable — in-flight
-    /// queries on any generation are undisturbed.
+    /// (literals, occurrences, origins, registry, partition schedule,
+    /// component counts) is shared with this snapshot, which stays fully
+    /// usable — in-flight queries on any generation are undisturbed.
     ///
     /// The forked program carries the new weights on its rules, so a
     /// later re-ground (or a persisted save) reproduces them. Non-finite

@@ -47,28 +47,32 @@ use tuffy_mrf::binpack::{first_fit_decreasing, Bin};
 use tuffy_mrf::memory::{beta_for_budget, human_bytes, MemoryFootprint};
 use tuffy_mrf::{Cost, Lit, Mrf, Partitioning};
 
-/// The flip budget each worker of a MAP run must have to pay for
-/// itself: a run takes at most `max_flips / MIN_FLIPS_PER_WORKER`
-/// workers, and at least one.
+/// The flip budget each worker of a MAP query must have to pay for
+/// itself: [`SchedulerConfig::paid_by_flips`] gives a run at most
+/// `max_flips / MIN_FLIPS_PER_WORKER` workers, and at least one.
 ///
 /// Measured on 2 vCPUs, 1 → 2 workers. Alone, a second worker pays at
-/// every budget: a warm `ie(2500, 700)` MAP (p50 of 30) goes 4.5 → 3.6
-/// ms at 10 k flips and 15.5 → 9.7 ms at 100 k; `ie(25000, 2000)` at
-/// 5 M flips, 581 → 323 ms. With two clients already on both cores it
-/// does not: splitting `serve_read`'s 10 k-flip MAPs moved `op_p50_ms`
-/// from 8.7–9.9 to 12.5–13.4 ms (three pairs). So requests of up to
-/// five such budgets stay on their caller's thread, and cold runs of a
-/// million flips take every core.
+/// every budget: a warm `ie(2500, 700)` MAP's p50 goes 4.5 → 3.6 ms at
+/// 10 k flips, 14–18 → 12 ms at 100 k and 74–103 → 47–55 ms at 1 M;
+/// `ie(25000, 2000)` at 5 M flips, 581 → 323 ms. With two clients
+/// already on both cores it never pays, and it costs most where a query
+/// is short: splitting `serve_read`'s 10 k-flip MAPs moved `op_p50_ms`
+/// from 8.7–9.9 to 12.5–13.4 ms, while two clients issuing 100 k- or
+/// 1 M-flip MAPs on one `ie(2500, 700)` engine lost 4–14 % of their
+/// throughput (three runs each). A flip budget cannot see contention:
+/// this value keeps short requests, where splitting loses most, on
+/// their caller's thread, and lets long ones take every core. Budgets
+/// between 10 k and 100 k flips were not measured.
 pub const MIN_FLIPS_PER_WORKER: u64 = 50_000;
 
 /// Configuration of a [`Scheduler`].
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
-    /// The largest worker pool a run may take (0 and 1 both mean the
-    /// calling thread alone). A MAP run takes fewer when its flip
-    /// budget does not pay for them (see [`MIN_FLIPS_PER_WORKER`]), and
-    /// a bin never runs more workers than it has partitions. The result
-    /// is bit-identical at every pool size.
+    /// Worker threads in the pool (0 and 1 both mean the calling thread
+    /// alone); a bin never runs more workers than it has partitions. The
+    /// result is bit-identical at every pool size. Callers that size the
+    /// pool by the flip budget do so with
+    /// [`SchedulerConfig::paid_by_flips`].
     pub threads: usize,
     /// Byte budget for a resident bin; `None` schedules exact connected
     /// components in a single bin.
@@ -80,6 +84,20 @@ pub struct SchedulerConfig {
     /// budget, divided across partitions and rounds in proportion to
     /// partition size (the §4.4 weighted round-robin protocol).
     pub search: WalkSatParams,
+}
+
+impl SchedulerConfig {
+    /// This configuration with its pool cut to what the flip budget pays
+    /// for: at most one worker per [`MIN_FLIPS_PER_WORKER`] flips, and at
+    /// least one. The engine's MAP queries run under it.
+    pub fn paid_by_flips(self) -> Self {
+        let paid = self.search.max_flips / MIN_FLIPS_PER_WORKER;
+        let paid = usize::try_from(paid).unwrap_or(usize::MAX).max(1);
+        SchedulerConfig {
+            threads: self.threads.max(1).min(paid),
+            ..self
+        }
+    }
 }
 
 impl Default for SchedulerConfig {
@@ -400,7 +418,7 @@ impl<'a> Scheduler<'a> {
         let mut rounds_run = 0;
         let mut converged = false;
         // One per worker, for every in-place pass of the run.
-        let mut scratch = scratches(self.map_workers());
+        let mut scratch = scratches(self.config.threads.max(1));
         let widest = self.schedule.bins.iter().map(|b| b.items.len()).max();
         let threads = scratch.len().min(widest.unwrap_or(1)).max(1);
 
@@ -529,14 +547,6 @@ impl<'a> Scheduler<'a> {
             clause_sat,
             flips,
         })
-    }
-
-    /// Workers a MAP run takes: the configured pool, but no more than
-    /// its flip budget pays for (see [`MIN_FLIPS_PER_WORKER`]).
-    fn map_workers(&self) -> usize {
-        let paid = self.config.search.max_flips / MIN_FLIPS_PER_WORKER;
-        let paid = usize::try_from(paid).unwrap_or(usize::MAX).max(1);
-        self.config.threads.max(1).min(paid)
     }
 
     /// Executes one bin on one worker per entry of `scratch`: workers
@@ -732,7 +742,7 @@ mod tests {
             &m,
             SchedulerConfig {
                 threads: 4,
-                ..config(4 * MIN_FLIPS_PER_WORKER, 21)
+                ..config(64 * 100, 21)
             },
         );
         let r = s.run(None);
@@ -750,7 +760,7 @@ mod tests {
                 &m,
                 SchedulerConfig {
                     threads,
-                    ..config(8 * MIN_FLIPS_PER_WORKER, 4)
+                    ..config(16 * 200, 4)
                 },
             );
             let r = s.run(Some(&mut trace));
@@ -780,24 +790,30 @@ mod tests {
             b.add_clause(vec![Lit::neg(2 * i)], Weight::Soft(0.5));
         }
         let m = b.finish();
-        let run = |threads, max_flips| {
-            let r = Scheduler::new(
-                &m,
-                SchedulerConfig {
-                    threads,
-                    ..config(max_flips, 6)
-                },
-            )
-            .run(None);
+        let run = |config: SchedulerConfig| {
+            let r = Scheduler::new(&m, config).run(None);
             (r.threads, (r.truth, format!("{}", r.cost), r.flips))
         };
-        let serving = run(1, 10_000).1;
+        let sized = |threads, max_flips| {
+            run(SchedulerConfig {
+                threads,
+                ..config(max_flips, 6)
+            }
+            .paid_by_flips())
+        };
+        let serving = sized(1, 10_000).1;
         for threads in [2, 4, 16] {
-            assert_eq!(run(threads, 10_000), (1, serving.clone()));
+            assert_eq!(sized(threads, 10_000), (1, serving.clone()));
+            // Unsized, the scheduler runs the pool it is given.
+            let pool = SchedulerConfig {
+                threads,
+                ..config(10_000, 6)
+            };
+            assert_eq!(run(pool), (threads.min(8), serving.clone()));
         }
-        let cold = run(1, 5_000_000).1;
+        let cold = sized(1, 5_000_000).1;
         for threads in [2, 4, 16] {
-            assert_eq!(run(threads, 5_000_000), (threads.min(8), cold.clone()));
+            assert_eq!(sized(threads, 5_000_000), (threads.min(8), cold.clone()));
         }
     }
 

@@ -3,7 +3,21 @@
 // Each test binary compiles this module separately and uses a subset.
 #![allow(dead_code)]
 
+use tuffy_datagen::Dataset;
 use tuffy_grounder::GroundingResult;
+
+/// The seed of `tuffy-bench`'s dataset constructors.
+pub const BENCH_SEED: u64 = 20110829;
+
+/// `tuffy-bench`'s search-scale `all_four()`: LP, IE, RC and ER.
+pub fn four_testbeds() -> [Dataset; 4] {
+    [
+        tuffy_datagen::lp(5, 4, BENCH_SEED),
+        tuffy_datagen::ie(300, 200, BENCH_SEED),
+        tuffy_datagen::rc(40, 7, BENCH_SEED),
+        tuffy_datagen::er(14, 80, BENCH_SEED),
+    ]
+}
 
 /// A deep, order-sensitive fingerprint of everything a search or serving
 /// consumer can observe in a grounding: atom numbering, clause arenas,

@@ -7,6 +7,9 @@
 //! Marginal and top-k answers, and the default configuration, which
 //! takes every core, are held to the same standard.
 
+mod common;
+
+use common::four_testbeds;
 use tuffy::{
     MapResult, McSatParams, PartitionStrategy, Query, QueryAnswer, Tuffy, TuffyConfig,
     WalkSatParams,
@@ -16,8 +19,10 @@ use tuffy_search::MIN_FLIPS_PER_WORKER;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// A flip budget that pays for every pool size in [`THREADS`], so each
-/// one really runs that many workers.
+/// A flip budget that pays for every pool size in [`THREADS`]: the
+/// engine cuts a MAP's pool to what its flips pay for
+/// (`SchedulerConfig::paid_by_flips`), so each size really runs that
+/// many workers.
 const FLIPS: u64 = 8 * MIN_FLIPS_PER_WORKER;
 
 fn config(strategy: PartitionStrategy, threads: usize) -> TuffyConfig {
@@ -91,19 +96,6 @@ fn repeated_runs_are_bitwise_identical() {
     let a = fingerprint(&run(&ds, PartitionStrategy::Budget(6_000), 4));
     let b = fingerprint(&run(&ds, PartitionStrategy::Budget(6_000), 4));
     assert_eq!(a, b);
-}
-
-/// The seed of `tuffy-bench`'s dataset constructors.
-const BENCH_SEED: u64 = 20110829;
-
-/// `tuffy-bench`'s search-scale `all_four()`.
-fn four_testbeds() -> [Dataset; 4] {
-    [
-        tuffy_datagen::lp(5, 4, BENCH_SEED),
-        tuffy_datagen::ie(300, 200, BENCH_SEED),
-        tuffy_datagen::rc(40, 7, BENCH_SEED),
-        tuffy_datagen::er(14, 80, BENCH_SEED),
-    ]
 }
 
 #[test]

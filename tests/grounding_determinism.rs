@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{fingerprint, fingerprint_hash};
+use common::{fingerprint, fingerprint_hash, BENCH_SEED};
 use proptest::prelude::*;
 use tuffy_datagen::Dataset;
 use tuffy_grounder::{
@@ -103,9 +103,6 @@ fn assert_golden(cases: [(Dataset, u64); 4]) {
         }
     }
 }
-
-/// The seed of `tuffy-bench`'s dataset constructors.
-const BENCH_SEED: u64 = 20110829;
 
 /// `tuffy-bench`'s search-scale `all_four()`; LP and ER spill sorted
 /// runs at 64 KiB.

@@ -1,6 +1,9 @@
 //! Partitioning behaviour end to end: Theorem 3.1's speedup, Algorithm
 //! 3's budget compliance, Gauss-Seidel convergence, and parallelism.
 
+mod common;
+
+use common::four_testbeds;
 use tuffy::{PartitionStrategy, Tuffy, TuffyConfig, WalkSatParams};
 use tuffy_datagen::example1;
 use tuffy_grounder::{ground_bottom_up, GroundingMode};
@@ -236,13 +239,7 @@ fn search_ram_reflects_partitioning() {
 /// on `tuffy-bench`'s four search-scale testbeds.
 #[test]
 fn unbounded_partitioning_is_the_component_set_on_the_four_testbeds() {
-    const BENCH_SEED: u64 = 20110829;
-    for ds in [
-        tuffy_datagen::lp(5, 4, BENCH_SEED),
-        tuffy_datagen::ie(300, 200, BENCH_SEED),
-        tuffy_datagen::rc(40, 7, BENCH_SEED),
-        tuffy_datagen::er(14, 80, BENCH_SEED),
-    ] {
+    for ds in four_testbeds() {
         let g = ground_bottom_up(
             &ds.program,
             &ds.evidence,

@@ -7,7 +7,10 @@ use tuffy::{McSatParams, PartitionStrategy, Query, Tuffy, TuffyConfig, WalkSatPa
 use tuffy_datagen::Dataset;
 
 /// The partitioned configuration under test: a budget small enough to
-/// split real components, two workers, and a few Gauss-Seidel rounds.
+/// split real components, a pool of two workers, and a few Gauss-Seidel
+/// rounds. The marginal scenario samples on both workers; a MAP budget
+/// under 2 × `MIN_FLIPS_PER_WORKER` pays for one, so the MAP scenarios
+/// search on one (`tests/determinism.rs` runs the pool sizes).
 fn partitioned(budget: usize, max_flips: u64) -> TuffyConfig {
     TuffyConfig {
         partitioning: PartitionStrategy::Budget(budget),
