@@ -442,8 +442,9 @@ impl MrfBuilder {
         // A soft weight that reached ±∞ (overflowing literal, or a
         // finite-weight merge that summed past f64::MAX) *is* the hard
         // semantics (Appendix A.1). Normalizing here keeps the violation
-        // column finite, which the flip loop's branchless `×0`
-        // accumulation relies on (0 × ∞ would be NaN).
+        // column finite, which the flip loop's incremental cost sums rely
+        // on (a clause that is violated, then satisfied, would leave
+        // ∞ − ∞ = NaN in them).
         for w in &mut columns.weights {
             *w = harden_weight(*w);
         }
@@ -535,7 +536,8 @@ fn merge_origins(into: &mut Vec<RuleOrigin>, extra: &[RuleOrigin]) {
 /// and [`Mrf::reweight`]: soft ±∞ *is* the hard semantics, and NaN (which
 /// has no polarity, so it can never contribute cost) normalizes to the
 /// neutral `Soft(0.0)`. Guarantees no non-finite magnitude ever reaches
-/// the branchless flip loop's violation column.
+/// the violation column, whose costs the flip loop adds to and subtracts
+/// from incremental sums that a NaN would poison.
 pub(crate) fn harden_weight(w: Weight) -> Weight {
     match w {
         Weight::Soft(v) if v == f64::INFINITY => Weight::Hard,

@@ -407,7 +407,8 @@ impl Mrf {
     /// [`MrfBuilder::finish`](crate::MrfBuilder::finish): `Soft(+∞)` becomes
     /// `Hard`, `Soft(−∞)` becomes `NegHard`, and `NaN` (including a
     /// `+∞ + −∞` merge) becomes the neutral `Soft(0.0)` — a NaN or ∞
-    /// must never reach the branchless flip loop's violation column.
+    /// must never reach the violation column, whose costs search adds to
+    /// and subtracts from incremental sums (`∞ − ∞` is NaN).
     /// Since the clause set is fixed, a cancelled-to-zero merge cannot
     /// be dropped the way `finish` drops it; the neutral clause stays,
     /// violated in no state ([`Mrf::clause_violated_when`] is false
@@ -784,7 +785,7 @@ mod tests {
     fn overflowing_soft_merge_normalizes_to_hard() {
         // Two finite weights whose merge sums past f64::MAX: the clause
         // is ∞-weighted, i.e. hard — and the violation column stays
-        // finite for the flip loop's branchless accumulation.
+        // finite for the flip loop's incremental cost sums.
         let mut b = MrfBuilder::new();
         b.add_clause(vec![Lit::pos(0)], Weight::Soft(f64::MAX));
         b.add_clause(vec![Lit::pos(0)], Weight::Soft(f64::MAX));
@@ -971,8 +972,9 @@ mod tests {
     fn reweight_hardens_non_finite_learned_weights() {
         // Satellite regression: NaN/±∞ learned weights must pass through
         // the finish-time hardening path, never reaching the violation
-        // column (the branchless flip loop multiplies it by 0 or 1, and
-        // 0 × ∞ = NaN would poison every cost delta).
+        // column (the flip loop adds and subtracts its costs in
+        // incremental sums, and ∞ − ∞ = NaN would poison every later
+        // cost and delta).
         let mut b = MrfBuilder::new();
         b.add_clause_from_rule(vec![Lit::pos(0)], Weight::Soft(1.0), 0);
         b.add_clause_from_rule(vec![Lit::pos(1)], Weight::Soft(1.0), 1);

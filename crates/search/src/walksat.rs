@@ -19,6 +19,13 @@
 //! [`Mrf::clause_violated_when`]) rather than per-visit matches on the
 //! weight enum.
 //!
+//! It loads only what decides a flip. Per occurrence, both `flip` and
+//! `delta` read one `u32` from a dense counter column. They read the
+//! clause's violation record and its violated-set position only when the
+//! counter says the clause crosses the satisfied boundary, which most
+//! visits do not. On a bed whose columns outgrow the cache (ER's 913 k
+//! clauses), those skipped loads are the flip rate.
+//!
 //! # Scope and scratch
 //!
 //! A solver never searches a copy. It searches a *scope* of its MRF:
@@ -115,60 +122,52 @@ impl Delta {
     }
 }
 
-/// Per-clause search state: the true-literal counter and the clause's
-/// position in the violated-set member list (`u32::MAX` when not
-/// violated), packed side by side so a flip-loop transition — which
-/// always touches both — pays one random access instead of two.
-#[derive(Clone, Copy, Debug)]
-struct ClauseSlot {
-    /// True literals under the current assignment; far above any clause
-    /// length for a masked clause ([`ClauseSlot::MASKED`]).
-    num_true: u32,
-    /// Index into [`ViolatedSet::members`], or `u32::MAX`.
-    pos: u32,
-}
+/// The true-literal counter of a masked clause (see the module docs):
+/// flips move it by one per literal, so it never comes near zero and the
+/// clause never crosses the satisfied boundary.
+const MASKED: u32 = 1 << 31;
 
-impl ClauseSlot {
-    const EMPTY: ClauseSlot = ClauseSlot {
-        num_true: 0,
-        pos: u32::MAX,
-    };
-    /// A masked clause (see the module docs): flips move the counter by
-    /// one per literal, so it never comes near zero and the clause never
-    /// crosses the satisfied boundary.
-    const MASKED: ClauseSlot = ClauseSlot {
-        num_true: 1 << 31,
-        pos: u32::MAX,
-    };
-}
-
-/// An O(1) insert/remove/sample set of violated-clause indices whose
-/// per-clause position lives inside the shared [`ClauseSlot`] column.
+/// An O(1) insert/remove/sample set of violated-clause indices. It owns
+/// the per-clause position column (`u32::MAX` when not a member), which
+/// only a crossing touches.
 #[derive(Clone, Debug, Default)]
 struct ViolatedSet {
     members: Vec<u32>,
+    /// Index into `members` per clause of the MRF, or `u32::MAX`.
+    pos: Vec<u32>,
 }
 
 impl ViolatedSet {
+    /// Empties the set and sizes the position column for `clauses`
+    /// clauses. Only the members' positions are reset: every other entry
+    /// is already `u32::MAX`.
+    fn reset(&mut self, clauses: usize) {
+        for &x in &self.members {
+            self.pos[x as usize] = u32::MAX;
+        }
+        self.members.clear();
+        self.pos.resize(clauses, u32::MAX);
+    }
+
     #[inline]
-    fn insert(&mut self, slots: &mut [ClauseSlot], x: u32) {
-        if slots[x as usize].pos == u32::MAX {
-            slots[x as usize].pos = self.members.len() as u32;
+    fn insert(&mut self, x: u32) {
+        if self.pos[x as usize] == u32::MAX {
+            self.pos[x as usize] = self.members.len() as u32;
             self.members.push(x);
         }
     }
 
     #[inline]
-    fn remove(&mut self, slots: &mut [ClauseSlot], x: u32) {
-        let p = slots[x as usize].pos;
+    fn remove(&mut self, x: u32) {
+        let p = self.pos[x as usize];
         if p == u32::MAX {
             return;
         }
         let last = *self.members.last().unwrap();
         self.members[p as usize] = last;
-        slots[last as usize].pos = p;
+        self.pos[last as usize] = p;
         self.members.pop();
-        slots[x as usize].pos = u32::MAX;
+        self.pos[x as usize] = u32::MAX;
     }
 
     #[inline]
@@ -267,35 +266,36 @@ impl<'a> Scope<'a> {
     }
 }
 
-/// The mutable columns of a search — truth value per atom, search state
-/// per clause, the violated set and the best state seen — indexed by the
-/// MRF's own ids, so one allocation serves any number of scoped passes
-/// ([`WalkSat::in_scope`], and MC-SAT's samples) over one MRF. Starts
-/// empty and is sized by its first use: 8 bytes per clause and 1 per atom
-/// of the *whole* MRF.
+/// The mutable columns of a search — truth value per atom, true-literal
+/// counter per clause, the violated set and the best state seen — indexed
+/// by the MRF's own ids, so one allocation serves any number of scoped
+/// passes ([`WalkSat::in_scope`], and MC-SAT's samples) over one MRF.
+/// Starts empty and is sized by its first use: 8 bytes per clause (the
+/// counter and the violated-set position) and 2 per atom (the truth and
+/// the best truth) of the *whole* MRF.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     pub(crate) truth: Vec<bool>,
-    slots: Vec<ClauseSlot>,
+    num_true: Vec<u32>,
     violated: ViolatedSet,
     best_truth: Vec<bool>,
 }
 
 /// In-memory WalkSAT over one MRF, or over one scope of it.
 ///
-/// The mutable per-clause search state (true-literal counter +
-/// violated-set position) lives in one dense 8-byte `ClauseSlot`
-/// column — the flip loop reads one slot per occurrence, and most
-/// visits stop at the counter; the violation cost/polarity columns on
-/// the [`Mrf`] are only touched when a clause actually crosses the
-/// satisfied boundary.
+/// The flip loop reads one dense `u32` true-literal counter per
+/// occurrence, and most visits stop there: the violated-set position
+/// column and the violation cost/polarity column on the [`Mrf`] are only
+/// touched when a clause crosses the satisfied boundary.
 pub struct WalkSat<'a> {
     mrf: &'a Mrf,
     scope: Scope<'a>,
     /// A masked hard pass's selected clauses; `None` for a plain search.
     selected: Option<&'a [u32]>,
     truth: Vec<bool>,
-    slots: Vec<ClauseSlot>,
+    /// True literals per clause under the current assignment;
+    /// [`MASKED`] and above for a masked clause.
+    num_true: Vec<u32>,
     violated: ViolatedSet,
     cost: Cost,
     best_cost: Cost,
@@ -385,7 +385,7 @@ impl<'a> WalkSat<'a> {
             scope,
             selected,
             truth: scratch.truth,
-            slots: scratch.slots,
+            num_true: scratch.num_true,
             violated: scratch.violated,
             cost: Cost::ZERO,
             best_cost: Cost::ZERO,
@@ -394,7 +394,7 @@ impl<'a> WalkSat<'a> {
             rng: StdRng::seed_from_u64(seed),
         };
         ws.truth.resize(mrf.num_atoms(), false);
-        ws.slots.resize(mrf.num_clauses(), ClauseSlot::EMPTY);
+        ws.num_true.resize(mrf.num_clauses(), 0);
         ws.recompute();
         ws.save_best();
         ws
@@ -404,18 +404,19 @@ impl<'a> WalkSat<'a> {
     pub fn into_scratch(self) -> SearchScratch {
         SearchScratch {
             truth: self.truth,
-            slots: self.slots,
+            num_true: self.num_true,
             violated: self.violated,
             best_truth: self.best_truth,
         }
     }
 
     /// Rebuilds the scope's counters, violated set and cost from the
-    /// current assignment. Every slot of the scope is overwritten, so
-    /// whatever an earlier pass (a previous try, or another scope
-    /// sharing the scratch) left behind does not matter.
+    /// current assignment. Every counter of the scope is overwritten and
+    /// the violated set is emptied, so whatever an earlier pass (a
+    /// previous try, or another scope sharing the scratch) left behind
+    /// does not matter.
     fn recompute(&mut self) {
-        self.violated.members.clear();
+        self.violated.reset(self.mrf.num_clauses());
         let (mrf, scope) = (self.mrf, self.scope);
         self.cost = match (scope, self.selected) {
             (Scope::All, None) => mrf.base_cost,
@@ -427,16 +428,14 @@ impl<'a> WalkSat<'a> {
                 inside.for_each(|ci| self.count_clause(ci));
                 for &ci in cut {
                     if scope.frozen_true(mrf, &self.truth, ci as usize) {
-                        self.slots[ci as usize] = ClauseSlot::MASKED;
+                        self.num_true[ci as usize] = MASKED;
                     } else {
                         self.count_clause(ci as usize);
                     }
                 }
             }
             Some(selected) => {
-                scope
-                    .clauses(mrf)
-                    .for_each(|ci| self.slots[ci] = ClauseSlot::MASKED);
+                scope.clauses(mrf).for_each(|ci| self.num_true[ci] = MASKED);
                 for &ci in selected {
                     self.count_clause(ci as usize);
                 }
@@ -447,13 +446,10 @@ impl<'a> WalkSat<'a> {
     #[inline]
     fn count_clause(&mut self, ci: usize) {
         let nt = self.mrf.clause(ci).true_count(&self.truth) as u32;
-        self.slots[ci] = ClauseSlot {
-            num_true: nt,
-            pos: u32::MAX,
-        };
+        self.num_true[ci] = nt;
         let (violated, w) = self.violation(ci, nt > 0);
         if violated {
-            self.violated.insert(&mut self.slots, ci as u32);
+            self.violated.insert(ci as u32);
             self.cost = self.cost.add(w);
         }
     }
@@ -541,30 +537,36 @@ impl<'a> WalkSat<'a> {
 
     /// The cost change that flipping `atom` would cause.
     ///
-    /// Each occurrence entry carries the literal's sign, and the
-    /// violation polarity and cost are precomputed columns, so the scan
-    /// is one counter load + two bit tests per clause — no literal list,
-    /// no weight enum.
+    /// Each occurrence entry carries the literal's sign, so the scan
+    /// reads one counter per clause and stops there unless the flip
+    /// carries the clause across the satisfied boundary. Only then does
+    /// it read the clause's 16-byte violation record, as [`Self::flip`]
+    /// does. Most scanned clauses do not cross, so a branch-free scan
+    /// that loads every record and multiplies the non-crossing terms by
+    /// zero wastes most of its loads. Where the columns do not fit in
+    /// cache that is the flip rate: on ER's 913 k clauses (the repo
+    /// benchmark's `cold_er`, a 2-vCPU Xeon with 2 MB of L2), skipping
+    /// them, together with the dense counter column, took a million
+    /// flips from 1.7–2.4 s to 0.9–1.3 s. In cache (IE) the two scans run
+    /// at the same rate. Skipping keeps every sum's bits: a
+    /// non-crossing term adds exactly `+0.0` to a sum that starts at
+    /// `+0.0` and never becomes `−0.0`.
     fn delta(&self, atom: AtomId) -> Delta {
         let mut d = Delta::ZERO;
         let value = self.truth[atom as usize];
         for &occ in self.mrf.occurrences(atom) {
             let ci = occ.clause() as usize;
             let was_true = value == occ.is_positive();
-            let nt = self.slots[ci].num_true;
-            let nt_after = if was_true { nt - 1 } else { nt + 1 };
-            // Branchless accumulation: whether the clause crosses the
-            // satisfied boundary (and in which violation direction) folds
-            // into a {-1, 0, +1} factor instead of a data-dependent
-            // branch — the crossing pattern is effectively random, and a
-            // mispredict costs more than the two spare L1 column loads.
-            // The `×0` multiply on the soft term is NaN-safe because the
-            // violation column is finite by construction
-            // (`MrfBuilder::finish` normalizes non-finite soft weights
-            // to hard).
-            let crossed = (nt > 0) != (nt_after > 0);
-            let (became_violated, w) = self.violation(ci, nt_after > 0);
-            let sign = i64::from(crossed) * if became_violated { 1 } else { -1 };
+            // The clause crosses when its last true literal turns false
+            // (1 → 0) or its first one turns true (0 → 1); a masked
+            // counter is neither.
+            if self.num_true[ci] != u32::from(was_true) {
+                continue;
+            }
+            // Which way a crossing clause goes is as random as whether
+            // it crosses: a ±1 factor, not a second branch.
+            let (became_violated, w) = self.violation(ci, !was_true);
+            let sign = if became_violated { 1 } else { -1 };
             d.hard += sign * w.hard as i64;
             d.soft += sign as f64 * w.soft;
         }
@@ -579,20 +581,20 @@ impl<'a> WalkSat<'a> {
         for &occ in self.mrf.occurrences(atom) {
             let ci = occ.clause() as usize;
             let now_true = new_value == occ.is_positive();
-            let nt = self.slots[ci].num_true;
+            let nt = self.num_true[ci];
             let nt_after = if now_true { nt + 1 } else { nt - 1 };
-            self.slots[ci].num_true = nt_after;
+            self.num_true[ci] = nt_after;
             if (nt > 0) == (nt_after > 0) {
                 continue; // satisfaction unchanged ⇒ violation unchanged
             }
             let (violated, w) = self.violation(ci, nt_after > 0);
             if violated {
                 self.cost = self.cost.add(w);
-                self.violated.insert(&mut self.slots, ci as u32);
+                self.violated.insert(ci as u32);
             } else {
                 self.cost.hard -= w.hard;
                 self.cost.soft -= w.soft;
-                self.violated.remove(&mut self.slots, ci as u32);
+                self.violated.remove(ci as u32);
             }
         }
         if self.cost.better_than(self.best_cost) {
