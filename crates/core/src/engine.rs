@@ -35,11 +35,10 @@ pub struct Engine {
 
 impl Engine {
     pub(crate) fn build(
-        program: MlnProgram,
-        evidence: EvidenceSet,
+        program: Arc<MlnProgram>,
+        evidence: Arc<EvidenceSet>,
         config: TuffyConfig,
     ) -> Result<Engine, MlnError> {
-        let program = Arc::new(program);
         let grounding = Arc::new(ground(&program, &evidence, &config)?);
         let counters = EngineCounters::for_new_engine();
         Ok(Engine {
@@ -136,14 +135,11 @@ impl Tuffy {
     /// Builds the shared serving [`Engine`]: parses nothing (that
     /// happened when `self` was built), grounds exactly once, and
     /// returns the `Arc`-shared home of program + grounding + analysis
-    /// caches. Clone the engine (or hand out [`Engine::snapshot`] /
-    /// [`Engine::open_session`] values) to serve concurrent callers
-    /// without ever grounding again.
+    /// caches. The engine shares `self`'s program and evidence by
+    /// reference count; nothing is copied. Clone the engine (or hand out
+    /// [`Engine::snapshot`] / [`Engine::open_session`] values) to serve
+    /// concurrent callers without ever grounding again.
     pub fn build_engine(&self) -> Result<Engine, MlnError> {
-        Engine::build(
-            self.program().clone(),
-            self.evidence().clone(),
-            *self.config(),
-        )
+        Engine::build(self.program.clone(), self.evidence.clone(), *self.config())
     }
 }

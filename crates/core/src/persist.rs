@@ -85,7 +85,7 @@ pub(crate) fn load_with_folded_seq(dir: &Path) -> Result<(Engine, u64), StoreErr
     let (config, folded_seq) = decode_config(&gen.config)?;
     let engine = Engine::from_loaded_parts(Snapshot::root(
         Arc::new(gen.program),
-        gen.evidence,
+        Arc::new(gen.evidence),
         config,
         Arc::new(gen.result),
         EngineCounters::for_loaded_engine(),

@@ -6,6 +6,7 @@
 //! Figure 7.
 
 use crate::config::TuffyConfig;
+use std::sync::Arc;
 use tuffy_grounder::GroundingResult;
 use tuffy_mln::evidence::EvidenceSet;
 use tuffy_mln::parser::{parse_evidence, parse_program};
@@ -15,14 +16,15 @@ use tuffy_search::Scheduler;
 
 /// A configured Tuffy instance: program + evidence + configuration.
 ///
-/// `Tuffy` is cheap, immutable input state; inference happens in a
+/// `Tuffy` is cheap, immutable input state, shared by reference count
+/// with every engine built from it; inference happens in a
 /// [`Session`](crate::session::Session) obtained from [`Tuffy::open_session`], which grounds once
 /// and then serves repeated [`map()`](crate::session::Session::map) and
 /// [`query()`](crate::session::Session::query) calls with incremental
 /// [`apply()`](crate::session::Session::apply) evidence updates.
 pub struct Tuffy {
-    program: MlnProgram,
-    evidence: EvidenceSet,
+    pub(crate) program: Arc<MlnProgram>,
+    pub(crate) evidence: Arc<EvidenceSet>,
     config: TuffyConfig,
 }
 
@@ -35,11 +37,15 @@ impl Tuffy {
         Ok(Tuffy::from_parts(program, evidence))
     }
 
-    /// Wraps an already-built program and evidence set.
-    pub fn from_parts(program: MlnProgram, evidence: EvidenceSet) -> Tuffy {
+    /// Wraps an already-built program and evidence set (owned, or
+    /// already behind an `Arc` to share).
+    pub fn from_parts(
+        program: impl Into<Arc<MlnProgram>>,
+        evidence: impl Into<Arc<EvidenceSet>>,
+    ) -> Tuffy {
         Tuffy {
-            program,
-            evidence,
+            program: program.into(),
+            evidence: evidence.into(),
             config: TuffyConfig::default(),
         }
     }

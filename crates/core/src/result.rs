@@ -3,7 +3,7 @@
 use std::time::Duration;
 use tuffy_grounder::{AtomRegistry, GroundingStats};
 use tuffy_mln::fxhash::FxHashMap;
-use tuffy_mln::ground::GroundAtom;
+use tuffy_mln::ground::{AtomRef, GroundAtom};
 use tuffy_mln::program::MlnProgram;
 use tuffy_mrf::Cost;
 use tuffy_search::TimeCostTrace;
@@ -57,10 +57,21 @@ pub(crate) fn atom_names(program: &MlnProgram, ga: &GroundAtom) -> (String, Vec<
     )
 }
 
-/// Renders a ground atom in evidence syntax: `pred(arg1, arg2)`.
-pub fn render_atom(program: &MlnProgram, ga: &GroundAtom) -> String {
-    let (name, args) = atom_names(program, ga);
-    format!("{name}({})", args.join(", "))
+/// Renders a ground atom in evidence syntax: `pred(arg1, arg2)`. Takes
+/// a `&GroundAtom` or a borrowed [`AtomRef`] (as an
+/// [`EvidenceSet`](tuffy_mln::EvidenceSet)'s iterator yields).
+pub fn render_atom<'a>(program: &MlnProgram, atom: impl Into<AtomRef<'a>>) -> String {
+    let atom = atom.into();
+    let args: Vec<&str> = atom
+        .args
+        .iter()
+        .map(|&s| program.symbols.resolve(s))
+        .collect();
+    format!(
+        "{}({})",
+        program.predicate_name(atom.predicate),
+        args.join(", ")
+    )
 }
 
 /// The result of MAP inference: a most-likely world.

@@ -162,7 +162,7 @@ fn mcsat_fingerprint(p: &McSatParams) -> u64 {
 
 struct SnapshotInner {
     program: Arc<MlnProgram>,
-    evidence: EvidenceSet,
+    evidence: Arc<EvidenceSet>,
     config: TuffyConfig,
     grounding: Arc<GroundingResult>,
     generation: u64,
@@ -185,7 +185,7 @@ pub struct Snapshot {
 impl Snapshot {
     pub(crate) fn root(
         program: Arc<MlnProgram>,
-        evidence: EvidenceSet,
+        evidence: Arc<EvidenceSet>,
         config: TuffyConfig,
         grounding: Arc<GroundingResult>,
         counters: Arc<EngineCounters>,
@@ -670,7 +670,7 @@ impl Snapshot {
         // Stage the evidence edit; the new generation materializes only
         // once the grounding update has succeeded, so a failure cannot
         // produce a snapshot whose evidence disagrees with its store.
-        let mut staged = inner.evidence.clone();
+        let mut staged = EvidenceSet::clone(&inner.evidence);
         let changes = staged.apply(program, delta)?;
         match apply_delta_grounding(program, &inner.grounding, &changes) {
             DeltaOutcome::Unchanged => {
@@ -690,7 +690,7 @@ impl Snapshot {
                 let snapshot = Snapshot {
                     inner: Arc::new(SnapshotInner {
                         program: program.clone(),
-                        evidence: staged,
+                        evidence: Arc::new(staged),
                         config: inner.config,
                         grounding: inner.grounding.clone(),
                         generation: inner.generation,
@@ -713,7 +713,7 @@ impl Snapshot {
                 let snapshot = Snapshot {
                     inner: Arc::new(SnapshotInner {
                         program: program.clone(),
-                        evidence: staged,
+                        evidence: Arc::new(staged),
                         config: inner.config,
                         grounding: Arc::new(patched.grounding),
                         generation: inner.counters.next_generation(),
@@ -757,7 +757,7 @@ impl Snapshot {
         Ok(Snapshot {
             inner: Arc::new(SnapshotInner {
                 program: program.clone(),
-                evidence,
+                evidence: Arc::new(evidence),
                 config: inner.config,
                 grounding: Arc::new(fresh),
                 generation: inner.counters.next_generation(),

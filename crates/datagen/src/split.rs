@@ -56,10 +56,10 @@ impl Dataset {
         for ev in self.evidence.iter() {
             if self.program.predicate(ev.atom.predicate).closed_world {
                 unlabeled
-                    .add(&self.program, ev.atom.clone(), ev.positive)
+                    .add(&self.program, ev.atom, ev.positive)
                     .expect("structural evidence re-adds cleanly");
                 train
-                    .add(&self.program, ev.atom.clone(), ev.positive)
+                    .add(&self.program, ev.atom, ev.positive)
                     .expect("structural evidence re-adds cleanly");
                 continue;
             }
@@ -74,14 +74,14 @@ impl Dataset {
                     noise_flips += 1;
                 }
                 train
-                    .add(&self.program, ev.atom.clone(), positive)
+                    .add(&self.program, ev.atom, positive)
                     .expect("labels are unique per atom");
                 train_labels.push(Evidence {
-                    atom: ev.atom.clone(),
+                    atom: ev.atom.to_ground_atom(),
                     positive,
                 });
             } else {
-                held_out.push(ev.clone());
+                held_out.push(ev.to_evidence());
             }
         }
         LabelSplit {

@@ -1,12 +1,14 @@
 //! Atom identity: the dense ids of the query atoms search decides.
 //!
-//! Evidence has no index of its own here: emission and the bulk load
-//! read the one per-predicate index inside
-//! [`tuffy_mln::evidence::EvidenceSet`].
+//! The registry keeps each atom's arguments once, in one flat arena in
+//! id order, and finds them through the same
+//! [`SliceIndex`] the evidence set and the MRF builder use. Evidence has
+//! no index of its own here: emission and the bulk load read the one
+//! per-predicate index inside [`tuffy_mln::evidence::EvidenceSet`].
 
-use tuffy_mln::fxhash::{map_with_capacity, FxHashMap};
 use tuffy_mln::ground::GroundAtom;
 use tuffy_mln::schema::PredicateId;
+use tuffy_mln::slice_index::{slice_tag, SliceIndex};
 use tuffy_mln::symbols::Symbol;
 use tuffy_mrf::AtomId;
 
@@ -14,13 +16,38 @@ use tuffy_mrf::AtomId;
 ///
 /// This is the in-memory face of Tuffy's atom relations `R_P(aid, args,
 /// truth)` (§3.1): evidence atoms never enter the registry — only atoms
-/// whose truth value search must decide. Lookups go to a per-predicate
-/// map probed with a borrowed `&[u32]`, so a hit allocates nothing.
-#[derive(Clone, Debug, Default)]
+/// whose truth value search must decide. The atoms are flat columns in
+/// id order (predicate, argument bounds, one argument arena) with one
+/// [`SliceIndex`] per predicate over the arena, so an atom costs no
+/// allocation of its own and a lookup is one tag check plus one arena
+/// compare.
+#[derive(Clone, Debug)]
 pub struct AtomRegistry {
-    /// Per predicate (grown on demand): argument tuple → atom id.
-    by_pred: Vec<FxHashMap<Box<[u32]>, AtomId>>,
-    atoms: Vec<(PredicateId, Box<[u32]>)>,
+    /// Predicate of each atom.
+    preds: Vec<PredicateId>,
+    /// Bounds of each atom's arguments in `args`: `len + 1` entries
+    /// starting at 0.
+    start: Vec<u32>,
+    args: Vec<u32>,
+    /// Per predicate (grown on demand): argument slice → atom id.
+    index: Vec<SliceIndex>,
+}
+
+impl Default for AtomRegistry {
+    fn default() -> AtomRegistry {
+        AtomRegistry {
+            preds: Vec::new(),
+            start: vec![0],
+            args: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+}
+
+/// Arguments of atom `id` of an arena with bounds `start`.
+#[inline]
+fn row<'a>(start: &[u32], args: &'a [u32], id: u32) -> &'a [u32] {
+    &args[start[id as usize] as usize..start[id as usize + 1] as usize]
 }
 
 impl AtomRegistry {
@@ -31,71 +58,74 @@ impl AtomRegistry {
 
     /// Number of registered atoms.
     pub fn len(&self) -> usize {
-        self.atoms.len()
+        self.preds.len()
     }
 
     /// Whether no atoms are registered.
     pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
-    }
-
-    /// `pred`'s lookup map, grown into existence if needed.
-    fn map_mut(&mut self, pred: PredicateId) -> &mut FxHashMap<Box<[u32]>, AtomId> {
-        if self.by_pred.len() <= pred.index() {
-            self.by_pred
-                .resize_with(pred.index() + 1, FxHashMap::default);
-        }
-        &mut self.by_pred[pred.index()]
+        self.preds.is_empty()
     }
 
     /// Rebuilds a registry from its `(predicate, args)` entries in id
     /// order — the persistence path: `tuffy-store` serializes
     /// [`AtomRegistry::iter`]'s output and reconstructs the identical
-    /// registry (same dense ids, same lookup map) here. Errors if two
-    /// entries collide on `(predicate, args)`, which would silently remap
-    /// atom ids.
-    pub fn from_entries(entries: Vec<(PredicateId, Box<[u32]>)>) -> Result<AtomRegistry, String> {
-        let mut sizes: Vec<usize> = Vec::new();
-        for (pred, _) in &entries {
-            if sizes.len() <= pred.index() {
-                sizes.resize(pred.index() + 1, 0);
-            }
-            sizes[pred.index()] += 1;
+    /// registry (same dense ids, same lookups). Errors if two entries
+    /// collide on `(predicate, args)`, which would silently remap atom
+    /// ids.
+    pub fn from_entries<A: AsRef<[u32]>>(
+        entries: impl IntoIterator<Item = (PredicateId, A)>,
+    ) -> Result<AtomRegistry, String> {
+        let mut r = AtomRegistry::new();
+        for (pred, args) in entries {
+            r.push_new(pred, args.as_ref())?;
         }
-        let mut r = AtomRegistry {
-            by_pred: sizes.into_iter().map(map_with_capacity).collect(),
-            atoms: Vec::new(),
-        };
-        for (i, (pred, args)) in entries.iter().enumerate() {
-            if r.map_mut(*pred).insert(args.clone(), i as AtomId).is_some() {
-                return Err(format!("duplicate registry entry at atom {i}"));
-            }
-        }
-        r.atoms = entries;
         Ok(r)
+    }
+
+    /// Registers `(pred, args)` as the next id. Errors if it is already
+    /// registered (see [`AtomRegistry::from_entries`]).
+    pub fn push_new(&mut self, pred: PredicateId, args: &[u32]) -> Result<AtomId, String> {
+        let id = self.len() as AtomId;
+        match self.intern(pred, args) {
+            got if got == id => Ok(id),
+            _ => Err(format!("duplicate registry entry at atom {id}")),
+        }
     }
 
     /// Returns the id for `(pred, args)`, registering it if new.
     pub fn intern(&mut self, pred: PredicateId, args: &[u32]) -> AtomId {
-        if let Some(id) = self.get(pred, args) {
-            return id;
+        if self.index.len() <= pred.index() {
+            self.index
+                .resize_with(pred.index() + 1, SliceIndex::default);
         }
-        let id = self.atoms.len() as AtomId;
-        self.map_mut(pred).insert(args.into(), id);
-        self.atoms.push((pred, args.into()));
-        id
+        let next = self.len() as AtomId;
+        let (start, arena) = (&self.start, &self.args);
+        let tag = slice_tag(args.iter().copied());
+        match self.index[pred.index()].get_or_insert(tag, next, |id| row(start, arena, id) == args)
+        {
+            Some(id) => id,
+            None => {
+                self.preds.push(pred);
+                self.args.extend_from_slice(args);
+                let end = u32::try_from(self.args.len()).expect("atom arena exceeds u32 bounds");
+                self.start.push(end);
+                next
+            }
+        }
     }
 
     /// Looks up an atom id without registering.
     #[inline]
     pub fn get(&self, pred: PredicateId, args: &[u32]) -> Option<AtomId> {
-        self.by_pred.get(pred.index())?.get(args).copied()
+        let tag = slice_tag(args.iter().copied());
+        self.index
+            .get(pred.index())?
+            .get(tag, |id| row(&self.start, &self.args, id) == args)
     }
 
     /// The predicate and arguments of atom `id`.
     pub fn atom(&self, id: AtomId) -> (PredicateId, &[u32]) {
-        let (p, args) = &self.atoms[id as usize];
-        (*p, args)
+        (self.preds[id as usize], row(&self.start, &self.args, id))
     }
 
     /// Reconstructs the [`GroundAtom`] for `id`.
@@ -105,19 +135,22 @@ impl AtomRegistry {
     }
 
     /// Iterates all atoms as `(id, predicate, args)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (AtomId, PredicateId, &[u32])> {
-        self.atoms
-            .iter()
-            .enumerate()
-            .map(|(i, (p, args))| (i as AtomId, *p, args.as_ref()))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (AtomId, PredicateId, &[u32])> {
+        (0..self.len() as AtomId).map(|id| {
+            let (p, args) = self.atom(id);
+            (id, p, args)
+        })
     }
 
-    /// Approximate heap bytes held by the registry.
+    /// Heap bytes the registry holds, by capacity: its columns, its
+    /// arena and its per-predicate indexes.
     pub fn bytes(&self) -> usize {
-        let per_atom = std::mem::size_of::<(PredicateId, Box<[u32]>)>();
-        let args: usize = self.atoms.iter().map(|(_, a)| a.len() * 4).sum();
-        // Map entries roughly double the key storage.
-        self.atoms.len() * per_atom + 2 * args + self.atoms.len() * 16
+        use std::mem::size_of;
+        self.preds.capacity() * size_of::<PredicateId>()
+            + self.start.capacity() * size_of::<u32>()
+            + self.args.capacity() * size_of::<u32>()
+            + self.index.capacity() * size_of::<SliceIndex>()
+            + self.index.iter().map(SliceIndex::bytes).sum::<usize>()
     }
 }
 
@@ -173,7 +206,7 @@ mod tests {
         let db = p.symbols.get("Db").unwrap();
         // Conflicts with !cat(P1,Db): the set itself rejects it.
         assert!(set
-            .add(&p, GroundAtom::new(cat, vec![p1, db]), true)
+            .add(&p, &GroundAtom::new(cat, vec![p1, db]), true)
             .is_err());
         assert_eq!(set.truth_of(cat, &[p1.0, db.0]), Some(false));
         assert!(set.validate(&p).is_ok());

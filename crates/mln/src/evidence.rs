@@ -8,14 +8,21 @@
 //! of edits (assert / retract / flip) applied between inference calls.
 //! Keeping evidence out of the program is what lets a session ground
 //! once and then serve many queries with incremental updates.
+//!
+//! The set is stored like the paper's atom relations `R_P(args, truth)`
+//! (§3.1): flat columns in insertion order (predicate, argument bounds,
+//! one argument arena, truth) with one [`SliceIndex`] per predicate over
+//! the arena. An assertion costs no allocation of its own, a lookup is
+//! one tag check plus one arena compare, and cloning or dropping a set
+//! frees a handful of blocks whatever its size.
 
 use crate::error::MlnError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::ground::GroundAtom;
+use crate::ground::{AtomRef, GroundAtom};
 use crate::program::MlnProgram;
 use crate::schema::PredicateId;
+use crate::slice_index::{slice_tag, SliceIndex};
 use crate::symbols::Symbol;
-use std::collections::hash_map::Entry;
 
 /// A single evidence assertion: a ground atom asserted true or false.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,31 +33,46 @@ pub struct Evidence {
     pub positive: bool,
 }
 
-/// Calls `f` with `args` as raw symbol ids, copied to the stack for any
-/// arity up to 8 (a probe builds no heap key).
-fn with_raw_args<R>(args: &[Symbol], f: impl FnOnce(&[u32]) -> R) -> R {
-    let mut buf = [0u32; 8];
-    if args.len() <= buf.len() {
-        for (b, s) in buf.iter_mut().zip(args) {
-            *b = s.0;
+/// One assertion of an [`EvidenceSet`], borrowed from its columns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EvidenceRef<'a> {
+    /// The asserted atom.
+    pub atom: AtomRef<'a>,
+    /// `true` for positive evidence, `false` for `!atom` lines.
+    pub positive: bool,
+}
+
+impl EvidenceRef<'_> {
+    /// An owned copy.
+    pub fn to_evidence(self) -> Evidence {
+        Evidence {
+            atom: self.atom.to_ground_atom(),
+            positive: self.positive,
         }
-        f(&buf[..args.len()])
-    } else {
-        f(&args.iter().map(|s| s.0).collect::<Vec<u32>>())
     }
 }
 
-fn check_arity(program: &MlnProgram, atom: &GroundAtom) -> Result<(), MlnError> {
-    let decl = program.predicate(atom.predicate);
-    if atom.args.len() != decl.arity() {
+fn check_arity(program: &MlnProgram, pred: PredicateId, arity: usize) -> Result<(), MlnError> {
+    let decl = program.predicate(pred);
+    if arity != decl.arity() {
         return Err(MlnError::general(format!(
             "evidence for `{}` has {} arguments, expected {}",
-            program.predicate_name(atom.predicate),
-            atom.args.len(),
+            program.predicate_name(pred),
+            arity,
             decl.arity()
         )));
     }
     Ok(())
+}
+
+fn tag_of(args: &[Symbol]) -> u32 {
+    slice_tag(args.iter().map(|s| s.0))
+}
+
+/// Arguments of row `i` of an arena with bounds `start`.
+#[inline]
+fn row<'a>(start: &[u32], args: &'a [Symbol], i: usize) -> &'a [Symbol] {
+    &args[start[i] as usize..start[i + 1] as usize]
 }
 
 /// The evidence database: ground atoms with asserted truth values, in
@@ -64,12 +86,30 @@ fn check_arity(program: &MlnProgram, atom: &GroundAtom) -> Result<(), MlnError> 
 /// This is the system's one evidence index: the grounder's emission
 /// checks and its bulk load of the evidence tables read it directly
 /// ([`EvidenceSet::truth_of`], [`EvidenceSet::iter`]).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct EvidenceSet {
-    items: Vec<Evidence>,
-    /// Per predicate (grown on demand): argument tuple → position in
-    /// `items`. Probed with a borrowed `&[u32]`.
-    index: Vec<FxHashMap<Box<[u32]>, u32>>,
+    /// Predicate of each assertion.
+    preds: Vec<PredicateId>,
+    /// Bounds of each assertion's arguments in `args`: `len + 1`
+    /// entries starting at 0.
+    start: Vec<u32>,
+    args: Vec<Symbol>,
+    /// Asserted truth of each assertion.
+    truth: Vec<bool>,
+    /// Per predicate (grown on demand): argument slice → row.
+    index: Vec<SliceIndex>,
+}
+
+impl Default for EvidenceSet {
+    fn default() -> EvidenceSet {
+        EvidenceSet {
+            preds: Vec::new(),
+            start: vec![0],
+            args: Vec::new(),
+            truth: Vec::new(),
+            index: Vec::new(),
+        }
+    }
 }
 
 impl EvidenceSet {
@@ -80,75 +120,99 @@ impl EvidenceSet {
 
     /// Number of assertions.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.truth.len()
     }
 
     /// Whether no assertions are stored.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.truth.is_empty()
     }
 
     /// Iterates assertions in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Evidence> {
-        self.items.iter()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = EvidenceRef<'_>> {
+        (0..self.len()).map(|i| EvidenceRef {
+            atom: AtomRef {
+                predicate: self.preds[i],
+                args: row(&self.start, &self.args, i),
+            },
+            positive: self.truth[i],
+        })
     }
 
     /// The asserted truth of `atom`, if any.
     pub fn truth(&self, atom: &GroundAtom) -> Option<bool> {
-        self.position(atom).map(|i| self.items[i].positive)
+        self.position(atom.predicate, &atom.args)
+            .map(|i| self.truth[i])
     }
 
     /// The asserted truth of `pred(args)` (raw symbol ids), if any.
     #[inline]
     pub fn truth_of(&self, pred: PredicateId, args: &[u32]) -> Option<bool> {
-        let i = *self.index.get(pred.index())?.get(args)?;
-        Some(self.items[i as usize].positive)
+        let tag = slice_tag(args.iter().copied());
+        let i = self.index.get(pred.index())?.get(tag, |i| {
+            let have = row(&self.start, &self.args, i as usize);
+            have.len() == args.len() && have.iter().zip(args).all(|(s, &a)| s.0 == a)
+        })?;
+        Some(self.truth[i as usize])
     }
 
-    /// `pred`'s lookup map, grown into existence if needed.
-    fn map_mut(&mut self, pred: PredicateId) -> &mut FxHashMap<Box<[u32]>, u32> {
+    /// Row of `pred(args)`, if asserted.
+    fn position(&self, pred: PredicateId, args: &[Symbol]) -> Option<usize> {
+        let index = self.index.get(pred.index())?;
+        index
+            .get(tag_of(args), |i| {
+                row(&self.start, &self.args, i as usize) == args
+            })
+            .map(|i| i as usize)
+    }
+
+    /// `pred`'s index, grown into existence if needed.
+    fn index_mut(&mut self, pred: PredicateId) -> &mut SliceIndex {
         if self.index.len() <= pred.index() {
-            self.index.resize_with(pred.index() + 1, FxHashMap::default);
+            self.index
+                .resize_with(pred.index() + 1, SliceIndex::default);
         }
         &mut self.index[pred.index()]
     }
 
-    /// Appends a new assertion (the caller checked it is absent).
-    fn push(&mut self, atom: GroundAtom, positive: bool) {
-        let at = self.items.len() as u32;
-        let key: Box<[u32]> = atom.args.iter().map(|s| s.0).collect();
-        self.map_mut(atom.predicate).insert(key, at);
-        self.items.push(Evidence { atom, positive });
+    /// Appends a row (the caller has indexed it, or will).
+    fn push_row(&mut self, pred: PredicateId, args: &[Symbol], positive: bool) {
+        self.preds.push(pred);
+        self.args.extend_from_slice(args);
+        let end = u32::try_from(self.args.len()).expect("evidence arena exceeds u32 bounds");
+        self.start.push(end);
+        self.truth.push(positive);
     }
 
-    /// Adds one assertion (the bulk-load path used by the parser).
-    /// Errors on arity mismatch or a contradiction with an existing
-    /// assertion; re-asserting the same value is a no-op.
-    pub fn add(
+    /// Adds one assertion (the bulk-load path used by the parser),
+    /// copying the atom's arguments into the arena. Errors on arity
+    /// mismatch or a contradiction with an existing assertion;
+    /// re-asserting the same value is a no-op.
+    pub fn add<'a>(
         &mut self,
         program: &MlnProgram,
-        atom: GroundAtom,
+        atom: impl Into<AtomRef<'a>>,
         positive: bool,
     ) -> Result<(), MlnError> {
-        check_arity(program, &atom)?;
-        let at = self.items.len() as u32;
-        let key: Box<[u32]> = atom.args.iter().map(|s| s.0).collect();
-        match self.map_mut(atom.predicate).entry(key) {
-            Entry::Occupied(e) => {
-                let i = *e.get() as usize;
-                if self.items[i].positive != positive {
-                    return Err(MlnError::general(format!(
-                        "contradictory evidence for `{}`",
-                        program.predicate_name(atom.predicate)
-                    )));
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(at);
-                self.items.push(Evidence { atom, positive });
+        let AtomRef { predicate, args } = atom.into();
+        check_arity(program, predicate, args.len())?;
+        let next = self.len() as u32;
+        self.index_mut(predicate);
+        let (start, arena) = (&self.start, &self.args);
+        let found = self.index[predicate.index()].get_or_insert(tag_of(args), next, |i| {
+            row(start, arena, i as usize) == args
+        });
+        match found {
+            Some(i) if self.truth[i as usize] != positive => Err(MlnError::general(format!(
+                "contradictory evidence for `{}`",
+                program.predicate_name(predicate)
+            ))),
+            Some(_) => Ok(()),
+            None => {
+                self.push_row(predicate, args, positive);
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// Applies a delta, returning the *net* change per touched atom
@@ -174,7 +238,7 @@ impl EvidenceSet {
                 | DeltaOp::Retract { atom }
                 | DeltaOp::Flip { atom } => atom,
             };
-            check_arity(program, atom)?;
+            check_arity(program, atom.predicate, atom.args.len())?;
             let seen = first_seen.get(atom).copied();
             let staged = match seen {
                 Some(ci) => changes[ci].after,
@@ -209,45 +273,60 @@ impl EvidenceSet {
 
         // Phase 2: commit the net changes (infallible). Each atom has one
         // net change, so `before` says whether it is in the set.
-        let mut retracted = false;
+        let mut retracted: Vec<bool> = Vec::new();
         for ch in &changes {
+            let (pred, args) = (ch.atom.predicate, &ch.atom.args[..]);
             match (ch.before, ch.after) {
-                (None, Some(v)) => self.push(ch.atom.clone(), v),
+                (None, Some(v)) => {
+                    let next = self.len() as u32;
+                    self.index_mut(pred).insert_new(tag_of(args), next);
+                    self.push_row(pred, args, v);
+                }
                 (Some(_), Some(v)) => {
-                    let i = self.position(&ch.atom).expect("asserted atom is indexed");
-                    self.items[i].positive = v;
+                    let i = self.position(pred, args).expect("asserted atom is indexed");
+                    self.truth[i] = v;
                 }
                 (Some(_), None) => {
-                    let map = &mut self.index[ch.atom.predicate.index()];
-                    with_raw_args(&ch.atom.args, |args| map.remove(args));
-                    retracted = true;
+                    let i = self.position(pred, args).expect("asserted atom is indexed");
+                    retracted.resize(self.len(), false);
+                    retracted[i] = true;
                 }
                 (None, None) => unreachable!("net no-ops were dropped"),
             }
         }
-        if retracted {
-            // Keep the items still indexed, and renumber their positions.
-            let index = &mut self.index;
-            let mut next = 0u32;
-            self.items.retain(|e| {
-                let map = &mut index[e.atom.predicate.index()];
-                match with_raw_args(&e.atom.args, |args| map.get_mut(args)) {
-                    Some(at) => {
-                        *at = next;
-                        next += 1;
-                        true
-                    }
-                    None => false,
-                }
-            });
+        if !retracted.is_empty() {
+            retracted.resize(self.len(), false);
+            self.remove_rows(&retracted);
         }
         Ok(changes)
     }
 
-    /// Position of `atom` in `items`, if asserted.
-    fn position(&self, atom: &GroundAtom) -> Option<usize> {
-        let map = self.index.get(atom.predicate.index())?;
-        with_raw_args(&atom.args, |args| map.get(args).map(|&i| i as usize))
+    /// Drops the rows `dead` marks, keeping the others in order, and
+    /// re-indexes the rows under their new positions.
+    fn remove_rows(&mut self, dead: &[bool]) {
+        let mut kept = 0;
+        let mut end = 0;
+        for (i, &gone) in dead.iter().enumerate() {
+            let (s, e) = (self.start[i] as usize, self.start[i + 1] as usize);
+            if gone {
+                continue;
+            }
+            self.args.copy_within(s..e, end);
+            end += e - s;
+            self.start[kept + 1] = end as u32;
+            self.preds[kept] = self.preds[i];
+            self.truth[kept] = self.truth[i];
+            kept += 1;
+        }
+        self.args.truncate(end);
+        self.start.truncate(kept + 1);
+        self.preds.truncate(kept);
+        self.truth.truncate(kept);
+        self.index.iter_mut().for_each(SliceIndex::clear);
+        for i in 0..kept {
+            let tag = tag_of(row(&self.start, &self.args, i));
+            self.index[self.preds[i].index()].insert_new(tag, i as u32);
+        }
     }
 
     /// Per-type constant domains of `program` extended with this set's
@@ -259,7 +338,7 @@ impl EvidenceSet {
             .iter()
             .map(|d| d.iter().copied().collect())
             .collect();
-        for ev in &self.items {
+        for ev in self.iter() {
             let decl = program.predicate(ev.atom.predicate);
             for (arg, &ty) in ev.atom.args.iter().zip(decl.arg_types.iter()) {
                 sets[ty.index()].insert(*arg);
@@ -276,10 +355,22 @@ impl EvidenceSet {
 
     /// Validates every assertion's arity against the program schema.
     pub fn validate(&self, program: &MlnProgram) -> Result<(), MlnError> {
-        for ev in &self.items {
-            check_arity(program, &ev.atom)?;
+        for ev in self.iter() {
+            check_arity(program, ev.atom.predicate, ev.atom.args.len())?;
         }
         Ok(())
+    }
+
+    /// Heap bytes the set holds, by capacity: its columns, its arena and
+    /// its per-predicate indexes.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.preds.capacity() * size_of::<PredicateId>()
+            + self.start.capacity() * size_of::<u32>()
+            + self.args.capacity() * size_of::<Symbol>()
+            + self.truth.capacity() * size_of::<bool>()
+            + self.index.capacity() * size_of::<SliceIndex>()
+            + self.index.iter().map(SliceIndex::bytes).sum::<usize>()
     }
 }
 
@@ -391,10 +482,10 @@ mod tests {
         let mut p = program();
         let a = atom(&mut p, "cat", &["P1", "Db"]);
         let mut set = EvidenceSet::new();
-        set.add(&p, a.clone(), true).unwrap();
-        set.add(&p, a.clone(), true).unwrap(); // same value: no-op
+        set.add(&p, &a, true).unwrap();
+        set.add(&p, &a, true).unwrap(); // same value: no-op
         assert_eq!(set.len(), 1);
-        assert!(set.add(&p, a.clone(), false).is_err());
+        assert!(set.add(&p, &a, false).is_err());
         assert_eq!(set.truth(&a), Some(true));
     }
 
@@ -404,7 +495,9 @@ mod tests {
         let pred = p.predicate_by_name("wrote").unwrap();
         let joe = p.symbols.intern("Joe");
         let mut set = EvidenceSet::new();
-        assert!(set.add(&p, GroundAtom::new(pred, vec![joe]), true).is_err());
+        assert!(set
+            .add(&p, &GroundAtom::new(pred, vec![joe]), true)
+            .is_err());
     }
 
     #[test]
@@ -413,8 +506,8 @@ mod tests {
         let a = atom(&mut p, "cat", &["P1", "Db"]);
         let b = atom(&mut p, "cat", &["P2", "Db"]);
         let mut set = EvidenceSet::new();
-        set.add(&p, a.clone(), true).unwrap();
-        set.add(&p, b.clone(), true).unwrap();
+        set.add(&p, &a, true).unwrap();
+        set.add(&p, &b, true).unwrap();
 
         let mut d = EvidenceDelta::new();
         d.flip(a.clone()).retract(b.clone());
@@ -440,7 +533,7 @@ mod tests {
         let mut p = program();
         let a = atom(&mut p, "cat", &["P1", "Db"]);
         let mut set = EvidenceSet::new();
-        set.add(&p, a.clone(), true).unwrap();
+        set.add(&p, &a, true).unwrap();
         // flip then flip back: net no-op.
         let mut d = EvidenceDelta::new();
         d.flip(a.clone()).flip(a.clone());
@@ -454,7 +547,7 @@ mod tests {
         let mut p = program();
         let a = atom(&mut p, "cat", &["P1", "Db"]);
         let mut set = EvidenceSet::new();
-        set.add(&p, a.clone(), true).unwrap();
+        set.add(&p, &a, true).unwrap();
         let mut d = EvidenceDelta::new();
         d.retract(a.clone()).assert_false(a.clone());
         let changes = set.apply(&p, &d).unwrap();
@@ -485,7 +578,7 @@ mod tests {
         let b = atom(&mut p, "cat", &["P2", "Db"]);
         let ghost = atom(&mut p, "cat", &["P9", "Db"]);
         let mut set = EvidenceSet::new();
-        set.add(&p, a.clone(), true).unwrap();
+        set.add(&p, &a, true).unwrap();
         let mut d = EvidenceDelta::new();
         d.assert_true(b.clone()).flip(a.clone()).flip(ghost);
         assert!(set.apply(&p, &d).is_err());
@@ -514,7 +607,7 @@ mod tests {
         let mut p = program();
         let a = atom(&mut p, "wrote", &["Joe", "P1"]);
         let mut set = EvidenceSet::new();
-        set.add(&p, a, true).unwrap();
+        set.add(&p, &a, true).unwrap();
         let domains = set.merged_domains(&p);
         let joe = p.symbols.get("Joe").unwrap();
         let p1 = p.symbols.get("P1").unwrap();

@@ -20,6 +20,38 @@ impl GroundAtom {
     }
 }
 
+/// A ground atom whose arguments are borrowed, typically from an arena
+/// such as the [`EvidenceSet`](crate::evidence::EvidenceSet)'s.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct AtomRef<'a> {
+    /// The predicate.
+    pub predicate: PredicateId,
+    /// Constant arguments (interned).
+    pub args: &'a [Symbol],
+}
+
+impl AtomRef<'_> {
+    /// An owned copy.
+    pub fn to_ground_atom(self) -> GroundAtom {
+        GroundAtom::new(self.predicate, self.args.to_vec())
+    }
+}
+
+impl<'a> From<&'a GroundAtom> for AtomRef<'a> {
+    fn from(atom: &'a GroundAtom) -> AtomRef<'a> {
+        AtomRef {
+            predicate: atom.predicate,
+            args: &atom.args,
+        }
+    }
+}
+
+impl<'a> From<&AtomRef<'a>> for AtomRef<'a> {
+    fn from(atom: &AtomRef<'a>) -> AtomRef<'a> {
+        *atom
+    }
+}
+
 /// The three-valued `truth` attribute of Tuffy's atom relations
 /// `R_P(aid, args, truth)` (§3.1): known-true or known-false from evidence,
 /// or unknown (to be decided by inference).

@@ -16,8 +16,9 @@
 //! The crate provides the data model ([`program::MlnProgram`]), a parser for
 //! an Alchemy-compatible concrete syntax ([`parser`]), conversion of rules to
 //! clausal form ([`clausify`]), and shared utilities (string interning in
-//! [`symbols`], fast hashing in [`fxhash`], the worker pool in [`pool`])
-//! used across the workspace.
+//! [`symbols`], fast hashing in [`fxhash`], the arena index in
+//! [`slice_index`], the worker pool in [`pool`]) used across the
+//! workspace.
 //!
 //! ## Example
 //!
@@ -50,13 +51,14 @@ pub mod pool;
 pub mod printer;
 pub mod program;
 pub mod schema;
+pub mod slice_index;
 pub mod symbols;
 pub mod weight;
 
 pub use ast::{Atom, Formula, Literal, Rule, Term, Var};
 pub use error::MlnError;
-pub use evidence::{DeltaOp, Evidence, EvidenceChange, EvidenceDelta, EvidenceSet};
-pub use ground::{GroundAtom, TruthValue};
+pub use evidence::{DeltaOp, Evidence, EvidenceChange, EvidenceDelta, EvidenceRef, EvidenceSet};
+pub use ground::{AtomRef, GroundAtom, TruthValue};
 pub use program::MlnProgram;
 pub use schema::{PredicateDecl, PredicateId, TypeId};
 pub use symbols::{Symbol, SymbolTable};

@@ -35,7 +35,7 @@
 use crate::ast::{Formula, Literal, Rule, Term, Var};
 use crate::error::MlnError;
 use crate::evidence::{EvidenceDelta, EvidenceSet};
-use crate::ground::GroundAtom;
+use crate::ground::{AtomRef, GroundAtom};
 use crate::program::MlnProgram;
 use crate::schema::PredicateId;
 use crate::weight::Weight;
@@ -287,6 +287,7 @@ pub fn parse_evidence_into(
     src: &str,
 ) -> Result<(), MlnError> {
     let mut toks = Vec::new();
+    let mut args = Vec::new();
     for (lineno, line) in logical_lines(src) {
         tokenize(line, lineno, &mut toks)?;
         if toks.is_empty() {
@@ -298,11 +299,15 @@ pub fn parse_evidence_into(
             line: lineno,
         };
         let positive = !cur.eat(&Tok::Bang);
-        let (pred, args) = parse_ground_atom(program, &mut cur)?;
+        let predicate = parse_ground_atom(program, &mut cur, &mut args)?;
         if !cur.at_end() {
             return Err(MlnError::at(lineno, "trailing tokens after evidence atom"));
         }
-        set.add(program, GroundAtom::new(pred, args), positive)
+        let atom = AtomRef {
+            predicate,
+            args: &args,
+        };
+        set.add(program, atom, positive)
             .map_err(|e| MlnError::at(lineno, e.to_string()))?;
     }
     Ok(())
@@ -338,7 +343,8 @@ pub fn parse_delta(program: &mut MlnProgram, src: &str) -> Result<EvidenceDelta,
             line: lineno,
         };
         let positive = !cur.eat(&Tok::Bang);
-        let (pred, args) = parse_ground_atom(program, &mut cur)?;
+        let mut args = Vec::new();
+        let pred = parse_ground_atom(program, &mut cur, &mut args)?;
         if !cur.at_end() {
             return Err(MlnError::at(lineno, "trailing tokens after delta atom"));
         }
@@ -764,11 +770,13 @@ fn parse_term(program: &mut MlnProgram, cur: &mut Cursor<'_, '_>) -> Result<Term
     }
 }
 
-/// Parses a ground atom for evidence: `pred(c1, …, ck)` with constant args.
+/// Parses a ground atom for evidence: `pred(c1, …, ck)` with constant
+/// args, interned into `args` (cleared first).
 fn parse_ground_atom(
     program: &mut MlnProgram,
     cur: &mut Cursor<'_, '_>,
-) -> Result<(PredicateId, Vec<crate::symbols::Symbol>), MlnError> {
+    args: &mut Vec<crate::symbols::Symbol>,
+) -> Result<PredicateId, MlnError> {
     let name = match cur.next() {
         Some(&Tok::Ident(n)) => n,
         other => {
@@ -782,7 +790,7 @@ fn parse_ground_atom(
         .predicate_by_name(name)
         .ok_or_else(|| MlnError::at(cur.line, format!("unknown predicate `{name}`")))?;
     cur.expect(&Tok::LParen, "`(`")?;
-    let mut args = Vec::new();
+    args.clear();
     loop {
         match cur.next() {
             Some(&(Tok::Ident(c) | Tok::Number(c) | Tok::Str(c))) => {
@@ -800,7 +808,7 @@ fn parse_ground_atom(
         }
         cur.expect(&Tok::Comma, "`,`")?;
     }
-    Ok((pred, args))
+    Ok(pred)
 }
 
 #[cfg(test)]

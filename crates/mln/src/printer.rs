@@ -11,9 +11,9 @@ use crate::program::MlnProgram;
 use crate::weight::Weight;
 use std::fmt::Write;
 
-/// Renders a constant, quoting when it would not re-parse as a constant
-/// identifier.
-fn render_constant(name: &str) -> String {
+/// Appends a constant to `out`, quoted when it would not re-parse as a
+/// constant identifier.
+fn push_constant(out: &mut String, name: &str) {
     let plain_const = name
         .chars()
         .next()
@@ -22,10 +22,19 @@ fn render_constant(name: &str) -> String {
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.');
     if plain_const {
-        name.to_string()
+        out.push_str(name);
     } else {
-        format!("\"{name}\"")
+        out.push('"');
+        out.push_str(name);
+        out.push('"');
     }
+}
+
+/// Renders a constant (see [`push_constant`]).
+fn render_constant(name: &str) -> String {
+    let mut out = String::new();
+    push_constant(&mut out, name);
+    out
 }
 
 /// Renders a term in rule position.
@@ -128,23 +137,23 @@ pub fn render_program(program: &MlnProgram) -> String {
     out
 }
 
-/// Renders an evidence set in parseable form.
+/// Renders an evidence set in parseable form, one line per assertion in
+/// insertion order.
 pub fn render_evidence(program: &MlnProgram, evidence: &crate::evidence::EvidenceSet) -> String {
     let mut out = String::new();
     for ev in evidence.iter() {
-        let args: Vec<String> = ev
-            .atom
-            .args
-            .iter()
-            .map(|&s| render_constant(program.symbols.resolve(s)))
-            .collect();
-        let _ = writeln!(
-            out,
-            "{}{}({})",
-            if ev.positive { "" } else { "!" },
-            program.predicate_name(ev.atom.predicate),
-            args.join(", ")
-        );
+        if !ev.positive {
+            out.push('!');
+        }
+        out.push_str(program.predicate_name(ev.atom.predicate));
+        out.push('(');
+        for (i, &s) in ev.atom.args.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            push_constant(&mut out, program.symbols.resolve(s));
+        }
+        out.push_str(")\n");
     }
     out
 }

@@ -4,8 +4,7 @@
 use crate::cost::Cost;
 use crate::graph::{ClauseProvenance, Mrf, Occurrence, PackedViolation, RuleOrigin};
 use crate::lit::{AtomId, Lit};
-use std::hash::Hasher;
-use tuffy_mln::fxhash::FxHasher;
+use tuffy_mln::slice_index::{slice_tag, SliceIndex};
 use tuffy_mln::weight::Weight;
 
 /// The growable clause columns shared by [`MrfBuilder`] and
@@ -205,9 +204,9 @@ enum Origins {
 /// The builder owns the CSR arenas it finishes into. A clause's literals
 /// are appended to the literal arena's tail and put in canonical order
 /// there (sorted, deduplicated, tautologies dropped); the tail slice is
-/// then hashed and looked up in an open-addressing index of earlier
-/// clauses, which compares arena slices. A duplicate truncates the tail
-/// and merges into the clause it repeats; a new clause keeps the tail.
+/// then looked up in a [`SliceIndex`] of earlier clauses, which compares
+/// arena slices. A duplicate truncates the tail and merges into the
+/// clause it repeats; a new clause keeps the tail.
 /// Clauses are therefore numbered in order of first insertion, and
 /// [`MrfBuilder::finish`] moves nothing unless a merged weight cancelled.
 #[derive(Clone, Debug, Default)]
@@ -220,10 +219,8 @@ pub struct MrfBuilder {
     origins: Vec<Origins>,
     /// The lists of clauses attributed to more than one rule.
     origin_lists: Vec<Vec<RuleOrigin>>,
-    /// Open-addressing index over the clauses: `(hash tag, clause + 1)`,
-    /// `(_, 0)` marking an empty slot. Linear probing from the slot the
-    /// tag selects; the length is 0 or a power of two at most half full.
-    index: Vec<(u32, u32)>,
+    /// The clauses by their literal slices.
+    index: SliceIndex,
     /// Atoms pre-flagged opaque via [`MrfBuilder::mark_opaque`].
     opaque: Vec<AtomId>,
     base_cost: Cost,
@@ -315,12 +312,15 @@ impl MrfBuilder {
         let last = *tail.last().expect("nonempty clause");
         // Sorted by packed value, so the last literal has the largest atom.
         self.num_atoms = self.num_atoms.max(last.atom() as usize + 1);
-        let tag = hash_lits(tail);
-        if (self.columns.len() + 1) * 2 > self.index.len() {
-            self.grow_index();
-        }
-        match self.probe(tag) {
-            Ok(ci) => {
+        let tag = slice_tag(tail.iter().map(|l| l.raw()));
+        let columns = &self.columns;
+        let next = columns.len() as u32;
+        match self
+            .index
+            .get_or_insert(tag, next, |ci| columns.lits(ci as usize) == tail)
+        {
+            Some(ci) => {
+                let ci = ci as usize;
                 let start = self.columns.tail_start();
                 self.columns.lit_arena.truncate(start);
                 let merged = &mut self.columns.weights[ci];
@@ -328,8 +328,7 @@ impl MrfBuilder {
                 self.columns.provenance[ci].combine(provenance);
                 self.merge_origins_into(ci, origins);
             }
-            Err(slot) => {
-                self.index[slot] = (tag, self.columns.len() as u32 + 1);
+            None => {
                 self.columns.close_tail(weight, provenance);
                 self.origins.push(match origins {
                     [] => Origins::None,
@@ -340,40 +339,6 @@ impl MrfBuilder {
                     }
                 });
             }
-        }
-    }
-
-    /// The clause whose literals equal the arena tail, or the empty slot
-    /// where the tail's clause belongs.
-    fn probe(&self, tag: u32) -> Result<usize, usize> {
-        let mask = self.index.len() - 1;
-        let tail = self.columns.tail();
-        let mut slot = tag as usize & mask;
-        loop {
-            let (t, entry) = self.index[slot];
-            if entry == 0 {
-                return Err(slot);
-            }
-            let ci = entry as usize - 1;
-            if t == tag && self.columns.lits(ci) == tail {
-                return Ok(ci);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Doubles the index (16 slots at first), re-placing every entry by
-    /// its stored tag.
-    fn grow_index(&mut self) {
-        let len = (self.index.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.index, vec![(0, 0); len]);
-        let mask = len - 1;
-        for (tag, entry) in old.into_iter().filter(|&(_, e)| e != 0) {
-            let mut slot = tag as usize & mask;
-            while self.index[slot].1 != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.index[slot] = (tag, entry);
         }
     }
 
@@ -494,21 +459,6 @@ fn drop_signless(
     columns.weights.truncate(kept);
     columns.provenance.truncate(kept);
     origins.truncate(kept);
-}
-
-/// The index tag of a canonical literal slice: its length and its
-/// literals, two to a word, through [`FxHasher`].
-fn hash_lits(lits: &[Lit]) -> u32 {
-    let mut h = FxHasher::default();
-    h.write_usize(lits.len());
-    let mut pairs = lits.chunks_exact(2);
-    for pair in &mut pairs {
-        h.write_u64(u64::from(pair[0].raw()) | u64::from(pair[1].raw()) << 32);
-    }
-    if let [last] = pairs.remainder() {
-        h.write_u32(last.raw());
-    }
-    h.finish() as u32
 }
 
 /// Weight of two identical clauses merged (soft weights add; hard wins).

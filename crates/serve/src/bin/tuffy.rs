@@ -615,7 +615,7 @@ fn run_learn(
         tuffy_mln::parser::parse_evidence(&mut program, evidence_src).map_err(|e| e.to_string())?;
     let labels =
         tuffy_mln::parser::parse_evidence(&mut program, &labels_src).map_err(|e| e.to_string())?;
-    let labels: Vec<_> = labels.iter().cloned().collect();
+    let labels: Vec<_> = labels.iter().map(|e| e.to_evidence()).collect();
 
     // A learning engine must materialize the query atoms it learns
     // about: with the labels withheld from evidence, lazy closure would

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use tuffy_grounder::{AtomRegistry, GroundingResult, GroundingStats};
 use tuffy_mln::{
-    Atom, EvidenceSet, Formula, GroundAtom, Literal, MlnProgram, PredicateDecl, PredicateId, Rule,
+    Atom, AtomRef, EvidenceSet, Formula, Literal, MlnProgram, PredicateDecl, PredicateId, Rule,
     Symbol, SymbolTable, Term, TypeId, Var, Weight,
 };
 use tuffy_mrf::{ClauseProvenance, Cost, Lit, Mrf, MrfColumns, RuleOrigin};
@@ -469,7 +469,7 @@ fn encode_evidence(evidence: &EvidenceSet) -> Vec<u8> {
         w.put_u32(ev.atom.predicate.0);
         w.put_u8(ev.positive as u8);
         w.put_u32(ev.atom.args.len() as u32);
-        for a in &ev.atom.args {
+        for a in ev.atom.args {
             w.put_u32(a.0);
         }
     }
@@ -482,6 +482,7 @@ fn decode_evidence(bytes: &[u8], program: &MlnProgram) -> Result<EvidenceSet, St
     let n_syms = program.symbols.len();
     let n_preds = program.predicates.len();
     let mut out = EvidenceSet::new();
+    let mut args = Vec::new();
     for i in 0..n {
         let p = r.get_u32()?;
         if p as usize >= n_preds {
@@ -491,13 +492,17 @@ fn decode_evidence(bytes: &[u8], program: &MlnProgram) -> Result<EvidenceSet, St
         }
         let positive = decode_bool(r.get_u8()?, "evidence polarity")?;
         let arity = r.get_u32()? as usize;
-        let mut args = Vec::with_capacity(arity.min(1 << 16));
+        args.clear();
         for _ in 0..arity {
             args.push(symbol(r.get_u32()?, n_syms, "evidence constant")?);
         }
         // Re-adding in insertion order rebuilds the identical set; `add`
         // re-validates arity and contradiction-freedom.
-        out.add(program, GroundAtom::new(PredicateId(p), args), positive)
+        let atom = AtomRef {
+            predicate: PredicateId(p),
+            args: &args,
+        };
+        out.add(program, atom, positive)
             .map_err(|e| StoreError::malformed(format!("evidence {i}: {e}")))?;
     }
     r.expect_end()?;
@@ -530,7 +535,8 @@ fn decode_registry(bytes: &[u8], program: &MlnProgram) -> Result<AtomRegistry, S
     let n = r.get_len()?;
     let n_syms = program.symbols.len();
     let n_preds = program.predicates.len();
-    let mut entries: Vec<(PredicateId, Box<[u32]>)> = Vec::with_capacity(n.min(1 << 24));
+    let mut registry = AtomRegistry::new();
+    let mut args = Vec::new();
     for i in 0..n {
         let p = r.get_u32()?;
         if p as usize >= n_preds {
@@ -544,16 +550,18 @@ fn decode_registry(bytes: &[u8], program: &MlnProgram) -> Result<AtomRegistry, S
                 "registry atom {i}: arity {arity} does not match predicate"
             )));
         }
-        let mut args = Vec::with_capacity(arity.min(1 << 16));
+        args.clear();
         for _ in 0..arity {
             let a = r.get_u32()?;
             symbol(a, n_syms, "registry constant")?;
             args.push(a);
         }
-        entries.push((PredicateId(p), args.into_boxed_slice()));
+        registry
+            .push_new(PredicateId(p), &args)
+            .map_err(|e| StoreError::malformed(format!("registry: {e}")))?;
     }
     r.expect_end()?;
-    AtomRegistry::from_entries(entries).map_err(|e| StoreError::malformed(format!("registry: {e}")))
+    Ok(registry)
 }
 
 // -------------------------------------------------------------------- mrf

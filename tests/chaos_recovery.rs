@@ -71,7 +71,7 @@ fn make_deltas(program: &MlnProgram, ds: &Dataset, n: usize) -> Vec<String> {
     let atoms: Vec<String> = ds
         .evidence
         .iter()
-        .map(|ev| tuffy::render_atom(program, &ev.atom))
+        .map(|ev| tuffy::render_atom(program, ev.atom))
         .collect();
     assert!(
         atoms.len() >= n,

@@ -40,7 +40,11 @@ fn canon_map(r: &tuffy::MapResult) -> String {
 fn build_delta(engine: &tuffy::Engine, picks: &[(u8, usize)]) -> EvidenceDelta {
     let snapshot = engine.snapshot();
     let registry = &snapshot.grounding().registry;
-    let evidence: Vec<_> = snapshot.evidence().iter().cloned().collect();
+    let evidence: Vec<_> = snapshot
+        .evidence()
+        .iter()
+        .map(|e| e.to_evidence())
+        .collect();
     let mut delta = EvidenceDelta::new();
     for &(kind, idx) in picks {
         match kind % 4 {

@@ -41,7 +41,7 @@ fn config(max_flips: u64) -> TuffyConfig {
 /// op over the session's current query atoms or evidence tuples.
 fn build_delta(session: &tuffy::Session, picks: &[(u8, usize)]) -> EvidenceDelta {
     let registry = &session.grounding().registry;
-    let evidence: Vec<_> = session.evidence().iter().cloned().collect();
+    let evidence: Vec<_> = session.evidence().iter().map(|e| e.to_evidence()).collect();
     let mut delta = EvidenceDelta::new();
     for &(kind, idx) in picks {
         match kind % 4 {

@@ -61,7 +61,7 @@ fn make_deltas(program: &MlnProgram, ds: &Dataset, n: usize) -> Vec<String> {
     let atoms: Vec<String> = ds
         .evidence
         .iter()
-        .map(|ev| tuffy::render_atom(program, &ev.atom))
+        .map(|ev| tuffy::render_atom(program, ev.atom))
         .collect();
     assert!(
         atoms.len() >= n,
@@ -201,7 +201,7 @@ fn prefix_script(snapshot: &Snapshot, steps: &[Step]) -> Vec<String> {
     let mut tuples = if open.is_empty() { positive } else { open }
         .into_iter()
         .rev()
-        .map(|e| tuffy::render_atom(program, &e.atom));
+        .map(|e| tuffy::render_atom(program, e.atom));
     steps
         .iter()
         .enumerate()
