@@ -15,11 +15,15 @@
 //! Marginals run MC-SAT's masked hard passes under both strategies (one
 //! sampler, and the scheduler's per-partition samplers), on the testbeds
 //! whose weights MC-SAT accepts: LP, RC and ER carry negative weights.
+//! Each MAP's best-cost trace is pinned too, as `(flips, cost)` points:
+//! how the scheduler records them may change, what it records may not.
 
 mod common;
 
 use common::{four_testbeds, BENCH_SEED};
-use tuffy::{McSatParams, PartitionStrategy, Query, Tuffy, TuffyConfig, WalkSatParams};
+use tuffy::{
+    render_atom, McSatParams, PartitionStrategy, Query, Tuffy, TuffyConfig, WalkSatParams,
+};
 use tuffy_datagen::Dataset;
 use tuffy_store::bytes::fnv1a;
 
@@ -54,6 +58,24 @@ fn map(ds: &Dataset, strategy: PartitionStrategy) -> (u64, u64, u64, u64) {
         r.report.flips,
         fnv1a(r.to_text().as_bytes()),
     )
+}
+
+/// FNV-1a of a MAP answer's best-cost trace: every point's flips, hard
+/// cost and soft-cost bits, in order. Times are left out; they vary.
+fn map_trace(ds: &Dataset, strategy: PartitionStrategy) -> u64 {
+    let r = Tuffy::from_parts(ds.program.clone(), ds.evidence.clone())
+        .with_config(config(strategy))
+        .open_session()
+        .unwrap()
+        .map()
+        .unwrap();
+    let mut bytes = Vec::new();
+    for p in r.trace.points() {
+        bytes.extend_from_slice(&p.flips.to_le_bytes());
+        bytes.extend_from_slice(&p.cost.hard.to_le_bytes());
+        bytes.extend_from_slice(&p.cost.soft.to_bits().to_le_bytes());
+    }
+    fnv1a(&bytes)
 }
 
 /// FNV-1a of every marginal's name and probability bits, or `None` when
@@ -117,6 +139,70 @@ fn map_trajectories_are_pinned() {
         ),
     ];
     assert_eq!(got, expected, "{got:#x?}");
+}
+
+#[test]
+fn map_traces_are_pinned() {
+    let got: Vec<_> = four_testbeds()
+        .iter()
+        .map(|ds| {
+            (
+                map_trace(ds, PartitionStrategy::Components),
+                map_trace(ds, PartitionStrategy::Budget(BUDGET)),
+            )
+        })
+        .collect();
+    // IE's and RC's worlds are the same under both strategies, but the
+    // budget packs their components into several bins, and every bin
+    // merge adds its resync points to the trace.
+    let expected = [
+        (0x64a1_687d_2bd0_7970, 0x86b7_dd97_943c_e4c0),
+        (0xbc4c_c56c_392a_074b, 0x99c0_3615_b6d0_4679),
+        (0xa7e7_719a_96d0_70e3, 0x9390_046f_d995_565d),
+        (0x0766_eb2c_d9b0_5b96, 0xa65a_6f22_7231_be18),
+    ];
+    assert_eq!(got, expected, "{got:#x?}");
+}
+
+/// The MAP answer's accessors agree on the four testbeds: `true_atoms()`
+/// rendered with `render_atom` is `to_text()` line for line, and
+/// `true_atoms_of` gives every declared predicate's share of them.
+#[test]
+fn map_accessors_agree() {
+    for ds in four_testbeds() {
+        let mut session = Tuffy::from_parts(ds.program.clone(), ds.evidence.clone())
+            .with_config(config(PartitionStrategy::Components))
+            .open_session()
+            .unwrap();
+        let r = session.map().unwrap();
+        let program = session.program();
+        let lines: String = r
+            .true_atoms()
+            .iter()
+            .map(|a| render_atom(program, a) + "\n")
+            .collect();
+        assert!(
+            !lines.is_empty(),
+            "{}: an empty world shows nothing",
+            ds.name
+        );
+        assert_eq!(lines, r.to_text(), "{}", ds.name);
+        for p in &program.predicates {
+            let name = program.symbols.resolve(p.name);
+            let want: Vec<Vec<String>> = r
+                .true_atoms()
+                .iter()
+                .filter(|a| program.predicate_name(a.predicate) == name)
+                .map(|a| {
+                    let args = a.args.iter();
+                    args.map(|&s| program.symbols.resolve(s).to_string())
+                        .collect()
+                })
+                .collect();
+            assert_eq!(r.true_atoms_of(name), Some(want), "{} {name}", ds.name);
+        }
+        assert_eq!(r.true_atoms_of("undeclared"), None, "{}", ds.name);
+    }
 }
 
 #[test]
