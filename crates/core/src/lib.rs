@@ -117,7 +117,8 @@ pub use persist::GENERATION_FILE;
 pub use pipeline::Tuffy;
 pub use query::Query;
 pub use result::{
-    render_atom, InferenceReport, MapResult, MarginalResult, QueryAnswer, TopEntry, TopKResult,
+    render_atom, render_atom_into, InferenceReport, MapResult, MarginalResult, QueryAnswer,
+    TopEntry, TopKResult,
 };
 pub use session::{ApplyReport, Session};
 pub use snapshot::Snapshot;

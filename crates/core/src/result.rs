@@ -1,11 +1,13 @@
 //! Inference results and reports.
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use tuffy_grounder::{AtomRegistry, GroundingStats};
+use tuffy_grounder::{GroundingResult, GroundingStats};
 use tuffy_mln::fxhash::FxHashMap;
 use tuffy_mln::ground::{AtomRef, GroundAtom};
 use tuffy_mln::program::MlnProgram;
-use tuffy_mrf::Cost;
+use tuffy_mrf::{AtomId, Cost};
 use tuffy_search::TimeCostTrace;
 
 /// Everything measured during one inference run (feeds the experiment
@@ -44,42 +46,51 @@ pub struct InferenceReport {
     pub flips_per_sec: f64,
 }
 
-/// Resolves a ground atom to its display names: the predicate name and
-/// one string per argument. The single place atom rendering happens —
-/// both result types go through it.
-pub(crate) fn atom_names(program: &MlnProgram, ga: &GroundAtom) -> (String, Vec<String>) {
-    (
-        program.predicate_name(ga.predicate).to_string(),
-        ga.args
-            .iter()
-            .map(|s| program.symbols.resolve(*s).to_string())
-            .collect(),
-    )
+/// Appends a ground atom to `out` in evidence syntax: `pred(arg1,
+/// arg2)`. Takes a `&GroundAtom` or a borrowed [`AtomRef`] (as an
+/// [`EvidenceSet`](tuffy_mln::EvidenceSet)'s iterator yields). The one
+/// place atoms are rendered: every answer type goes through it.
+pub fn render_atom_into<'a>(out: &mut String, program: &MlnProgram, atom: impl Into<AtomRef<'a>>) {
+    let atom = atom.into();
+    out.push_str(program.predicate_name(atom.predicate));
+    out.push('(');
+    for (i, &s) in atom.args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(program.symbols.resolve(s));
+    }
+    out.push(')');
 }
 
-/// Renders a ground atom in evidence syntax: `pred(arg1, arg2)`. Takes
-/// a `&GroundAtom` or a borrowed [`AtomRef`] (as an
-/// [`EvidenceSet`](tuffy_mln::EvidenceSet)'s iterator yields).
+/// Renders a ground atom in evidence syntax: `pred(arg1, arg2)`, in one
+/// allocation of the exact length ([`render_atom_into`] into a new
+/// string).
 pub fn render_atom<'a>(program: &MlnProgram, atom: impl Into<AtomRef<'a>>) -> String {
     let atom = atom.into();
-    let args: Vec<&str> = atom
+    let args: usize = atom
         .args
         .iter()
-        .map(|&s| program.symbols.resolve(s))
-        .collect();
-    format!(
-        "{}({})",
-        program.predicate_name(atom.predicate),
-        args.join(", ")
-    )
+        .map(|&s| program.symbols.resolve(s).len() + 2)
+        .sum();
+    let name = program.predicate_name(atom.predicate).len();
+    let mut out = String::with_capacity(name + 2 + args.saturating_sub(2));
+    render_atom_into(&mut out, program, atom);
+    out
 }
 
 /// The result of MAP inference: a most-likely world.
-#[derive(Debug)]
+///
+/// The world is kept as the ids of its true atoms, with the generation
+/// that answered (its program and grounded store, shared, not copied):
+/// names are resolved only when an accessor asks for them.
 pub struct MapResult {
-    pub(crate) program_true_atoms: Vec<GroundAtom>,
-    pub(crate) name_of: Vec<(String, Vec<String>)>,
-    pub(crate) known_predicates: Vec<String>,
+    program: Arc<MlnProgram>,
+    grounding: Arc<GroundingResult>,
+    /// The atoms inferred true, ascending.
+    true_ids: Vec<AtomId>,
+    /// [`MapResult::true_atoms`], built on its first call.
+    true_atoms: OnceLock<Vec<GroundAtom>>,
     /// The cost of the returned world (§2.2, Equation 1).
     pub cost: Cost,
     /// The best-cost-over-time trace (Figures 3–6).
@@ -88,42 +99,58 @@ pub struct MapResult {
     pub report: InferenceReport,
 }
 
+impl fmt::Debug for MapResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MapResult")
+            .field("true_ids", &self.true_ids)
+            .field("cost", &self.cost)
+            .field("trace", &self.trace)
+            .field("report", &self.report)
+            .finish_non_exhaustive()
+    }
+}
+
 impl MapResult {
+    /// The answer `truth` (one entry per atom of `grounding`'s registry)
+    /// gives; `program` resolves the registry's symbols.
     pub(crate) fn new(
-        program: &MlnProgram,
-        registry: &AtomRegistry,
+        program: Arc<MlnProgram>,
+        grounding: Arc<GroundingResult>,
         truth: &[bool],
         cost: Cost,
         trace: TimeCostTrace,
         report: InferenceReport,
     ) -> MapResult {
-        let mut atoms = Vec::new();
-        let mut names = Vec::new();
-        for (i, &t) in truth.iter().enumerate() {
-            if !t {
-                continue;
-            }
-            let ga = registry.ground_atom(i as u32);
-            names.push(atom_names(program, &ga));
-            atoms.push(ga);
-        }
+        let true_ids = (0..truth.len() as AtomId)
+            .filter(|&i| truth[i as usize])
+            .collect();
         MapResult {
-            program_true_atoms: atoms,
-            name_of: names,
-            known_predicates: program
-                .predicates
-                .iter()
-                .map(|p| program.symbols.resolve(p.name).to_string())
-                .collect(),
+            program,
+            grounding,
+            true_ids,
+            true_atoms: OnceLock::new(),
             cost,
             trace,
             report,
         }
     }
 
-    /// All query atoms inferred true, as ground atoms.
+    /// The predicate and arguments of every true atom, in id order.
+    fn atom_refs(&self) -> impl ExactSizeIterator<Item = AtomRef<'_>> {
+        let registry = &self.grounding.registry;
+        self.true_ids.iter().map(|&id| registry.atom_ref(id))
+    }
+
+    /// All query atoms inferred true, as ground atoms (built on the first
+    /// call).
     pub fn true_atoms(&self) -> &[GroundAtom] {
-        &self.program_true_atoms
+        self.true_atoms
+            .get_or_init(|| self.atom_refs().map(AtomRef::to_ground_atom).collect())
+    }
+
+    /// Every true atom rendered on its own ([`render_atom`]), in id order.
+    pub fn render_true_atoms(&self) -> impl ExactSizeIterator<Item = String> + '_ {
+        self.atom_refs().map(|a| render_atom(&self.program, a))
     }
 
     /// The inferred-true tuples of one predicate, as argument string
@@ -131,14 +158,13 @@ impl MapResult {
     /// relation). Returns `None` for a predicate the program never
     /// declared.
     pub fn true_atoms_of(&self, predicate: &str) -> Option<Vec<Vec<String>>> {
-        if !self.known_predicates.iter().any(|p| p == predicate) {
-            return None;
-        }
+        let pred = self.program.predicate_by_name(predicate)?;
+        let symbols = &self.program.symbols;
         Some(
-            self.name_of
-                .iter()
-                .filter(|(name, _)| name == predicate)
-                .map(|(_, args)| args.clone())
+            self.atom_refs()
+                .filter(|a| a.predicate == pred)
+                .map(|a| a.args.iter().map(|&s| symbols.resolve(s).to_string()))
+                .map(Iterator::collect)
                 .collect(),
         )
     }
@@ -146,11 +172,9 @@ impl MapResult {
     /// Renders the inferred world as evidence-format lines.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for (name, args) in &self.name_of {
-            out.push_str(name);
-            out.push('(');
-            out.push_str(&args.join(", "));
-            out.push_str(")\n");
+        for atom in self.atom_refs() {
+            render_atom_into(&mut out, &self.program, atom);
+            out.push('\n');
         }
         out
     }

@@ -195,8 +195,8 @@ impl Session {
         let (truth, cost, trace, report) = self.snapshot.execute_map(self.warm.clone(), search);
         self.maps_run += 1;
         let result = MapResult::new(
-            &self.program,
-            &self.snapshot.grounding().registry,
+            self.program.clone(),
+            self.snapshot.grounding_arc(),
             &truth,
             cost,
             trace,

@@ -235,6 +235,10 @@ impl Snapshot {
         &self.inner.grounding
     }
 
+    pub(crate) fn grounding_arc(&self) -> Arc<GroundingResult> {
+        self.inner.grounding.clone()
+    }
+
     pub(crate) fn counters(&self) -> &Arc<EngineCounters> {
         &self.inner.counters
     }
@@ -308,8 +312,8 @@ impl Snapshot {
                 let search = query.search.unwrap_or(config.search);
                 let (truth, cost, trace, report) = self.execute_map(None, &search);
                 Ok(QueryAnswer::Map(MapResult::new(
-                    &self.inner.program,
-                    &self.inner.grounding.registry,
+                    self.inner.program.clone(),
+                    self.inner.grounding.clone(),
                     &truth,
                     cost,
                     trace,

@@ -6,7 +6,7 @@
 //! no index of its own here: emission and the bulk load read the one
 //! per-predicate index inside [`tuffy_mln::evidence::EvidenceSet`].
 
-use tuffy_mln::ground::GroundAtom;
+use tuffy_mln::ground::{AtomRef, GroundAtom};
 use tuffy_mln::schema::PredicateId;
 use tuffy_mln::slice_index::{slice_tag, SliceIndex};
 use tuffy_mln::symbols::Symbol;
@@ -128,10 +128,18 @@ impl AtomRegistry {
         (self.preds[id as usize], row(&self.start, &self.args, id))
     }
 
+    /// Atom `id` as a borrowed [`AtomRef`].
+    pub fn atom_ref(&self, id: AtomId) -> AtomRef<'_> {
+        let (predicate, args) = self.atom(id);
+        AtomRef {
+            predicate,
+            args: Symbol::from_ids(args),
+        }
+    }
+
     /// Reconstructs the [`GroundAtom`] for `id`.
     pub fn ground_atom(&self, id: AtomId) -> GroundAtom {
-        let (p, args) = self.atom(id);
-        GroundAtom::new(p, args.iter().map(|&a| Symbol(a)).collect())
+        self.atom_ref(id).to_ground_atom()
     }
 
     /// Iterates all atoms as `(id, predicate, args)` in id order.

@@ -11,6 +11,7 @@ use std::fmt;
 
 /// An interned string. Cheap to copy, hash, and compare.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(transparent)]
 pub struct Symbol(pub u32);
 
 impl Symbol {
@@ -18,6 +19,15 @@ impl Symbol {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Views raw symbol ids (the columns the atom registry and the RDBMS
+    /// keep) as symbols, without copying.
+    #[inline]
+    pub fn from_ids(ids: &[u32]) -> &[Symbol] {
+        // SAFETY: `Symbol` is `repr(transparent)` over `u32`, so a slice
+        // of either has the same layout; length and lifetime carry over.
+        unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<Symbol>(), ids.len()) }
     }
 }
 

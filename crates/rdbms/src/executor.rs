@@ -59,6 +59,7 @@ use crate::plan::{JoinNode, PhysicalPlan, PlanOp, QueryPlan};
 use crate::query::ConjunctiveQuery;
 use crate::spill::{
     for_each_chunk, partition, wrap, SpillManager, SpillWriter, SpillableBatch, MAX_PARTITIONS,
+    UNBOUNDED,
 };
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -130,7 +131,7 @@ impl fmt::Display for ExecProfile {
 /// projected output batch (one column per output variable of the planned
 /// query) in operator order. Records no profile and reads no clock.
 pub fn execute(db: &Database, plan: &QueryPlan) -> Result<Batch, DbError> {
-    run(db, plan, &SpillManager::in_memory(0), None)?.into_batch()
+    run(db, plan, &UNBOUNDED, None)?.into_batch()
 }
 
 /// Executes `plan` into a caller-owned batch, reusing its allocation.
@@ -161,7 +162,7 @@ pub fn execute_into(db: &Database, plan: &QueryPlan, out: &mut Batch) -> Result<
 /// [`execute`], additionally returning per-node runtime counters.
 pub fn execute_profiled(db: &Database, plan: &QueryPlan) -> Result<(Batch, ExecProfile), DbError> {
     let mut profile = ExecProfile::default();
-    let out = run(db, plan, &SpillManager::in_memory(0), Some(&mut profile))?;
+    let out = run(db, plan, &UNBOUNDED, Some(&mut profile))?;
     Ok((out.into_batch()?, profile))
 }
 

@@ -52,13 +52,24 @@ pub struct SpillStats {
 /// cumulative [`SpillStats`]. One manager serves a whole grounding run
 /// (all threads).
 pub struct SpillManager {
-    backend: Arc<dyn StorageBackend>,
+    /// `None` for [`UNBOUNDED`], which never spills.
+    backend: Option<Arc<dyn StorageBackend>>,
     /// `usize::MAX` when unbounded.
     budget: usize,
     runs_written: AtomicU64,
     partitions: AtomicU64,
     pub(crate) grace_joins: AtomicU64,
 }
+
+/// The manager of a run with no budget: nothing spills, so it has no
+/// backend, and every such run shares it.
+pub(crate) static UNBOUNDED: SpillManager = SpillManager {
+    backend: None,
+    budget: usize::MAX,
+    runs_written: AtomicU64::new(0),
+    partitions: AtomicU64::new(0),
+    grace_joins: AtomicU64::new(0),
+};
 
 impl std::fmt::Debug for SpillManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -76,7 +87,7 @@ impl SpillManager {
     /// every relation stays resident and the backend is never written.
     pub fn new(budget: usize, backend: Arc<dyn StorageBackend>) -> SpillManager {
         SpillManager {
-            backend,
+            backend: Some(backend),
             budget: if budget == 0 { usize::MAX } else { budget },
             runs_written: AtomicU64::new(0),
             partitions: AtomicU64::new(0),
@@ -110,15 +121,21 @@ impl SpillManager {
     pub fn stats(&self) -> SpillStats {
         SpillStats {
             runs_written: self.runs_written.load(Ordering::Relaxed),
-            bytes_spilled: self.backend.words_written() * 4,
+            bytes_spilled: self.backend.as_ref().map_or(0, |b| b.words_written() * 4),
             partitions: self.partitions.load(Ordering::Relaxed),
             grace_joins: self.grace_joins.load(Ordering::Relaxed),
         }
     }
 
+    /// Where runs go; only a run over the budget asks.
+    fn backend(&self) -> &Arc<dyn StorageBackend> {
+        let backend = self.backend.as_ref();
+        backend.expect("only a bounded manager spills, and it has a backend")
+    }
+
     fn write_run(&self, words: &[u32]) -> Result<RunHandle, DbError> {
         self.runs_written.fetch_add(1, Ordering::Relaxed);
-        self.backend.write_run(words)
+        self.backend().write_run(words)
     }
 
     /// Per-run buffer threshold: a fraction of the budget so several
@@ -467,7 +484,7 @@ impl<'a> SpillWriter<'a> {
             width: self.width,
             rows: self.rows,
             runs: std::mem::take(&mut self.runs),
-            backend: Arc::clone(&self.mgr.backend),
+            backend: Arc::clone(self.mgr.backend()),
         }))
     }
 }
@@ -576,7 +593,7 @@ pub(crate) fn partition(
     Ok(Partitions {
         width,
         runs,
-        backend: Arc::clone(&mgr.backend),
+        backend: Arc::clone(mgr.backend()),
     })
 }
 

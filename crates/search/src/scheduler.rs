@@ -36,10 +36,18 @@
 //! — and merging happens in schedule order after each bin joins, so the
 //! result (assignment, cost, flip counts, and the recorded best-cost
 //! trajectory) is bit-identical for every worker-pool size.
+//!
+//! Cost per pass: a pass reads no clock and allocates nothing. It leaves
+//! its best-cost points `(flips, cost)` and its best truth in buffers of
+//! its worker that live for the whole run, and the merge reads them back
+//! in schedule order. The trace is one per run: the merge folds every
+//! pass's points into the run's best-cost curve and stamps a bin's
+//! points with one clock read.
 
 use crate::mcsat::{McSat, McSatParams};
 use crate::timecost::TimeCostTrace;
 use crate::walksat::{SearchScratch, WalkSat, WalkSatParams};
+use std::ops::Range;
 use std::sync::Arc;
 use tuffy_mln::pool::pool_map;
 use tuffy_mln::MlnError;
@@ -226,10 +234,6 @@ pub struct ScheduleResult {
     pub converged: bool,
     /// Worker threads the run actually took: the most any bin ran.
     pub threads: usize,
-    /// Per-partition best-cost traces, aligned with
-    /// [`Schedule::units`]. Flips are cumulative across rounds; elapsed
-    /// time restarts at each pass.
-    pub unit_traces: Vec<TimeCostTrace>,
 }
 
 /// The outcome of scheduled marginal inference: per-atom probabilities
@@ -253,12 +257,30 @@ pub struct MarginalSamples {
     pub flips: u64,
 }
 
-/// One partition pass's outcome, merged after its bin joins.
+/// One pool worker's state for a whole MAP run: its search scratch, and
+/// what the passes it ran in the current bin left for the merge.
+#[derive(Default)]
+struct Worker {
+    /// Index of this worker in the run's pool.
+    id: usize,
+    search: SearchScratch,
+    /// Each pass's best-cost points `(flips, cost)`: its starting cost,
+    /// then every improvement, passes appended in the order they ran.
+    points: Vec<(u64, Cost)>,
+    /// Each pass's best truth, aligned with its partition's atoms.
+    truths: Vec<bool>,
+}
+
+/// Where one partition pass left its outcome, merged after its bin joins.
 struct UnitOutcome {
-    truth: Vec<bool>,
+    /// The worker whose buffers hold the outcome.
+    worker: usize,
+    /// The pass's points in the worker's `points`.
+    points: Range<usize>,
+    /// Where the pass's best truth starts in the worker's `truths`.
+    truth: usize,
     flips: u64,
     bytes: usize,
-    trace: TimeCostTrace,
 }
 
 /// Partition-aware parallel inference over one MRF.
@@ -399,63 +421,73 @@ impl<'a> Scheduler<'a> {
         let mut truth = init.to_vec();
         let mut best_cost = self.mrf.cost(&truth);
         let mut best_truth = truth.clone();
+        let mut snapshot = truth.clone();
         // Folded best-so-far curve (exact between cut interactions;
-        // resynced to the true assembled cost at every bin boundary).
+        // resynced to the true assembled cost at every bin boundary), and
+        // one bin's share of it, recorded when the bin's merge ends.
         let mut running = best_cost;
+        let mut folded: Vec<(u64, Cost)> = Vec::new();
         let mut flips = 0u64;
         let mut peak = 0usize;
-        let mut unit_traces: Vec<TimeCostTrace> = self
-            .schedule
-            .units
-            .iter()
-            .map(|_| TimeCostTrace::new())
-            .collect();
-        let mut unit_flips: Vec<u64> = vec![0; self.schedule.units.len()];
         if let Some(t) = trace.as_mut() {
             t.record(0, best_cost);
         }
         let rounds = self.rounds();
         let mut rounds_run = 0;
         let mut converged = false;
-        // One per worker, for every in-place pass of the run.
-        let mut scratch = scratches(self.config.threads.max(1));
+        // One per pool worker, for every in-place pass of the run; a
+        // worker can hold the best truths of a whole bin.
+        let bin_atoms = |bin: &Bin| -> usize {
+            let units = bin.items.iter().map(|&ui| &self.schedule.units[ui]);
+            units.map(|u| u.atom_count).sum()
+        };
+        let widest_atoms = self.schedule.bins.iter().map(bin_atoms).max();
+        let mut workers: Vec<Worker> = (0..self.config.threads.max(1))
+            .map(|id| Worker {
+                id,
+                truths: Vec::with_capacity(widest_atoms.unwrap_or(0)),
+                ..Worker::default()
+            })
+            .collect();
         let widest = self.schedule.bins.iter().map(|b| b.items.len()).max();
-        let threads = scratch.len().min(widest.unwrap_or(1)).max(1);
+        let threads = workers.len().min(widest.unwrap_or(1)).max(1);
 
         for round in 0..rounds {
             rounds_run = round + 1;
             let mut round_changed = false;
             for bin in &self.schedule.bins {
-                let snapshot = truth.clone();
-                let outcomes = self.run_bin(bin, &snapshot, round, &mut scratch);
+                snapshot.copy_from_slice(&truth);
+                for w in &mut workers {
+                    w.points.clear();
+                    w.truths.clear();
+                }
+                let outcomes = self.run_bin(bin, &snapshot, round, &mut workers);
                 // Merge in schedule order — identical for any pool size.
                 for (&ui, outcome) in bin.items.iter().zip(outcomes) {
-                    let unit = &self.schedule.units[ui];
-                    let pts = outcome.trace.points();
-                    let mut last = pts.first().map_or(Cost::ZERO, |p| p.cost);
-                    for p in &pts[1..] {
-                        // Saturating: a cut clause shared by two partitions
-                        // of one bin can be improved by both, so the folded
-                        // estimate may briefly over-credit.
-                        running = Cost {
-                            hard: (running.hard + p.cost.hard).saturating_sub(last.hard),
-                            soft: (running.soft + p.cost.soft - last.soft).max(0.0),
-                        };
-                        last = p.cost;
-                        if let Some(t) = trace.as_mut() {
-                            t.record(flips + p.flips, running);
+                    let worker = &workers[outcome.worker];
+                    if trace.is_some() {
+                        let pts = &worker.points[outcome.points];
+                        let mut last = pts.first().map_or(Cost::ZERO, |p| p.1);
+                        for &(at, cost) in &pts[1..] {
+                            // Saturating: a cut clause shared by two
+                            // partitions of one bin can be improved by
+                            // both, so the folded estimate may briefly
+                            // over-credit.
+                            running = Cost {
+                                hard: (running.hard + cost.hard).saturating_sub(last.hard),
+                                soft: (running.soft + cost.soft - last.soft).max(0.0),
+                            };
+                            last = cost;
+                            folded.push((flips + at, running));
                         }
                     }
-                    for p in pts {
-                        unit_traces[ui].record_at(p.elapsed, unit_flips[ui] + p.flips, p.cost);
-                    }
-                    unit_flips[ui] += outcome.flips;
                     flips += outcome.flips;
                     peak = peak.max(outcome.bytes);
-                    let atoms = &self.schedule.parts.atoms[unit.part];
-                    for (local, &global) in atoms.iter().enumerate() {
-                        if truth[global as usize] != outcome.truth[local] {
-                            truth[global as usize] = outcome.truth[local];
+                    let atoms = &self.schedule.parts.atoms[self.schedule.units[ui].part];
+                    let best = &worker.truths[outcome.truth..outcome.truth + atoms.len()];
+                    for (&global, &value) in atoms.iter().zip(best) {
+                        if truth[global as usize] != value {
+                            truth[global as usize] = value;
                             round_changed = true;
                         }
                     }
@@ -467,10 +499,12 @@ impl<'a> Scheduler<'a> {
                 if cost.better_than(best_cost) {
                     best_cost = cost;
                     best_truth.copy_from_slice(&truth);
-                    if let Some(t) = trace.as_mut() {
-                        t.record(flips, cost);
-                    }
+                    folded.push((flips, cost));
                 }
+                if let Some(t) = trace.as_mut() {
+                    t.record_all(&folded);
+                }
+                folded.clear();
             }
             if !round_changed {
                 converged = true;
@@ -488,7 +522,6 @@ impl<'a> Scheduler<'a> {
             rounds_run,
             converged,
             threads,
-            unit_traces,
         }
     }
 
@@ -549,15 +582,14 @@ impl<'a> Scheduler<'a> {
         })
     }
 
-    /// Executes one bin on one worker per entry of `scratch`: workers
-    /// steal partition passes off a shared queue; outcomes come back in
-    /// schedule order.
+    /// Executes one bin on the pool of `workers`: they steal partition
+    /// passes off a shared queue; outcomes come back in schedule order.
     fn run_bin(
         &self,
         bin: &Bin,
         snapshot: &[bool],
         round: usize,
-        scratch: &mut [SearchScratch],
+        workers: &mut [Worker],
     ) -> Vec<UnitOutcome> {
         // `max_flips` is whatever the caller asked for, up to `u64::MAX`:
         // take the proportion in 128 bits. A unit's share is at most
@@ -568,21 +600,21 @@ impl<'a> Scheduler<'a> {
             let share = max_flips * u.atom_count as u128 / all_passes;
             u64::try_from(share).unwrap_or(u64::MAX).max(1)
         };
-        let pass = |scratch: &mut SearchScratch, j: usize| {
+        let pass = |worker: &mut Worker, j: usize| {
             let unit = &self.schedule.units[bin.items[j]];
             self.run_unit_pass(
                 unit,
                 snapshot,
                 budget_of(unit),
                 derive_seed(self.config.search.seed, unit.part, round),
-                scratch,
+                worker,
             )
         };
-        pool_map(bin.items.len(), scratch, pass)
+        pool_map(bin.items.len(), workers, pass)
     }
 
     /// One WalkSAT pass over a partition, from the snapshot's state, in
-    /// place in the worker's `scratch` (see [`WalkSat::in_scope`] for why
+    /// place in the worker's scratch (see [`WalkSat::in_scope`] for why
     /// a closed partition's trajectory equals that of a relabelled copy).
     /// The footprint of a closed partition is the planned `est_bytes`:
     /// what [`MemoryFootprint::of`] would report for that copy.
@@ -592,7 +624,7 @@ impl<'a> Scheduler<'a> {
         snapshot: &[bool],
         budget: u64,
         seed: u64,
-        scratch: &mut SearchScratch,
+        worker: &mut Worker,
     ) -> UnitOutcome {
         let p = unit.part;
         let (parts, cut) = (&self.schedule.parts, &self.schedule.cut_by_part[p]);
@@ -608,10 +640,10 @@ impl<'a> Scheduler<'a> {
             cut,
             snapshot,
             seed,
-            std::mem::take(scratch),
+            std::mem::take(&mut worker.search),
         );
-        let outcome = search_pass(&mut ws, budget, self.config.search.noise, bytes);
-        *scratch = ws.into_scratch();
+        let outcome = search_pass(&mut ws, budget, self.config.search.noise, bytes, worker);
+        worker.search = ws.into_scratch();
         outcome
     }
 
@@ -644,11 +676,19 @@ fn scratches(workers: usize) -> Vec<SearchScratch> {
         .collect()
 }
 
-/// Spends up to `budget` flips on `ws`, recording every improvement of
-/// its best cost; `bytes` is the footprint to report for the pass.
-fn search_pass(ws: &mut WalkSat<'_>, budget: u64, noise: f64, bytes: usize) -> UnitOutcome {
-    let mut trace = TimeCostTrace::new();
-    trace.record(0, ws.best_cost());
+/// Spends up to `budget` flips on `ws`, appending its starting cost and
+/// every improvement of its best cost to the worker's points, then its
+/// best truth to the worker's truths; `bytes` is the footprint to report
+/// for the pass.
+fn search_pass(
+    ws: &mut WalkSat<'_>,
+    budget: u64,
+    noise: f64,
+    bytes: usize,
+    worker: &mut Worker,
+) -> UnitOutcome {
+    let first = worker.points.len();
+    worker.points.push((0, ws.best_cost()));
     let mut last_best = ws.best_cost();
     for _ in 0..budget {
         if !ws.step(noise) {
@@ -656,14 +696,17 @@ fn search_pass(ws: &mut WalkSat<'_>, budget: u64, noise: f64, bytes: usize) -> U
         }
         if ws.best_cost().better_than(last_best) {
             last_best = ws.best_cost();
-            trace.record(ws.flips(), ws.best_cost());
+            worker.points.push((ws.flips(), last_best));
         }
     }
+    let truth = worker.truths.len();
+    worker.truths.extend_from_slice(ws.best_truth());
     UnitOutcome {
-        truth: ws.best_truth().to_vec(),
+        worker: worker.id,
+        points: first..worker.points.len(),
+        truth,
         flips: ws.flips(),
         bytes,
-        trace,
     }
 }
 
@@ -988,17 +1031,6 @@ mod tests {
         let r = s.run(None);
         assert!(r.converged, "50 rounds should be more than enough");
         assert!(r.rounds_run < 50, "ran all {} rounds", r.rounds_run);
-    }
-
-    #[test]
-    fn per_partition_traces_cover_every_unit() {
-        let m = example1(8);
-        let s = Scheduler::new(&m, config(8 * 300, 5));
-        let r = s.run(None);
-        assert_eq!(r.unit_traces.len(), s.schedule().units.len());
-        for t in &r.unit_traces {
-            assert!(!t.points().is_empty());
-        }
     }
 
     #[test]

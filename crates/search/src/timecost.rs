@@ -1,4 +1,9 @@
 //! Time-cost traces — the raw data behind Figures 3–6 and 8.
+//!
+//! A trace belongs to one search run, not to a partition pass: the
+//! scheduler folds its passes' best-cost points into the run's trace
+//! when their bin merges ([`TimeCostTrace::record_all`]), so the clock is
+//! read once per merge, not once per point or per pass.
 
 use std::time::{Duration, Instant};
 use tuffy_mrf::Cost;
@@ -69,6 +74,21 @@ impl TimeCostTrace {
         });
     }
 
+    /// Records samples that all happened by now, reading the clock once:
+    /// they share its reading as their time.
+    pub fn record_all(&mut self, points: &[(u64, Cost)]) {
+        if points.is_empty() {
+            return;
+        }
+        let elapsed = self.start.elapsed() + self.offset;
+        let stamped = points.iter().map(|&(flips, cost)| TracePoint {
+            elapsed,
+            flips,
+            cost,
+        });
+        self.points.extend(stamped);
+    }
+
     /// Records a sample with an explicit elapsed time (used by simulated
     /// clocks, e.g. RDBMS-backed search charging I/O latency).
     pub fn record_at(&mut self, elapsed: Duration, flips: u64, cost: Cost) {
@@ -125,6 +145,18 @@ mod tests {
         assert_eq!(t.points().len(), 2);
         assert!(t.points()[1].elapsed >= t.points()[0].elapsed);
         assert_eq!(t.final_cost(), Some(Cost::soft(8.0)));
+    }
+
+    #[test]
+    fn a_batch_shares_one_time() {
+        let mut t = TimeCostTrace::new();
+        t.record_all(&[]);
+        assert!(t.points().is_empty());
+        t.record_all(&[(3, Cost::soft(4.0)), (7, Cost::soft(2.0))]);
+        let p = t.points();
+        assert_eq!((p[0].flips, p[1].flips), (3, 7));
+        assert_eq!(p[0].elapsed, p[1].elapsed);
+        assert_eq!(t.final_cost(), Some(Cost::soft(2.0)));
     }
 
     #[test]

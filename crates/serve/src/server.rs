@@ -979,7 +979,7 @@ fn handle_request(shared: &Shared, session: &mut Session, request: Request) -> R
                     .queries_light
                     .fetch_add(1, Ordering::Relaxed);
             }
-            render_answer(session, generation, answer)
+            render_answer(generation, answer)
         }
     }
 }
@@ -1063,22 +1063,18 @@ fn build_query(shared: &Shared, session: &mut Session, wq: &WireQuery) -> Result
     Ok(query)
 }
 
-/// Renders a core answer as its wire frame. Atom names render against
-/// the session program (a superset of the snapshot's when `parse_delta`
-/// interned constants), and probabilities travel as raw bits.
-fn render_answer(session: &Session, generation: u64, answer: QueryAnswer) -> Response {
-    let program = session.program();
+/// Renders a core answer as its wire frame. A MAP answer renders each
+/// true atom once, against the program of the generation that answered
+/// (which holds every constant `parse_delta` interned for a `given`
+/// query), and probabilities travel as raw bits.
+fn render_answer(generation: u64, answer: QueryAnswer) -> Response {
     match answer {
         QueryAnswer::Map(r) => Response::Map(WireMapAnswer {
             generation,
             cost_hard: r.cost.hard,
             cost_soft_bits: r.cost.soft.to_bits(),
             flips: r.report.flips,
-            atoms: r
-                .true_atoms()
-                .iter()
-                .map(|a| tuffy::render_atom(program, a))
-                .collect(),
+            atoms: r.render_true_atoms().collect(),
         }),
         QueryAnswer::Marginal(r) => Response::Marginal(WireProbAnswer {
             generation,

@@ -18,10 +18,10 @@
 //! A payload is UTF-8 text: newline-separated lines, the first of which
 //! names the frame kind. Numeric fields are decimal; every `f64`
 //! crosses the wire as the 16-hex-digit big-endian rendering of its IEEE
-//! bits ([`f64_hex`]), so answers survive encode→decode **bit
-//! identically** — "close enough" round-tripping would break the serving
-//! layer's claim that networked answers equal in-process ones. A string
-//! field is always the last field on its line and is escaped
+//! bits (`{:016x}` of `f64::to_bits`), so answers survive encode→decode
+//! **bit identically** — "close enough" round-tripping would break the
+//! serving layer's claim that networked answers equal in-process ones. A
+//! string field is always the last field on its line and is escaped
 //! ([`esc`]/[`unesc`]: `\\`, `\n`, `\r`) so embedded newlines (delta
 //! text) cannot tear the line structure.
 //!
@@ -53,6 +53,7 @@
 //! session program (interning new constants copy-on-write, exactly like
 //! the in-process API).
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 
 /// Connection preamble, both directions. The trailing `/1` is the
@@ -328,41 +329,54 @@ pub enum Response {
 /// newline → `\n`, carriage return → `\r`.
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
+    push_esc(&mut out, s);
     out
 }
 
-/// Inverts [`esc`]; rejects truncated or unknown escapes.
+/// Appends `s` to `out` escaped as [`esc`] does, copying the runs between
+/// escaped bytes whole.
+fn push_esc(out: &mut String, s: &str) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        // Split at ASCII bytes only, so both runs are whole UTF-8.
+        out.push_str(&s[start..i]);
+        out.push_str(escaped);
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+}
+
+/// Appends a string field escaped, and ends its line.
+fn push_field(out: &mut String, s: &str) {
+    push_esc(out, s);
+    out.push('\n');
+}
+
+/// Inverts [`esc`]; rejects truncated or unknown escapes. The runs
+/// between escapes (the whole field, when it has none) are copied whole.
 pub fn unesc(s: &str) -> Result<String, WireError> {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let mut tail = rest[at + 1..].chars();
+        match tail.next() {
             Some('\\') => out.push('\\'),
             Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
             Some(c) => return Err(WireError::new(format!("unknown escape `\\{c}`"))),
             None => return Err(WireError::new("truncated escape at end of field")),
         }
+        rest = tail.as_str();
     }
+    out.push_str(rest);
     Ok(out)
-}
-
-/// Renders an `f64` as the 16-hex-digit form of its IEEE bits — the
-/// bit-identical transport encoding.
-pub fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
 }
 
 fn parse_f64_hex(s: &str) -> Result<f64, WireError> {
@@ -459,9 +473,33 @@ pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Vec<u8>, FrameRea
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Encodes a request payload (framing not included).
+// `fmt::Write` into a `String` cannot fail, so the `write!` results
+// below are discarded.
+
+/// Bytes a request's fixed fields take at most: its tags, numbers and
+/// f64 bits.
+const REQUEST_FIXED: usize = 192;
+
+/// Bytes a response's first line and one row's tag, number and
+/// separators take at most.
+const RESPONSE_LINE: usize = 96;
+
+/// Encodes a request payload (framing not included) into one buffer,
+/// sized up front.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = String::new();
+    let strings = match req {
+        Request::Query(q) => {
+            let predicate = match &q.kind {
+                WireQueryKind::TopK { predicate, .. } => predicate.len(),
+                _ => 0,
+            };
+            let preds: usize = q.predicates.iter().map(|p| p.len() + 6).sum();
+            predicate + preds + q.given.as_ref().map_or(0, String::len)
+        }
+        Request::Apply { delta } => delta.len(),
+        Request::Ping { .. } => 0,
+    };
+    let mut out = String::with_capacity(REQUEST_FIXED + strings);
     match req {
         Request::Query(q) => {
             out.push_str("query\n");
@@ -469,53 +507,70 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 WireQueryKind::Map => out.push_str("kind map\n"),
                 WireQueryKind::Marginal => out.push_str("kind marginal\n"),
                 WireQueryKind::TopK { predicate, k } => {
-                    out.push_str(&format!("kind topk {k} {}\n", esc(predicate)));
+                    let _ = write!(out, "kind topk {k} ");
+                    push_field(&mut out, predicate);
                 }
             }
             for p in &q.predicates {
-                out.push_str(&format!("pred {}\n", esc(p)));
+                out.push_str("pred ");
+                push_field(&mut out, p);
             }
             if let Some(given) = &q.given {
-                out.push_str(&format!("given {}\n", esc(given)));
+                out.push_str("given ");
+                push_field(&mut out, given);
             }
             if let Some((flips, tries, noise, seed)) = q.search {
-                out.push_str(&format!(
-                    "search {flips} {tries} {} {seed}\n",
-                    f64_hex(noise)
-                ));
+                let noise = noise.to_bits();
+                let _ = writeln!(out, "search {flips} {tries} {noise:016x} {seed}");
             }
             if let Some((samples, burn_in, steps, p_anneal, temperature, seed)) = q.mcsat {
-                out.push_str(&format!(
-                    "mcsat {samples} {burn_in} {steps} {} {} {seed}\n",
-                    f64_hex(p_anneal),
-                    f64_hex(temperature)
-                ));
+                let (p_anneal, temperature) = (p_anneal.to_bits(), temperature.to_bits());
+                let _ = writeln!(
+                    out,
+                    "mcsat {samples} {burn_in} {steps} {p_anneal:016x} {temperature:016x} {seed}"
+                );
             }
         }
         Request::Apply { delta } => {
-            out.push_str("apply\n");
-            out.push_str(&format!("delta {}\n", esc(delta)));
+            out.push_str("apply\ndelta ");
+            push_field(&mut out, delta);
         }
-        Request::Ping { token } => out.push_str(&format!("ping {token}\n")),
+        Request::Ping { token } => {
+            let _ = writeln!(out, "ping {token}");
+        }
     }
     out.into_bytes()
 }
 
-/// Encodes a response payload (framing not included).
+/// Encodes a response payload (framing not included) into one buffer,
+/// sized up front: every row is written, and its string escaped, in
+/// place.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = String::new();
+    let rows = match resp {
+        Response::Map(a) => a.atoms.iter().map(|s| s.len() + 6).sum(),
+        Response::Marginal(a) | Response::TopK(a) => {
+            a.entries.iter().map(|e| e.atom.len() + 24).sum()
+        }
+        Response::Error(e) => e.message.len(),
+        _ => 0,
+    };
+    let mut out = String::with_capacity(RESPONSE_LINE + rows);
     match resp {
         Response::Welcome {
             protocol,
             generation,
-        } => out.push_str(&format!("welcome {protocol} {generation}\n")),
+        } => {
+            let _ = writeln!(out, "welcome {protocol} {generation}");
+        }
         Response::Map(a) => {
-            out.push_str(&format!(
-                "answer.map {} {} {:016x} {}\n",
+            let _ = writeln!(
+                out,
+                "answer.map {} {} {:016x} {}",
                 a.generation, a.cost_hard, a.cost_soft_bits, a.flips
-            ));
+            );
             for atom in &a.atoms {
-                out.push_str(&format!("atom {}\n", esc(atom)));
+                out.push_str("atom ");
+                push_field(&mut out, atom);
             }
         }
         Response::Marginal(a) | Response::TopK(a) => {
@@ -524,32 +579,32 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             } else {
                 "answer.topk"
             };
-            out.push_str(&format!("{tag} {} {}\n", a.generation, a.flips));
+            let _ = writeln!(out, "{tag} {} {}", a.generation, a.flips);
             for e in &a.entries {
-                out.push_str(&format!(
-                    "entry {:016x} {}\n",
-                    e.probability_bits,
-                    esc(&e.atom)
-                ));
+                let _ = write!(out, "entry {:016x} ", e.probability_bits);
+                push_field(&mut out, &e.atom);
             }
         }
-        Response::Applied(a) => out.push_str(&format!(
-            "applied {} {} {} {} {}\n",
-            a.generation,
-            u8::from(a.incremental),
-            a.changes,
-            a.clauses,
-            a.atoms
-        )),
-        Response::Pong { token } => out.push_str(&format!("pong {token}\n")),
-        Response::Busy(b) => out.push_str(&format!(
-            "busy {} {} {}\n",
-            b.class.as_str(),
-            b.inflight,
-            b.limit
-        )),
+        Response::Applied(a) => {
+            let _ = writeln!(
+                out,
+                "applied {} {} {} {} {}",
+                a.generation,
+                u8::from(a.incremental),
+                a.changes,
+                a.clauses,
+                a.atoms
+            );
+        }
+        Response::Pong { token } => {
+            let _ = writeln!(out, "pong {token}");
+        }
+        Response::Busy(b) => {
+            let _ = writeln!(out, "busy {} {} {}", b.class.as_str(), b.inflight, b.limit);
+        }
         Response::Error(e) => {
-            out.push_str(&format!("error {} {}\n", e.code.as_str(), esc(&e.message)))
+            let _ = write!(out, "error {} ", e.code.as_str());
+            push_field(&mut out, &e.message);
         }
     }
     out.into_bytes()
@@ -738,7 +793,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 cost_soft_bits: u64::from_str_radix(f[2], 16)
                     .map_err(|_| WireError::new(format!("bad soft-cost bits `{}`", f[2])))?,
                 flips: parse_num(f[3], "flips")?,
-                atoms: Vec::new(),
+                atoms: Vec::with_capacity(lines.len() - 1),
             };
             for line in &lines[1..] {
                 let (key, rest) = split_head(line);
@@ -831,7 +886,8 @@ mod tests {
     #[test]
     fn f64_bits_are_exact() {
         for v in [0.0, -0.0, 1.0, 0.1 + 0.2, f64::NAN, f64::INFINITY] {
-            let bits = parse_f64_hex(&f64_hex(v)).unwrap().to_bits();
+            let bits = parse_f64_hex(&format!("{:016x}", v.to_bits()));
+            let bits = bits.unwrap().to_bits();
             assert_eq!(bits, v.to_bits());
         }
     }
