@@ -61,8 +61,9 @@ pub struct SpillManager {
     pub(crate) grace_joins: AtomicU64,
 }
 
-/// The manager of a run with no budget: nothing spills, so it has no
-/// backend, and every such run shares it.
+/// The manager [`crate::executor::execute`] and `execute_profiled` run
+/// under: no budget, so nothing spills and it needs no backend; every
+/// call shares it.
 pub(crate) static UNBOUNDED: SpillManager = SpillManager {
     backend: None,
     budget: usize::MAX,
