@@ -22,9 +22,9 @@ pub fn report() -> String {
         "Table 3: flipping rates (flips/sec)\n\
          The paper's contrast: in-memory search runs 3-5 orders of\n\
          magnitude faster than RDBMS-resident search (Tuffy-mm). Tuffy-mm\n\
-         here pays one simulated-SSD page read (100 us) per buffer-pool\n\
-         miss; Appendix C.1's 10 ms spinning-disk model would lower its\n\
-         rate by another 100x.\n\n",
+         here pays one simulated-SSD page read (100 us) per page of its\n\
+         clause table at every scan; Appendix C.1's 10 ms spinning-disk\n\
+         model would lower its rate by another 100x.\n\n",
     );
     let mut t = TextTable::new(vec![
         "dataset",

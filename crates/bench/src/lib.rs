@@ -21,14 +21,15 @@ use tuffy::{
 use tuffy_datagen::Dataset;
 use tuffy_grounder::{ground_top_down, GroundingResult};
 use tuffy_mrf::memory::MemoryFootprint;
-use tuffy_rdbms::DiskModel;
-use tuffy_search::rdbms_search::RdbmsSearch;
 use tuffy_search::{flip_rate, WalkSat};
 
 pub mod alchemy_model;
 pub mod datasets;
 pub mod experiments;
 pub mod format;
+pub mod rdbms_search;
+
+use rdbms_search::{RdbmsSearch, SSD};
 
 /// Standard seeds so every experiment is reproducible.
 pub const SEED: u64 = 20110829; // VLDB 2011's first day
@@ -113,8 +114,8 @@ pub fn alchemy(dataset: Dataset, max_flips: u64) -> Run {
 
 /// `Tuffy-mm`: bottom-up grounding, then WalkSAT against the clause
 /// table in the RDBMS on a simulated SSD, whose I/O its search time and
-/// flip rate include. The pool holds nothing (capacity 0): Tuffy-mm is
-/// for MRFs much larger than memory, so every page access misses.
+/// flip rate include. Tuffy-mm is for MRFs much larger than memory, so
+/// every scan reads every page of the table from disk.
 pub fn tuffy_mm(dataset: Dataset, max_flips: u64) -> Run {
     let cfg = tuffy_config(max_flips);
     let grounding = Tuffy::from_parts(dataset.program, dataset.evidence)
@@ -123,7 +124,7 @@ pub fn tuffy_mm(dataset: Dataset, max_flips: u64) -> Run {
         .expect("grounding");
     let mrf = &grounding.mrf;
     let mut trace = TimeCostTrace::with_offset(grounding.stats.wall);
-    let r = RdbmsSearch::new(mrf, 0, DiskModel::ssd(), cfg.search.seed).run(
+    let r = RdbmsSearch::new(mrf, SSD, cfg.search.seed).run(
         max_flips,
         cfg.search.noise,
         Some(&mut trace),

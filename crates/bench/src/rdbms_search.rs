@@ -5,16 +5,17 @@
 //! while the per-clause data structures are read-only. Each step of
 //! WalkSAT involves a scan over the clauses and many random accesses to
 //! the atoms." We reproduce exactly that access pattern: the packed
-//! literal table lives in the engine behind a bounded buffer pool; every
-//! step scans it once to find a random violated clause (reservoir
-//! sampling), and greedy steps scan once more to score the candidate
-//! atoms. The buffer pool's miss counters × the configured [`DiskModel`]
-//! give a simulated elapsed time, which is how the 3–5
-//! orders-of-magnitude flipping-rate gap of Table 3 is reproduced
-//! deterministically on any hardware (Appendix C.1 bounds any disk-backed
-//! implementation at ≈100 flips/sec for 10 ms random I/O).
+//! literal table lives in the engine; every step scans it once to find a
+//! random violated clause (reservoir sampling), greedy steps scan once
+//! more to score the candidate atoms, and every flip rescans it for the
+//! cost. The table is modelled as far larger than memory, so every scan
+//! reads each of its pages from disk: `⌈rows / PAGE_ROWS⌉` page reads at
+//! one page latency each ([`SSD`] or [`SPINNING_DISK`]). That simulated
+//! elapsed time is how the 3–5 orders-of-magnitude flipping-rate gap of
+//! Table 3 is reproduced deterministically on any hardware (Appendix C.1
+//! bounds any disk-backed implementation at ≈100 flips/sec for 10 ms
+//! random I/O).
 
-use crate::timecost::{flip_rate, TimeCostTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -23,12 +24,26 @@ use tuffy_mrf::{AtomId, Cost, Lit, Mrf};
 use tuffy_rdbms::exec::Batch;
 use tuffy_rdbms::query::{ColumnBinding, ConjunctiveQuery, QueryAtom};
 use tuffy_rdbms::{
-    execute_into, plan_query, Database, DiskModel, OptimizerConfig, QueryPlan, TableSchema,
+    execute_into, plan_query, Database, OptimizerConfig, QueryPlan, TableSchema, PAGE_ROWS,
 };
+use tuffy_search::{flip_rate, TimeCostTrace};
+
+/// Latency of one random page read from an SSD.
+pub const SSD: Duration = Duration::from_micros(100);
+
+/// Latency of one random page read from a spinning disk, the ~10 ms that
+/// Appendix C.1 uses to bound RDBMS-backed search at ≤100 flips/second.
+pub const SPINNING_DISK: Duration = Duration::from_millis(10);
 
 /// WalkSAT over an RDBMS-resident clause table.
 pub struct RdbmsSearch {
     db: Database,
+    /// Simulated latency of one page read.
+    page_latency: Duration,
+    /// Pages one scan of the clause table reads.
+    pages_per_scan: u64,
+    /// Pages read by all scans so far.
+    pages_read: u64,
     weights: Vec<Weight>,
     /// Physical plan of the clause-table scan (`SELECT cid, lit FROM
     /// clause_lits`), planned once at load time and executed on every
@@ -56,17 +71,17 @@ pub struct RdbmsSearchResult {
     pub flips: u64,
     /// Pure CPU wall time.
     pub wall: Duration,
-    /// Simulated I/O time from buffer-pool misses × disk model.
+    /// Simulated I/O time: pages read × page latency.
     pub simulated_io: Duration,
     /// Effective flips/second including simulated I/O — the Table 3 rate.
     pub flips_per_sec: f64,
 }
 
 impl RdbmsSearch {
-    /// Loads `mrf`'s clause table into a database whose buffer pool holds
-    /// `pool_pages` pages under the given disk model.
-    pub fn new(mrf: &Mrf, pool_pages: usize, disk: DiskModel, seed: u64) -> RdbmsSearch {
-        let mut db = Database::new(pool_pages, disk);
+    /// Loads `mrf`'s clause table into a database whose every page read
+    /// costs `page_latency`.
+    pub fn new(mrf: &Mrf, page_latency: Duration, seed: u64) -> RdbmsSearch {
+        let mut db = Database::default();
         let lits_table = db
             .create_table("clause_lits", TableSchema::new(vec!["cid", "lit"]))
             .expect("fresh database");
@@ -92,8 +107,12 @@ impl RdbmsSearch {
         let scan_plan = plan_query(&db, &scan_query, &OptimizerConfig::default())
             .expect("clause-table scan query is well-formed");
         let truth = vec![false; mrf.num_atoms()];
+        let pages_per_scan = db.table(lits_table).len().div_ceil(PAGE_ROWS) as u64;
         let mut s = RdbmsSearch {
             db,
+            page_latency,
+            pages_per_scan,
+            pages_read: 0,
             weights,
             scan_plan,
             scan_buf: Batch::default(),
@@ -109,13 +128,21 @@ impl RdbmsSearch {
     }
 
     /// Executes the planned clause-table scan into the reused buffer and
-    /// hands it out (charging I/O to the buffer pool, which is where the
-    /// simulated disk time comes from). Callers return the batch with
-    /// [`RdbmsSearch::return_scan`] so its allocation is recycled.
+    /// hands it out, charging a read of every page of the table. Callers
+    /// return the batch with [`RdbmsSearch::return_scan`] so its
+    /// allocation is recycled.
     fn take_scan(&mut self) -> Batch {
         let mut buf = std::mem::take(&mut self.scan_buf);
         execute_into(&self.db, &self.scan_plan, &mut buf).expect("clause-table scan executes");
+        self.pages_read += self.pages_per_scan;
         buf
+    }
+
+    /// Simulated I/O time of the pages read since `pages_read` was
+    /// `since`.
+    fn simulated_io(&self, since: u64) -> Duration {
+        let nanos = u128::from(self.pages_read - since) * self.page_latency.as_nanos();
+        Duration::from_nanos(nanos as u64)
     }
 
     /// Returns a batch obtained from [`RdbmsSearch::take_scan`] for reuse.
@@ -277,18 +304,18 @@ impl RdbmsSearch {
         mut trace: Option<&mut TimeCostTrace>,
     ) -> RdbmsSearchResult {
         let start = Instant::now();
-        let io_start = self.db.simulated_io_nanos();
+        let pages_start = self.pages_read;
         for _ in 0..max_flips {
             if !self.step(noise) {
                 break;
             }
             if let Some(t) = trace.as_deref_mut() {
-                let sim = Duration::from_nanos((self.db.simulated_io_nanos() - io_start) as u64);
+                let sim = self.simulated_io(pages_start);
                 t.record_at(start.elapsed() + sim, self.flips, self.best_cost);
             }
         }
         let wall = start.elapsed();
-        let simulated_io = Duration::from_nanos((self.db.simulated_io_nanos() - io_start) as u64);
+        let simulated_io = self.simulated_io(pages_start);
         RdbmsSearchResult {
             truth: self.best_truth.clone(),
             cost: self.best_cost,
@@ -319,28 +346,34 @@ mod tests {
     #[test]
     fn finds_same_optimum_as_memory_walksat() {
         let m = example1(2);
-        let mut s = RdbmsSearch::new(&m, 1024, DiskModel::in_memory(), 7);
+        let mut s = RdbmsSearch::new(&m, Duration::ZERO, 7);
         let r = s.run(2000, 0.5, None);
         assert_eq!(r.cost, Cost::soft(2.0)); // both components at optimum
     }
 
+    /// A random step scans the one-page table twice (pick a violated
+    /// clause, rescan the cost); a greedy step scans it once more to score
+    /// the candidates.
     #[test]
     fn io_charged_per_step() {
         let m = example1(8);
-        let mut s = RdbmsSearch::new(&m, 0, DiskModel::in_memory(), 3);
-        let before = s.db.io_stats().page_reads;
-        s.step(0.5);
-        let after = s.db.io_stats().page_reads;
-        assert!(after > before, "steps must touch the clause table");
+        for (noise, scans) in [(1.0, 2), (0.0, 3)] {
+            let mut s = RdbmsSearch::new(&m, SSD, 3);
+            assert_eq!(s.pages_per_scan, 1);
+            let before = s.pages_read;
+            assert!(s.step(noise));
+            assert_eq!(s.pages_read - before, scans, "noise {noise}");
+            assert_eq!(s.simulated_io(before), scans as u32 * SSD);
+        }
     }
 
     #[test]
     fn simulated_disk_slows_flip_rate() {
         let m = example1(8);
-        // Tiny pool + SSD latency: rate should collapse vs in-memory.
-        let mut slow = RdbmsSearch::new(&m, 0, DiskModel::ssd(), 3);
+        // SSD latency: the rate should collapse vs free page reads.
+        let mut slow = RdbmsSearch::new(&m, SSD, 3);
         let r_slow = slow.run(50, 0.5, None);
-        let mut fast = RdbmsSearch::new(&m, usize::MAX / 2, DiskModel::in_memory(), 3);
+        let mut fast = RdbmsSearch::new(&m, Duration::ZERO, 3);
         let r_fast = fast.run(50, 0.5, None);
         assert!(r_slow.simulated_io > Duration::ZERO);
         assert!(r_fast.simulated_io == Duration::ZERO);
@@ -350,7 +383,7 @@ mod tests {
     #[test]
     fn cost_scan_matches_mrf_cost() {
         let m = example1(5);
-        let mut s = RdbmsSearch::new(&m, 64, DiskModel::in_memory(), 1);
+        let mut s = RdbmsSearch::new(&m, Duration::ZERO, 1);
         assert_eq!(s.scan_cost(), m.cost(&vec![false; m.num_atoms()]));
     }
 }

@@ -3,11 +3,11 @@
 //! RDBMS-resident search. They must ground the same network and agree on
 //! solution quality; they differ only in *where* the work happens.
 
+use std::time::Duration;
 use tuffy::{Tuffy, WalkSatParams};
+use tuffy_bench::rdbms_search::{RdbmsSearch, SPINNING_DISK};
 use tuffy_bench::{alchemy, run, tuffy_config, tuffy_mm, Run};
 use tuffy_datagen::Dataset;
-use tuffy_rdbms::DiskModel;
-use tuffy_search::rdbms_search::RdbmsSearch;
 
 fn program() -> Dataset {
     tuffy_datagen::rc(6, 4, 3)
@@ -58,17 +58,20 @@ fn rdbms_only_search_pays_io_per_flip() {
     // Appendix C.1: with ~10 ms per page access and at least one clause
     // table page read per flip, any disk-backed WalkSAT is capped at
     // ≈100 flips/second — orders of magnitude below in-memory search.
-    // Pool capacity 0 models a clause table far larger than the pool.
+    // Every scan reads every page, as for a clause table far larger than
+    // memory.
     let ds = program();
     let grounding = Tuffy::from_parts(ds.program, ds.evidence).ground().unwrap();
     let noise = WalkSatParams::default().noise;
-    let r = RdbmsSearch::new(&grounding.mrf, 0, DiskModel::spinning_disk(), 3).run(30, noise, None);
+    let r = RdbmsSearch::new(&grounding.mrf, SPINNING_DISK, 3).run(30, noise, None);
     assert!(
         r.flips_per_sec <= 150.0,
         "disk-backed rate {} should be I/O-bound (≤ ~100 flips/sec)",
         r.flips_per_sec
     );
     assert!(r.flips > 0);
+    // 30 flips scan the one-page clause table 76 times.
+    assert_eq!(r.simulated_io, Duration::from_millis(760));
 }
 
 #[test]

@@ -235,7 +235,7 @@ fn const_matches<'d>(db: &'d Database, atom: &QueryAtom) -> Option<Vec<Row<'d>>>
         });
     let (col, value) = consts.next()?;
     let rest: Vec<(usize, u32)> = consts.collect();
-    let rows = db.table(atom.table).lookup(col, value, db.pool());
+    let rows = db.table(atom.table).lookup(col, value);
     Some(
         rows.filter(|r| rest.iter().all(|&(c, v)| r[c] == v))
             .collect(),

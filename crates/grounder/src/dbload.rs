@@ -12,7 +12,9 @@
 //! `T` we load the constant domain `dom_T`.
 //!
 //! The rows come straight from the [`EvidenceSet`] in insertion order; no
-//! second evidence index is built for the load.
+//! second evidence index is built for the load. Each evidence table is
+//! sized exactly before it is filled, and `reach_P` and `reach_old_P`
+//! start as copies of the filled `evt_P`.
 
 use crate::registry::AtomRegistry;
 use tuffy_mln::evidence::EvidenceSet;
@@ -57,7 +59,7 @@ impl GroundingDb {
         ev: &EvidenceSet,
         domains: &[Vec<tuffy_mln::symbols::Symbol>],
     ) -> Result<GroundingDb, MlnError> {
-        let mut db = Database::in_memory();
+        let mut db = Database::default();
         let mut evt = Vec::with_capacity(program.predicates.len());
         let mut evf = Vec::with_capacity(program.predicates.len());
         let mut reach = Vec::with_capacity(program.predicates.len());
@@ -65,7 +67,14 @@ impl GroundingDb {
         let mut reach_old = Vec::with_capacity(program.predicates.len());
         let to_db = |e: tuffy_rdbms::DbError| MlnError::general(e.to_string());
 
-        for decl in &program.predicates {
+        // Rows per predicate, (positive, negative), so that every table
+        // the evidence fills is allocated once, at its exact size.
+        let mut sizes = vec![(0, 0); program.predicates.len()];
+        for e in ev.iter() {
+            let (pos, neg) = &mut sizes[e.atom.predicate.index()];
+            *if e.positive { pos } else { neg } += 1;
+        }
+        for (decl, &(pos, neg)) in program.predicates.iter().zip(&sizes) {
             let name = program.symbols.resolve(decl.name);
             let cols: Vec<String> = (0..decl.arity()).map(|i| format!("a{i}")).collect();
             let t = db
@@ -86,6 +95,9 @@ impl GroundingDb {
             let o = db
                 .create_table(format!("reach_old_{name}"), TableSchema::new(cols))
                 .map_err(to_db)?;
+            for (table, rows) in [(t, pos), (f, neg), (r, pos), (o, pos)] {
+                db.reserve_exact(table, rows);
+            }
             evt.push(t);
             evf.push(f);
             reach.push(r);
@@ -97,13 +109,12 @@ impl GroundingDb {
             let pi = e.atom.predicate.index();
             args.clear();
             args.extend(e.atom.args.iter().map(|s| s.0));
-            if e.positive {
-                db.insert(evt[pi], &args).map_err(to_db)?;
-                db.insert(reach[pi], &args).map_err(to_db)?;
-                db.insert(reach_old[pi], &args).map_err(to_db)?;
-            } else {
-                db.insert(evf[pi], &args).map_err(to_db)?;
-            }
+            let table = if e.positive { evt[pi] } else { evf[pi] };
+            db.insert(table, &args).map_err(to_db)?;
+        }
+        for (pi, &t) in evt.iter().enumerate() {
+            db.append(reach[pi], t).map_err(to_db)?;
+            db.append(reach_old[pi], t).map_err(to_db)?;
         }
 
         let mut dom = Vec::with_capacity(program.types.len());
@@ -112,6 +123,7 @@ impl GroundingDb {
             let t = db
                 .create_table(format!("dom_{name}"), TableSchema::new(vec!["value"]))
                 .map_err(to_db)?;
+            db.reserve_exact(t, domains[ti].len());
             for c in &domains[ti] {
                 db.insert(t, &[c.0]).map_err(to_db)?;
             }
@@ -147,10 +159,8 @@ impl GroundingDb {
             if self.db.table(d).is_empty() {
                 continue;
             }
-            let width = self.db.table(d).width();
-            let rows: Vec<u32> = self.db.scan(d).flatten().copied().collect();
             self.db
-                .bulk_load(o, rows.chunks_exact(width))
+                .append(o, d)
                 .expect("old reachable table arity mismatch");
             self.db.truncate(d);
         }

@@ -2,36 +2,23 @@
 //! scan, or a lookup through a column's equality index.
 
 use super::Batch;
-use crate::bufferpool::BufferPool;
 use crate::pred::Pred;
 use crate::storage::{Row, Table};
 
 /// Scans `table`, applying `preds` to each row (pushdown) and projecting to
 /// `projection` (or all columns when `None`).
-pub fn seq_scan(
-    table: &Table,
-    pool: &BufferPool,
-    preds: &[Pred],
-    projection: Option<&[usize]>,
-) -> Batch {
+pub fn seq_scan(table: &Table, preds: &[Pred], projection: Option<&[usize]>) -> Batch {
     let width = projection.map_or(table.width(), <[usize]>::len);
     let mut out = Batch::with_capacity(width, table.len());
-    seq_scan_into(table, pool, preds, projection, &mut out);
+    seq_scan_into(table, preds, projection, &mut out);
     out
 }
 
 /// [`seq_scan`] into a caller-owned batch: `out` is reset to the scan's
-/// width and refilled, reusing its allocation. The I/O charged to the
-/// buffer pool is identical.
-pub fn seq_scan_into(
-    table: &Table,
-    pool: &BufferPool,
-    preds: &[Pred],
-    projection: Option<&[usize]>,
-    out: &mut Batch,
-) {
+/// width and refilled, reusing its allocation.
+pub fn seq_scan_into(table: &Table, preds: &[Pred], projection: Option<&[usize]>, out: &mut Batch) {
     out.reset(projection.map_or(table.width(), <[usize]>::len));
-    filter_project(table.scan(pool), preds, projection, out);
+    filter_project(table.scan(), preds, projection, out);
 }
 
 /// The rows of `table` whose column `col` equals `value`, read through
@@ -41,15 +28,14 @@ pub fn seq_scan_into(
 /// `col = value`; the output is sized by the matching rows.
 pub fn index_scan(
     table: &Table,
-    pool: &BufferPool,
     col: usize,
     value: u32,
     preds: &[Pred],
     projection: Option<&[usize]>,
 ) -> Batch {
-    let matches = table.index(col, pool).postings(value).len();
+    let matches = table.index(col).postings(value).len();
     let mut out = Batch::with_capacity(projection.map_or(table.width(), <[usize]>::len), matches);
-    filter_project(table.lookup(col, value, pool), preds, projection, &mut out);
+    filter_project(table.lookup(col, value), preds, projection, &mut out);
     out
 }
 
@@ -87,39 +73,33 @@ mod tests {
     use super::*;
     use crate::schema::TableSchema;
 
-    fn fixture() -> (Table, BufferPool) {
-        let pool = BufferPool::new(64);
-        let mut t = Table::new("t", TableSchema::new(vec!["a", "b", "c"]), 0);
-        t.insert(&[1, 10, 100], &pool).unwrap();
-        t.insert(&[2, 20, 200], &pool).unwrap();
-        t.insert(&[2, 30, 300], &pool).unwrap();
-        (t, pool)
+    fn fixture() -> Table {
+        let mut t = Table::new("t", TableSchema::new(vec!["a", "b", "c"]));
+        t.insert(&[1, 10, 100]).unwrap();
+        t.insert(&[2, 20, 200]).unwrap();
+        t.insert(&[2, 30, 300]).unwrap();
+        t
     }
 
     #[test]
     fn scan_all() {
-        let (t, pool) = fixture();
-        let b = seq_scan(&t, &pool, &[], None);
+        let t = fixture();
+        let b = seq_scan(&t, &[], None);
         assert_eq!(b.len(), 3);
         assert_eq!(b.width(), 3);
     }
 
     #[test]
     fn pushdown_filter() {
-        let (t, pool) = fixture();
-        let b = seq_scan(&t, &pool, &[Pred::ColEqConst { col: 0, value: 2 }], None);
+        let t = fixture();
+        let b = seq_scan(&t, &[Pred::ColEqConst { col: 0, value: 2 }], None);
         assert_eq!(b.len(), 2);
     }
 
     #[test]
     fn projection_narrows() {
-        let (t, pool) = fixture();
-        let b = seq_scan(
-            &t,
-            &pool,
-            &[Pred::ColEqConst { col: 0, value: 2 }],
-            Some(&[2]),
-        );
+        let t = fixture();
+        let b = seq_scan(&t, &[Pred::ColEqConst { col: 0, value: 2 }], Some(&[2]));
         assert_eq!(b.width(), 1);
         assert_eq!(b.row(0), &[200]);
         assert_eq!(b.row(1), &[300]);

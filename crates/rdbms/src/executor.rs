@@ -22,9 +22,8 @@
 //!   is cut into sorted runs if it exceeds the budget. An `IndexScan`
 //!   reads only the rows its key matches, through the table's equality
 //!   index ([`crate::storage::Table::lookup`], built on first use and
-//!   dropped by any mutation), charges the buffer pool one read per
-//!   distinct page those rows sit on, and sizes its batch by the matches,
-//!   not by the table.
+//!   dropped by any mutation), and sizes its batch by the matches, not by
+//!   the table.
 //! * **Filters** and **anti-joins** stream a spilled input chunk by
 //!   chunk; the anti-join's (small, evidence-derived) `NOT EXISTS` side
 //!   is materialized.
@@ -139,19 +138,12 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<Batch, DbError> {
 /// For single-scan plans with an identity output projection (e.g. the
 /// RDBMS-resident search's per-step clause scan) this fills `out`
 /// directly with no intermediate allocation; other plan shapes fall back
-/// to [`execute`] and move the result. Buffer-pool I/O accounting is
-/// identical either way. No profile is recorded — this is the hot-loop
-/// entry point.
+/// to [`execute`] and move the result. No profile is recorded — this is
+/// the hot-loop entry point.
 pub fn execute_into(db: &Database, plan: &QueryPlan, out: &mut Batch) -> Result<(), DbError> {
     if let PlanOp::SeqScan(s) = &plan.root.op {
         if is_identity(&plan.output, plan.root.info.width) {
-            crate::exec::scan::seq_scan_into(
-                db.table(s.table),
-                db.pool(),
-                &s.preds,
-                Some(&s.project),
-                out,
-            );
+            crate::exec::scan::seq_scan_into(db.table(s.table), &s.preds, Some(&s.project), out);
             return Ok(());
         }
     }
@@ -238,7 +230,7 @@ fn exec_node(
         (PlanOp::SeqScan(s), None, None) => {
             let table = db.table(s.table);
             rows_in = table.len();
-            wrap(seq_scan(table, db.pool(), &s.preds, Some(&s.project)), mgr)?
+            wrap(seq_scan(table, &s.preds, Some(&s.project)), mgr)?
         }
         (
             PlanOp::IndexScan {
@@ -250,8 +242,8 @@ fn exec_node(
             None,
         ) => {
             let table = db.table(s.table);
-            rows_in = table.index(*col, db.pool()).postings(*value).len();
-            let rows = index_scan(table, db.pool(), *col, *value, &s.preds, Some(&s.project));
+            rows_in = table.index(*col).postings(*value).len();
+            let rows = index_scan(table, *col, *value, &s.preds, Some(&s.project));
             wrap(rows, mgr)?
         }
         (PlanOp::FilterScan { preds, .. }, Some(input), None) => {

@@ -11,11 +11,9 @@
 //! This crate is the stand-in for that RDBMS: an embedded, single-process
 //! relational engine with
 //!
-//! * **storage**: fixed-width `u32` rows in pages, behind a buffer pool
-//!   that, when bounded, evicts LRU and counts I/O under an optional
-//!   simulated-disk cost model for the Tuffy-mm baseline ([`storage`],
-//!   [`bufferpool`]), plus a lazily built equality index per column that
-//!   every mutation drops;
+//! * **storage**: fixed-width `u32` rows in one flat row-major vector per
+//!   table, plus a lazily built equality index per column that every
+//!   mutation drops ([`storage`]);
 //! * **executors**: sequential scans and equality-index lookups with
 //!   predicate pushdown, nested-loop /
 //!   hash / sort-merge joins, semi- and anti-joins, distinct, sorting, and
@@ -37,7 +35,6 @@
 //! tuples).
 
 pub mod backend;
-pub mod bufferpool;
 pub mod catalog;
 pub mod error;
 pub mod exec;
@@ -51,7 +48,6 @@ pub mod spill;
 pub mod storage;
 
 pub use backend::{FileBackend, MemBackend, RunHandle, StorageBackend};
-pub use bufferpool::{BufferPool, DiskModel, IoStats};
 pub use catalog::{Database, TableId};
 pub use error::DbError;
 pub use executor::{

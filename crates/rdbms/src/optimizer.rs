@@ -651,12 +651,9 @@ fn access_path(db: &Database, mut scan: ScanNode, config: &OptimizerConfig) -> (
             .iter()
             .enumerate()
             .filter_map(|(i, p)| match *p {
-                Pred::ColEqConst { col, value } => Some((
-                    i,
-                    col,
-                    value,
-                    table.index(col, db.pool()).postings(value).len(),
-                )),
+                Pred::ColEqConst { col, value } => {
+                    Some((i, col, value, table.index(col).postings(value).len()))
+                }
                 _ => None,
             })
             .min_by_key(|&(.., matches)| matches);
@@ -925,7 +922,7 @@ mod tests {
     /// wrote(author, paper): {(a1,p1),(a1,p2),(a2,p3)}
     /// cat_true(paper, cat): {(p1,c1)}
     fn db() -> (Database, crate::catalog::TableId, crate::catalog::TableId) {
-        let mut db = Database::in_memory();
+        let mut db = Database::default();
         let wrote = db
             .create_table("wrote", TableSchema::new(vec!["author", "paper"]))
             .unwrap();
@@ -1172,8 +1169,9 @@ mod tests {
         assert_eq!(anchor(&plan_query(&db, &q, &cfg).unwrap()), "cat_true");
         // cat_true grows past wrote's 3 rows; nothing is refreshed before
         // the next plan, which must see the new length.
-        let rows: Vec<[u32; 2]> = (20..25).map(|p| [p, 100]).collect();
-        db.bulk_load(cat, rows.iter().map(|r| &r[..])).unwrap();
+        for p in 20..25 {
+            db.insert(cat, &[p, 100]).unwrap();
+        }
         assert!(db.table(cat).len() > db.table(wrote).len());
         assert_eq!(anchor(&plan_query(&db, &q, &cfg).unwrap()), "wrote");
     }

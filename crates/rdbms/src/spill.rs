@@ -631,7 +631,7 @@ mod tests {
 
     /// A two-table join workload big enough to overflow a small budget.
     fn build_db(rows: u32) -> (Database, ConjunctiveQuery) {
-        let mut db = Database::in_memory();
+        let mut db = Database::default();
         let a = db
             .create_table("a", TableSchema::new(vec!["x", "y"]))
             .unwrap();
@@ -774,7 +774,7 @@ mod tests {
 
     #[test]
     fn cross_product_of_spilled_relations_respects_the_budget() {
-        let mut db = Database::in_memory();
+        let mut db = Database::default();
         let a = db.create_table("a", TableSchema::new(vec!["x"])).unwrap();
         let b = db.create_table("b", TableSchema::new(vec!["y"])).unwrap();
         for i in 0..2000u32 {

@@ -15,17 +15,12 @@
 //!   deterministic per-partition seeds, and Gauss-Seidel rounds across
 //!   cut clauses (the scheme of Bertsekas and Tsitsiklis, the paper's
 //!   reference \[3\]) with an early-convergence criterion;
-//! * [`rdbms_search`] — `Tuffy-mm`: WalkSAT executed against the clause
-//!   table in the RDBMS through its buffer pool (Appendix B.2), whose
-//!   measured flipping rate reproduces the 3–5 orders-of-magnitude gap of
-//!   Table 3;
 //! * [`mcsat`] — marginal inference by MC-SAT with a SampleSAT proposal
 //!   (Appendix A.5), each sample a masked hard pass of [`walksat`] over
 //!   the same scopes;
 //! * [`timecost`] — time-cost trace recording for the paper's figures.
 
 pub mod mcsat;
-pub mod rdbms_search;
 pub mod scheduler;
 pub mod timecost;
 pub mod walksat;
