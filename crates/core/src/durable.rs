@@ -34,10 +34,11 @@
 //!   *inside* the base file), then truncates the log; a crash between
 //!   the two steps is safe because replay skips folded records.
 //!
-//! Unlike per-caller [`Session`]s — whose applies fork private
-//! generations — a durable engine is **one shared lineage**, like a
-//! database: every committed apply is visible to every subsequent
-//! reader ([`DurableEngine::reader`]).
+//! A lineage is **one shared head**, like a database: every committed
+//! apply is visible to every subsequent reader
+//! ([`DurableEngine::reader`]). [`DurableEngine::in_memory`] keeps the
+//! same lineage with no store behind it: applies commit without a log,
+//! and a restart starts over from the engine it was built from.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -52,7 +53,7 @@ use tuffy_grounder::incremental::forces_reground;
 use tuffy_mln::evidence::{EvidenceChange, EvidenceSet};
 use tuffy_mln::program::MlnProgram;
 use tuffy_mln::MlnError;
-use tuffy_store::wal::{Wal, WalRecord, WalStorage};
+use tuffy_store::wal::{FileStorage, Wal, WalRecord, WalStorage};
 use tuffy_store::{StoreError, WalOpenReport};
 
 /// File name of the delta WAL inside a store directory, next to
@@ -131,7 +132,8 @@ pub struct RecoveryReport {
     pub wall: Duration,
 }
 
-/// One crash-durable serving lineage over a store directory. See the
+/// One serving lineage, crash-durable over a store directory unless
+/// built [in memory](DurableEngine::in_memory). See the
 /// [module docs](self).
 pub struct DurableEngine {
     engine: Engine,
@@ -140,24 +142,35 @@ pub struct DurableEngine {
     /// interning order must match what a future replay will do.
     program: Arc<MlnProgram>,
     head: Snapshot,
-    wal: Wal,
-    dir: PathBuf,
+    /// The delta log and the directory of the base generation; `None`
+    /// for an in-memory lineage.
+    store: Option<(Wal, PathBuf)>,
+    /// The sequence committed through (0 = base only).
+    seq: u64,
     checkpoint_every: u64,
     last_checkpoint_error: Option<StoreError>,
 }
 
 impl DurableEngine {
-    /// Starts a fresh durable lineage in `dir`: saves `engine`'s base
-    /// generation and creates an empty WAL. `checkpoint_every` is the
-    /// auto-checkpoint threshold in WAL records (0 disables).
+    /// Starts a fresh durable lineage in `dir`: empties the WAL, then
+    /// saves `engine`'s base generation, replacing whatever lineage `dir`
+    /// held. `checkpoint_every` is the auto-checkpoint threshold in WAL
+    /// records (0 disables).
     pub fn create(
         engine: Engine,
         dir: &Path,
         checkpoint_every: u64,
     ) -> Result<DurableEngine, StoreError> {
-        save_snapshot(&engine.snapshot(), dir, 0)?;
-        let (wal, _) = Wal::open(&dir.join(WAL_FILE), 0)?;
-        Ok(DurableEngine::assemble(engine, wal, dir, checkpoint_every))
+        std::fs::create_dir_all(dir)
+            .map_err(|e| StoreError::io(format!("create store dir {}", dir.display()), e))?;
+        let storage = FileStorage::open(&dir.join(WAL_FILE))?;
+        DurableEngine::create_with_wal(engine, dir, Box::new(storage), checkpoint_every)
+    }
+
+    /// A lineage over `engine` with no store: applies commit in memory
+    /// only, and nothing survives the process.
+    pub fn in_memory(engine: Engine) -> DurableEngine {
+        DurableEngine::assemble(engine, None, 0)
     }
 
     /// Recovers the durable lineage in `dir`: loads the base
@@ -174,10 +187,8 @@ impl DurableEngine {
         dir: &Path,
         checkpoint_every: u64,
     ) -> Result<(DurableEngine, RecoveryReport), StoreError> {
-        let start = Instant::now();
-        let (engine, folded_seq) = load_with_folded_seq(dir)?;
-        let (wal, report) = Wal::open(&dir.join(WAL_FILE), folded_seq)?;
-        DurableEngine::replay(engine, wal, report, dir, checkpoint_every, start)
+        let storage = FileStorage::open(&dir.join(WAL_FILE))?;
+        DurableEngine::open_with_wal(dir, Box::new(storage), checkpoint_every)
     }
 
     /// [`DurableEngine::create`] with the WAL on a caller-supplied
@@ -185,12 +196,20 @@ impl DurableEngine {
     pub fn create_with_wal(
         engine: Engine,
         dir: &Path,
-        storage: Box<dyn WalStorage>,
+        mut storage: Box<dyn WalStorage>,
         checkpoint_every: u64,
     ) -> Result<DurableEngine, StoreError> {
-        save_snapshot(&engine.snapshot(), dir, 0)?;
+        // The old log goes (unread: it may be damaged) and the empty one
+        // is synced before the new base is saved, so a crash in between
+        // leaves the old base without its log, never the new base with
+        // the old records.
+        storage
+            .truncate_to(0)
+            .map_err(|e| StoreError::io("discard the previous wal", e))?;
         let (wal, _) = Wal::with_storage(storage, 0)?;
-        Ok(DurableEngine::assemble(engine, wal, dir, checkpoint_every))
+        save_snapshot(&engine.snapshot(), dir, 0)?;
+        let store = Some((wal, dir.to_path_buf()));
+        Ok(DurableEngine::assemble(engine, store, checkpoint_every))
     }
 
     /// [`DurableEngine::open`] with the WAL on a caller-supplied
@@ -206,14 +225,18 @@ impl DurableEngine {
         DurableEngine::replay(engine, wal, report, dir, checkpoint_every, start)
     }
 
-    fn assemble(engine: Engine, wal: Wal, dir: &Path, checkpoint_every: u64) -> DurableEngine {
+    fn assemble(
+        engine: Engine,
+        store: Option<(Wal, PathBuf)>,
+        checkpoint_every: u64,
+    ) -> DurableEngine {
         let head = engine.snapshot();
         DurableEngine {
             program: head.program_arc(),
             head,
             engine,
-            wal,
-            dir: dir.to_path_buf(),
+            seq: store.as_ref().map_or(0, |(wal, _)| wal.next_seq() - 1),
+            store,
             checkpoint_every,
             last_checkpoint_error: None,
         }
@@ -230,7 +253,8 @@ impl DurableEngine {
         checkpoint_every: u64,
         start: Instant,
     ) -> Result<(DurableEngine, RecoveryReport), StoreError> {
-        let mut durable = DurableEngine::assemble(engine, wal, dir, checkpoint_every);
+        let store = Some((wal, dir.to_path_buf()));
+        let mut durable = DurableEngine::assemble(engine, store, checkpoint_every);
         let groundings = durable.engine.groundings_performed();
         let records = &found.replay;
 
@@ -265,9 +289,11 @@ impl DurableEngine {
             durable.program = program;
         }
         for record in &records[forced..] {
-            durable
-                .fork_head(record_source(record)?)
+            let (program, head, _) = durable
+                .stage(record_source(record)?)
                 .map_err(|e| replay_failed(record, e))?;
+            durable.program = program;
+            durable.head = head;
         }
 
         let report = RecoveryReport {
@@ -275,7 +301,7 @@ impl DurableEngine {
             skipped: found.skipped,
             truncated_tail: found.truncated,
             generation: durable.head.generation(),
-            seq: durable.wal.next_seq() - 1,
+            seq: durable.seq,
             regrounds: durable.engine.groundings_performed() - groundings,
             evidence_only: forced.saturating_sub(1) as u64,
             wall: start.elapsed(),
@@ -283,44 +309,33 @@ impl DurableEngine {
         Ok((durable, report))
     }
 
-    /// Parses `src` and forks the lineage head, committing program and
-    /// head only on full success — a failed delta must not perturb
+    /// Parses `src` against a copy of the lineage program and forks the
+    /// head under it, touching neither: the caller commits both only on
+    /// full success, since a failed delta must not perturb
     /// constant-interning order, or replay would diverge.
-    fn fork_head(&mut self, src: &str) -> Result<ApplyReport, MlnError> {
+    fn stage(&self, src: &str) -> Result<(Arc<MlnProgram>, Snapshot, ApplyReport), MlnError> {
         let mut program = self.program.clone();
         let delta = tuffy_mln::parser::parse_delta(Arc::make_mut(&mut program), src)?;
         let (head, report, _) = self.head.fork(&program, &delta)?;
-        self.program = program;
-        self.head = head;
-        Ok(report)
+        Ok((program, head, report))
     }
 
-    /// Commits one delta durably: fork in memory, WAL append + `fsync`,
-    /// then advance the head. On `Err` nothing moved — the previous
-    /// generation is still served and the log holds no trace of the
-    /// failed delta.
+    /// Commits one delta: fork in memory, WAL append + `fsync` (when the
+    /// lineage has a store), then advance the head. On `Err` nothing
+    /// moved — the previous generation is still served and the log holds
+    /// no trace of the failed delta.
     pub fn apply(&mut self, src: &str) -> Result<ApplyOutcome, DurableError> {
         // Stage the fork first (cheap to discard); the WAL append is
         // the commit point.
-        let staged_program = {
-            let mut program = self.program.clone();
-            let delta = tuffy_mln::parser::parse_delta(Arc::make_mut(&mut program), src)
-                .map_err(DurableError::Invalid)?;
-            let (head, report, _) = self
-                .head
-                .fork(&program, &delta)
-                .map_err(DurableError::Invalid)?;
-            (program, head, report)
-        };
-        let (program, head, report) = staged_program;
-        let seq = self
-            .wal
-            .append(src.as_bytes())
-            .map_err(DurableError::Store)?;
+        let (program, head, report) = self.stage(src).map_err(DurableError::Invalid)?;
+        if let Some((wal, _)) = &mut self.store {
+            wal.append(src.as_bytes()).map_err(DurableError::Store)?;
+        }
+        self.seq += 1;
         self.program = program;
         self.head = head;
         let mut checkpointed = false;
-        if self.checkpoint_every > 0 && self.wal.records() >= self.checkpoint_every {
+        if self.checkpoint_every > 0 && self.wal_records() >= self.checkpoint_every {
             match self.checkpoint() {
                 Ok(_) => checkpointed = true,
                 Err(e) => self.last_checkpoint_error = Some(e),
@@ -328,7 +343,7 @@ impl DurableEngine {
         }
         Ok(ApplyOutcome {
             report,
-            seq,
+            seq: self.seq,
             generation: self.head.generation(),
             checkpointed,
         })
@@ -341,31 +356,33 @@ impl DurableEngine {
     /// checkpoint *is* the commit point — on success the learned weight
     /// columns are on disk and a crash recovers them; on `Err` before
     /// the base save, nothing moved and the lineage still serves the
-    /// previous weights. Returns the new base path.
+    /// previous weights. Returns the new base path; an in-memory lineage
+    /// has no base to fold into and refuses.
     pub fn relearn(&mut self, rule_weights: &[tuffy_mln::Weight]) -> Result<PathBuf, DurableError> {
         let head = self
             .head
             .relearn(rule_weights)
             .map_err(DurableError::Invalid)?;
-        let folded = self.wal.next_seq() - 1;
-        let path = save_snapshot(&head, &self.dir, folded).map_err(DurableError::Store)?;
+        let (wal, dir) = store(&mut self.store).map_err(DurableError::Store)?;
+        let path = save_snapshot(&head, dir, self.seq).map_err(DurableError::Store)?;
         // The base is durable: advance the head before truncating the
         // log, so a reset failure leaves a fully consistent lineage
         // (replay skips records the base already folded).
         self.program = head.program_arc();
         self.head = head;
-        self.wal.reset().map_err(DurableError::Store)?;
+        wal.reset().map_err(DurableError::Store)?;
         Ok(path)
     }
 
     /// Folds the lineage head into a new base generation (atomic
     /// replace, folded sequence recorded inside the file), then
     /// truncates the WAL. A crash between the steps is safe: replay
-    /// skips records the base already folded.
+    /// skips records the base already folded. An in-memory lineage has
+    /// no base to fold into and refuses.
     pub fn checkpoint(&mut self) -> Result<PathBuf, StoreError> {
-        let folded = self.wal.next_seq() - 1;
-        let path = save_snapshot(&self.head, &self.dir, folded)?;
-        self.wal.reset()?;
+        let (wal, dir) = store(&mut self.store)?;
+        let path = save_snapshot(&self.head, dir, self.seq)?;
+        wal.reset()?;
         Ok(path)
     }
 
@@ -387,30 +404,26 @@ impl DurableEngine {
         &self.engine
     }
 
-    /// The store directory this lineage persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The WAL sequence committed through (0 = base only).
+    /// The sequence committed through (0 = base only).
     pub fn committed_seq(&self) -> u64 {
-        self.wal.next_seq() - 1
+        self.seq
     }
 
-    /// Records currently in the WAL (resets to 0 at a checkpoint).
+    /// Records currently in the WAL (resets to 0 at a checkpoint; always
+    /// 0 in memory).
     pub fn wal_records(&self) -> u64 {
-        self.wal.records()
+        self.store.as_ref().map_or(0, |(wal, _)| wal.records())
     }
 
-    /// WAL size in bytes, header included.
+    /// WAL size in bytes, header included (0 in memory).
     pub fn wal_len_bytes(&self) -> u64 {
-        self.wal.len_bytes()
+        self.store.as_ref().map_or(0, |(wal, _)| wal.len_bytes())
     }
 
-    /// `fsync`s the WAL (the drain path calls this; appends already
-    /// sync themselves).
+    /// `fsync`s the WAL, if any (the drain path calls this; appends
+    /// already sync themselves).
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.wal.sync()
+        self.store.as_mut().map_or(Ok(()), |(wal, _)| wal.sync())
     }
 
     /// Takes the error of the most recent *automatic* checkpoint, if it
@@ -419,6 +432,18 @@ impl DurableEngine {
     /// caller should surface it.
     pub fn take_checkpoint_error(&mut self) -> Option<StoreError> {
         self.last_checkpoint_error.take()
+    }
+}
+
+/// The log and directory of a lineage's store, or why an in-memory one
+/// cannot fold into a base.
+fn store(store: &mut Option<(Wal, PathBuf)>) -> Result<(&mut Wal, &Path), StoreError> {
+    match store {
+        Some((wal, dir)) => Ok((wal, dir)),
+        None => Err(StoreError::io(
+            "fold the lineage into a base",
+            std::io::Error::new(std::io::ErrorKind::Unsupported, "the lineage has no store"),
+        )),
     }
 }
 

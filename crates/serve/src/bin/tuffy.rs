@@ -22,10 +22,9 @@
 //!
 //! `--connect HOST:PORT` talks to a running `tuffyd` instead of loading
 //! a program: inference runs server-side, and `--delta`/`--session`
-//! commit deltas over the wire. A plain `tuffyd` forks the connection's
-//! own generation copy-on-write, invisible to other clients; under
-//! `tuffyd --store DIR` an apply is durable and shared — it is written
-//! to the server's write-ahead log and every connection sees it. Flags
+//! commit deltas over the wire to the server's one lineage, which every
+//! connection then reads (under `tuffyd --store DIR` an apply is also
+//! written to the server's write-ahead log). Flags
 //! that configure a local engine (`-i`, `-e`, `--explain*`, `--learn*`,
 //! the partitioning, planner and grounding knobs) are rejected in this
 //! mode, naming the flag.

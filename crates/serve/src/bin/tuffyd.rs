@@ -1,8 +1,9 @@
 //! `tuffyd`: the Tuffy inference server.
 //!
 //! Loads a program + evidence, grounds **once** into an
-//! [`tuffy::Engine`], and serves the wire protocol on a TCP listener
-//! until stdin closes (or `quit` is typed). Clients connect with
+//! [`tuffy::Engine`], and serves its one lineage on a TCP listener until
+//! stdin closes (or `quit` is typed): an apply from any connection
+//! advances the head every connection reads. Clients connect with
 //! `tuffy --connect HOST:PORT` or [`tuffy_serve::Client`].
 //!
 //! ```text
@@ -14,8 +15,9 @@
 //!        [--max-frame-bytes N] [--frame-deadline-ms N]
 //! ```
 //!
-//! `--store DIR` makes the serving lineage durable: committed applies
-//! append to a delta write-ahead log in `DIR` **before** they are
+//! Without `--store` the lineage lives in memory and its applies end
+//! with the process. `--store DIR` adds only durability: committed
+//! applies append to a delta write-ahead log in `DIR` **before** they are
 //! acknowledged, and on restart the server replays base + WAL back to
 //! the exact pre-crash generation (torn WAL tails from a crash
 //! mid-append are truncated; a recovery report is printed). If `DIR`
@@ -204,34 +206,27 @@ fn run() -> Result<(), String> {
         },
         ..Default::default()
     };
-    let server = match &args.store {
-        Some(dir) => {
-            let durable = durable_with_store(&args, config, dir)?;
-            let reader = durable.reader();
-            let snapshot = reader.snapshot();
-            eprintln!(
-                "grounded {} clauses over {} atoms; serving generation {} (durable, \
-                 checkpoint every {} deltas)",
-                snapshot.grounding().mrf.clauses().len(),
-                snapshot.grounding().registry.len(),
-                snapshot.generation(),
-                args.checkpoint_every,
-            );
-            Server::start_durable(durable, args.listen.as_str(), args.serve)
-                .map_err(|e| e.to_string())?
-        }
-        None => {
-            let engine = build_engine(&args, config)?;
-            let snapshot = engine.snapshot();
-            eprintln!(
-                "grounded {} clauses over {} atoms; serving generation {}",
-                snapshot.grounding().mrf.clauses().len(),
-                snapshot.grounding().registry.len(),
-                snapshot.generation(),
-            );
-            Server::start(engine, args.listen.as_str(), args.serve).map_err(|e| e.to_string())?
-        }
+    let lineage = match &args.store {
+        Some(dir) => durable_with_store(&args, config, dir)?,
+        None => DurableEngine::in_memory(build_engine(&args, config)?),
     };
+    let reader = lineage.reader();
+    let snapshot = reader.snapshot();
+    eprintln!(
+        "grounded {} clauses over {} atoms; serving generation {}{}",
+        snapshot.grounding().mrf.clauses().len(),
+        snapshot.grounding().registry.len(),
+        snapshot.generation(),
+        match args.store {
+            Some(_) => format!(
+                " (durable, checkpoint every {} deltas)",
+                args.checkpoint_every
+            ),
+            None => String::new(),
+        },
+    );
+    let server = Server::start_durable(lineage, args.listen.as_str(), args.serve)
+        .map_err(|e| e.to_string())?;
     eprintln!(
         "tuffyd listening on {} ({} connections, {} in-flight, {} heavy; `stats`, `quit`)",
         server.local_addr(),

@@ -91,8 +91,8 @@ pub struct Client {
     stream: TcpStream,
     /// Server protocol version from the `welcome` frame.
     protocol: u32,
-    /// Engine generation of this connection's session at connect time;
-    /// updated by [`Client::apply`].
+    /// The serving generation at connect time; updated by
+    /// [`Client::apply`].
     generation: u64,
     max_frame_bytes: u32,
 }
@@ -174,9 +174,9 @@ impl Client {
     /// The generation this connection last saw: the serving generation
     /// at connect, advanced by this connection's committed
     /// [`Client::apply`] calls (never by queries, including `given`).
-    /// Under `tuffyd --store` the head is shared, so applies from other
-    /// connections move it too without updating this value; each
-    /// answer's own generation is authoritative.
+    /// The head is shared, so applies from other connections move it too
+    /// without updating this value; each answer's own generation is
+    /// authoritative.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -196,11 +196,10 @@ impl Client {
         }
     }
 
-    /// Commits an evidence delta (source text, `parse_delta` syntax). A
-    /// plain `tuffyd` forks this connection's private generation; under
-    /// `tuffyd --store` the apply is durable (appended to the server's
-    /// write-ahead log before the acknowledgement) and shared — it
-    /// advances the one serving head every connection reads.
+    /// Commits an evidence delta (source text, `parse_delta` syntax): it
+    /// advances the one serving head every connection reads. Under
+    /// `tuffyd --store` the apply is also durable (appended to the
+    /// server's write-ahead log before the acknowledgement).
     pub fn apply(&mut self, delta: &str) -> Result<Applied, ClientError> {
         self.send(&Request::Apply {
             delta: delta.to_string(),

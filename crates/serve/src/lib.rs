@@ -19,7 +19,7 @@
 //! else draws a typed `bad-magic` error frame and a close — version
 //! drift fails at the preamble, not mid-frame. The server then sends a
 //! `welcome` frame carrying the protocol version and the generation the
-//! connection's session starts on.
+//! server's lineage is serving.
 //!
 //! **Framing.** Every subsequent message is one frame: a 4-byte
 //! big-endian payload length, then that many bytes of UTF-8 payload.
@@ -64,23 +64,19 @@
 //!
 //! # Generations: committed vs. `given` deltas
 //!
-//! The server reproduces the in-process generation rules exactly:
+//! A server serves one lineage, like a database:
 //!
-//! * an **apply** commits a delta to *this connection's* session,
-//!   forking a copy-on-write generation — other connections (and the
-//!   engine's base snapshot) never observe it; the `applied` frame
-//!   reports the new generation. Under [`Server::start_durable`] the
-//!   apply instead appends to the store's delta write-ahead log
-//!   *before* it is acknowledged and advances one shared serving head
-//!   visible to every connection — a crash replays to the acked
-//!   generation on restart;
+//! * an **apply** commits a delta to the lineage, forking a
+//!   copy-on-write generation that becomes the head every connection
+//!   reads; the `applied` frame reports the new generation. Under
+//!   [`Server::start_durable`] over a store the apply is appended to the
+//!   store's delta write-ahead log *before* it is acknowledged — a crash
+//!   replays to the acked generation on restart;
 //! * a **`given`** delta conditions one query on an ephemeral fork that
-//!   is discarded after the answer — the connection's generation does
-//!   not advance;
-//! * plain queries are answered statelessly off the connection's
-//!   current snapshot, so answers are bit-identical to
-//!   [`tuffy::Snapshot::query`] regardless of connection history or
-//!   interleaving.
+//!   is discarded after the answer — the head does not advance;
+//! * plain queries are answered statelessly off the head's snapshot, so
+//!   answers are bit-identical to [`tuffy::Snapshot::query`] on that
+//!   generation regardless of connection history or interleaving.
 //!
 //! # Faults
 //!

@@ -1,13 +1,15 @@
-//! The `tuffyd` server: a [`tuffy::Engine`] behind a `TcpListener`.
+//! The `tuffyd` server: one [`tuffy::DurableEngine`] lineage behind a
+//! `TcpListener`.
 //!
-//! One thread accepts; each admitted connection gets a handler thread
-//! owning a per-connection [`tuffy::Session`] (so committed
-//! [`Request::Apply`] deltas fork copy-on-write generations exactly like
-//! the in-process API, invisible to every other connection). Queries are
-//! answered **statelessly** — bit-identical to calling
-//! [`tuffy::Snapshot::query`] on the connection's current generation —
-//! so any number of connections racing the same generation reproduce the
-//! sequential answers bit for bit.
+//! One thread accepts; each admitted connection gets a handler thread.
+//! Every connection reads and writes the same lineage: a committed
+//! [`Request::Apply`] advances the one serving head, and every later
+//! query, on any connection, reads it. Queries are answered
+//! **statelessly** — bit-identical to calling
+//! [`tuffy::Snapshot::query`] on the head's generation — so any number
+//! of connections racing the same generation reproduce the sequential
+//! answers bit for bit. A private what-if is a `given` query, answered
+//! on a fork that is discarded after the answer.
 //!
 //! # Admission control
 //!
@@ -46,24 +48,24 @@
 //! Request execution itself runs under `catch_unwind`: a panic inside
 //! inference (or the chaos hook, [`ServeConfig::chaos_panic_token`])
 //! answers a typed `error internal` frame, releases its admission slots
-//! (guards are RAII), and leaves the connection, its session, and every
-//! other connection serving — snapshots are immutable, so a panicked
-//! request cannot have half-mutated shared state.
+//! (guards are RAII), and leaves the connection and every other
+//! connection serving — snapshots are immutable, so a panicked request
+//! cannot have half-mutated shared state.
 //!
-//! # Durable lineage
+//! # The lineage
 //!
-//! [`Server::start_durable`] fronts a [`tuffy::DurableEngine`] instead
-//! of per-connection sessions: committed applies from *any* connection
-//! append to the store's delta write-ahead log **before** the `applied`
-//! frame is sent, advance one shared serving head, and become visible to
-//! all connections' subsequent queries. A crash after the ack therefore
-//! always replays to (at least) the acked generation on restart. WAL
-//! append failures answer `error internal` and leave the head on the
-//! previous committed generation — a delta that was not made durable is
-//! never served. Applies and queries take the head in arrival order: a
-//! query that arrives during an apply waits for it and answers from the
-//! generation it commits (the previous one if it failed), never behind a
-//! later apply.
+//! [`Server::start`] serves an engine's lineage in memory: applies
+//! commit with no log and are lost with the process.
+//! [`Server::start_durable`] serves a lineage over a store: a committed
+//! apply appends to the store's delta write-ahead log **before** the
+//! `applied` frame is sent, so a crash after the ack always replays to
+//! (at least) the acked generation on restart. WAL append failures
+//! answer `error internal` and leave the head on the previous committed
+//! generation — a delta that was not made durable is never served.
+//! Applies and queries take the head in arrival order: a query that
+//! arrives during an apply waits for it and answers from the generation
+//! it commits (the previous one if it failed), never behind a later
+//! apply.
 //!
 //! # Graceful drain
 //!
@@ -266,23 +268,22 @@ struct Shared {
     /// Handler threads, joined at shutdown. Finished threads park here
     /// until then; each costs a few KB, bounded by connection churn.
     handlers: Mutex<Vec<JoinHandle<()>>>,
-    /// The durable serving lineage ([`Server::start_durable`]); `None`
-    /// for in-memory serving with per-connection sessions. Applies and
-    /// queries cloning the committed head take it in turn (see
-    /// [`TurnLock`]). Poison is cleared: `DurableEngine::apply` is
-    /// transactional (the WAL append is the commit point; program and
-    /// head advance only after it succeeds), so state behind a poisoned
-    /// lock is always a consistent committed generation.
-    durable: Option<TurnLock<DurableEngine>>,
+    /// The serving lineage. Applies and queries cloning the committed
+    /// head take it in turn (see [`TurnLock`]). Poison is cleared:
+    /// `DurableEngine::apply` is transactional (the WAL append is the
+    /// commit point; program and head advance only after it succeeds),
+    /// so state behind a poisoned lock is always a consistent committed
+    /// generation.
+    lineage: TurnLock<DurableEngine>,
 }
 
 /// A mutex that hands itself out in arrival order: each caller takes the
-/// next ticket and waits for its turn. The durable lineage needs this
-/// because a plain mutex lets the applying connection's next request race
-/// a query woken at the end of the apply, and which one wins depends on
-/// how the threads happen to be scheduled: a query could wait out several
+/// next ticket and waits for its turn. The lineage needs this because a
+/// plain mutex lets the applying connection's next request race a query
+/// woken at the end of the apply, and which one wins depends on how the
+/// threads happen to be scheduled: a query could wait out several
 /// applies in a row, more or fewer from one run to the next. Poison is
-/// cleared (see [`Shared::durable`]).
+/// cleared (see [`Shared::lineage`]).
 struct TurnLock<T> {
     value: Mutex<T>,
     /// `(next ticket to hand out, ticket whose turn it is)`.
@@ -359,36 +360,23 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral test port)
-    /// and starts serving `engine` in background threads.
+    /// and starts serving `engine`'s lineage in memory, in background
+    /// threads (see the module docs).
     pub fn start(
         engine: Engine,
         addr: impl ToSocketAddrs,
         config: ServeConfig,
     ) -> std::io::Result<Server> {
-        Server::start_inner(engine, None, addr, config)
+        Server::start_durable(DurableEngine::in_memory(engine), addr, config)
     }
 
-    /// Binds `addr` and serves a durable lineage: applies from every
-    /// connection are WAL-logged before they are acknowledged and
-    /// advance one shared serving head (see the module docs). Build the
-    /// lineage with [`tuffy::DurableEngine::create`] or recover one with
-    /// [`tuffy::DurableEngine::open`].
+    /// Binds `addr` and serves `lineage`: applies from every connection
+    /// advance its one serving head, WAL-logged before they are
+    /// acknowledged when the lineage has a store (see the module docs).
+    /// Build a stored lineage with [`tuffy::DurableEngine::create`] or
+    /// recover one with [`tuffy::DurableEngine::open`].
     pub fn start_durable(
-        durable: DurableEngine,
-        addr: impl ToSocketAddrs,
-        config: ServeConfig,
-    ) -> std::io::Result<Server> {
-        // The lineage's engine is cloned out for instrumentation
-        // (`Server::engine`): its counters `Arc` is shared with every
-        // generation the durable head forks, so per-engine stats keep
-        // covering the whole lineage.
-        let engine = durable.engine().clone();
-        Server::start_inner(engine, Some(durable), addr, config)
-    }
-
-    fn start_inner(
-        engine: Engine,
-        durable: Option<DurableEngine>,
+        lineage: DurableEngine,
         addr: impl ToSocketAddrs,
         config: ServeConfig,
     ) -> std::io::Result<Server> {
@@ -401,12 +389,15 @@ impl Server {
                 max_inflight: config.max_inflight as u64,
                 max_heavy: config.max_heavy as u64,
             },
-            engine,
+            // Cloned out for instrumentation (`Server::engine`): its
+            // counters `Arc` is shared with every generation the head
+            // forks, so per-engine stats cover the whole lineage.
+            engine: lineage.engine().clone(),
             config,
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
             handlers: Mutex::new(Vec::new()),
-            durable: durable.map(TurnLock::new),
+            lineage: TurnLock::new(lineage),
         });
         let accept_shared = shared.clone();
         let accept = std::thread::Builder::new()
@@ -503,9 +494,7 @@ impl Server {
             .fetch_add(draining.len() as u64, Ordering::Relaxed);
         drop(draining);
         // Final durability barrier: everything acked is on disk.
-        if let Some(durable) = &self.shared.durable {
-            let _ = durable.lock().sync();
-        }
+        let _ = self.shared.lineage.lock().sync();
     }
 }
 
@@ -730,15 +719,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         return;
     }
 
-    // The connection's session: committed applies fork generations here,
-    // exactly like the in-process API; queries never touch its state.
-    // In durable mode the session is only a fallback — applies and
-    // queries route through the shared durable head instead.
-    let mut session = shared.engine.open_session();
-    let generation = match &shared.durable {
-        Some(durable) => durable.lock().generation(),
-        None => session.snapshot().generation(),
-    };
+    let generation = shared.lineage.lock().generation();
     if write_response(
         &mut stream,
         &Response::Welcome {
@@ -843,10 +824,10 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         // must cost exactly one request. Admission guards release on
         // unwind; snapshots are immutable, so no shared state can be
         // left half-mutated — `AssertUnwindSafe` is sound here. The
-        // durable lock is poison-cleared by `TurnLock::lock` because
+        // lineage lock is poison-cleared by `TurnLock::lock` because
         // `DurableEngine::apply` commits atomically at the WAL append.
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_request(shared, &mut session, request)
+            handle_request(shared, request)
         }))
         .unwrap_or_else(|_| {
             shared
@@ -884,7 +865,7 @@ fn is_heavy(q: &WireQuery) -> bool {
     q.given.is_some() || !matches!(q.kind, WireQueryKind::Map)
 }
 
-fn handle_request(shared: &Shared, session: &mut Session, request: Request) -> Response {
+fn handle_request(shared: &Shared, request: Request) -> Response {
     match request {
         Request::Ping { token } => {
             if shared.config.chaos_panic_token == Some(token) {
@@ -892,107 +873,41 @@ fn handle_request(shared: &Shared, session: &mut Session, request: Request) -> R
             }
             Response::Pong { token }
         }
-        Request::Apply { delta } => {
-            let guard = match shared.admission.try_acquire(true) {
-                Ok(guard) => guard,
-                Err(busy) => {
-                    shared
-                        .counters
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Response::Busy(busy);
-                }
-            };
-            let _guard = guard;
-            if let Some(durable) = &shared.durable {
-                return apply_durable(shared, durable, &delta);
-            }
-            let parsed = match session.parse_delta(&delta) {
-                Ok(parsed) => parsed,
-                Err(e) => return fault(ErrorCode::Query, e.to_string()),
-            };
-            match session.apply(&parsed) {
-                Ok(report) => {
-                    shared.counters.applies.fetch_add(1, Ordering::Relaxed);
-                    Response::Applied(Applied {
-                        generation: session.snapshot().generation(),
-                        incremental: report.incremental,
-                        changes: report.changes as u64,
-                        clauses: report.clauses as u64,
-                        atoms: report.atoms as u64,
-                    })
-                }
-                Err(e) => fault(ErrorCode::Query, e.to_string()),
-            }
-        }
+        Request::Apply { delta } => match admit(shared, true) {
+            Ok(_guard) => apply(shared, &delta),
+            Err(busy) => busy,
+        },
         Request::Query(wq) => {
             let heavy = is_heavy(&wq);
-            let guard = match shared.admission.try_acquire(heavy) {
-                Ok(guard) => guard,
-                Err(busy) => {
-                    shared
-                        .counters
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Response::Busy(busy);
-                }
-            };
-            let _guard = guard;
-            // Durable mode: answer off a fresh reader of the shared
-            // committed head (the lock is held only to clone it; the
-            // query itself runs unlocked, concurrently with applies).
-            let mut reader;
-            let session: &mut Session = match &shared.durable {
-                Some(durable) => {
-                    reader = durable.lock().reader();
-                    &mut reader
-                }
-                None => session,
-            };
-            let query = match build_query(shared, session, &wq) {
-                Ok(query) => query,
-                Err(resp) => return resp,
-            };
-            // Stateless execution: plain queries answer straight off the
-            // snapshot (bit-identical to in-process `Snapshot::query`);
-            // `given` queries go through the session so a delta whose
-            // constants were interned by `parse_delta` resolves against
-            // the session's copy-on-write program fork.
-            let generation = session.snapshot().generation();
-            let answered = if wq.given.is_some() {
-                session.query(&query)
-            } else {
-                session.snapshot().query(&query)
-            };
-            let answer = match answered {
-                Ok(answer) => answer,
-                Err(e) => return fault(ErrorCode::Query, e.to_string()),
-            };
-            if heavy {
-                shared
-                    .counters
-                    .queries_heavy
-                    .fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared
-                    .counters
-                    .queries_light
-                    .fetch_add(1, Ordering::Relaxed);
+            match admit(shared, heavy) {
+                Ok(_guard) => answer(shared, &wq, heavy),
+                Err(busy) => busy,
             }
-            render_answer(generation, answer)
         }
     }
 }
 
-/// Commits a delta to the durable lineage: parse → fork → WAL append
-/// (the commit point, fsynced) → advance the shared head. A WAL failure
-/// answers `error internal` and the head stays on the previous
-/// committed generation — an unlogged delta is never served.
-fn apply_durable(shared: &Shared, durable: &TurnLock<DurableEngine>, delta: &str) -> Response {
-    let mut durable = durable.lock();
-    match durable.apply(delta) {
+/// Takes an admission slot, or answers `busy`.
+fn admit(shared: &Shared, heavy: bool) -> Result<AdmissionGuard<'_>, Response> {
+    shared.admission.try_acquire(heavy).map_err(|busy| {
+        shared
+            .counters
+            .busy_rejections
+            .fetch_add(1, Ordering::Relaxed);
+        Response::Busy(busy)
+    })
+}
+
+/// Commits a delta to the lineage: parse → fork → WAL append (the
+/// commit point, fsynced, when the lineage has a store) → advance the
+/// shared head. A WAL failure answers `error internal` and the head stays
+/// on the previous committed generation — an unlogged delta is never
+/// served.
+fn apply(shared: &Shared, delta: &str) -> Response {
+    let mut lineage = shared.lineage.lock();
+    match lineage.apply(delta) {
         Ok(outcome) => {
-            if let Some(e) = durable.take_checkpoint_error() {
+            if let Some(e) = lineage.take_checkpoint_error() {
                 // The apply itself is durable in the WAL; folding it
                 // into the base merely didn't happen yet. Surface and
                 // keep serving — the next checkpoint retries.
@@ -1021,10 +936,43 @@ fn apply_durable(shared: &Shared, durable: &TurnLock<DurableEngine>, delta: &str
     }
 }
 
+/// Answers a query off a fresh reader of the committed head: the lock
+/// is held only to clone it, and the query itself runs unlocked,
+/// concurrently with applies.
+fn answer(shared: &Shared, wq: &WireQuery, heavy: bool) -> Response {
+    let mut reader = shared.lineage.lock().reader();
+    let query = match build_query(shared, &mut reader, wq) {
+        Ok(query) => query,
+        Err(resp) => return resp,
+    };
+    // Stateless execution: plain queries answer straight off the
+    // snapshot (bit-identical to in-process `Snapshot::query`); `given`
+    // queries go through the reader so a delta whose constants were
+    // interned by `parse_delta` resolves against the reader's
+    // copy-on-write program fork.
+    let generation = reader.snapshot().generation();
+    let answered = if wq.given.is_some() {
+        reader.query(&query)
+    } else {
+        reader.snapshot().query(&query)
+    };
+    let answer = match answered {
+        Ok(answer) => answer,
+        Err(e) => return fault(ErrorCode::Query, e.to_string()),
+    };
+    let served = if heavy {
+        &shared.counters.queries_heavy
+    } else {
+        &shared.counters.queries_light
+    };
+    served.fetch_add(1, Ordering::Relaxed);
+    render_answer(generation, answer)
+}
+
 /// Translates a wire query into a core [`Query`], parsing `given` delta
-/// text against the session program and clamping parameter overrides to
+/// text against the reader's program and clamping parameter overrides to
 /// the server caps.
-fn build_query(shared: &Shared, session: &mut Session, wq: &WireQuery) -> Result<Query, Response> {
+fn build_query(shared: &Shared, reader: &mut Session, wq: &WireQuery) -> Result<Query, Response> {
     let cfg = &shared.config;
     let mut query = match &wq.kind {
         WireQueryKind::Map => Query::map(),
@@ -1032,7 +980,7 @@ fn build_query(shared: &Shared, session: &mut Session, wq: &WireQuery) -> Result
         WireQueryKind::TopK { predicate, k } => Query::top_k(predicate, *k as usize),
     };
     if let Some(text) = &wq.given {
-        let delta = session
+        let delta = reader
             .parse_delta(text)
             .map_err(|e| fault(ErrorCode::Query, e.to_string()))?;
         query = query.given(delta);

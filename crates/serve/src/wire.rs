@@ -115,7 +115,7 @@ pub enum WireQueryKind {
 }
 
 /// A query request as it crosses the wire. `given` is delta source
-/// text (parsed server-side against the connection's session program);
+/// text (parsed server-side against the serving head's program);
 /// `search`/`mcsat` are per-request parameter overrides, clamped by the
 /// server's admission caps.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -295,7 +295,7 @@ pub struct WireFault {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// Handshake acknowledgment: protocol version and the generation
-    /// the connection's session starts on.
+    /// the server is serving.
     Welcome {
         /// Protocol version ([`PROTOCOL_VERSION`]).
         protocol: u32,

@@ -16,6 +16,9 @@
 //!   answers. Bit flips on WAL read are detected: interior corruption
 //!   is a typed checksum error, tail corruption truncates to the
 //!   committed prefix.
+//! * **A fresh lineage over an old one** — `create` over a store that
+//!   holds a lineage, intact or with a damaged log, starts with an empty
+//!   log.
 //! * **Panic containment** — a handler panic (the chaos ping token)
 //!   answers `error internal`, leaks no admission slots, and leaves
 //!   both its own connection and every other connection serving.
@@ -29,6 +32,7 @@ use tuffy::{
     DurableEngine, DurableError, Engine, MlnProgram, Query, Tuffy, TuffyConfig, WalkSatParams,
 };
 use tuffy_datagen::Dataset;
+use tuffy_mln::printer::render_evidence;
 use tuffy_serve::{
     Busy, BusyClass, Client, ClientError, ErrorCode, ServeConfig, Server, WireAnswer, WireQuery,
 };
@@ -429,6 +433,68 @@ fn injected_bit_flips_never_serve_a_corrupt_generation() {
     assert!(report.truncated_tail);
     assert_eq!(report.replayed, 2);
     assert_eq!(head_map_bits(&recovered), baselines[2]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// A fresh lineage over an old one
+// ---------------------------------------------------------------------
+
+/// `DurableEngine::create` over a store that already holds a lineage
+/// starts with an empty log: none of the old records replays onto the
+/// new base, and a damaged old log (which `open` refuses) does not stop
+/// the re-grounding fallback of `tuffyd --store`.
+#[test]
+fn create_over_an_old_lineage_starts_with_an_empty_log() {
+    let ds = tuffy_datagen::er(6, 18, 29);
+    let program = ds.program.clone();
+    let deltas = make_deltas(&program, &ds, 2);
+    let engine = build(ds);
+    let dir = fresh_dir("recreate");
+    let wal = dir.join(tuffy::WAL_FILE);
+    // The head's MAP bits and its evidence, rendered.
+    let head = |durable: &DurableEngine| {
+        let reader = durable.reader();
+        let snapshot = reader.snapshot();
+        let evidence = render_evidence(snapshot.program(), snapshot.evidence());
+        (head_map_bits(durable), evidence)
+    };
+    let old_lineage = || {
+        let mut old = DurableEngine::create(engine.clone(), &dir, 0).expect("old lineage");
+        let fresh = head(&old);
+        for delta in &deltas {
+            old.apply(delta).expect("old apply");
+        }
+        assert_eq!(old.committed_seq(), 2);
+        assert_ne!(head(&old), fresh, "the old deltas move the head");
+        fresh
+    };
+    let recreate = |fresh| {
+        let created = DurableEngine::create(engine.clone(), &dir, 0).expect("create");
+        assert_eq!(created.committed_seq(), 0, "a fresh lineage has no records");
+        assert_eq!(created.wal_records(), 0);
+        drop(created);
+        let (reopened, report) = DurableEngine::open(&dir, 0).expect("reopen");
+        assert_eq!(
+            report.replayed, 0,
+            "no old record replays onto the new base"
+        );
+        assert_eq!(head(&reopened), fresh);
+    };
+
+    // An intact old lineage with two committed deltas.
+    recreate(old_lineage());
+
+    // An old log whose first record is damaged in place.
+    let fresh = old_lineage();
+    let mut bytes = std::fs::read(&wal).expect("read wal");
+    bytes[tuffy_store::wal::WAL_HEADER_LEN as usize + 12] ^= 0x20;
+    std::fs::write(&wal, &bytes).expect("damage wal");
+    assert!(
+        DurableEngine::open(&dir, 0).is_err(),
+        "open refuses the damaged log"
+    );
+    recreate(fresh);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

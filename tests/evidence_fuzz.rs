@@ -1,9 +1,9 @@
 //! Mutation test of the evidence parser.
 //!
 //! Rendered `ie` and `er` evidence text is mutated a fixed number of
-//! times by a seeded LCG (byte replacements, truncations, duplicated and
-//! swapped lines; no wall clock, no RNG crate, so reruns see identical
-//! inputs). Every input must parse to `Ok` or a typed `Err` pinned to a
+//! times by the seeded mutator of `common` (byte replacements,
+//! truncations, duplicated and swapped lines; no wall clock, no RNG
+//! crate, so reruns see identical inputs). Every input must parse to `Ok` or a typed `Err` pinned to a
 //! line of the input, never a panic. Every `Ok` must round-trip through
 //! `render_evidence` → `parse_evidence` to the same atoms in the same
 //! order.
@@ -14,6 +14,9 @@
 //! them. Re-pin only when the generators, the beds or the mutations below
 //! change.
 
+mod common;
+
+use common::{fnv, mutate, Lcg};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tuffy_datagen::Dataset;
 use tuffy_mln::evidence::EvidenceSet;
@@ -28,75 +31,6 @@ const CASES: usize = 400;
 /// comment and line-end characters, and a few letters and digits.
 const ALPHABET: &[u8] = b"()!,\"#/ \t\r\n~-+@.'_aZ09";
 
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
-/// The byte ranges of the lines of `text`, each with its `\n`.
-fn lines(text: &[u8]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    for (i, &b) in text.iter().enumerate() {
-        if b == b'\n' {
-            out.push((start, i + 1));
-            start = i + 1;
-        }
-    }
-    if start < text.len() {
-        out.push((start, text.len()));
-    }
-    out
-}
-
-/// Applies one to four mutations to `text`.
-fn mutate(text: &[u8], rng: &mut Lcg) -> Vec<u8> {
-    let mut t = text.to_vec();
-    for _ in 0..1 + rng.below(4) {
-        match rng.below(4) {
-            0 if !t.is_empty() => {
-                let at = rng.below(t.len());
-                t[at] = ALPHABET[rng.below(ALPHABET.len())];
-            }
-            1 => t.truncate(rng.below(t.len() + 1)),
-            2 => {
-                let ls = lines(&t);
-                if let (Some(&(a, b)), Some(&(_, at))) =
-                    (ls.get(rng.below(ls.len())), ls.get(rng.below(ls.len())))
-                {
-                    let line = t[a..b].to_vec();
-                    t.splice(at..at, line);
-                }
-            }
-            _ => {
-                let ls = lines(&t);
-                let (i, j) = (rng.below(ls.len()), rng.below(ls.len()));
-                if i != j && !ls.is_empty() {
-                    let (first, second) = (ls[i.min(j)], ls[i.max(j)]);
-                    let mut out = t[..first.0].to_vec();
-                    out.extend_from_slice(&t[second.0..second.1]);
-                    out.extend_from_slice(&t[first.1..second.0]);
-                    out.extend_from_slice(&t[first.0..first.1]);
-                    out.extend_from_slice(&t[second.1..]);
-                    t = out;
-                }
-            }
-        }
-    }
-    t
-}
-
 /// `(predicate, args, polarity)` of every assertion, in order.
 fn atoms(set: &EvidenceSet) -> Vec<(u32, Vec<u32>, bool)> {
     set.iter()
@@ -105,15 +39,6 @@ fn atoms(set: &EvidenceSet) -> Vec<(u32, Vec<u32>, bool)> {
             (e.atom.predicate.0, args, e.positive)
         })
         .collect()
-}
-
-/// FNV-1a over `bytes`, continuing from `h`.
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
 }
 
 /// Runs [`CASES`] mutations of `bed`'s rendered evidence; returns the
@@ -125,7 +50,8 @@ fn fuzz(bed: &Dataset, seed: u64) -> (usize, u64) {
     let mut rng = Lcg(seed);
     let (mut accepted, mut digest) = (0, 0xcbf2_9ce4_8422_2325u64);
     for case in 0..CASES {
-        let input = String::from_utf8_lossy(&mutate(text.as_bytes(), &mut rng)).into_owned();
+        let input =
+            String::from_utf8_lossy(&mutate(text.as_bytes(), ALPHABET, &mut rng)).into_owned();
         let mut program = base.clone();
         let parsed = catch_unwind(AssertUnwindSafe(|| parse_evidence(&mut program, &input)))
             .unwrap_or_else(|_| panic!("{} case {case}: parser panicked on {input:?}", bed.name));

@@ -15,7 +15,9 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use tuffy::{Engine, McSatParams, Query, QueryAnswer, Tuffy, TuffyConfig, WalkSatParams};
+use tuffy::{
+    DurableEngine, Engine, McSatParams, Query, QueryAnswer, Tuffy, TuffyConfig, WalkSatParams,
+};
 use tuffy_serve::client::{Client, ClientError, WireAnswer};
 use tuffy_serve::wire::{
     decode_response, encode_request, read_frame, write_frame, BusyClass, ErrorCode, Request,
@@ -322,7 +324,7 @@ fn concurrent_clients_all_receive_the_sequential_baseline() {
 }
 
 #[test]
-fn committed_applies_fork_private_generations() {
+fn applies_advance_the_one_lineage_every_connection_reads() {
     let server = serve(ServeConfig::default());
     let engine = server.engine().clone();
     let baseline_map = baselines(&engine).remove(0);
@@ -335,36 +337,84 @@ fn committed_applies_fork_private_generations() {
         let answer = s.snapshot().query(&Query::map()).unwrap();
         local_canon(&engine, &answer)
     };
+    assert_ne!(expected_after, baseline_map, "the delta must move the MAP");
 
     let mut writer = Client::connect(server.local_addr()).unwrap();
     let mut reader = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        wire_canon(&reader.query(&wire_map()).unwrap()),
+        baseline_map
+    );
 
     let applied = writer.apply(DELTA).unwrap();
     assert!(applied.generation > 0, "apply must fork a new generation");
     assert_eq!(writer.generation(), applied.generation);
 
-    // The writer sees the new world...
-    let after = writer.query(&wire_map()).unwrap();
-    assert_eq!(after.generation(), applied.generation);
-    assert_eq!(wire_canon(&after), expected_after);
-
-    // ...while the reader's connection still serves the base
-    // generation, bit-identical to the pre-apply baseline: committed
-    // deltas are per-connection, never global.
-    let still_base = reader.query(&wire_map()).unwrap();
-    assert_eq!(still_base.generation(), 0);
-    assert_eq!(wire_canon(&still_base), baseline_map);
-
-    // A fresh connection also starts from the base generation.
-    assert_server_healthy(&server, &baseline_map);
+    // The writer, a connection opened before the apply, and a fresh
+    // connection all read the new head.
+    let mut fresh = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(fresh.generation(), applied.generation);
+    for client in [&mut writer, &mut reader, &mut fresh] {
+        let after = client.query(&wire_map()).unwrap();
+        assert_eq!(after.generation(), applied.generation);
+        assert_eq!(wire_canon(&after), expected_after);
+    }
 
     assert_eq!(
         engine.groundings_performed(),
         1,
         "apply patched, not re-ground"
     );
-    assert!(engine.generations_created() >= 2);
     assert_eq!(server.stats().applies, 1);
+}
+
+/// Plays one script — applies, each followed by the four query kinds —
+/// against a server, returning every reported generation and answer.
+fn play_script(server: &Server) -> Vec<String> {
+    let script = [DELTA, "!cat(P6, AI)\n", "~cat(P2, DB)\n", "cat(P7, DB)\n"];
+    let mut writer = Client::connect(server.local_addr()).unwrap();
+    let mut transcript = Vec::new();
+    for delta in script {
+        let applied = writer.apply(delta).unwrap();
+        transcript.push(format!(
+            "applied generation={} incremental={} changes={} clauses={} atoms={}",
+            applied.generation,
+            applied.incremental,
+            applied.changes,
+            applied.clauses,
+            applied.atoms
+        ));
+        let mut reader = Client::connect(server.local_addr()).unwrap();
+        transcript.push(format!("welcome generation={}", reader.generation()));
+        for q in wire_queries() {
+            let answer = reader.query(&q).unwrap();
+            transcript.push(format!(
+                "generation={} {}",
+                answer.generation(),
+                wire_canon(&answer)
+            ));
+        }
+    }
+    transcript
+}
+
+#[test]
+fn plain_and_stored_servers_serve_the_same_lineage() {
+    let plain = serve(ServeConfig::default());
+    let dir = std::env::temp_dir().join(format!("tuffy-net-serve-{}-lineage", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let lineage = DurableEngine::create(engine(), &dir, 0).unwrap();
+    let stored = Server::start_durable(lineage, "127.0.0.1:0", ServeConfig::default()).unwrap();
+
+    let transcript = play_script(&plain);
+    assert_eq!(transcript.len(), 4 * 6);
+    assert_eq!(
+        transcript,
+        play_script(&stored),
+        "the plain and the stored server diverged"
+    );
+    drop(stored);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
