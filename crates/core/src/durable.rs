@@ -8,9 +8,9 @@
 //!
 //! * [`DurableEngine::apply`] forks the new generation in memory,
 //!   appends the delta's source text to the WAL, `fsync`s it, and only
-//!   then commits the fork and acknowledges — an acknowledged apply is
-//!   durable, an unacknowledged one leaves the lineage (and the log)
-//!   exactly as before;
+//!   then publishes the fork as the head and acknowledges — an
+//!   acknowledged apply is durable, an unacknowledged one leaves the
+//!   lineage (and the log) exactly as before;
 //! * [`DurableEngine::open`] loads the base generation, recovers the
 //!   WAL records above the base's folded sequence, and lands on the
 //!   exact pre-crash generation — bit-identically, because delta
@@ -34,15 +34,20 @@
 //!   *inside* the base file), then truncates the log; a crash between
 //!   the two steps is safe because replay skips folded records.
 //!
-//! A lineage is **one shared head**, like a database: every committed
-//! apply is visible to every subsequent reader
-//! ([`DurableEngine::reader`]). [`DurableEngine::in_memory`] keeps the
-//! same lineage with no store behind it: applies commit without a log,
-//! and a restart starts over from the engine it was built from.
+//! A lineage is **one shared head**, like a database, read committed: a
+//! [`LineageHead`] holds the last committed generation, and readers take
+//! it without waiting for a writer. The head is published at the commit
+//! point and nowhere else — by `apply` once the WAL append is fsynced
+//! (before any auto-checkpoint), by `relearn` once the base is saved,
+//! and by `open` once replay ends — so a reader sees the generation
+//! before a commit or the one after it, never one that is not durable.
+//! [`DurableEngine::in_memory`] keeps the same lineage with no store
+//! behind it: applies commit without a log, and a restart starts over
+//! from the engine it was built from.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
@@ -132,6 +137,47 @@ pub struct RecoveryReport {
     pub wall: Duration,
 }
 
+/// A lineage's committed head, read without the lineage: cloneable, and
+/// shared by every reader and the one writer that publishes to it (see
+/// the [module docs](self)). A read costs one `Arc` clone under a mutex.
+#[derive(Clone)]
+pub struct LineageHead(Arc<Mutex<Snapshot>>);
+
+impl LineageHead {
+    fn new(head: Snapshot) -> LineageHead {
+        LineageHead(Arc::new(Mutex::new(head)))
+    }
+
+    /// The committed head. Poison is cleared: the critical sections
+    /// only clone or swap a `Snapshot`.
+    fn get(&self) -> Snapshot {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Makes `head` the committed head. The generation it replaces is
+    /// dropped after the lock is released.
+    fn publish(&self, head: Snapshot) {
+        let old = std::mem::replace(
+            &mut *self.0.lock().unwrap_or_else(PoisonError::into_inner),
+            head,
+        );
+        drop(old);
+    }
+
+    /// A fresh read session over the committed head.
+    pub fn reader(&self) -> Session {
+        Session::from_snapshot(self.get())
+    }
+
+    /// The committed head's generation number.
+    pub fn generation(&self) -> u64 {
+        self.get().generation()
+    }
+}
+
 /// One serving lineage, crash-durable over a store directory unless
 /// built [in memory](DurableEngine::in_memory). See the
 /// [module docs](self).
@@ -141,7 +187,7 @@ pub struct DurableEngine {
     /// deltas intern new constants. Failed applies never touch it —
     /// interning order must match what a future replay will do.
     program: Arc<MlnProgram>,
-    head: Snapshot,
+    head: LineageHead,
     /// The delta log and the directory of the base generation; `None`
     /// for an in-memory lineage.
     store: Option<(Wal, PathBuf)>,
@@ -233,7 +279,7 @@ impl DurableEngine {
         let head = engine.snapshot();
         DurableEngine {
             program: head.program_arc(),
-            head,
+            head: LineageHead::new(head),
             engine,
             seq: store.as_ref().map_or(0, |(wal, _)| wal.next_seq() - 1),
             store,
@@ -257,12 +303,13 @@ impl DurableEngine {
         let mut durable = DurableEngine::assemble(engine, store, checkpoint_every);
         let groundings = durable.engine.groundings_performed();
         let records = &found.replay;
+        let mut head = durable.head.get();
 
         // Pass 1: how many leading records end at the last one that
         // re-grounds on any store (0 when none does)?
         let forced = {
             let mut program = durable.program.clone();
-            let mut evidence = durable.head.evidence().clone();
+            let mut evidence = head.evidence().clone();
             let mut forced = 0;
             for (i, record) in records.iter().enumerate() {
                 let changes = fold_record(&mut program, &mut evidence, record)?;
@@ -278,29 +325,30 @@ impl DurableEngine {
         // head through the rest exactly as the live applies did.
         if let Some(last) = forced.checked_sub(1) {
             let mut program = durable.program.clone();
-            let mut evidence = durable.head.evidence().clone();
+            let mut evidence = head.evidence().clone();
             for record in &records[..forced] {
                 fold_record(&mut program, &mut evidence, record)?;
             }
-            durable.head = durable
-                .head
+            head = head
                 .regrounded(&program, evidence)
                 .map_err(|e| replay_failed(&records[last], e))?;
             durable.program = program;
         }
         for record in &records[forced..] {
-            let (program, head, _) = durable
-                .stage(record_source(record)?)
+            let (program, next, _) = durable
+                .stage(&head, record_source(record)?)
                 .map_err(|e| replay_failed(record, e))?;
             durable.program = program;
-            durable.head = head;
+            head = next;
         }
+        let generation = head.generation();
+        durable.head.publish(head);
 
         let report = RecoveryReport {
             replayed: records.len() as u64,
             skipped: found.skipped,
             truncated_tail: found.truncated,
-            generation: durable.head.generation(),
+            generation,
             seq: durable.seq,
             regrounds: durable.engine.groundings_performed() - groundings,
             evidence_only: forced.saturating_sub(1) as u64,
@@ -309,31 +357,40 @@ impl DurableEngine {
         Ok((durable, report))
     }
 
-    /// Parses `src` against a copy of the lineage program and forks the
-    /// head under it, touching neither: the caller commits both only on
+    /// Parses `src` against the lineage program (copied only if the delta
+    /// interns a constant) and forks `head` under it, touching neither the
+    /// lineage's program nor its head: the caller commits both only on
     /// full success, since a failed delta must not perturb
     /// constant-interning order, or replay would diverge.
-    fn stage(&self, src: &str) -> Result<(Arc<MlnProgram>, Snapshot, ApplyReport), MlnError> {
+    fn stage(
+        &self,
+        head: &Snapshot,
+        src: &str,
+    ) -> Result<(Arc<MlnProgram>, Snapshot, ApplyReport), MlnError> {
         let mut program = self.program.clone();
-        let delta = tuffy_mln::parser::parse_delta(Arc::make_mut(&mut program), src)?;
-        let (head, report, _) = self.head.fork(&program, &delta)?;
+        let delta = tuffy_mln::parser::parse_delta_shared(&mut program, src)?;
+        let (head, report, _) = head.fork(&program, &delta)?;
         Ok((program, head, report))
     }
 
     /// Commits one delta: fork in memory, WAL append + `fsync` (when the
-    /// lineage has a store), then advance the head. On `Err` nothing
+    /// lineage has a store), then publish the head — before an
+    /// auto-checkpoint, so readers never wait for one. On `Err` nothing
     /// moved — the previous generation is still served and the log holds
     /// no trace of the failed delta.
     pub fn apply(&mut self, src: &str) -> Result<ApplyOutcome, DurableError> {
         // Stage the fork first (cheap to discard); the WAL append is
         // the commit point.
-        let (program, head, report) = self.stage(src).map_err(DurableError::Invalid)?;
+        let (program, head, report) = self
+            .stage(&self.head.get(), src)
+            .map_err(DurableError::Invalid)?;
         if let Some((wal, _)) = &mut self.store {
             wal.append(src.as_bytes()).map_err(DurableError::Store)?;
         }
         self.seq += 1;
         self.program = program;
-        self.head = head;
+        let generation = head.generation();
+        self.head.publish(head);
         let mut checkpointed = false;
         if self.checkpoint_every > 0 && self.wal_records() >= self.checkpoint_every {
             match self.checkpoint() {
@@ -344,7 +401,7 @@ impl DurableEngine {
         Ok(ApplyOutcome {
             report,
             seq: self.seq,
-            generation: self.head.generation(),
+            generation,
             checkpointed,
         })
     }
@@ -361,15 +418,16 @@ impl DurableEngine {
     pub fn relearn(&mut self, rule_weights: &[tuffy_mln::Weight]) -> Result<PathBuf, DurableError> {
         let head = self
             .head
+            .get()
             .relearn(rule_weights)
             .map_err(DurableError::Invalid)?;
         let (wal, dir) = store(&mut self.store).map_err(DurableError::Store)?;
         let path = save_snapshot(&head, dir, self.seq).map_err(DurableError::Store)?;
-        // The base is durable: advance the head before truncating the
+        // The base is durable: publish the head before truncating the
         // log, so a reset failure leaves a fully consistent lineage
         // (replay skips records the base already folded).
         self.program = head.program_arc();
-        self.head = head;
+        self.head.publish(head);
         wal.reset().map_err(DurableError::Store)?;
         Ok(path)
     }
@@ -381,20 +439,26 @@ impl DurableEngine {
     /// no base to fold into and refuses.
     pub fn checkpoint(&mut self) -> Result<PathBuf, StoreError> {
         let (wal, dir) = store(&mut self.store)?;
-        let path = save_snapshot(&self.head, dir, self.seq)?;
+        let path = save_snapshot(&self.head.get(), dir, self.seq)?;
         wal.reset()?;
         Ok(path)
     }
 
-    /// A fresh read session over the current lineage head. Queries (and
+    /// A fresh read session over the committed head. Queries (and
     /// ephemeral `given` forks) run against it without holding the
     /// durable lineage.
     pub fn reader(&self) -> Session {
-        Session::from_snapshot(self.head.clone())
+        self.head.reader()
     }
 
-    /// The lineage head's generation number (restarts with the process;
-    /// [`ApplyOutcome::seq`] is the durable coordinate).
+    /// A read handle on the committed head, for readers that must not
+    /// wait for this lineage's writer (see [`LineageHead`]).
+    pub fn head(&self) -> LineageHead {
+        self.head.clone()
+    }
+
+    /// The committed head's generation number (restarts with the
+    /// process; [`ApplyOutcome::seq`] is the durable coordinate).
     pub fn generation(&self) -> u64 {
         self.head.generation()
     }
@@ -469,7 +533,7 @@ fn fold_record(
     record: &WalRecord,
 ) -> Result<Vec<EvidenceChange>, StoreError> {
     let src = record_source(record)?;
-    let delta = tuffy_mln::parser::parse_delta(Arc::make_mut(program), src)
+    let delta = tuffy_mln::parser::parse_delta_shared(program, src)
         .map_err(|e| replay_failed(record, e))?;
     evidence
         .apply(program, &delta)

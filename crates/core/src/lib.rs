@@ -111,7 +111,9 @@ pub mod session;
 pub mod snapshot;
 
 pub use config::{PartitionStrategy, TuffyConfig};
-pub use durable::{ApplyOutcome, DurableEngine, DurableError, RecoveryReport, WAL_FILE};
+pub use durable::{
+    ApplyOutcome, DurableEngine, DurableError, LineageHead, RecoveryReport, WAL_FILE,
+};
 pub use engine::Engine;
 pub use persist::GENERATION_FILE;
 pub use pipeline::Tuffy;

@@ -131,11 +131,12 @@ impl Session {
     }
 
     /// Parses delta text (see [`tuffy_mln::parser::parse_delta`] for the
-    /// syntax) against this session's program, interning any new
-    /// constants into the session's private copy-on-write program fork
-    /// (the engine's shared program is never mutated).
+    /// syntax) against this session's program. A delta over known
+    /// constants reads the shared program as is; one that names a new
+    /// constant interns it into the session's private copy-on-write
+    /// program fork (the engine's shared program is never mutated).
     pub fn parse_delta(&mut self, src: &str) -> Result<EvidenceDelta, MlnError> {
-        tuffy_mln::parser::parse_delta(Arc::make_mut(&mut self.program), src)
+        tuffy_mln::parser::parse_delta_shared(&mut self.program, src)
     }
 
     /// Applies an evidence delta to the session by forking a new

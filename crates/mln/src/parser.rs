@@ -38,7 +38,9 @@ use crate::evidence::{EvidenceDelta, EvidenceSet};
 use crate::ground::{AtomRef, GroundAtom};
 use crate::program::MlnProgram;
 use crate::schema::PredicateId;
+use crate::symbols::Symbol;
 use crate::weight::Weight;
+use std::sync::Arc;
 
 /// Tokens of the concrete syntax, borrowing their text from the source.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -324,6 +326,22 @@ pub fn parse_evidence_into(
 /// ~wrote(Joe, P1)  // flip
 /// ```
 pub fn parse_delta(program: &mut MlnProgram, src: &str) -> Result<EvidenceDelta, MlnError> {
+    delta_with(program, src)
+}
+
+/// [`parse_delta`] against a shared program, copied only when it must
+/// be: a delta whose constants the program already knows resolves
+/// against it as is. One that names a new constant, or fails, is parsed
+/// again by [`parse_delta`] on the program's copy-on-write clone, so
+/// interning order and error text are exactly [`parse_delta`]'s.
+pub fn parse_delta_shared(
+    program: &mut Arc<MlnProgram>,
+    src: &str,
+) -> Result<EvidenceDelta, MlnError> {
+    delta_with(&mut Known(program), src).or_else(|_| parse_delta(Arc::make_mut(program), src))
+}
+
+fn delta_with<C: Constants>(names: &mut C, src: &str) -> Result<EvidenceDelta, MlnError> {
     let mut delta = EvidenceDelta::new();
     let mut toks = Vec::new();
     for (lineno, line) in logical_lines(src) {
@@ -344,7 +362,7 @@ pub fn parse_delta(program: &mut MlnProgram, src: &str) -> Result<EvidenceDelta,
         };
         let positive = !cur.eat(&Tok::Bang);
         let mut args = Vec::new();
-        let pred = parse_ground_atom(program, &mut cur, &mut args)?;
+        let pred = parse_ground_atom(names, &mut cur, &mut args)?;
         if !cur.at_end() {
             return Err(MlnError::at(lineno, "trailing tokens after delta atom"));
         }
@@ -770,12 +788,43 @@ fn parse_term(program: &mut MlnProgram, cur: &mut Cursor<'_, '_>) -> Result<Term
     }
 }
 
+/// How a ground atom's constants become symbols: interned into a program
+/// being extended, or looked up in a shared one ([`Known`]).
+trait Constants {
+    fn program(&self) -> &MlnProgram;
+    /// The symbol of `name`; `None` when it is new and cannot be interned.
+    fn constant(&mut self, name: &str) -> Option<Symbol>;
+}
+
+impl Constants for MlnProgram {
+    fn program(&self) -> &MlnProgram {
+        self
+    }
+
+    fn constant(&mut self, name: &str) -> Option<Symbol> {
+        Some(self.symbols.intern(name))
+    }
+}
+
+/// A shared program read without interning.
+struct Known<'a>(&'a MlnProgram);
+
+impl Constants for Known<'_> {
+    fn program(&self) -> &MlnProgram {
+        self.0
+    }
+
+    fn constant(&mut self, name: &str) -> Option<Symbol> {
+        self.0.symbols.get(name)
+    }
+}
+
 /// Parses a ground atom for evidence: `pred(c1, …, ck)` with constant
-/// args, interned into `args` (cleared first).
-fn parse_ground_atom(
-    program: &mut MlnProgram,
+/// args, resolved through `names` into `args` (cleared first).
+fn parse_ground_atom<C: Constants>(
+    names: &mut C,
     cur: &mut Cursor<'_, '_>,
-    args: &mut Vec<crate::symbols::Symbol>,
+    args: &mut Vec<Symbol>,
 ) -> Result<PredicateId, MlnError> {
     let name = match cur.next() {
         Some(&Tok::Ident(n)) => n,
@@ -786,7 +835,8 @@ fn parse_ground_atom(
             ));
         }
     };
-    let pred = program
+    let pred = names
+        .program()
         .predicate_by_name(name)
         .ok_or_else(|| MlnError::at(cur.line, format!("unknown predicate `{name}`")))?;
     cur.expect(&Tok::LParen, "`(`")?;
@@ -794,7 +844,10 @@ fn parse_ground_atom(
     loop {
         match cur.next() {
             Some(&(Tok::Ident(c) | Tok::Number(c) | Tok::Str(c))) => {
-                args.push(program.symbols.intern(c));
+                let sym = names
+                    .constant(c)
+                    .ok_or_else(|| MlnError::at(cur.line, format!("unknown constant `{c}`")))?;
+                args.push(sym);
             }
             other => {
                 return Err(MlnError::at(
@@ -894,6 +947,30 @@ mod tests {
         assert!(matches!(d.ops[3], DeltaOp::Retract { .. }));
         assert!(matches!(d.ops[4], DeltaOp::Flip { .. }));
         assert!(parse_delta(&mut p, "-!cat(P1, DB)\n").is_err());
+    }
+
+    #[test]
+    fn shared_delta_copies_the_program_only_to_intern() {
+        let base = Arc::new(parse_program(FIGURE1).unwrap());
+        let mut known = base.clone();
+        let d = parse_delta_shared(&mut known, "cat(Networking, Networking)\n").unwrap();
+        assert!(Arc::ptr_eq(&known, &base), "a known delta must not copy");
+        assert_eq!(
+            d,
+            parse_delta(&mut (*base).clone(), "cat(Networking, Networking)\n").unwrap()
+        );
+
+        for src in [
+            "cat(P4, DB)\n~cat(P5, AI)\n",
+            "cat(P4, DB)\n-!cat(P1, DB)\n",
+        ] {
+            let mut shared = base.clone();
+            let mut copy = (*base).clone();
+            let got = parse_delta_shared(&mut shared, src).map_err(|e| e.to_string());
+            assert_eq!(got, parse_delta(&mut copy, src).map_err(|e| e.to_string()));
+            assert!(!Arc::ptr_eq(&shared, &base));
+            assert_eq!(shared.symbols.len(), copy.symbols.len());
+        }
     }
 
     #[test]

@@ -62,10 +62,14 @@
 //! (at least) the acked generation on restart. WAL append failures
 //! answer `error internal` and leave the head on the previous committed
 //! generation — a delta that was not made durable is never served.
-//! Applies and queries take the head in arrival order: a query that
-//! arrives during an apply waits for it and answers from the generation
-//! it commits (the previous one if it failed), never behind a later
-//! apply.
+//!
+//! Reads are **read committed** and never wait for a writer: queries and
+//! the welcome frame read the lineage's [`tuffy::LineageHead`], which an
+//! apply publishes at its commit point (after the WAL fsync, before any
+//! auto-checkpoint). A query that arrives during an apply answers from
+//! the last committed generation; one sent after an `applied` frame
+//! arrived answers from that generation or a later one. Applies take the
+//! lineage one at a time.
 //!
 //! # Graceful drain
 //!
@@ -84,13 +88,13 @@ use crate::wire::{
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tuffy::{
-    DurableEngine, DurableError, Engine, McSatParams, Query, QueryAnswer, Session, WalkSatParams,
+    DurableEngine, DurableError, Engine, LineageHead, McSatParams, Query, QueryAnswer, Session,
+    WalkSatParams,
 };
 
 /// Server limits and timeouts; see the module docs for the admission
@@ -268,85 +272,20 @@ struct Shared {
     /// Handler threads, joined at shutdown. Finished threads park here
     /// until then; each costs a few KB, bounded by connection churn.
     handlers: Mutex<Vec<JoinHandle<()>>>,
-    /// The serving lineage. Applies and queries cloning the committed
-    /// head take it in turn (see [`TurnLock`]). Poison is cleared:
-    /// `DurableEngine::apply` is transactional (the WAL append is the
-    /// commit point; program and head advance only after it succeeds),
-    /// so state behind a poisoned lock is always a consistent committed
-    /// generation.
-    lineage: TurnLock<DurableEngine>,
+    /// The committed head every query and welcome frame reads, without
+    /// the lineage lock.
+    head: LineageHead,
+    /// The serving lineage; only applies (and the drain's final sync)
+    /// take it. Poison is cleared: `DurableEngine::apply` is
+    /// transactional (the WAL append is the commit point; program and
+    /// head advance only after it succeeds), so state behind a poisoned
+    /// lock is always a consistent committed generation.
+    lineage: Mutex<DurableEngine>,
 }
 
-/// A mutex that hands itself out in arrival order: each caller takes the
-/// next ticket and waits for its turn. The lineage needs this because a
-/// plain mutex lets the applying connection's next request race a query
-/// woken at the end of the apply, and which one wins depends on how the
-/// threads happen to be scheduled: a query could wait out several
-/// applies in a row, more or fewer from one run to the next. Poison is
-/// cleared (see [`Shared::lineage`]).
-struct TurnLock<T> {
-    value: Mutex<T>,
-    /// `(next ticket to hand out, ticket whose turn it is)`.
-    tickets: Mutex<(u64, u64)>,
-    turn: Condvar,
-}
-
-impl<T> TurnLock<T> {
-    fn new(value: T) -> TurnLock<T> {
-        TurnLock {
-            value: Mutex::new(value),
-            tickets: Mutex::new((0, 0)),
-            turn: Condvar::new(),
-        }
-    }
-
-    /// Waits for every earlier caller to be done, then locks.
-    fn lock(&self) -> TurnGuard<'_, T> {
-        let mut tickets = self.tickets.lock().unwrap_or_else(PoisonError::into_inner);
-        let ticket = tickets.0;
-        tickets.0 += 1;
-        while tickets.1 != ticket {
-            tickets = self
-                .turn
-                .wait(tickets)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(tickets);
-        TurnGuard {
-            lock: self,
-            value: self.value.lock().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-}
-
-/// A [`TurnLock`]'s value; passes the turn on when dropped, also when a
-/// panicking request unwinds.
-struct TurnGuard<'a, T> {
-    lock: &'a TurnLock<T>,
-    value: MutexGuard<'a, T>,
-}
-
-impl<T> Deref for TurnGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T> DerefMut for TurnGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
-    }
-}
-
-impl<T> Drop for TurnGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock
-            .tickets
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .1 += 1;
-        self.lock.turn.notify_all();
+impl Shared {
+    fn lineage(&self) -> MutexGuard<'_, DurableEngine> {
+        self.lineage.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -397,7 +336,8 @@ impl Server {
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
             handlers: Mutex::new(Vec::new()),
-            lineage: TurnLock::new(lineage),
+            head: lineage.head(),
+            lineage: Mutex::new(lineage),
         });
         let accept_shared = shared.clone();
         let accept = std::thread::Builder::new()
@@ -494,7 +434,7 @@ impl Server {
             .fetch_add(draining.len() as u64, Ordering::Relaxed);
         drop(draining);
         // Final durability barrier: everything acked is on disk.
-        let _ = self.shared.lineage.lock().sync();
+        let _ = self.shared.lineage().sync();
     }
 }
 
@@ -719,7 +659,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         return;
     }
 
-    let generation = shared.lineage.lock().generation();
+    let generation = shared.head.generation();
     if write_response(
         &mut stream,
         &Response::Welcome {
@@ -824,7 +764,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         // must cost exactly one request. Admission guards release on
         // unwind; snapshots are immutable, so no shared state can be
         // left half-mutated — `AssertUnwindSafe` is sound here. The
-        // lineage lock is poison-cleared by `TurnLock::lock` because
+        // lineage lock is poison-cleared by `Shared::lineage` because
         // `DurableEngine::apply` commits atomically at the WAL append.
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             handle_request(shared, request)
@@ -899,12 +839,11 @@ fn admit(shared: &Shared, heavy: bool) -> Result<AdmissionGuard<'_>, Response> {
 }
 
 /// Commits a delta to the lineage: parse → fork → WAL append (the
-/// commit point, fsynced, when the lineage has a store) → advance the
-/// shared head. A WAL failure answers `error internal` and the head stays
-/// on the previous committed generation — an unlogged delta is never
-/// served.
+/// commit point, fsynced, when the lineage has a store) → publish the
+/// head. A WAL failure answers `error internal` and the head stays on the
+/// previous committed generation — an unlogged delta is never served.
 fn apply(shared: &Shared, delta: &str) -> Response {
-    let mut lineage = shared.lineage.lock();
+    let mut lineage = shared.lineage();
     match lineage.apply(delta) {
         Ok(outcome) => {
             if let Some(e) = lineage.take_checkpoint_error() {
@@ -936,11 +875,12 @@ fn apply(shared: &Shared, delta: &str) -> Response {
     }
 }
 
-/// Answers a query off a fresh reader of the committed head: the lock
-/// is held only to clone it, and the query itself runs unlocked,
-/// concurrently with applies.
+/// Answers a query off a fresh reader of the last committed head. It
+/// never takes the lineage lock, so an apply in flight (fork, WAL fsync,
+/// checkpoint) does not delay it: the query reads the generation before
+/// that apply's commit point or the one after.
 fn answer(shared: &Shared, wq: &WireQuery, heavy: bool) -> Response {
-    let mut reader = shared.lineage.lock().reader();
+    let mut reader = shared.head.reader();
     let query = match build_query(shared, &mut reader, wq) {
         Ok(query) => query,
         Err(resp) => return resp,
@@ -1077,27 +1017,4 @@ pub fn explain_stats(stats: &ServerStats) -> String {
         stats.drained,
         stats.aborted,
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::TurnLock;
-
-    #[test]
-    fn turn_lock_serves_waiters_in_arrival_order() {
-        let lock = TurnLock::new(Vec::new());
-        let first = lock.lock();
-        std::thread::scope(|scope| {
-            for i in 0..4u64 {
-                let lock = &lock;
-                scope.spawn(move || lock.lock().push(i));
-                // Let waiter i take its ticket before waiter i + 1 starts.
-                while lock.tickets.lock().unwrap().0 < i + 2 {
-                    std::thread::yield_now();
-                }
-            }
-            drop(first);
-        });
-        assert_eq!(*lock.lock(), [0, 1, 2, 3]);
-    }
 }

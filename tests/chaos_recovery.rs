@@ -19,6 +19,10 @@
 //! * **A fresh lineage over an old one** — `create` over a store that
 //!   holds a lineage, intact or with a damaged log, starts with an empty
 //!   log.
+//! * **The publish order** — a [`tuffy::LineageHead`] reads what `apply`,
+//!   `relearn` and `open` commit, and `apply` publishes before its
+//!   auto-checkpoint runs, so a failed checkpoint leaves the head
+//!   published.
 //! * **Panic containment** — a handler panic (the chaos ping token)
 //!   answers `error internal`, leaks no admission slots, and leaves
 //!   both its own connection and every other connection serving.
@@ -27,16 +31,19 @@
 //!   `drained`, not `aborted`.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tuffy::{
-    DurableEngine, DurableError, Engine, MlnProgram, Query, Tuffy, TuffyConfig, WalkSatParams,
+    DurableEngine, DurableError, Engine, LineageHead, MlnProgram, Query, Session, Tuffy,
+    TuffyConfig, WalkSatParams,
 };
 use tuffy_datagen::Dataset;
 use tuffy_mln::printer::render_evidence;
+use tuffy_mln::Weight;
 use tuffy_serve::{
     Busy, BusyClass, Client, ClientError, ErrorCode, ServeConfig, Server, WireAnswer, WireQuery,
 };
-use tuffy_store::{FaultPlan, FaultyStorage, MemStorage};
+use tuffy_store::{FaultPlan, FaultyStorage, MemStorage, WalStorage};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tuffy-chaos-test-{}-{tag}", std::process::id()))
@@ -109,7 +116,11 @@ fn make_deltas(program: &MlnProgram, ds: &Dataset, n: usize) -> Vec<String> {
 
 /// MAP answer of the lineage head reduced to exact bits.
 fn head_map_bits(durable: &DurableEngine) -> (u64, u64, Vec<String>) {
-    let reader = durable.reader();
+    map_bits(&durable.reader())
+}
+
+/// MAP answer of a reader's generation reduced to exact bits.
+fn map_bits(reader: &Session) -> (u64, u64, Vec<String>) {
     let answer = reader.snapshot().query(&Query::map()).expect("MAP query");
     let map = answer.as_map().expect("MAP answer");
     let mut atoms: Vec<String> = map.true_atoms().iter().map(|a| format!("{a:?}")).collect();
@@ -495,6 +506,103 @@ fn create_over_an_old_lineage_starts_with_an_empty_log() {
         "open refuses the damaged log"
     );
     recreate(fresh);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// The publish order
+// ---------------------------------------------------------------------
+
+/// An in-memory WAL that, while armed with a lineage's head, fails the
+/// truncation a checkpoint ends with, after noting the generation the
+/// head showed at that moment.
+#[derive(Clone, Default)]
+struct CheckpointProbe {
+    log: MemStorage,
+    armed: Arc<Mutex<Option<LineageHead>>>,
+    seen: Arc<Mutex<Vec<u64>>>,
+}
+
+impl WalStorage for CheckpointProbe {
+    fn read_all(&mut self) -> std::io::Result<Vec<u8>> {
+        self.log.read_all()
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.log.append(bytes)
+    }
+
+    fn truncate_to(&mut self, len: u64) -> std::io::Result<()> {
+        if let Some(head) = &*self.armed.lock().unwrap() {
+            self.seen.lock().unwrap().push(head.generation());
+            return Err(std::io::Error::other("injected checkpoint failure"));
+        }
+        self.log.truncate_to(len)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.log.sync()
+    }
+}
+
+/// A `LineageHead` taken before a commit reads the generation the commit
+/// made: `apply` publishes it before its auto-checkpoint runs (so a
+/// checkpoint that fails leaves it published), `relearn` once the base
+/// is saved, and `open` once replay ends.
+#[test]
+fn the_head_is_published_at_each_commit_point() {
+    let ds = tuffy_datagen::er(6, 18, 31);
+    let program = ds.program.clone();
+    let deltas = make_deltas(&program, &ds, 2);
+    let dir = fresh_dir("publish");
+    let probe = CheckpointProbe::default();
+    let mut durable = DurableEngine::create_with_wal(build(ds), &dir, Box::new(probe.clone()), 1)
+        .expect("create lineage");
+    let head = durable.head();
+    let base = head.generation();
+
+    *probe.armed.lock().unwrap() = Some(head.clone());
+    let outcome = durable.apply(&deltas[0]).expect("apply");
+    assert!(outcome.generation > base, "the delta forks a generation");
+    assert!(!outcome.checkpointed);
+    assert!(durable.take_checkpoint_error().is_some());
+    assert_eq!(
+        *probe.seen.lock().unwrap(),
+        [outcome.generation],
+        "the auto-checkpoint ran before the head was published"
+    );
+    assert_eq!(head.generation(), outcome.generation);
+    *probe.armed.lock().unwrap() = None;
+
+    let weights: Vec<Weight> = program
+        .rules
+        .iter()
+        .map(|rule| match rule.weight {
+            Weight::Soft(w) => Weight::Soft(w * 0.5),
+            w => w,
+        })
+        .collect();
+    durable.relearn(&weights).expect("relearn");
+    assert!(head.generation() > outcome.generation);
+
+    // Reopened once with nothing to replay, then once more over one
+    // record: each reopened head reads the generation replay landed on
+    // and answers what the head answered before the drop.
+    for delta in [None, Some(&deltas[1])] {
+        if let Some(delta) = delta {
+            durable.apply(delta).expect("apply after reopen");
+        }
+        let expected = map_bits(&durable.reader());
+        drop(durable);
+        let storage = Box::new(probe.log.clone());
+        let (reopened, report) =
+            DurableEngine::open_with_wal(&dir, storage, 0).expect("reopen lineage");
+        durable = reopened;
+        let head = durable.head();
+        assert_eq!(report.replayed, u64::from(delta.is_some()));
+        assert_eq!(head.generation(), report.generation);
+        assert_eq!(map_bits(&head.reader()), expected);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -14,6 +14,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tuffy::{
     DurableEngine, Engine, McSatParams, Query, QueryAnswer, Tuffy, TuffyConfig, WalkSatParams,
@@ -24,6 +25,7 @@ use tuffy_serve::wire::{
     Response, WireQuery, WireQueryKind, MAGIC,
 };
 use tuffy_serve::{ServeConfig, Server};
+use tuffy_store::{MemStorage, WalStorage};
 
 const PROGRAM: &str = r#"
     *wrote(person, paper)
@@ -415,6 +417,148 @@ fn plain_and_stored_servers_serve_the_same_lineage() {
     );
     drop(stored);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Read committed: no query waits for an apply in flight
+// ---------------------------------------------------------------------
+
+/// Where a [`GatedWal`]'s next `sync` stands.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum Gate {
+    /// Syncs go through.
+    #[default]
+    Pass,
+    /// The next sync stops at the gate…
+    Hold,
+    /// …and is stopped there now.
+    Held,
+    /// Syncs fail.
+    Fail,
+}
+
+/// An in-memory WAL whose `sync` a test can hold at a gate: the point
+/// between an apply's append and its commit. A hold lasts until the test
+/// opens the gate, or 10 s at most (then the sync goes through), so a
+/// server that made a reader wait fails the test instead of hanging it.
+#[derive(Clone, Default)]
+struct GatedWal {
+    log: MemStorage,
+    gate: Arc<(Mutex<Gate>, Condvar)>,
+}
+
+impl GatedWal {
+    fn set(&self, to: Gate) {
+        *self.gate.0.lock().unwrap() = to;
+        self.gate.1.notify_all();
+    }
+
+    fn wait_until(&self, state: Gate) {
+        let (gate, turned) = &*self.gate;
+        drop(turned.wait_while(gate.lock().unwrap(), |g| *g != state));
+    }
+}
+
+impl WalStorage for GatedWal {
+    fn read_all(&mut self) -> std::io::Result<Vec<u8>> {
+        self.log.read_all()
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.log.append(bytes)
+    }
+
+    fn truncate_to(&mut self, len: u64) -> std::io::Result<()> {
+        self.log.truncate_to(len)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        let (gate, turned) = &*self.gate;
+        let mut g = gate.lock().unwrap();
+        if *g == Gate::Hold {
+            *g = Gate::Held;
+            turned.notify_all();
+            g = turned
+                .wait_timeout_while(g, Duration::from_secs(10), |g| *g == Gate::Held)
+                .unwrap()
+                .0;
+        }
+        match *g {
+            Gate::Fail => Err(std::io::Error::other("injected fsync failure")),
+            _ => self.log.sync(),
+        }
+    }
+}
+
+/// Holds an apply at its WAL fsync and reads beside it: a query on
+/// another connection and a fresh connection's welcome must report the
+/// committed generation N, bit-identical to `Snapshot::query` on N. Then
+/// the gate opens (`fail` = the fsync fails) and every later read must
+/// report N+1, or still N when the delta was never made durable.
+fn read_beside_a_held_commit(tag: &str, fail: bool) {
+    let dir = std::env::temp_dir().join(format!("tuffy-net-serve-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = GatedWal::default();
+    let lineage = DurableEngine::create_with_wal(engine(), &dir, Box::new(wal.clone()), 0).unwrap();
+    let engine = lineage.engine().clone();
+    let committed = lineage.head().reader();
+    let n = committed.snapshot().generation();
+    let answer_n = local_canon(&engine, &committed.snapshot().query(&Query::map()).unwrap());
+    let answer_next = {
+        let mut s = lineage.reader();
+        let delta = s.parse_delta(DELTA).unwrap();
+        s.apply(&delta).unwrap();
+        local_canon(&engine, &s.snapshot().query(&Query::map()).unwrap())
+    };
+    assert_ne!(answer_n, answer_next, "the delta must move the MAP");
+    let server = Server::start_durable(lineage, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut reader = Client::connect(addr).unwrap();
+
+    wal.set(Gate::Hold);
+    let applied = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| Client::connect(addr).unwrap().apply(DELTA));
+        wal.wait_until(Gate::Held);
+        let started = Instant::now();
+        let during = reader.query(&wire_map()).unwrap();
+        assert_eq!(during.generation(), n, "a read waited for the held commit");
+        assert_eq!(wire_canon(&during), answer_n);
+        assert_eq!(Client::connect(addr).unwrap().generation(), n);
+        assert!(started.elapsed() < Duration::from_secs(5));
+        wal.set(if fail { Gate::Fail } else { Gate::Pass });
+        writer.join().unwrap()
+    });
+
+    let (generation, expected) = match applied {
+        Ok(applied) if !fail => {
+            assert!(applied.generation > n);
+            (applied.generation, answer_next)
+        }
+        Err(ClientError::Server(f)) if fail => {
+            assert_eq!(f.code, ErrorCode::Internal, "{}", f.message);
+            (n, answer_n)
+        }
+        other => panic!("apply with fail={fail} answered {other:?}"),
+    };
+    let mut fresh = Client::connect(addr).unwrap();
+    assert_eq!(fresh.generation(), generation);
+    for client in [&mut reader, &mut fresh] {
+        let after = client.query(&wire_map()).unwrap();
+        assert_eq!(after.generation(), generation);
+        assert_eq!(wire_canon(&after), expected);
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reads_beside_a_held_commit_answer_the_committed_generation() {
+    read_beside_a_held_commit("held", false);
+}
+
+#[test]
+fn a_commit_whose_fsync_fails_is_never_served() {
+    read_beside_a_held_commit("fsync-fails", true);
 }
 
 // ---------------------------------------------------------------------

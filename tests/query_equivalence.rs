@@ -361,3 +361,21 @@ fn given_delta_with_new_constants_uses_the_session_program() {
         "{err}"
     );
 }
+
+/// A `given` delta over constants the program already knows resolves
+/// against the shared program: the session keeps reading the engine's
+/// program, not a copy. Only a new constant copies it.
+#[test]
+fn known_constant_given_shares_the_program() {
+    let engine = figure1_engine();
+    let mut session = engine.open_session();
+    let delta = session.parse_delta("!cat(P3, DB)\n").unwrap();
+    session.query(&Query::map().given(delta)).unwrap();
+    assert!(
+        std::ptr::eq(session.program(), engine.program()),
+        "a known-constant delta copied the program"
+    );
+
+    session.parse_delta("cat(P9, DB)\n").unwrap();
+    assert!(!std::ptr::eq(session.program(), engine.program()));
+}
